@@ -16,8 +16,8 @@
   elbows, classification flips, dominant-kernel shifts) over a device
   sweep.
 * :mod:`~repro.analysis.similarity` — kernel-similarity index
-  (VP-tree nearest / k-NN / representative-subset queries over
-  standardized feature vectors; backs the proxy cache tier).
+  (exact-scan nearest / k-NN / representative-subset queries over
+  standardized feature vectors).
 """
 
 from repro.analysis.clustering import (

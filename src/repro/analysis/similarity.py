@@ -2,16 +2,12 @@
 
 The content-addressed result cache is an ever-growing corpus of
 characterized kernels, but exact-key lookups only ever reuse a result
-for a *bit-identical* kernel.  Most launches in a suite are
-near-duplicates of kernels already simulated (a BFS level with a
-slightly different frontier, an MD step with a handful more pairs), so
-similarity search over the corpus answers two new kinds of question:
-
-* **analysis** — "which known kernel is this most like?", "what is the
-  smallest representative subset of this corpus?" (the subsetting
-  workflow of :mod:`repro.analysis.subsetting`, now sublinear);
-* **reuse** — "is a cached result close enough to stand in for this
-  kernel?" (the proxy tier in :mod:`repro.core.proxy`).
+for a *bit-identical* kernel.  Similarity search over the corpus
+answers the analysis questions exact keys cannot: "which known kernel
+is this most like?" and "what is the smallest representative subset of
+this corpus?" (the subsetting workflow of
+:mod:`repro.analysis.subsetting`).  ``repro similar`` and
+``/v1/similar`` are its front ends.
 
 Feature space
 -------------
@@ -21,8 +17,7 @@ Feature space
 **every quantity the analytical timing model reads** — geometry,
 instruction mix, ILP/MLP, and the memory footprint (sizes in log10 so
 a 2x work difference is the same distance at every scale).  Two kernels
-with equal feature vectors therefore produce bit-identical metrics,
-which is what makes a zero-tolerance proxy exact.
+with equal feature vectors therefore produce bit-identical metrics.
 :func:`metric_features` is the post-simulation counterpart over
 :class:`~repro.gpu.metrics.KernelMetrics` (roofline coordinates plus
 the Table IV vocabulary) for corpus analytics.
@@ -32,28 +27,20 @@ FAMD applies to its quantitative block
 (:func:`repro.analysis.famd.standardize_columns`), so distances weigh
 each feature by its corpus-wide spread rather than its unit.
 
-Index structure
----------------
+Queries
+-------
 
 :class:`KernelIndex` holds ``(key, raw vector, payload)`` items and
-answers nearest / k-NN / representative-subset queries through a
-**vantage-point tree** over the standardized vectors — sublinear node
-visits on clustered corpora — with a brute-force scan as the reference
-implementation (``use_tree=False``); the two are differentially pinned
-to return identical answers.  Determinism contract: the fit and the
-tree are always built from items sorted by key, ties are broken by
+answers nearest / k-NN / representative-subset queries with one exact
+vectorized scan over the standardized vectors.  Determinism contract:
+the fit is always built from items sorted by key and ties are broken by
 ``(distance, key)``, so **answers are invariant to insertion order**.
-The index is rebuilt lazily on the first query after a mutation
-(additions arrive in bursts — one per simulated wave — so rebuilds are
-rare and O(n log n)).
-
-``distance_evals`` counts vector-distance computations, the
-machine-independent cost measure ``benchmarks/bench_similarity.py``
-uses to demonstrate sublinear query scaling.
+The fit is redone lazily on the first query after a mutation.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -181,32 +168,8 @@ class Neighbor:
     payload: Any
     #: True when the *raw* feature vectors are exactly equal — stronger
     #: than ``distance == 0`` (a zero-variance column standardizes every
-    #: value to 0, hiding raw differences).  This is the condition the
-    #: zero-tolerance proxy requires for bit-exact reuse.
+    #: value to 0, hiding raw differences).
     exact: bool
-
-
-_LEAF_SIZE = 16
-
-
-class _Node:
-    """One vantage-point tree node over standardized row indices."""
-
-    __slots__ = ("vantage", "radius", "inside", "outside", "leaf")
-
-    def __init__(
-        self,
-        vantage: int = -1,
-        radius: float = 0.0,
-        inside: Optional["_Node"] = None,
-        outside: Optional["_Node"] = None,
-        leaf: Optional[np.ndarray] = None,
-    ) -> None:
-        self.vantage = vantage
-        self.radius = radius
-        self.inside = inside
-        self.outside = outside
-        self.leaf = leaf
 
 
 class KernelIndex:
@@ -217,20 +180,12 @@ class KernelIndex:
     feature_names:
         Names of the vector components (defaults to the structural
         space); only used for validation and introspection.
-    use_tree:
-        ``True`` (default) answers queries through the VP-tree;
-        ``False`` is the brute-force reference path.  Both return
-        identical answers (differentially tested) — the flag exists so
-        the equivalence is checkable and the benchmark has a baseline.
     """
 
     def __init__(
-        self,
-        feature_names: Sequence[str] = STRUCTURAL_FEATURES,
-        use_tree: bool = True,
+        self, feature_names: Sequence[str] = STRUCTURAL_FEATURES
     ) -> None:
         self.feature_names = tuple(feature_names)
-        self.use_tree = use_tree
         self._items: Dict[str, Tuple[np.ndarray, Any]] = {}
         self._dirty = True
         # Built state (valid when not dirty):
@@ -239,11 +194,7 @@ class KernelIndex:
         self._points: Optional[np.ndarray] = None
         self._mean: Optional[np.ndarray] = None
         self._std: Optional[np.ndarray] = None
-        self._root: Optional[_Node] = None
-        #: Vector-distance computations across all queries so far — the
-        #: machine-independent query-cost measure.
-        self.distance_evals = 0
-        #: Full (fit + tree) rebuilds performed.
+        #: Standardization fits performed.
         self.builds = 0
 
     # -- corpus management --------------------------------------------
@@ -268,10 +219,9 @@ class KernelIndex:
 
     # -- build ---------------------------------------------------------
     def build(self) -> None:
-        """(Re)fit standardization and rebuild the tree.
+        """(Re)fit standardization over the items sorted by key.
 
-        Deterministic regardless of insertion order: items are processed
-        sorted by key, and tree partitions use stable distance ordering.
+        Deterministic regardless of insertion order.
         """
         if not self._dirty:
             return
@@ -281,38 +231,11 @@ class KernelIndex:
         )
         if len(self._keys) == 0:
             self._points = None
-            self._root = None
             self._dirty = False
             return
         self._points, self._mean, self._std = standardize_columns(self._raw)
-        self._root = (
-            self._build_node(np.arange(len(self._keys)))
-            if self.use_tree
-            else None
-        )
         self.builds += 1
         self._dirty = False
-
-    def _build_node(self, rows: np.ndarray) -> _Node:
-        if len(rows) <= _LEAF_SIZE:
-            return _Node(leaf=rows)
-        assert self._points is not None
-        vantage = int(rows[0])
-        rest = rows[1:]
-        dist = np.sqrt(
-            ((self._points[rest] - self._points[vantage]) ** 2).sum(axis=1)
-        )
-        order = np.argsort(dist, kind="stable")
-        mid = len(rest) // 2
-        inside_rows = rest[order[:mid]]
-        outside_rows = rest[order[mid:]]
-        radius = float(dist[order[mid - 1]]) if mid > 0 else 0.0
-        return _Node(
-            vantage=vantage,
-            radius=radius,
-            inside=self._build_node(inside_rows),
-            outside=self._build_node(outside_rows),
-        )
 
     def _standardize_query(self, vector: np.ndarray) -> np.ndarray:
         assert self._mean is not None and self._std is not None
@@ -333,104 +256,32 @@ class KernelIndex:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.build()
-        if not self._keys or (exclude is not None and len(self._keys) == 1
-                              and self._keys[0] == exclude):
-            return []
-        query = self._standardize_query(vector)
-        if self.use_tree:
-            candidates = self._knn_tree(query, k, exclude)
-        else:
-            candidates = self._knn_brute(query, k, exclude)
-        return [self._neighbor(row, dist, vector) for dist, _, row in candidates]
-
-    def brute_knn(
-        self, vector: np.ndarray, k: int, exclude: Optional[str] = None
-    ) -> List[Neighbor]:
-        """Reference answer: full scan (the differential-test oracle)."""
-        self.build()
         if not self._keys:
             return []
+        assert self._points is not None and self._raw is not None
         query = self._standardize_query(vector)
-        candidates = self._knn_brute(query, k, exclude)
-        return [self._neighbor(row, dist, vector) for dist, _, row in candidates]
-
-    def _neighbor(
-        self, row: int, dist: float, raw_query: np.ndarray
-    ) -> Neighbor:
-        assert self._raw is not None
-        key = self._keys[row]
-        exact = bool(
-            np.array_equal(self._raw[row], np.asarray(raw_query, dtype=np.float64))
-        )
-        return Neighbor(
-            key=key, distance=dist, payload=self._items[key][1], exact=exact
-        )
-
-    def _knn_brute(
-        self, query: np.ndarray, k: int, exclude: Optional[str]
-    ) -> List[Tuple[float, str, int]]:
-        assert self._points is not None
         dist = np.sqrt(((self._points - query) ** 2).sum(axis=1))
-        self.distance_evals += len(dist)
-        ranked = sorted(
-            (float(dist[row]), self._keys[row], row)
-            for row in range(len(self._keys))
-            if self._keys[row] != exclude
-        )
-        return ranked[:k]
-
-    def _knn_tree(
-        self, query: np.ndarray, k: int, exclude: Optional[str]
-    ) -> List[Tuple[float, str, int]]:
-        points = self._points
-        assert points is not None and self._root is not None
-        best: List[Tuple[float, str, int]] = []  # sorted, at most k
-
-        def offer(dist: float, row: int) -> None:
+        rows = np.arange(len(dist))
+        if exclude in self._items:
+            rows = np.delete(rows, bisect.bisect_left(self._keys, exclude))
+        if k < len(rows):
+            # Keep every row tied with the k-th distance, so the
+            # (distance, key) order below decides which of them survive.
+            kth = np.partition(dist[rows], k - 1)[k - 1]
+            rows = rows[dist[rows] <= kth]
+        # Rows are in key order, so (distance, row) is (distance, key).
+        ranked = rows[np.lexsort((rows, dist[rows]))][:k]
+        raw_query = np.asarray(vector, dtype=np.float64)
+        neighbors = []
+        for row in ranked.tolist():
             key = self._keys[row]
-            if key == exclude:
-                return
-            entry = (dist, key, row)
-            if len(best) < k:
-                best.append(entry)
-                best.sort()
-            elif entry < best[-1]:
-                best[-1] = entry
-                best.sort()
-
-        def tau() -> float:
-            return best[-1][0] if len(best) == k else math.inf
-
-        def visit(node: _Node) -> None:
-            if node.leaf is not None:
-                dist = np.sqrt(((points[node.leaf] - query) ** 2).sum(axis=1))
-                self.distance_evals += len(node.leaf)
-                for i, row in enumerate(node.leaf):
-                    offer(float(dist[i]), int(row))
-                return
-            d_v = float(np.sqrt(((points[node.vantage] - query) ** 2).sum()))
-            self.distance_evals += 1
-            offer(d_v, node.vantage)
-            assert node.inside is not None and node.outside is not None
-            # Triangle-inequality bounds: inside holds rows with
-            # d(row, vantage) <= radius, outside rows with >= radius.
-            # Prune only on a *strict* bound violation (non-strict
-            # visit conditions) so equal-distance ties are never
-            # dropped; tie order is then resolved by the
-            # (distance, key) sort, keeping answers insertion-order
-            # invariant.  Visit the likelier side first to shrink tau
-            # before testing the other side.
-            if d_v <= node.radius:
-                visit(node.inside)
-                if d_v + tau() >= node.radius:
-                    visit(node.outside)
-            else:
-                visit(node.outside)
-                if d_v - tau() <= node.radius:
-                    visit(node.inside)
-
-        visit(self._root)
-        return best
+            neighbors.append(Neighbor(
+                key=key,
+                distance=float(dist[row]),
+                payload=self._items[key][1],
+                exact=bool(np.array_equal(self._raw[row], raw_query)),
+            ))
+        return neighbors
 
     # -- representative subsets ---------------------------------------
     def _built_points(self) -> Tuple[np.ndarray, List[str]]:

@@ -112,20 +112,6 @@ def _timeout_arg(text: str) -> float:
     return value
 
 
-def _proxy_tol_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative distance, got {text!r}"
-        ) from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"proxy tolerance must be finite and >= 0, got {text!r}"
-        )
-    return value
-
-
 def _env_default(name: str, convert):
     """Validated default from an environment variable (None if unset).
 
@@ -148,8 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Cactus (IISWC 2021) reproduction pipeline",
         epilog=(
             "Environment: REPRO_CACHE_DIR, REPRO_JOBS, REPRO_RETRIES, "
-            "REPRO_TIMEOUT, REPRO_JOURNAL_DIR, REPRO_PROXY_TOL and "
-            "REPRO_TRACE_DIR "
+            "REPRO_TIMEOUT, REPRO_JOURNAL_DIR and REPRO_TRACE_DIR "
             "provide defaults for the matching flags; an explicit flag "
             "always overrides its environment variable. "
             "Failure semantics: suite commands "
@@ -227,17 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "interrupted run with identical parameters resumes there "
         "and skips finished workloads (default: $REPRO_JOURNAL_DIR, "
         "else no journal)",
-    )
-    parser.add_argument(
-        "--proxy-tol",
-        type=_proxy_tol_arg,
-        default=_env_default("REPRO_PROXY_TOL", _proxy_tol_arg),
-        metavar="DIST",
-        help="opt into the similarity-proxy tier for suite-level "
-        "commands: kernels within DIST of an already-simulated one "
-        "(standardized feature space) reuse its metrics instead of "
-        "simulating; 0 accepts exact structural duplicates only "
-        "(default: $REPRO_PROXY_TOL, else off — bit-exact runs)",
     )
     trace_mode = parser.add_mutually_exclusive_group()
     trace_mode.add_argument(
@@ -845,7 +819,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "keep_going": not args.strict,
         "journal_dir": args.journal_dir,
         "trace_dir": trace_dir,
-        "proxy_tol": args.proxy_tol,
     }
     if args.command == "list":
         return _cmd_list()

@@ -21,12 +21,6 @@ from repro.core.config import (
 )
 from repro.core.engine import CharacterizationEngine
 from repro.core.journal import RunJournal, SweepJournal
-from repro.core.proxy import (
-    ProxyBank,
-    ProxyConfig,
-    ProxyStats,
-    ProxyTier,
-)
 from repro.core.resilience import (
     RetryPolicy,
     SuiteRunError,
@@ -47,10 +41,6 @@ __all__ = [
     "CacheStats",
     "Characterization",
     "CharacterizationEngine",
-    "ProxyBank",
-    "ProxyConfig",
-    "ProxyStats",
-    "ProxyTier",
     "ResultCache",
     "RetryPolicy",
     "RunJournal",

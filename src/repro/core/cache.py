@@ -59,10 +59,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     corrupt: int = 0
-    #: Similarity-proxy substitutions (see :mod:`repro.core.proxy`): a
-    #: distinct tier — the exact-key lookup *missed*, but a
-    #: near-duplicate's metrics were reused instead of simulating.
-    proxy_hits: int = 0
 
     @property
     def hits(self) -> int:
@@ -76,22 +72,12 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    @property
-    def effective_hits(self) -> int:
-        """Lookups that avoided a simulation: exact hits + proxy hits."""
-        return self.hits + self.proxy_hits
-
-    @property
-    def effective_hit_rate(self) -> float:
-        return self.effective_hits / self.lookups if self.lookups else 0.0
-
     def merge(self, other: "CacheStats") -> None:
         self.memory_hits += other.memory_hits
         self.disk_hits += other.disk_hits
         self.misses += other.misses
         self.stores += other.stores
         self.corrupt += other.corrupt
-        self.proxy_hits += other.proxy_hits
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -100,7 +86,6 @@ class CacheStats:
             "misses": self.misses,
             "stores": self.stores,
             "corrupt": self.corrupt,
-            "proxy_hits": self.proxy_hits,
         }
 
     @classmethod
@@ -109,12 +94,9 @@ class CacheStats:
 
         Used by the service layer to rehydrate persisted per-job cache
         accounting across restarts; tolerant of older payloads that
-        predate a counter.
+        predate a counter or carry a retired one.
         """
-        fields = (
-            "memory_hits", "disk_hits", "misses",
-            "stores", "corrupt", "proxy_hits",
-        )
+        fields = ("memory_hits", "disk_hits", "misses", "stores", "corrupt")
         return cls(**{
             name: int(payload.get(name, 0)) for name in fields
         })
@@ -125,11 +107,6 @@ class CacheStats:
             f"({self.memory_hits} memory, {self.disk_hits} disk), "
             f"{self.stores} stores, hit rate {self.hit_rate:.0%}"
         )
-        if self.proxy_hits:
-            text += (
-                f", {self.proxy_hits} proxy hits "
-                f"(effective hit rate {self.effective_hit_rate:.0%})"
-            )
         if self.corrupt:
             text += f", {self.corrupt} corrupt entr{'y' if self.corrupt == 1 else 'ies'} quarantined"
         return text

@@ -99,9 +99,7 @@ def characterize(
     from repro.obs import NULL_TRACER
 
     tracer = tracer or NULL_TRACER
-    profiler = profiler or Profiler(
-        simulator=GPUSimulator(device, cache=cache)
-    )
+    profiler = profiler or Profiler(simulator=GPUSimulator(device))
     abbr = workload.abbr
     if stream is None:
         with tracer.span("stream-gen", category="phase", workload=abbr) as sp:
@@ -158,7 +156,6 @@ def characterize_devices(
     tracer=None,
     steady_state: bool = True,
     stream=None,
-    proxy_bank=None,
 ) -> "dict[str, Characterization]":
     """Characterize one workload across N devices from ONE stream.
 
@@ -175,12 +172,6 @@ def characterize_devices(
     Returns ``{device.name: Characterization}`` in *devices* order.
     Every entry is bit-for-bit identical to what
     :func:`characterize` would produce for that device alone.
-
-    *proxy_bank* (see :class:`repro.core.proxy.ProxyBank`) is the
-    opt-in similarity-proxy tier: with it attached, each device's
-    simulate pass may substitute near-duplicate metrics from that
-    device's proxy corpus.  ``None`` (default) keeps the bit-exact
-    contract above.
     """
     from repro.gpu.batched import simulate_devices
     from repro.gpu.simulator import SimulationOptions
@@ -270,7 +261,6 @@ def characterize_devices(
                 missing,
                 options=options,
                 tracer=tracer,
-                proxy_bank=proxy_bank,
             )
             sp.set_attr("launches", len(stream))
         aggregator = Profiler(steady_state=steady_state)

@@ -9,12 +9,11 @@ orthogonal capabilities over the naive serial loop:
   pool (``jobs`` workers).  Results are reassembled in registration
   order, so a parallel run is indistinguishable from a serial one.
 * **Result reuse** — an optional :class:`~repro.core.cache.ResultCache`
-  memoizes both per-kernel :class:`~repro.gpu.metrics.KernelMetrics`
-  (inside the simulator) and whole
-  :class:`~repro.core.characterize.Characterization` objects, keyed on
-  content digests of ``(DeviceSpec, SimulationOptions, launch
-  stream)``.  A warm run replays the suite from disk without touching
-  the timing model.
+  memoizes whole :class:`~repro.core.characterize.Characterization`
+  objects, keyed on content digests of ``(DeviceSpec,
+  SimulationOptions, launch stream)``.  A warm run replays the suite
+  from disk without touching the timing model; within one run the
+  simulator's in-process memo reuses per-kernel metrics.
 * **Fault tolerance** — every worker exception is captured into a
   structured :class:`~repro.core.resilience.WorkloadFailure` instead of
   aborting the suite; a :class:`~repro.core.resilience.RetryPolicy`
@@ -57,7 +56,6 @@ from repro.core.characterize import (
 )
 from repro.core.config import LAPTOP_SCALE, ScalePreset
 from repro.core.journal import RunJournal, SweepJournal
-from repro.core.proxy import ProxyBank, ProxyConfig, ProxyTier
 from repro.core.streamcache import StreamCache
 from repro.core.resilience import (
     RetryPolicy,
@@ -88,20 +86,6 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _proxy_tier_for_worker(
-    proxy_tol: Optional[float],
-    proxy_audit_fraction: float,
-    tracer,
-) -> Optional[ProxyTier]:
-    """Worker-local similarity-proxy tier (corpus scoped to the worker)."""
-    if proxy_tol is None:
-        return None
-    return ProxyTier(
-        ProxyConfig(proxy_tol, audit_fraction=proxy_audit_fraction),
-        tracer=tracer,
-    )
-
-
 def _characterize_one(
     abbr: str,
     scale: float,
@@ -112,8 +96,6 @@ def _characterize_one(
     attempt: int = 1,
     fault_plan: Optional["FaultPlan"] = None,
     handoff: Optional[TraceHandoff] = None,
-    proxy_tol: Optional[float] = None,
-    proxy_audit_fraction: float = 0.05,
 ) -> Tuple[str, Characterization, CacheStats, Optional[dict]]:
     """Worker body: characterize one workload from its identity.
 
@@ -145,15 +127,7 @@ def _characterize_one(
             if fault_plan is not None:
                 fault_plan.before(abbr, attempt)
             profiler = Profiler(
-                simulator=GPUSimulator(
-                    device,
-                    options=options,
-                    cache=cache,
-                    tracer=tracer,
-                    proxy=_proxy_tier_for_worker(
-                        proxy_tol, proxy_audit_fraction, tracer
-                    ),
-                )
+                simulator=GPUSimulator(device, options=options, tracer=tracer)
             )
             workload = get_workload(abbr, scale=scale, seed=seed)
             result = characterize(
@@ -184,8 +158,6 @@ def _sweep_one(
     attempt: int = 1,
     fault_plan: Optional["FaultPlan"] = None,
     handoff: Optional[TraceHandoff] = None,
-    proxy_tol: Optional[float] = None,
-    proxy_audit_fraction: float = 0.05,
 ) -> Tuple[str, Dict[str, Characterization], CacheStats, Optional[dict]]:
     """Pool worker for device sweeps: one workload, every device.
 
@@ -217,14 +189,6 @@ def _sweep_one(
         ):
             if fault_plan is not None:
                 fault_plan.before(abbr, attempt)
-            proxy_bank = None
-            if proxy_tol is not None:
-                proxy_bank = ProxyBank(
-                    ProxyConfig(
-                        proxy_tol, audit_fraction=proxy_audit_fraction
-                    ),
-                    tracer=tracer,
-                )
             workload = get_workload(abbr, scale=scale, seed=seed)
             result = characterize_devices(
                 workload,
@@ -233,7 +197,6 @@ def _sweep_one(
                 cache=cache,
                 stream_cache=stream_cache,
                 tracer=tracer,
-                proxy_bank=proxy_bank,
             )
     finally:
         if tracer.sink is not None:
@@ -304,14 +267,6 @@ class CharacterizationEngine:
     journal_dir: Optional[str] = None
     fault_plan: Optional["FaultPlan"] = None
     trace_dir: Optional[str] = None
-    #: Opt-in similarity-proxy tolerance (see :mod:`repro.core.proxy`).
-    #: ``None`` (default) keeps the engine bit-exact: no proxy tier is
-    #: constructed anywhere.  Deliberately *not* part of
-    #: ``SimulationOptions`` — it must not perturb cache keys.
-    proxy_tol: Optional[float] = None
-    #: Fraction of would-be proxy hits that are simulated anyway to
-    #: record per-metric substitution error (report error bounds).
-    proxy_audit_fraction: float = 0.05
     #: Optional device-independent launch-stream cache (see
     #: :mod:`repro.core.streamcache`).  When absent but ``cache`` has a
     #: disk tier, sweeps derive one under ``<cache_dir>/streams``.
@@ -323,33 +278,6 @@ class CharacterizationEngine:
     _stream_memo: Dict[int, tuple] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    # -- similarity proxy ----------------------------------------------
-    def _new_proxy_bank(self, tracer=None) -> Optional[ProxyBank]:
-        """A fresh per-device proxy bank, or None when the tier is off."""
-        if self.proxy_tol is None:
-            return None
-        return ProxyBank(
-            ProxyConfig(
-                self.proxy_tol, audit_fraction=self.proxy_audit_fraction
-            ),
-            tracer=tracer,
-        )
-
-    def _engine_proxy_bank(self) -> Optional[ProxyBank]:
-        """Engine-lifetime bank for the in-process characterize() path."""
-        if self.proxy_tol is None:
-            return None
-        bank = getattr(self, "_proxy_bank", None)
-        if bank is None:
-            bank = self._new_proxy_bank()
-            self._proxy_bank = bank
-        return bank
-
-    @property
-    def _run_proxy(self) -> Optional[ProxyBank]:
-        """The live run's proxy bank (None outside a run or when off)."""
-        return getattr(self, "_run_proxy_bank", None)
 
     # -- single workload ----------------------------------------------
     def memoized_stream(self, workload, profiler: Profiler):
@@ -368,14 +296,8 @@ class CharacterizationEngine:
         same workload object — including with a different ``device`` set
         between calls — pays stream generation once.
         """
-        bank = self._engine_proxy_bank()
         profiler = Profiler(
-            simulator=GPUSimulator(
-                self.device,
-                options=self.options,
-                cache=self.cache,
-                proxy=bank.tier(self.device) if bank is not None else None,
-            )
+            simulator=GPUSimulator(self.device, options=self.options)
         )
         stream = self.memoized_stream(workload, profiler)
         return characterize(
@@ -437,7 +359,6 @@ class CharacterizationEngine:
 
         session = ObsSession(self.trace_dir)
         self._session = session
-        self._run_proxy_bank = self._new_proxy_bank(session.tracer)
         restore_cache_tracer = False
         if self.cache is not None and self.cache.tracer is None:
             # Serial-path and in-process cache traffic count toward this
@@ -512,7 +433,6 @@ class CharacterizationEngine:
             if session.tracing and session.trace_dir is not None:
                 report.trace_dir = str(session.trace_dir)
             self._session = None
-            self._run_proxy_bank = None
 
         if report.failures and not self.keep_going:
             raise SuiteRunError(report, report.failures)
@@ -597,7 +517,6 @@ class CharacterizationEngine:
 
         session = ObsSession(self.trace_dir)
         self._session = session
-        self._run_proxy_bank = self._new_proxy_bank(session.tracer)
         restore_cache_tracer = False
         if self.cache is not None and self.cache.tracer is None:
             self.cache.tracer = session.tracer
@@ -648,8 +567,6 @@ class CharacterizationEngine:
                                 attempt,
                                 self.fault_plan,
                                 handoff,
-                                self.proxy_tol,
-                                self.proxy_audit_fraction,
                             )
 
                         self._run_parallel(
@@ -677,7 +594,6 @@ class CharacterizationEngine:
                                 cache=self.cache,
                                 stream_cache=stream_cache,
                                 tracer=tracer,
-                                proxy_bank=self._run_proxy,
                             )
 
                         self._run_serial(
@@ -717,7 +633,6 @@ class CharacterizationEngine:
             if session.tracing and session.trace_dir is not None:
                 report.trace_dir = str(session.trace_dir)
             self._session = None
-            self._run_proxy_bank = None
 
         if report.failures and not self.keep_going:
             raise SuiteRunError(report, report.failures)
@@ -776,16 +691,9 @@ class CharacterizationEngine:
         policy = self.retry_policy
         tracer = self._tracer
         if run_one is None:
-            bank = self._run_proxy
             profiler = Profiler(
                 simulator=GPUSimulator(
-                    self.device,
-                    options=self.options,
-                    cache=self.cache,
-                    tracer=tracer,
-                    proxy=(
-                        bank.tier(self.device) if bank is not None else None
-                    ),
+                    self.device, options=self.options, tracer=tracer
                 )
             )
 
@@ -923,8 +831,6 @@ class CharacterizationEngine:
                     attempt,
                     self.fault_plan,
                     handoff,
-                    self.proxy_tol,
-                    self.proxy_audit_fraction,
                 )
 
         try:

@@ -128,43 +128,6 @@ def _run_profile_section(run) -> Optional[str]:
         )
     lines += ["", "Engine counters: " + "; ".join(counters) + "."]
 
-    proxy_hits = profile.counter("proxy.hits")
-    proxy_misses = profile.counter("proxy.misses")
-    if proxy_hits or proxy_misses:
-        lookups = proxy_hits + proxy_misses
-        hit_dist = profile.histograms.get("proxy.hit_distance", {})
-        summary = (
-            f"Similarity proxy: {int(proxy_hits)}/{int(lookups)} lookups "
-            f"served from near-duplicates "
-            f"({proxy_hits / lookups:.1%} proxy hit rate), "
-            f"{int(profile.counter('proxy.audits'))} audited"
-        )
-        if hit_dist.get("count"):
-            summary += (
-                f"; hit distance max {hit_dist['max']:.4f}, "
-                f"mean {hit_dist['total'] / hit_dist['count']:.4f}"
-            )
-        lines += ["", summary + "."]
-        # Per-metric audit error bounds: the observed worst relative
-        # error of a proxied metric against its ground-truth simulation.
-        errs = sorted(
-            (name[len("proxy.err."):], stat)
-            for name, stat in profile.histograms.items()
-            if name.startswith("proxy.err.") and stat.get("count")
-        )
-        if errs:
-            lines += [
-                "",
-                "| audited metric | max rel. error | mean | samples |",
-                "|---|---:|---:|---:|",
-            ]
-            for name, stat in errs:
-                mean = stat["total"] / stat["count"]
-                lines.append(
-                    f"| {name} | {stat['max']:.2e} | {mean:.2e} "
-                    f"| {int(stat['count'])} |"
-                )
-
     trace_dir = getattr(run, "trace_dir", None)
     if trace_dir:
         lines += [

@@ -108,7 +108,6 @@ def run_suite(
     journal_dir: Optional[str] = None,
     fault_plan: Optional["FaultPlan"] = None,
     trace_dir: Optional[str] = None,
-    proxy_tol: Optional[float] = None,
 ) -> SuiteRunReport:
     """Characterize every workload of the given suites.
 
@@ -124,10 +123,6 @@ def run_suite(
     there, even with the cache disabled.  *trace_dir* enables the
     :mod:`repro.obs` event log and Chrome-trace export for the run
     (run metrics on ``report.run_profile`` are collected regardless).
-    *proxy_tol* opts into the similarity-proxy tier
-    (:mod:`repro.core.proxy`): near-duplicate kernels within that
-    standardized-space distance reuse recorded metrics instead of
-    simulating; ``None`` (default) keeps runs bit-exact.
     This is a thin wrapper over
     :class:`~repro.core.engine.CharacterizationEngine`.
     """
@@ -145,6 +140,5 @@ def run_suite(
         journal_dir=journal_dir,
         fault_plan=fault_plan,
         trace_dir=trace_dir,
-        proxy_tol=proxy_tol,
     )
     return engine.run_suite(suites, preset=preset, workloads=workloads)

@@ -142,14 +142,12 @@ def run_sweep(
     journal_dir: Optional[str] = None,
     fault_plan: Optional["FaultPlan"] = None,
     trace_dir: Optional[str] = None,
-    proxy_tol: Optional[float] = None,
 ) -> SweepRunReport:
     """Characterize the given suites across every device in *devices*.
 
     Same knobs and failure semantics as
     :func:`~repro.core.suite.run_suite` — jobs, caching, retries,
-    journaled resume, tracing, the opt-in *proxy_tol* similarity tier —
-    plus *devices* (the sweep axis) and an
+    journaled resume, tracing — plus *devices* (the sweep axis) and an
     optional *stream_cache*.  With ``cache_dir`` set and no explicit
     stream cache, launch streams persist under ``<cache_dir>/streams``
     automatically.  This is a thin wrapper over
@@ -169,7 +167,6 @@ def run_sweep(
         journal_dir=journal_dir,
         fault_plan=fault_plan,
         trace_dir=trace_dir,
-        proxy_tol=proxy_tol,
     )
     return engine.run_sweep(
         devices, suites=suites, preset=preset, workloads=workloads

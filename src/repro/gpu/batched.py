@@ -380,7 +380,6 @@ def simulate_devices(
     devices: Sequence[DeviceSpec],
     options: Optional[SimulationOptions] = None,
     tracer: Optional["Tracer"] = None,
-    proxy_bank=None,
 ) -> List[List[KernelMetrics]]:
     """Simulate one launch stream on N devices in a single pass.
 
@@ -394,12 +393,6 @@ def simulate_devices(
     ``simulate_devices(s, [d])[0] == GPUSimulator(d).run_stream(s)``
     bit-for-bit; for N > 1 the batched pass produces the same bits, as
     pinned by the differential tests.
-
-    *proxy_bank* (a :class:`repro.core.proxy.ProxyBank`, typed loosely
-    to keep the gpu layer below core) enables the opt-in similarity
-    proxy: each device consults its own tier for every distinct kernel
-    and only the misses go through the broadcast compute pass.  With
-    ``proxy_bank=None`` (default) this function is bit-exact as above.
     """
     if not devices:
         raise ValueError("simulate_devices needs at least one device")
@@ -414,43 +407,13 @@ def simulate_devices(
         tracer = NULL_TRACER
 
     if len(devices) == 1:
-        proxy = (
-            proxy_bank.tier(devices[0]) if proxy_bank is not None else None
-        )
-        sim = GPUSimulator(devices[0], options=opts, tracer=tracer, proxy=proxy)
+        sim = GPUSimulator(devices[0], options=opts, tracer=tracer)
         return [sim.run_stream(launches)]
 
     kernels, indices = _collect_distinct(launches)
-    if proxy_bank is None:
-        per_device = batch_kernel_metrics(
-            kernels, devices, timing=opts.timing, model_caches=opts.model_caches
-        )
-    else:
-        # Proxy path: per-device tier lookups first, then one vectorized
-        # compute pass per device over only its misses.  (The cross-
-        # device (D, K) broadcast is deliberately given up here — each
-        # device may miss a different kernel subset, and elementwise
-        # results are identical either way.)
-        per_device = []
-        for device in devices:
-            tier = proxy_bank.tier(device)
-            records: List[Optional[KernelMetrics]] = [
-                tier.lookup(kernel) for kernel in kernels
-            ]
-            to_compute = [
-                i for i, record in enumerate(records) if record is None
-            ]
-            if to_compute:
-                computed = batch_kernel_metrics(
-                    [kernels[i] for i in to_compute],
-                    [device],
-                    timing=opts.timing,
-                    model_caches=opts.model_caches,
-                )[0]
-                for i, metrics in zip(to_compute, computed):
-                    records[i] = metrics
-                    tier.record(kernels[i], metrics)
-            per_device.append(records)
+    per_device = batch_kernel_metrics(
+        kernels, devices, timing=opts.timing, model_caches=opts.model_caches
+    )
     results = [
         [records[idx] for idx in indices] for records in per_device
     ]

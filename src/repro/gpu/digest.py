@@ -1,11 +1,10 @@
 """Stable content digests for the GPU-model value types.
 
 The result cache (:mod:`repro.core.cache`) is content-addressed: a
-cached :class:`~repro.gpu.metrics.KernelMetrics` or whole
-characterization is keyed on a SHA-256 digest of everything that
+cached characterization is keyed on a SHA-256 digest of everything that
 determines it — the :class:`~repro.gpu.device.DeviceSpec`, the
-:class:`~repro.gpu.simulator.SimulationOptions` and the kernel
-characteristics (or the whole launch stream).  This module provides the
+:class:`~repro.gpu.simulator.SimulationOptions` and the whole launch
+stream.  This module provides the
 canonicalization and hashing primitives those keys are built from.
 
 Design rules that make the digests trustworthy cache keys:
@@ -30,7 +29,6 @@ import hashlib
 import json
 from typing import Any, Dict, Iterable, Optional
 
-from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
 
 #: Version folded into every cache key.  Bump on any change to the
@@ -74,19 +72,6 @@ def stable_digest(obj: Any) -> str:
 def kernel_digest(kernel: KernelCharacteristics) -> str:
     """Content digest of one kernel description."""
     return stable_digest(["kernel", CACHE_SCHEMA_VERSION, kernel])
-
-
-def kernel_metrics_key(
-    device: DeviceSpec, options: Any, kernel: KernelCharacteristics
-) -> str:
-    """Cache key for the simulated metrics of one kernel launch.
-
-    *options* is the simulator's ``SimulationOptions`` (typed loosely to
-    keep this module below the simulator in the layering).
-    """
-    return stable_digest(
-        ["kernel-metrics", CACHE_SCHEMA_VERSION, device, options, kernel]
-    )
 
 
 def launch_stream_digest(

@@ -3,27 +3,27 @@
 :class:`GPUSimulator` is the top of the GPU substrate: it takes a
 :class:`~repro.gpu.kernel.LaunchStream` (or any iterable of launches)
 and returns one :class:`~repro.gpu.metrics.KernelMetrics` record per
-launch, in order.  Identical kernels are memoized, which keeps the
-simulation of workloads with millions of repeated launches cheap.
+launch, in order.  Identical kernels are memoized in-process, which
+keeps the simulation of workloads with millions of repeated launches
+cheap; nothing is persisted here (the result cache stores whole
+characterizations).
 
-This is the scalar (single-device) path.  Device sweeps should go
-through :func:`repro.gpu.batched.simulate_devices`, which evaluates the
-same model for N devices in one broadcast pass and is pinned bit-for-bit
-against ``run_stream`` — any behavioral change here must keep the
-batched twin (and its differential tests) in sync.
+This is the single-device path: the kernels the memo does not hold go
+through :func:`repro.gpu.batched.batch_kernel_metrics` for one device.
+Device sweeps go through :func:`repro.gpu.batched.simulate_devices`,
+which runs the same pass for N devices at once and is pinned
+bit-for-bit against ``run_stream``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol
+from typing import Dict, Iterable, List
 
 from repro.gpu.device import RTX_3080, DeviceSpec
-from repro.gpu.digest import kernel_metrics_key
 from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
-from repro.gpu.memory import CacheModel
 from repro.gpu.metrics import KernelMetrics
-from repro.gpu.timing import TimingModel, TimingOptions
+from repro.gpu.timing import TimingOptions
 
 
 @dataclass(frozen=True)
@@ -38,62 +38,6 @@ class SimulationOptions:
     model_caches: bool = True
 
 
-class MetricsCache(Protocol):
-    """Persistent key/value store the simulator can memoize into.
-
-    Implemented by :class:`repro.core.cache.ResultCache`; typed
-    structurally here so the gpu layer stays below core.
-    """
-
-    def get(self, key: str) -> Optional[dict]: ...
-
-    def put(self, key: str, payload: dict) -> None: ...
-
-
-class MetricsProxy(Protocol):
-    """Similarity-proxy tier the simulator can consult before simulating.
-
-    Implemented by :class:`repro.core.proxy.ProxyTier`; typed
-    structurally here so the gpu layer stays below core.  ``lookup``
-    returns substitute metrics for a near-duplicate of an already
-    recorded kernel (or ``None`` — simulate it); ``record`` feeds every
-    ground-truth result (computed or exact-cache hit) back into the
-    corpus.  Proxied metrics are memoized for the run but never written
-    to the exact-key cache.
-    """
-
-    def lookup(
-        self, kernel: KernelCharacteristics
-    ) -> Optional[KernelMetrics]: ...
-
-    def record(
-        self, kernel: KernelCharacteristics, metrics: KernelMetrics
-    ) -> None: ...
-
-
-class _NoCacheModel(CacheModel):
-    """Ablation cache model: all traffic is compulsory DRAM traffic."""
-
-    def run(self, kernel: KernelCharacteristics):  # type: ignore[override]
-        result = super().run(kernel)
-        footprint = kernel.memory
-        txn = self.device.dram_transaction_bytes
-        total = footprint.total_access_bytes / footprint.coalescence
-        read_share = (
-            footprint.bytes_read / footprint.unique_bytes
-            if footprint.unique_bytes > 0
-            else 1.0
-        )
-        return type(result)(
-            l1_hit_rate=0.0,
-            l2_hit_rate=0.0,
-            dram_transactions=total / txn,
-            dram_read_bytes=total * read_share,
-            dram_write_bytes=total * (1.0 - read_share),
-            total_access_transactions=result.total_access_transactions,
-        )
-
-
 class GPUSimulator:
     """Executes kernel launch streams on the analytical device model."""
 
@@ -101,14 +45,10 @@ class GPUSimulator:
         self,
         device: DeviceSpec = RTX_3080,
         options: SimulationOptions | None = None,
-        cache: Optional[MetricsCache] = None,
         tracer=None,
-        proxy: Optional[MetricsProxy] = None,
     ) -> None:
         self.device = device
         self.options = options or SimulationOptions()
-        self.cache = cache
-        self.proxy = proxy
         # Run-scoped observability (repro.obs).  Counters only — the
         # per-kernel hot loop stays branch-free; lazily defaulted to
         # the no-op tracer so the gpu layer stays below repro.obs at
@@ -118,138 +58,44 @@ class GPUSimulator:
 
             tracer = NULL_TRACER
         self.tracer = tracer
-        cache_model = (
-            CacheModel(device)
-            if self.options.model_caches
-            else _NoCacheModel(device)
-        )
-        self.timing_model = TimingModel(
-            device, cache_model=cache_model, options=self.options.timing
-        )
         self._memo: Dict[KernelCharacteristics, KernelMetrics] = {}
 
     def run_kernel(self, kernel: KernelCharacteristics) -> KernelMetrics:
-        """Metrics for a single launch of *kernel*.
-
-        Memoized in-process; when a persistent ``cache`` is attached,
-        results are also reused across runs, keyed on the content digest
-        of ``(device, options, kernel)``.
-        """
-        cached = self._memo.get(kernel)
-        if cached is None and self.cache is not None:
-            key = kernel_metrics_key(self.device, self.options, kernel)
-            payload = self.cache.get(key)
-            if payload is not None:
-                try:
-                    cached = KernelMetrics.from_json_dict(payload)
-                except (KeyError, TypeError, ValueError):
-                    # The entry parsed as JSON but is not a metrics
-                    # record (schema-corrupt): recompute and rewrite
-                    # rather than poisoning the run.
-                    cached = None
-            if cached is None:
-                cached = self.timing_model.run(kernel)
-                self.cache.put(key, cached.to_json_dict())
-            self._memo[kernel] = cached
-        elif cached is None:
-            cached = self.timing_model.run(kernel)
-            self._memo[kernel] = cached
-        return cached
-
-    def _cached_metrics(
-        self, kernel: KernelCharacteristics
-    ) -> Optional[KernelMetrics]:
-        """Probe the persistent cache for *kernel* (no compute)."""
-        if self.cache is None:
-            return None
-        key = kernel_metrics_key(self.device, self.options, kernel)
-        payload = self.cache.get(key)
-        if payload is None:
-            return None
-        try:
-            return KernelMetrics.from_json_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            # The entry parsed as JSON but is not a metrics record
-            # (schema-corrupt): recompute rather than poisoning the run.
-            return None
+        """Metrics for a single launch of *kernel* (memoized in-process)."""
+        return self.run_stream([KernelLaunch(kernel)])[0]
 
     def run_stream(self, launches: Iterable[KernelLaunch]) -> List[KernelMetrics]:
         """Metrics for every launch in the stream, in order.
 
         Batched along two axes: identical kernels are grouped first, so
-        the memo/cache-key layer runs once per *distinct* kernel instead
-        of once per launch, and every distinct kernel that still needs
-        simulating is evaluated in **one** vectorized
+        the memo lookup runs once per *distinct* kernel instead of once
+        per launch, and every distinct kernel the memo does not hold is
+        evaluated in **one** vectorized
         :func:`repro.gpu.batched.batch_kernel_metrics` pass (bit-for-bit
         equal to per-kernel ``TimingModel.run`` calls) instead of a
         Python-level model run per kernel.  Streams with thousands of
         structurally distinct launches — GRU's per-level BFS frontiers —
         pay one broadcast pass, not thousands of scalar ones.
-
-        When a similarity ``proxy`` is attached (opt-in), distinct
-        kernels that miss the memo and the exact-key cache are offered
-        to the proxy before the compute pass; proxied metrics are
-        memoized but never written back to the exact-key cache.
         """
-        order: List[KernelCharacteristics] = []
-        index_of: Dict[KernelCharacteristics, int] = {}
-        indices: List[int] = []
-        for launch in launches:
-            kernel = launch.kernel
-            idx = index_of.get(kernel)
-            if idx is None:
-                idx = len(order)
-                index_of[kernel] = idx
-                order.append(kernel)
-            indices.append(idx)
+        from repro.gpu.batched import _collect_distinct, batch_kernel_metrics
 
-        resolved: List[Optional[KernelMetrics]] = [None] * len(order)
-        to_compute: List[int] = []
-        for idx, kernel in enumerate(order):
-            metrics = self._memo.get(kernel)
-            if metrics is None:
-                metrics = self._cached_metrics(kernel)
-                if metrics is not None:
-                    self._memo[kernel] = metrics
-                    if self.proxy is not None:
-                        self.proxy.record(kernel, metrics)
-            if metrics is None and self.proxy is not None:
-                metrics = self.proxy.lookup(kernel)
-                if metrics is not None:
-                    # Approximate substitute: usable for this run, but
-                    # never persisted under the exact content key.
-                    self._memo[kernel] = metrics
-                    stats = getattr(self.cache, "stats", None)
-                    if stats is not None:
-                        stats.proxy_hits += 1
-            if metrics is None:
-                to_compute.append(idx)
-            else:
-                resolved[idx] = metrics
-
+        order, indices = _collect_distinct(launches)
+        memo = self._memo
+        to_compute = [kernel for kernel in order if kernel not in memo]
         if to_compute:
-            from repro.gpu.batched import batch_kernel_metrics
-
-            kernels = [order[idx] for idx in to_compute]
             computed = batch_kernel_metrics(
-                kernels,
+                to_compute,
                 [self.device],
                 timing=self.options.timing,
                 model_caches=self.options.model_caches,
             )[0]
-            for idx, kernel, metrics in zip(to_compute, kernels, computed):
-                resolved[idx] = metrics
-                self._memo[kernel] = metrics
-                if self.cache is not None:
-                    key = kernel_metrics_key(self.device, self.options, kernel)
-                    self.cache.put(key, metrics.to_json_dict())
-                if self.proxy is not None:
-                    self.proxy.record(kernel, metrics)
+            memo.update(zip(to_compute, computed))
 
+        resolved = [memo[kernel] for kernel in order]
         results = [resolved[idx] for idx in indices]
         self.tracer.incr("sim.launches", float(len(results)))
         self.tracer.incr("sim.distinct_kernels", float(len(order)))
-        return results  # type: ignore[return-value]
+        return results
 
     def run(self, launches: Iterable[KernelLaunch]) -> List[KernelMetrics]:
         """Metrics for every launch in the stream, in order."""

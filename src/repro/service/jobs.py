@@ -454,7 +454,6 @@ class JobManager:
             keep_going=True,
             journal_dir=str(run_dir / "journal"),
             trace_dir=str(run_dir / "trace"),
-            proxy_tol=request.proxy_tol,
         )
 
     def _run_job(self, record: JobRecord) -> None:

@@ -16,11 +16,11 @@ Job identity — the coalescing contract
 :meth:`JobRequest.job_key` is a content digest built from exactly the
 engine's run identity (:meth:`CharacterizationEngine.run_key` /
 ``sweep_run_key``: device(s) + simulation options + preset + resolved
-workload selection + cache schema version) plus the result-affecting
-service extras (``proxy_tol``).  Two requests share a key **iff** the
-engine would produce bit-identical results for them, so coalescing on
-the key can never serve a wrong answer.  Execution details that cannot
-change results (engine worker count) are deliberately excluded.
+workload selection + cache schema version).  Two requests share a key
+**iff** the engine would produce bit-identical results for them, so
+coalescing on the key can never serve a wrong answer.  Execution
+details that cannot change results (engine worker count) are
+deliberately excluded.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ _KINDS = ("suite", "sweep")
 
 _REQUEST_KEYS = {
     "kind", "suites", "workloads", "preset",
-    "device", "devices", "options", "proxy_tol", "jobs",
+    "device", "devices", "options", "jobs",
 }
 
 
@@ -190,7 +190,6 @@ class JobRequest:
     preset: ScalePreset
     devices: Tuple[DeviceSpec, ...]
     options: SimulationOptions
-    proxy_tol: Optional[float] = None
     #: Engine worker processes for this job (0/1 → serial).  Not part
     #: of the job key: worker count cannot change results.
     jobs: int = 1
@@ -228,7 +227,7 @@ class JobRequest:
             )
         else:
             base = engine.run_key(self.preset, selected)
-        return stable_digest(["service-job", base, self.proxy_tol])
+        return stable_digest(["service-job", base])
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON payload that parses back to an equal request."""
@@ -244,8 +243,6 @@ class JobRequest:
         }
         if self.workloads is not None:
             payload["workloads"] = list(self.workloads)
-        if self.proxy_tol is not None:
-            payload["proxy_tol"] = self.proxy_tol
         if self.kind == "sweep":
             payload["devices"] = [device_to_dict(d) for d in self.devices]
         else:
@@ -315,21 +312,6 @@ def parse_job_request(payload: Any) -> JobRequest:
 
     options = _parse_options(payload.get("options"), errors)
 
-    proxy_tol = payload.get("proxy_tol")
-    if proxy_tol is not None:
-        if (
-            isinstance(proxy_tol, bool)
-            or not isinstance(proxy_tol, (int, float))
-            or proxy_tol < 0
-            or proxy_tol != proxy_tol  # NaN
-        ):
-            errors.append(
-                f"proxy_tol: expected a finite number >= 0, got {proxy_tol!r}"
-            )
-            proxy_tol = None
-        else:
-            proxy_tol = float(proxy_tol)
-
     jobs = payload.get("jobs", 1)
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         errors.append(f"jobs: expected an integer, got {jobs!r}")
@@ -367,7 +349,6 @@ def parse_job_request(payload: Any) -> JobRequest:
         preset=preset,
         devices=tuple(devices),
         options=options,
-        proxy_tol=proxy_tol,
         jobs=jobs,
     )
 

@@ -5,8 +5,10 @@ adversarial corpora (duplicates, ties, degenerate zero-variance
 columns):
 
 * a self-query always comes back at distance 0 with the exact flag set;
-* the VP-tree and the brute-force reference return **identical**
-  answers for every query and every k;
+* the vectorized scan returns **identical** answers (keys, distances
+  bit-for-bit, exact flags) to a frozen pure-Python ranking oracle for
+  every query, every k (ties at the k-th distance and k beyond the
+  corpus included) and every ``exclude``;
 * answers are invariant to the order items were inserted in.
 """
 
@@ -45,8 +47,8 @@ vector = st.lists(coord, min_size=DIM, max_size=DIM).map(
 corpus = st.lists(vector, min_size=1, max_size=24)
 
 
-def _index(vectors, order=None, use_tree=True) -> KernelIndex:
-    index = KernelIndex(feature_names=NAMES, use_tree=use_tree)
+def _index(vectors, order=None) -> KernelIndex:
+    index = KernelIndex(feature_names=NAMES)
     rows = order if order is not None else range(len(vectors))
     for row in rows:
         index.add(f"k{row:03d}", vectors[row], payload=row)
@@ -54,7 +56,32 @@ def _index(vectors, order=None, use_tree=True) -> KernelIndex:
 
 
 def _answer(neighbors):
-    return [(n.key, n.distance) for n in neighbors]
+    return [(n.key, n.distance, n.exact) for n in neighbors]
+
+
+def oracle_knn(index: KernelIndex, vector, k, exclude=None):
+    """Frozen reference ranking: a full scan sorted in Python.
+
+    The index's original brute-force path, kept verbatim as the
+    differential oracle: ``(distance, key)`` order over every item but
+    *exclude*, distances from the index's own standardization fit.
+    """
+    index.build()
+    keys = index._keys
+    if not keys:
+        return []
+    query = (np.asarray(vector, dtype=np.float64) - index._mean) / index._std
+    dist = np.sqrt(((index._points - query) ** 2).sum(axis=1))
+    ranked = sorted(
+        (float(dist[row]), keys[row], row)
+        for row in range(len(keys))
+        if keys[row] != exclude
+    )[:k]
+    raw = np.asarray(vector, dtype=np.float64)
+    return [
+        (key, d, bool(np.array_equal(index._raw[row], raw)))
+        for d, key, row in ranked
+    ]
 
 
 class TestSelfQuery:
@@ -68,8 +95,7 @@ class TestSelfQuery:
             mine = [n for n in found if n.key == f"k{row:03d}"]
             assert len(mine) == 1
             assert mine[0].distance == 0.0
-            # Raw equality, not just standardized distance 0 — this is
-            # the bit the zero-tolerance proxy relies on.
+            # Raw equality, not just standardized distance 0.
             assert mine[0].exact is True
 
     @given(corpus)
@@ -83,23 +109,55 @@ class TestSelfQuery:
             assert len(found) == len(vectors) - 1
 
 
-class TestTreeEqualsBrute:
+class TestScanEqualsOracle:
     @given(corpus, vector, st.integers(min_value=1, max_value=30))
     @settings(max_examples=120, deadline=None)
     def test_knn_identical_answers(self, vectors, query, k):
-        tree = _index(vectors, use_tree=True)
-        brute = _index(vectors, use_tree=False)
-        assert _answer(tree.knn(query, k)) == _answer(brute.knn(query, k))
+        index = _index(vectors)
+        assert _answer(index.knn(query, k)) == oracle_knn(index, query, k)
 
     @given(corpus, st.integers(min_value=1, max_value=5))
     @settings(max_examples=60, deadline=None)
-    def test_brute_knn_oracle_on_corpus_points(self, vectors, k):
-        """The same index object must agree with its own oracle path."""
+    def test_oracle_on_corpus_points(self, vectors, k):
+        """Self-queries, whose answers open with a distance-0 tie group."""
         index = _index(vectors)
         for query in vectors:
-            assert _answer(index.knn(query, k)) == _answer(
-                index.brute_knn(query, k)
+            assert _answer(index.knn(query, k)) == oracle_knn(index, query, k)
+
+    @given(corpus, st.integers(min_value=1, max_value=30))
+    @settings(max_examples=60, deadline=None)
+    def test_exclude_matches_oracle(self, vectors, k):
+        index = _index(vectors)
+        for row, query in enumerate(vectors):
+            key = f"k{row:03d}"
+            assert _answer(index.knn(query, k, exclude=key)) == oracle_knn(
+                index, query, k, exclude=key
             )
+        assert _answer(index.knn(vectors[0], k, exclude="absent")) == (
+            oracle_knn(index, vectors[0], k)
+        )
+
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=30))
+    @settings(max_examples=40, deadline=None)
+    def test_ties_at_kth_distance_resolved_by_key(self, copies, k):
+        # *copies* identical points interleaved with far ones: every copy
+        # ties, so which survive the cut at k is decided by key alone.
+        vectors = []
+        for _ in range(copies):
+            vectors += [np.full(DIM, 9.0), np.ones(DIM)]
+        index = _index(vectors, order=list(reversed(range(len(vectors)))))
+        found = index.knn(np.ones(DIM), k)
+        assert _answer(found) == oracle_knn(index, np.ones(DIM), k)
+        tied = [n.key for n in found if n.distance == found[0].distance]
+        assert tied == [f"k{row:03d}" for row in range(1, 2 * copies, 2)][:k]
+
+    def test_k_beyond_corpus_returns_everything_ranked(self):
+        vectors = [np.full(DIM, float(v)) for v in (3, 1, 2)]
+        index = _index(vectors)
+        found = index.knn(np.zeros(DIM), 50)
+        assert [n.key for n in found] == ["k001", "k002", "k000"]
+        assert _answer(found) == oracle_knn(index, np.zeros(DIM), 50)
+        assert index.knn(vectors[0], 50, exclude="k000")[0].key == "k002"
 
 
 class TestInsertionOrderInvariance:
@@ -118,9 +176,9 @@ class TestInsertionOrderInvariance:
         vectors, order = vectors_order
         natural = _index(vectors)
         permuted = _index(vectors, order=order)
-        assert _answer(natural.knn(query, k)) == _answer(
-            permuted.knn(query, k)
-        )
+        answer = _answer(permuted.knn(query, k))
+        assert answer == _answer(natural.knn(query, k))
+        assert answer == oracle_knn(natural, query, k)
 
 
 class TestIndexMechanics:
@@ -157,22 +215,6 @@ class TestIndexMechanics:
         assert len(index) == 1
         assert index.nearest(np.ones(DIM)).payload == "new"
 
-    def test_distance_evals_counts_and_tree_is_sublinear(self):
-        rng = np.random.default_rng(7)
-        vectors = [
-            rng.normal(loc=cluster, scale=0.05, size=DIM)
-            for cluster in (-4.0, 0.0, 4.0)
-            for _ in range(100)
-        ]
-        tree = _index(vectors, use_tree=True)
-        brute = _index(vectors, use_tree=False)
-        queries = vectors[::25]
-        for query in queries:
-            tree.knn(query, 3)
-            brute.knn(query, 3)
-        assert brute.distance_evals == len(queries) * len(vectors)
-        assert tree.distance_evals < brute.distance_evals / 2
-
     def test_representative_subset_covers_corpus(self):
         rng = np.random.default_rng(3)
         vectors = [rng.normal(size=DIM) for _ in range(40)]
@@ -204,7 +246,7 @@ class TestFeatureVectors:
         vec = kernel_features(kernel)
         assert vec.shape == (len(STRUCTURAL_FEATURES),)
         assert np.isfinite(vec).all()
-        # Equal kernels give equal vectors (the proxy's exactness leg).
+        # Equal kernels give equal vectors (hence equal metrics).
         assert np.array_equal(vec, kernel_features(kernel))
 
     def test_metric_vector_matches_names(self):

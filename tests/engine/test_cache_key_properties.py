@@ -12,12 +12,12 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cache import characterization_key
 from repro.gpu.device import RTX_3080, DeviceSpec
 from repro.gpu.digest import (
     CACHE_SCHEMA_VERSION,
     canonicalize,
     kernel_digest,
-    kernel_metrics_key,
     launch_stream_digest,
     stable_digest,
 )
@@ -27,8 +27,18 @@ from repro.gpu.kernel import (
     KernelLaunch,
     MemoryFootprint,
 )
-from repro.gpu.simulator import SimulationOptions, GPUSimulator
+from repro.gpu.simulator import SimulationOptions
 from repro.gpu.timing import TimingOptions
+
+#: Workload identity folded into every characterization key below.
+IDENTITY = {"name": "Probe", "abbr": "PRB", "suite": "Test", "domain": "none"}
+
+
+def result_key(device, opts, kernel) -> str:
+    """Characterization key of a two-launch stream of *kernel*."""
+    launches = [KernelLaunch(kernel=kernel), KernelLaunch(kernel=kernel, phase="p")]
+    return characterization_key(device, opts, IDENTITY, launches)
+
 
 # -- strategies --------------------------------------------------------
 
@@ -91,7 +101,7 @@ class TestStability:
     @given(devices, options, kernels)
     @settings(max_examples=50, deadline=None)
     def test_key_deterministic_within_process(self, device, opts, kernel):
-        assert kernel_metrics_key(device, opts, kernel) == kernel_metrics_key(
+        assert result_key(device, opts, kernel) == result_key(
             device, opts, kernel
         )
 
@@ -113,15 +123,17 @@ class TestStability:
 
         src = str(Path(repro.__file__).resolve().parents[1])
         code = (
+            "from repro.core.cache import characterization_key\n"
             "from repro.gpu.device import RTX_3080\n"
-            "from repro.gpu.digest import kernel_metrics_key\n"
             "from repro.gpu.simulator import SimulationOptions\n"
             "from repro.gpu.kernel import KernelCharacteristics, "
-            "MemoryFootprint\n"
+            "KernelLaunch, MemoryFootprint\n"
             "k = KernelCharacteristics(name='probe', grid_blocks=128, "
             "threads_per_block=256, warp_insts=1.5e6, "
             "memory=MemoryFootprint(bytes_read=3.25e5))\n"
-            "print(kernel_metrics_key(RTX_3080, SimulationOptions(), k))\n"
+            f"print(characterization_key(RTX_3080, SimulationOptions(), "
+            f"{IDENTITY!r}, [KernelLaunch(kernel=k), "
+            "KernelLaunch(kernel=k, phase='p')]))\n"
         )
         env = dict(os.environ)
         env.update({"PYTHONHASHSEED": "12345", "PYTHONPATH": src})
@@ -139,8 +151,14 @@ class TestStability:
             warp_insts=1.5e6,
             memory=MemoryFootprint(bytes_read=3.25e5),
         )
-        local = kernel_metrics_key(RTX_3080, SimulationOptions(), kernel)
+        local = result_key(RTX_3080, SimulationOptions(), kernel)
         assert out.stdout.strip() == local
+        # Pinned: a persistent cache written by an earlier version must
+        # stay reachable.
+        assert local == (
+            "909b9db9cc41c2f329abfb0525c8c279"
+            "1b98c5cd5452b9f5bec7497ca3260874"
+        )
 
     def test_pinned_digest_guards_schema_version(self):
         """Canonical-form changes MUST bump CACHE_SCHEMA_VERSION.
@@ -164,19 +182,19 @@ class TestCollisions:
     @settings(max_examples=50, deadline=None)
     def test_distinct_devices_never_collide(self, d1, d2, opts, kernel):
         if d1 == d2:
-            assert kernel_metrics_key(d1, opts, kernel) == kernel_metrics_key(
+            assert result_key(d1, opts, kernel) == result_key(
                 d2, opts, kernel
             )
         else:
-            assert kernel_metrics_key(d1, opts, kernel) != kernel_metrics_key(
+            assert result_key(d1, opts, kernel) != result_key(
                 d2, opts, kernel
             )
 
     @given(options, options, kernels)
     @settings(max_examples=50, deadline=None)
     def test_distinct_options_never_collide(self, o1, o2, kernel):
-        k1 = kernel_metrics_key(RTX_3080, o1, kernel)
-        k2 = kernel_metrics_key(RTX_3080, o2, kernel)
+        k1 = result_key(RTX_3080, o1, kernel)
+        k2 = result_key(RTX_3080, o2, kernel)
         assert (k1 == k2) == (o1 == o2)
 
     @given(kernels, kernels)
@@ -186,7 +204,7 @@ class TestCollisions:
         assert (d1 == d2) == (k1 == k2)
 
     def test_no_cache_ablation_uses_distinct_key(self):
-        """The `_NoCacheModel` ablation must not poison default entries."""
+        """The no-cache ablation must not poison default entries."""
         kernel = KernelCharacteristics(
             name="k",
             grid_blocks=64,
@@ -194,35 +212,34 @@ class TestCollisions:
             warp_insts=1e6,
             memory=MemoryFootprint(bytes_read=1e6),
         )
-        default = kernel_metrics_key(
+        default = result_key(
             RTX_3080, SimulationOptions(), kernel
         )
-        ablated = kernel_metrics_key(
+        ablated = result_key(
             RTX_3080, SimulationOptions(model_caches=False), kernel
         )
         assert default != ablated
 
     def test_ablation_results_cached_separately(self, tmp_path):
         from repro.core.cache import ResultCache
+        from repro.core.engine import CharacterizationEngine
+        from repro.workloads import get_workload
 
-        kernel = KernelCharacteristics(
-            name="reuse",
-            grid_blocks=512,
-            threads_per_block=256,
-            warp_insts=1e7,
-            memory=MemoryFootprint(
-                bytes_read=1e6, reuse_factor=16.0, l1_locality=0.9
-            ),
-        )
         cache = ResultCache(cache_dir=tmp_path)
-        modeled = GPUSimulator(cache=cache).run_kernel(kernel)
-        ablated = GPUSimulator(
+        modeled = CharacterizationEngine(cache=cache).characterize(
+            get_workload("GST", scale=0.005)
+        )
+        ablated = CharacterizationEngine(
             options=SimulationOptions(model_caches=False), cache=cache
-        ).run_kernel(kernel)
+        ).characterize(get_workload("GST", scale=0.005))
         # Different keys → the second run simulated (stored), not hit.
         assert cache.stats.hits == 0
         assert cache.stats.stores == 2
-        assert ablated.dram_transactions > modeled.dram_transactions
+        assert cache.persistent_entries() == 2
+        assert (
+            ablated.aggregate_point.intensity
+            != modeled.aggregate_point.intensity
+        )
 
 
 # -- stream digests ----------------------------------------------------

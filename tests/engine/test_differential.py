@@ -24,6 +24,7 @@ from repro.core.serialize import (
     characterization_from_dict,
     characterization_to_dict,
 )
+from repro.gpu.digest import stable_digest
 from repro.workloads import get_workload
 
 
@@ -43,6 +44,23 @@ class TestSerialVsParallel:
         assert list(parallel.results) == list(serial_run.results)
 
 
+class TestEngineVsPlainCharacterize:
+    @pytest.mark.parametrize("abbr", ["GST", "GRU", "LMC"])
+    def test_run_suite_payload_equals_plain_characterize(self, serial_run, abbr):
+        """The engine adds orchestration only: its payload digest equals
+        the bare ``characterize()`` pipeline's for the same workload."""
+        plain = characterize(
+            get_workload(
+                abbr,
+                scale=LAPTOP_SCALE.for_workload(abbr),
+                seed=LAPTOP_SCALE.seed,
+            )
+        )
+        assert stable_digest(
+            characterization_to_dict(serial_run[abbr])
+        ) == stable_digest(characterization_to_dict(plain))
+
+
 class TestColdAndWarmCache:
     @pytest.fixture(scope="class")
     def cache_dir(self, tmp_path_factory):
@@ -53,9 +71,10 @@ class TestColdAndWarmCache:
         cold = run_suite(["Cactus"], preset=LAPTOP_SCALE, cache=cold_cache)
         assert diff_suite_results(serial_run, cold) == []
         # Everything was computed and stored, nothing served warm at the
-        # characterization level.
-        assert cold_cache.stats.stores > 0
-        assert cold_cache.persistent_entries() == cold_cache.stats.stores
+        # characterization level.  Characterizations are the only thing
+        # persisted: one entry per workload, no per-kernel entries.
+        assert cold_cache.stats.stores == len(cold) == 10
+        assert cold_cache.persistent_entries() == len(cold)
 
     def test_warm_cache_matches_serial(self, serial_run, cache_dir):
         # Depends on test_cold_cache_matches_serial having populated

@@ -104,7 +104,6 @@ class TestStats:
         a = CacheStats(memory_hits=1, disk_hits=2, misses=3, stores=4)
         b = CacheStats(
             memory_hits=10, disk_hits=20, misses=30, stores=40, corrupt=2,
-            proxy_hits=3,
         )
         a.merge(b)
         assert a.as_dict() == {
@@ -113,20 +112,28 @@ class TestStats:
             "misses": 33,
             "stores": 44,
             "corrupt": 2,
-            "proxy_hits": 3,
         }
         assert a.hits == 33
         assert a.lookups == 66
-        assert a.effective_hits == 36
-        assert a.effective_hit_rate == 36 / 66
         assert "hit rate 50%" in a.render()
-        assert "3 proxy hits" in a.render()
         assert "2 corrupt entries quarantined" in a.render()
 
     def test_proxy_tier_absent_from_render_when_zero(self):
         stats = CacheStats(memory_hits=1, misses=1)
         assert "proxy" not in stats.render()
-        assert stats.effective_hits == stats.hits
+
+    def test_from_dict_loads_legacy_proxy_hits_payload(self):
+        # Persisted service job records written before the similarity
+        # proxy was removed still carry its counter.
+        legacy = {
+            "memory_hits": 1, "disk_hits": 2, "misses": 3,
+            "stores": 4, "corrupt": 0, "proxy_hits": 7,
+        }
+        stats = CacheStats.from_dict(legacy)
+        assert stats == CacheStats(
+            memory_hits=1, disk_hits=2, misses=3, stores=4
+        )
+        assert "proxy_hits" not in stats.as_dict()
 
     def test_empty_stats(self):
         stats = CacheStats()

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import (
-    GPUSimulator,
     InstructionMix,
     KernelCharacteristics,
     MemoryFootprint,
     RTX_3080,
+    TimingModel,
 )
 
 
@@ -44,13 +44,13 @@ def kernels(draw):
     )
 
 
-SIM = GPUSimulator()
+MODEL = TimingModel(RTX_3080)
 
 
 @given(kernels())
 @settings(max_examples=200, deadline=None)
 def test_achieved_gips_respects_both_roofs(kernel):
-    metrics = SIM.timing_model.run(kernel)
+    metrics = MODEL.run(kernel)
     assert metrics.gips <= RTX_3080.peak_gips * (1 + 1e-9)
     memory_roof = metrics.instruction_intensity * RTX_3080.peak_gtxn_per_s
     assert metrics.gips <= memory_roof * (1 + 1e-6)
@@ -59,7 +59,7 @@ def test_achieved_gips_respects_both_roofs(kernel):
 @given(kernels())
 @settings(max_examples=200, deadline=None)
 def test_metrics_are_finite_and_in_range(kernel):
-    m = SIM.timing_model.run(kernel)
+    m = MODEL.run(kernel)
     assert math.isfinite(m.duration_s) and m.duration_s > 0
     assert math.isfinite(m.gips) and m.gips > 0
     assert 0.0 <= m.l1_hit_rate <= 1.0
@@ -83,15 +83,15 @@ def test_more_work_on_a_full_machine_is_never_faster(kernel, factor):
     base_occ = compute_occupancy(RTX_3080, kernel)
     if base_occ.sm_efficiency < 1.0:
         return  # partially filled machines may speed up with more work
-    base = SIM.timing_model.run(kernel)
-    bigger = SIM.timing_model.run(kernel.scaled(factor))
+    base = MODEL.run(kernel)
+    bigger = MODEL.run(kernel.scaled(factor))
     assert bigger.duration_s >= base.duration_s * 0.999
 
 
 @given(kernels())
 @settings(max_examples=100, deadline=None)
 def test_dram_traffic_never_below_compulsory(kernel):
-    result = SIM.timing_model.cache_model.run(kernel)
+    result = MODEL.cache_model.run(kernel)
     compulsory_txn = (
         kernel.memory.unique_bytes / RTX_3080.dram_transaction_bytes
     )

@@ -87,27 +87,11 @@ class TestSimulationOptionsDefaults:
         assert SimulationOptions() != SimulationOptions(model_caches=False)
 
 
-class TestSimulatorPersistentCache:
-    def test_metrics_reused_across_simulator_instances(self, tmp_path):
+class TestNoPersistentTier:
+    def test_cache_argument_is_rejected(self, tmp_path):
+        # Per-kernel metrics are memoized in-process only; whole
+        # characterizations are what the result cache persists.
         from repro.core.cache import ResultCache
 
-        kernel = make_kernel()
-        first = GPUSimulator(
-            cache=ResultCache(cache_dir=tmp_path)
-        ).run_kernel(kernel)
-
-        warm_cache = ResultCache(cache_dir=tmp_path)
-        second = GPUSimulator(cache=warm_cache).run_kernel(kernel)
-        assert first == second
-        assert warm_cache.stats.disk_hits == 1
-        assert warm_cache.stats.stores == 0
-
-    def test_cached_and_uncached_results_identical(self, tmp_path):
-        from repro.core.cache import ResultCache
-
-        kernel = make_kernel()
-        plain = GPUSimulator().run_kernel(kernel)
-        cached = GPUSimulator(
-            cache=ResultCache(cache_dir=tmp_path)
-        ).run_kernel(kernel)
-        assert plain == cached
+        with pytest.raises(TypeError):
+            GPUSimulator(cache=ResultCache(cache_dir=tmp_path))

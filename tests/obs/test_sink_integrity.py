@@ -49,7 +49,12 @@ def _wait_for_marker(path: Path, deadline: float) -> bool:
     while time.monotonic() < deadline:
         if path.is_file():
             text = path.read_text(encoding="utf-8", errors="replace")
-            if '"name":"attempt"' in text and '"workload":"GST"' in text:
+            # Both on one line: GST's own phase spans (stream-gen, ...)
+            # land before its attempt span does.
+            if any(
+                '"name":"attempt"' in line and '"workload":"GST"' in line
+                for line in text.splitlines()
+            ):
                 return True
         time.sleep(POLL_S)
     return False

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpu.device import RTX_3080
 from repro.gpu.kernel import KernelCharacteristics, LaunchStream
 from repro.gpu.metrics import SECONDARY_METRICS, KernelMetrics
 from repro.gpu.simulator import GPUSimulator
+from repro.gpu.timing import TimingModel
 from repro.profiler.profiler import Profiler
 from repro.profiler.records import _weighted_mean, aggregate_launches
 from repro.workloads.registry import get_workload
@@ -101,8 +103,9 @@ def test_run_stream_matches_per_launch_run():
     workload = get_workload("GRU", scale=0.001, seed=0)
     launches = list(workload.launch_stream())
     batched = GPUSimulator().run_stream(launches)
-    reference_sim = GPUSimulator()
-    reference = [reference_sim.run_kernel(l.kernel) for l in launches]
+    # The scalar model, one kernel at a time: the batched pass's oracle.
+    scalar = TimingModel(RTX_3080)
+    reference = [scalar.run(l.kernel) for l in launches]
     assert len(batched) == len(launches)
     for got, want in zip(batched, reference):
         assert got == want

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import CharacterizationEngine
-from repro.gpu.device import DEVICE_ZOO, device_by_name
+from repro.gpu.device import DEVICE_ZOO, RTX_3080, device_by_name
 from repro.service.schemas import (
     MAX_ENGINE_JOBS,
     JobRequest,
@@ -26,13 +26,11 @@ class TestParsing:
         assert request.suites == ("Cactus",)
         assert request.preset.name == "laptop"
         assert request.device.name == "RTX 3080"
-        assert request.proxy_tol is None
         assert request.jobs == 1
 
     def test_round_trips_through_to_dict(self):
         request = _parse(
             preset="laptop",
-            proxy_tol=0.25,
             jobs=2,
             options={"model_caches": False},
         )
@@ -80,11 +78,12 @@ class TestValidationErrors:
                 }
             )
         details = "\n".join(excinfo.value.errors)
-        for fragment in (
-            "kind", "preset", "jobs", "proxy_tol", "frobnicate",
-        ):
+        for fragment in ("kind", "preset", "jobs"):
             assert fragment in details
-        assert len(excinfo.value.errors) >= 5
+        # The retired similarity-proxy tolerance is an unknown key now.
+        unknown = [e for e in excinfo.value.errors if "unknown fields" in e]
+        assert unknown == ["request: unknown fields ['frobnicate', 'proxy_tol']"]
+        assert len(excinfo.value.errors) >= 4
 
     def test_as_dict_shape(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -138,7 +137,6 @@ class TestJobKey:
         base = _parse().job_key()
         assert _parse(workloads=["NST"]).job_key() != base
         assert _parse(device="V100").job_key() != base
-        assert _parse(proxy_tol=0.5).job_key() != base
         assert (
             _parse(options={"model_caches": False}).job_key() != base
         )
@@ -146,6 +144,33 @@ class TestJobKey:
             _parse(options={"timing": {"dram_efficiency": 0.5}}).job_key()
             != base
         )
+
+    def test_engine_run_keys_are_pinned(self):
+        """Journals resume by engine run key; it must not drift.
+
+        A changed digest here orphans every journal written by an
+        earlier version (a run would restart instead of resuming).
+        """
+        request = parse_job_request(
+            {"kind": "sweep", "workloads": ["GST", "DCG"],
+             "devices": ["RTX 3080", "V100"]}
+        )
+        engine = CharacterizationEngine(
+            device=request.device, options=request.options
+        )
+        selected = request.selected()
+        assert selected == ["GST", "DCG"]
+        assert engine.run_key(request.preset, selected) == (
+            "93ffd733d77b9861173978260731e428"
+            "38e0372cb174577ecaead87142e543e4"
+        )
+        assert engine.sweep_run_key(
+            request.preset, selected, list(request.devices)
+        ) == (
+            "96ed81d183cb31222efbf2766bfe52b0"
+            "47265543cb51749a69c5ffd67a683caf"
+        )
+        assert request.devices[0] == RTX_3080
 
     def test_execution_details_do_not_change_the_key(self):
         assert _parse(jobs=1).job_key() == _parse(jobs=4).job_key()
