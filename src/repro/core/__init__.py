@@ -20,7 +20,7 @@ from repro.core.config import (
     ScalePreset,
 )
 from repro.core.engine import CharacterizationEngine
-from repro.core.journal import RunJournal, SweepJournal
+from repro.core.journal import RunJournal
 from repro.core.resilience import (
     RetryPolicy,
     SuiteRunError,
@@ -46,7 +46,6 @@ __all__ = [
     "RunJournal",
     "StreamCache",
     "SuiteRunError",
-    "SweepJournal",
     "SweepRunReport",
     "WorkloadFailure",
     "build_characterization",

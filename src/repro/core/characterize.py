@@ -1,9 +1,10 @@
 """Per-workload characterization: the full Section V treatment.
 
-``characterize(workload)`` runs the workload through the profiler and
-bundles every per-application analysis of the paper: Table I row,
-cumulative time curve, aggregate and per-kernel roofline points, and
-the dominant-kernel selection.
+``characterize_devices(workload, devices)`` runs the workload through
+the profiler once and bundles every per-application analysis of the
+paper for each device: Table I row, cumulative time curve, aggregate
+and per-kernel roofline points, and the dominant-kernel selection.
+``characterize(workload, device)`` is its one-device view.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.analysis.roofline import (
     kernel_roofline,
 )
 from repro.gpu.device import RTX_3080, DeviceSpec
-from repro.gpu.simulator import GPUSimulator
 from repro.profiler.profiler import Profiler
 from repro.profiler.records import ApplicationProfile
 from repro.workloads.base import Workload
@@ -73,78 +73,26 @@ def build_characterization(
 def characterize(
     workload: Workload,
     device: DeviceSpec = RTX_3080,
-    profiler: Optional[Profiler] = None,
+    options=None,
     cache: Optional["ResultCache"] = None,
     tracer=None,
-    stream=None,
 ) -> Characterization:
-    """Run the full per-workload characterization pipeline.
+    """Run the full per-workload characterization pipeline on one device.
 
-    With a *cache*, the result is memoized under a content-addressed key
-    of ``(device, simulation options, launch-stream digest)`` — a warm
-    hit skips the simulation and every analysis step and deserializes a
-    result that compares equal to a fresh computation.
-
-    *stream* short-circuits generation: pass the launch list a previous
-    characterization of the *same workload instance* already prepared
-    (the engine memoizes streams per run) and the ``stream-gen`` phase
-    is skipped entirely — generation cost is paid once per run even
-    when one workload is characterized on several devices.
+    A one-device :func:`characterize_devices`: with a *cache*, the
+    result is memoized under a content-addressed key of ``(device,
+    simulation options, launch-stream digest)`` — a warm hit skips the
+    simulation and every analysis step and deserializes a result that
+    compares equal to a fresh computation.
 
     *tracer* (see :mod:`repro.obs`) wraps each phase — ``stream-gen``,
     ``cache-lookup``, ``simulate``, ``analyze``, ``cache-store`` — in a
     span.  Pure observation: the stream, the cache key, and the result
     are bit-for-bit identical with tracing on or off.
     """
-    from repro.obs import NULL_TRACER
-
-    tracer = tracer or NULL_TRACER
-    profiler = profiler or Profiler(simulator=GPUSimulator(device))
-    abbr = workload.abbr
-    if stream is None:
-        with tracer.span("stream-gen", category="phase", workload=abbr) as sp:
-            stream = profiler.prepare_stream(workload)
-            sp.set_attr("launches", len(stream))
-
-    key: Optional[str] = None
-    if cache is not None:
-        from repro.core.cache import characterization_key
-        from repro.core.serialize import characterization_from_dict
-
-        key = characterization_key(
-            device,
-            profiler.simulator.options,
-            {
-                "name": workload.name,
-                "abbr": workload.abbr,
-                "suite": workload.suite,
-                "domain": workload.domain,
-            },
-            stream,
-        )
-        with tracer.span("cache-lookup", category="phase", workload=abbr):
-            payload = cache.get(key)
-        if payload is not None:
-            try:
-                return characterization_from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                pass  # schema-corrupt entry → recompute and rewrite below
-
-    with tracer.span("simulate", category="phase", workload=abbr):
-        profile = profiler.profile_launches(
-            stream,
-            workload=workload.name,
-            suite=workload.suite,
-            domain=workload.domain,
-        )
-    with tracer.span("analyze", category="phase", workload=abbr):
-        result = build_characterization(workload.abbr, profile, device)
-    if cache is not None and key is not None:
-        from repro.core.serialize import characterization_to_dict
-
-        with tracer.span("cache-store", category="phase", workload=abbr):
-            cache.put(key, characterization_to_dict(result))
-    return result
+    return characterize_devices(
+        workload, [device], options=options, cache=cache, tracer=tracer
+    )[device.name]
 
 
 def characterize_devices(
@@ -162,16 +110,17 @@ def characterize_devices(
     The device-sweep inner loop: the launch stream is acquired exactly
     once (from the *stream* argument, the device-free *stream_cache*,
     or — last resort — fresh generation under a ``stream-gen`` span),
-    every device's result cache entry is probed under the **same**
-    content-addressed key the scalar path uses (so suite runs warm
-    sweeps and vice versa), and only the missing devices go through the
-    batched device-axis simulator
+    every device's result cache entry is probed under its
+    content-addressed characterization key (the same for suite runs and
+    sweeps, so each warms the other), and only the missing devices go
+    through the batched device-axis simulator
     (:func:`repro.gpu.batched.simulate_devices`) — a single broadcast
     pass instead of N scalar walks.
 
     Returns ``{device.name: Characterization}`` in *devices* order.
-    Every entry is bit-for-bit identical to what
-    :func:`characterize` would produce for that device alone.
+    This is the only characterization path: :func:`characterize` is its
+    one-device view, and for one device the batched simulator *is* the
+    scalar ``GPUSimulator.run_stream``.
     """
     from repro.gpu.batched import simulate_devices
     from repro.gpu.simulator import SimulationOptions
@@ -251,7 +200,7 @@ def characterize_devices(
     # -- batched simulate + per-device analysis for the misses ---------
     if missing:
         with tracer.span(
-            "simulate-devices",
+            "simulate",
             category="phase",
             workload=abbr,
             devices=len(missing),

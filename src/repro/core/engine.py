@@ -1,8 +1,12 @@
-"""Parallel, cache-backed, fault-tolerant suite-characterization engine.
+"""Parallel, cache-backed, fault-tolerant characterization engine.
 
 :class:`CharacterizationEngine` is the production path for running the
-paper's full top-down pipeline over whole suites.  It layers three
-orthogonal capabilities over the naive serial loop:
+paper's full top-down pipeline over whole suites, on one device or a
+list of them.  There is one execution path: a run characterizes each
+selected workload across a device list, and a suite run is the
+one-device case (:meth:`~CharacterizationEngine.run_suite` returns one
+device's slice of that run).  It layers three orthogonal capabilities
+over the naive serial loop:
 
 * **Parallelism** — per-workload characterizations are independent, so
   the engine fans them out across a ``concurrent.futures`` process
@@ -12,11 +16,11 @@ orthogonal capabilities over the naive serial loop:
   memoizes whole :class:`~repro.core.characterize.Characterization`
   objects, keyed on content digests of ``(DeviceSpec,
   SimulationOptions, launch stream)``.  A warm run replays the suite
-  from disk without touching the timing model; within one run the
-  simulator's in-process memo reuses per-kernel metrics.
+  from disk without touching the timing model; within one workload
+  the simulator's in-process memo reuses per-kernel metrics.
 * **Fault tolerance** — every worker exception is captured into a
   structured :class:`~repro.core.resilience.WorkloadFailure` instead of
-  aborting the suite; a :class:`~repro.core.resilience.RetryPolicy`
+  aborting the run; a :class:`~repro.core.resilience.RetryPolicy`
   retries transient failures with deterministic backoff and enforces a
   per-workload wall-clock timeout (a hung worker is killed and the pool
   rebuilt); a broken pool rebuilds once and then degrades to the serial
@@ -26,8 +30,8 @@ orthogonal capabilities over the naive serial loop:
   the cache disabled.
 
 Failure disposition is the caller's choice: with ``keep_going=True``
-the run returns a :class:`~repro.core.suite.SuiteRunReport` carrying
-both survivors and failures; otherwise a terminal failure raises
+the run returns a report carrying both survivors and failures;
+otherwise a terminal failure raises
 :class:`~repro.core.resilience.SuiteRunError` (which still carries the
 partial report — completed work is journaled, never discarded).
 
@@ -49,24 +53,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import CacheStats, ResultCache
-from repro.core.characterize import (
-    Characterization,
-    characterize,
-    characterize_devices,
-)
+from repro.core.characterize import Characterization, characterize_devices
 from repro.core.config import LAPTOP_SCALE, ScalePreset
-from repro.core.journal import RunJournal, SweepJournal
+from repro.core.journal import RunJournal
 from repro.core.streamcache import StreamCache
 from repro.core.resilience import (
     RetryPolicy,
     SuiteRunError,
     WorkloadFailure,
 )
+from repro.core.suite import SuiteRunReport
+from repro.core.sweep import SweepRunReport
 from repro.gpu.device import RTX_3080, DeviceSpec
 from repro.gpu.digest import CACHE_SCHEMA_VERSION, stable_digest
-from repro.gpu.simulator import GPUSimulator, SimulationOptions
+from repro.gpu.simulator import SimulationOptions
 from repro.obs import NULL_TRACER, ObsSession, TraceHandoff, Tracer, worker_tracer
-from repro.profiler.profiler import Profiler
 from repro.workloads.registry import get_workload, list_workloads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,71 +87,56 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _characterize_one(
+def _attempt(
     abbr: str,
-    scale: float,
-    seed: int,
-    device: DeviceSpec,
+    preset: ScalePreset,
+    devices: Sequence[DeviceSpec],
     options: SimulationOptions,
-    cache_dir: Optional[str],
-    attempt: int = 1,
-    fault_plan: Optional["FaultPlan"] = None,
-    handoff: Optional[TraceHandoff] = None,
-) -> Tuple[str, Characterization, CacheStats, Optional[dict]]:
-    """Worker body: characterize one workload from its identity.
+    cache: Optional[ResultCache],
+    stream_cache: Optional[StreamCache],
+    tracer: Tracer,
+    attempt: int,
+    fault_plan: Optional["FaultPlan"],
+    mode: str,
+) -> Dict[str, Characterization]:
+    """One attempt at one workload across every device of the run.
 
-    Module-level (picklable) so it can run inside a process pool; each
-    worker opens its own handle on the shared cache directory — entry
-    writes are atomic, so concurrent workers can share it safely.  The
-    optional *fault_plan* hooks are strict no-ops when the plan is
-    empty (the fault-free differential test pins this).
-
-    *handoff* (see :mod:`repro.obs`) roots this attempt's spans under
-    the parent's suite span and — when tracing is enabled — appends
-    them to this worker's own ``events-<pid>.jsonl``.  The worker's
-    metrics snapshot rides back on the result tuple; a failed attempt
-    still flushes its error span before the exception crosses the pool
-    boundary.
+    The only attempt body, shared by the serial loop (``mode="serial"``)
+    and the pool worker (``mode="pool"``): it rebuilds the workload
+    from its identity and runs
+    :func:`~repro.core.characterize.characterize_devices`.  The
+    *fault_plan* hooks run once per attempt and are strict no-ops when
+    the plan is empty (the fault-free differential test pins this).
     """
-    tracer = worker_tracer(handoff)
-    cache = ResultCache(cache_dir=cache_dir) if cache_dir else None
-    if cache is not None:
-        cache.tracer = tracer
-    try:
-        with tracer.span(
-            "attempt",
-            category="workload",
-            workload=abbr,
-            attempt=attempt,
-            mode="pool",
-        ):
-            if fault_plan is not None:
-                fault_plan.before(abbr, attempt)
-            profiler = Profiler(
-                simulator=GPUSimulator(device, options=options, tracer=tracer)
-            )
-            workload = get_workload(abbr, scale=scale, seed=seed)
-            result = characterize(
-                workload,
-                device=device,
-                profiler=profiler,
-                cache=cache,
-                tracer=tracer,
-            )
-            if fault_plan is not None:
-                result = fault_plan.after(abbr, attempt, result, cache)
-    finally:
-        if tracer.sink is not None:
-            tracer.sink.close()
-    snapshot = tracer.metrics.snapshot() if tracer.metrics else None
-    stats = cache.stats if cache is not None else CacheStats()
-    return abbr, result, stats, snapshot
+    with tracer.span(
+        "attempt",
+        category="workload",
+        workload=abbr,
+        attempt=attempt,
+        mode=mode,
+        devices=len(devices),
+    ):
+        if fault_plan is not None:
+            fault_plan.before(abbr, attempt)
+        workload = get_workload(
+            abbr, scale=preset.for_workload(abbr), seed=preset.seed
+        )
+        result = characterize_devices(
+            workload,
+            list(devices),
+            options=options,
+            cache=cache,
+            stream_cache=stream_cache,
+            tracer=tracer,
+        )
+        if fault_plan is not None:
+            result = fault_plan.after(abbr, attempt, result, cache)
+    return result
 
 
 def _sweep_one(
     abbr: str,
-    scale: float,
-    seed: int,
+    preset: ScalePreset,
     devices: Tuple[DeviceSpec, ...],
     options: SimulationOptions,
     cache_dir: Optional[str],
@@ -159,15 +145,20 @@ def _sweep_one(
     fault_plan: Optional["FaultPlan"] = None,
     handoff: Optional[TraceHandoff] = None,
 ) -> Tuple[str, Dict[str, Characterization], CacheStats, Optional[dict]]:
-    """Pool worker for device sweeps: one workload, every device.
+    """Pool worker: one workload, every device of the run.
 
-    The sweep fans out over *workloads* (not workload x device): each
+    Module-level (picklable) so it can run inside a process pool.  Each
     worker owns one workload end to end, generates (or loads) its
-    stream exactly once, and runs the batched device-axis simulator for
-    whatever the result cache does not already hold.  Same pool
-    contract as :func:`_characterize_one` — picklable, atomic shared
-    caches, spans rooted via *handoff*, metrics snapshot on the result
-    tuple.
+    stream exactly once, and opens its own handles on the shared cache
+    directories — entry writes are atomic, so concurrent workers can
+    share them safely.
+
+    *handoff* (see :mod:`repro.obs`) roots this attempt's spans under
+    the parent's run span and — when tracing is enabled — appends them
+    to this worker's own ``events-<pid>.jsonl``.  The worker's metrics
+    snapshot rides back on the result tuple; a failed attempt still
+    flushes its error span before the exception crosses the pool
+    boundary.
     """
     tracer = worker_tracer(handoff)
     cache = ResultCache(cache_dir=cache_dir) if cache_dir else None
@@ -179,25 +170,10 @@ def _sweep_one(
     if stream_cache is not None:
         stream_cache.tracer = tracer
     try:
-        with tracer.span(
-            "attempt",
-            category="workload",
-            workload=abbr,
-            attempt=attempt,
-            mode="pool-sweep",
-            devices=len(devices),
-        ):
-            if fault_plan is not None:
-                fault_plan.before(abbr, attempt)
-            workload = get_workload(abbr, scale=scale, seed=seed)
-            result = characterize_devices(
-                workload,
-                list(devices),
-                options=options,
-                cache=cache,
-                stream_cache=stream_cache,
-                tracer=tracer,
-            )
+        result = _attempt(
+            abbr, preset, devices, options, cache, stream_cache, tracer,
+            attempt, fault_plan, mode="pool",
+        )
     finally:
         if tracer.sink is not None:
             tracer.sink.close()
@@ -206,11 +182,22 @@ def _sweep_one(
     return abbr, result, stats, snapshot
 
 
+@dataclass(frozen=True)
+class _RunPlan:
+    """What every attempt of one run shares: scale and device axis."""
+
+    preset: ScalePreset
+    devices: Tuple[DeviceSpec, ...]
+    stream_cache: Optional[StreamCache]
+
+
 @dataclass
 class _ExecutionOutcome:
     """Mutable scratchpad for one execution strategy's results."""
 
-    results: Dict[str, Characterization] = field(default_factory=dict)
+    results: Dict[str, Dict[str, Characterization]] = field(
+        default_factory=dict
+    )
     failures: List[WorkloadFailure] = field(default_factory=list)
     attempts: Dict[str, int] = field(default_factory=dict)
     fallback_reason: Optional[str] = None
@@ -227,21 +214,22 @@ class CharacterizationEngine:
     Parameters
     ----------
     device, options:
-        The simulated platform and simulator switches, shared by every
-        workload of a run (both are part of every cache key).
+        The simulated platform of :meth:`run_suite` and the simulator
+        switches shared by every workload of a run (both are part of
+        every cache key).
     jobs:
-        Worker processes for suite runs.  ``None``/``0``/``1`` → serial;
-        negative → one worker per CPU.
+        Worker processes.  ``None``/``0``/``1`` → serial; negative →
+        one worker per CPU.
     cache:
         Optional result cache.  Pass ``ResultCache()`` for an in-memory
         LRU or ``ResultCache(cache_dir=...)`` for cross-run persistence.
     retry_policy:
-        Retry/timeout/backoff policy for suite runs (see
+        Retry/timeout/backoff policy (see
         :class:`~repro.core.resilience.RetryPolicy`).
     keep_going:
         ``True`` → failed workloads are collected into the run report
-        and the suite completes over the survivors.  ``False``
-        (default) → any terminal failure raises
+        and the run completes over the survivors.  ``False`` (default)
+        → any terminal failure raises
         :class:`~repro.core.resilience.SuiteRunError` carrying the
         partial report.
     journal_dir:
@@ -251,11 +239,11 @@ class CharacterizationEngine:
         Deterministic fault-injection plan (testing only); ``None`` and
         an empty plan are strict no-ops.
     trace_dir:
-        Optional observability directory (see :mod:`repro.obs`): suite
-        runs append a JSONL event log there and export a Chrome/
-        Perfetto trace on completion.  Run metrics (``run_profile`` on
-        the report) are collected either way; with ``trace_dir=None``
-        no file is ever touched.
+        Optional observability directory (see :mod:`repro.obs`): runs
+        append a JSONL event log there and export a Chrome/Perfetto
+        trace on completion.  Run metrics (``run_profile`` on the
+        report) are collected either way; with ``trace_dir=None`` no
+        file is ever touched.
     """
 
     device: DeviceSpec = RTX_3080
@@ -271,44 +259,7 @@ class CharacterizationEngine:
     #: :mod:`repro.core.streamcache`).  When absent but ``cache`` has a
     #: disk tier, sweeps derive one under ``<cache_dir>/streams``.
     stream_cache: Optional[StreamCache] = None
-    #: Per-run stream memo: ``id(workload) -> (workload, stream)``.  The
-    #: strong workload reference pins the id against reuse; entries live
-    #: for the engine's lifetime, so characterizing the same workload
-    #: object twice (e.g. on two devices) generates its stream once.
-    _stream_memo: Dict[int, tuple] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
-    # -- single workload ----------------------------------------------
-    def memoized_stream(self, workload, profiler: Profiler):
-        """*workload*'s prepared stream, generated at most once per run."""
-        entry = self._stream_memo.get(id(workload))
-        if entry is not None and entry[0] is workload:
-            return entry[1]
-        stream = profiler.prepare_stream(workload)
-        self._stream_memo[id(workload)] = (workload, stream)
-        return stream
-
-    def characterize(self, workload) -> Characterization:
-        """Characterize one instantiated workload (serial, cached).
-
-        Streams are memoized on the engine: calling this twice with the
-        same workload object — including with a different ``device`` set
-        between calls — pays stream generation once.
-        """
-        profiler = Profiler(
-            simulator=GPUSimulator(self.device, options=self.options)
-        )
-        stream = self.memoized_stream(workload, profiler)
-        return characterize(
-            workload,
-            device=self.device,
-            profiler=profiler,
-            cache=self.cache,
-            stream=stream,
-        )
-
-    # -- whole suites --------------------------------------------------
     def select(
         self,
         suites: Sequence[str],
@@ -326,7 +277,7 @@ class CharacterizationEngine:
         return selected
 
     def run_key(self, preset: ScalePreset, selected: Sequence[str]) -> str:
-        """Content digest identifying one run for journal resumption."""
+        """Content digest identifying one suite run (journal identity)."""
         return stable_digest(
             [
                 "suite-run",
@@ -338,107 +289,6 @@ class CharacterizationEngine:
             ]
         )
 
-    def run_suite(
-        self,
-        suites: Sequence[str] = ("Cactus",),
-        preset: ScalePreset = LAPTOP_SCALE,
-        workloads: Optional[Sequence[str]] = None,
-    ):
-        """Characterize every workload of *suites* into a SuiteRunReport.
-
-        Results are keyed and ordered deterministically by the suite
-        registration order regardless of worker completion order;
-        failed workloads are simply absent from ``results`` and listed
-        (also in registration order) in ``failures``.
-        """
-        from repro.core.suite import SuiteRunReport
-
-        selected = self.select(suites, workloads)
-        jobs = _resolve_jobs(self.jobs)
-        report = SuiteRunReport(device=self.device, preset=preset)
-
-        session = ObsSession(self.trace_dir)
-        self._session = session
-        restore_cache_tracer = False
-        if self.cache is not None and self.cache.tracer is None:
-            # Serial-path and in-process cache traffic count toward this
-            # run's metrics; detached again before returning.
-            self.cache.tracer = session.tracer
-            restore_cache_tracer = True
-        try:
-            with session.tracer.span(
-                "suite-run",
-                category="suite",
-                suites=list(suites),
-                preset=preset.name,
-                jobs=jobs,
-                selected=len(selected),
-            ):
-                journal: Optional[RunJournal] = None
-                completed: Dict[str, Characterization] = {}
-                if self.journal_dir is not None:
-                    journal = RunJournal(
-                        self.journal_dir,
-                        self.run_key(preset, selected),
-                        tracer=session.tracer,
-                    )
-                    completed = journal.begin(selected)
-                    report.resumed = [a for a in selected if a in completed]
-
-                # One engine execution == one tick of this counter.  The
-                # service layer's request coalescing is proven against it:
-                # N coalesced submissions must leave engine.runs == 1 in
-                # the job's run profile.
-                session.tracer.incr("engine.runs")
-                remaining = [a for a in selected if a not in completed]
-                outcome = _ExecutionOutcome(results=dict(completed))
-                if remaining:
-                    if jobs > 1:
-                        self._run_parallel(
-                            remaining, preset, jobs, journal, outcome
-                        )
-                        remaining = [
-                            a for a in remaining if a not in outcome.resolved
-                        ]
-                    if remaining:  # serial path, or parallel degraded mid-run
-                        self._run_serial(remaining, preset, journal, outcome)
-
-                for abbr in selected:
-                    if abbr in outcome.results:
-                        report.results[abbr] = outcome.results[abbr]
-                order = {abbr: idx for idx, abbr in enumerate(selected)}
-                report.failures = sorted(
-                    outcome.failures,
-                    key=lambda f: order.get(f.abbr, len(order)),
-                )
-                report.attempts = dict(outcome.attempts)
-                report.fallback_reason = outcome.fallback_reason
-                session.tracer.incr(
-                    "engine.workloads_completed",
-                    float(len(outcome.results) - len(completed)),
-                )
-                session.tracer.incr(
-                    "engine.workloads_failed", float(len(report.failures))
-                )
-                if journal is not None:
-                    journal.finish(ok=not report.failures)
-        finally:
-            if restore_cache_tracer and self.cache is not None:
-                self.cache.tracer = None
-            # The profile and trace ride on the report even when the
-            # run failed (strict mode re-raises below with the report
-            # attached) — a failed run is exactly when you want them.
-            report.run_profile = session.run_profile()
-            session.finalize()
-            if session.tracing and session.trace_dir is not None:
-                report.trace_dir = str(session.trace_dir)
-            self._session = None
-
-        if report.failures and not self.keep_going:
-            raise SuiteRunError(report, report.failures)
-        return report
-
-    # -- device sweeps -------------------------------------------------
     def sweep_run_key(
         self,
         preset: ScalePreset,
@@ -457,6 +307,66 @@ class CharacterizationEngine:
             ]
         )
 
+    # -- the two views of one run --------------------------------------
+    def run_suite(
+        self,
+        suites: Sequence[str] = ("Cactus",),
+        preset: ScalePreset = LAPTOP_SCALE,
+        workloads: Optional[Sequence[str]] = None,
+    ) -> SuiteRunReport:
+        """Characterize every workload of *suites* on ``self.device``.
+
+        A one-device run viewed through
+        :meth:`~repro.core.sweep.SweepRunReport.for_device`.  It keeps
+        its own journal identity (:meth:`run_key`) and derives no
+        stream cache: only an explicitly given ``stream_cache`` is used.
+        """
+        selected = self.select(suites, workloads)
+        report = self._run(
+            [self.device],
+            suites,
+            preset,
+            selected,
+            run_key=self.run_key(preset, selected),
+            span="suite-run",
+            stream_cache=self.stream_cache,
+        )
+        return self._settle(report.for_device(self.device.name))
+
+    def run_sweep(
+        self,
+        devices: Sequence[DeviceSpec],
+        suites: Sequence[str] = ("Cactus",),
+        preset: ScalePreset = LAPTOP_SCALE,
+        workloads: Optional[Sequence[str]] = None,
+    ) -> SweepRunReport:
+        """Characterize every workload of *suites* across N devices.
+
+        Each stream is generated once per run and cached device-free in
+        the stream cache (``stream_cache``, or one derived under
+        ``<cache_dir>/streams``) for the next run.  Result cache keys
+        are the ones :meth:`run_suite` uses, so a suite run on any zoo
+        device warm-starts the sweep and vice versa.
+        """
+        devices = list(devices)
+        selected = self.select(suites, workloads)
+        report = self._run(
+            devices,
+            suites,
+            preset,
+            selected,
+            run_key=self.sweep_run_key(preset, selected, devices),
+            span="sweep-run",
+            stream_cache=self._sweep_stream_cache(),
+        )
+        return self._settle(report)
+
+    def _settle(self, report):
+        """Strict mode: terminal failures raise with *report* attached."""
+        if report.failures and not self.keep_going:
+            raise SuiteRunError(report, report.failures)
+        return report
+
     def _sweep_stream_cache(self) -> Optional[StreamCache]:
         """The sweep's stream cache (explicit, derived, or None)."""
         if self.stream_cache is not None:
@@ -467,66 +377,52 @@ class CharacterizationEngine:
             )
         return None
 
-    def _stream_cache_dir_arg(self) -> Optional[str]:
-        stream_cache = self._sweep_stream_cache()
-        if (
-            stream_cache is not None
-            and stream_cache.backend.cache_dir is not None
-        ):
-            return str(stream_cache.backend.cache_dir)
-        return None
-
-    def run_sweep(
+    # -- the one execution path ----------------------------------------
+    def _run(
         self,
-        devices: Sequence[DeviceSpec],
-        suites: Sequence[str] = ("Cactus",),
-        preset: ScalePreset = LAPTOP_SCALE,
-        workloads: Optional[Sequence[str]] = None,
-    ):
-        """Characterize every workload of *suites* across N devices.
+        devices: List[DeviceSpec],
+        suites: Sequence[str],
+        preset: ScalePreset,
+        selected: List[str],
+        run_key: str,
+        span: str,
+        stream_cache: Optional[StreamCache],
+    ) -> SweepRunReport:
+        """Characterize *selected* across *devices*.
 
-        The sweep fans out over **workloads** — one pool task per
-        workload, each owning the full device axis — because stream
-        generation is the expensive, device-independent part: every
-        stream is generated exactly once per run (and cached
-        device-free in the stream cache for the next run), while the
-        device axis is evaluated in one batched broadcast pass per
-        workload (:func:`repro.gpu.batched.simulate_devices`).
-
-        Shares the engine's retry/timeout/pool-rebuild machinery,
-        journal/resume (a :class:`~repro.core.journal.SweepJournal`
-        keyed on the device list), obs spans, and the scalar-compatible
-        result cache — a prior ``run_suite`` on any zoo device warm-
-        starts the sweep and vice versa.  Returns a
-        :class:`~repro.core.sweep.SweepRunReport`; in strict mode
-        (``keep_going=False``) terminal failures raise
-        :class:`~repro.core.resilience.SuiteRunError` carrying it.
+        The run fans out over **workloads** — one task per workload,
+        each owning the full device axis — because stream generation is
+        the expensive, device-independent part: it happens once per
+        workload and the device axis is evaluated in one batched pass
+        (:func:`repro.gpu.batched.simulate_devices`).  Results are
+        ordered by registration order regardless of worker completion
+        order; failed workloads are absent from ``results`` and listed
+        (also in registration order) in ``failures``.  *run_key* is the
+        journal identity and *span* names the run's root span.
         """
-        from repro.core.sweep import SweepRunReport
-
-        devices = list(devices)
-        if not devices:
-            raise ValueError("run_sweep needs at least one device")
         names = [d.name for d in devices]
+        if not devices:
+            raise ValueError("a run needs at least one device")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate device names in sweep: {names}")
 
-        selected = self.select(suites, workloads)
         jobs = _resolve_jobs(self.jobs)
         report = SweepRunReport(devices=devices, preset=preset)
+        plan = _RunPlan(preset, tuple(devices), stream_cache)
 
         session = ObsSession(self.trace_dir)
         self._session = session
+        # In-process cache traffic counts toward this run's metrics;
+        # the tracers are detached again before returning.
         restore_cache_tracer = False
         if self.cache is not None and self.cache.tracer is None:
             self.cache.tracer = session.tracer
             restore_cache_tracer = True
-        stream_cache = self._sweep_stream_cache()
         if stream_cache is not None and stream_cache.tracer is None:
             stream_cache.tracer = session.tracer
         try:
             with session.tracer.span(
-                "sweep-run",
+                span,
                 category="suite",
                 suites=list(suites),
                 preset=preset.name,
@@ -534,14 +430,16 @@ class CharacterizationEngine:
                 selected=len(selected),
                 devices=names,
             ):
+                # One engine execution == one tick of this counter.  The
+                # service layer's request coalescing is proven against it:
+                # N coalesced submissions must leave engine.runs == 1 in
+                # the job's run profile.
                 session.tracer.incr("engine.runs")
-                journal: Optional[SweepJournal] = None
+                journal: Optional[RunJournal] = None
                 completed: Dict[str, Dict[str, Characterization]] = {}
                 if self.journal_dir is not None:
-                    journal = SweepJournal(
-                        self.journal_dir,
-                        self.sweep_run_key(preset, selected, devices),
-                        tracer=session.tracer,
+                    journal = RunJournal(
+                        self.journal_dir, run_key, tracer=session.tracer
                     )
                     completed = journal.begin(selected)
                     report.resumed = [a for a in selected if a in completed]
@@ -550,56 +448,14 @@ class CharacterizationEngine:
                 outcome = _ExecutionOutcome(results=dict(completed))
                 if remaining:
                     if jobs > 1:
-                        cache_dir = self._cache_dir_arg()
-                        stream_cache_dir = self._stream_cache_dir_arg()
-                        device_tuple = tuple(devices)
-
-                        def submit_sweep(pool, abbr, attempt, handoff):
-                            return pool.submit(
-                                _sweep_one,
-                                abbr,
-                                preset.for_workload(abbr),
-                                preset.seed,
-                                device_tuple,
-                                self.options,
-                                cache_dir,
-                                stream_cache_dir,
-                                attempt,
-                                self.fault_plan,
-                                handoff,
-                            )
-
                         self._run_parallel(
-                            remaining, preset, jobs, journal, outcome,
-                            submit_task=submit_sweep,
+                            remaining, plan, jobs, journal, outcome
                         )
                         remaining = [
                             a for a in remaining if a not in outcome.resolved
                         ]
                     if remaining:  # serial path, or parallel degraded
-                        tracer = session.tracer
-
-                        def run_one_sweep(abbr: str, attempt: int):
-                            if self.fault_plan is not None:
-                                self.fault_plan.before(abbr, attempt)
-                            workload = get_workload(
-                                abbr,
-                                scale=preset.for_workload(abbr),
-                                seed=preset.seed,
-                            )
-                            return characterize_devices(
-                                workload,
-                                devices,
-                                options=self.options,
-                                cache=self.cache,
-                                stream_cache=stream_cache,
-                                tracer=tracer,
-                            )
-
-                        self._run_serial(
-                            remaining, preset, journal, outcome,
-                            run_one=run_one_sweep, mode="serial-sweep",
-                        )
+                        self._run_serial(remaining, plan, journal, outcome)
 
                 for abbr in selected:
                     if abbr in outcome.results:
@@ -628,14 +484,14 @@ class CharacterizationEngine:
                 self.cache.tracer = None
             if stream_cache is not None and stream_cache.tracer is session.tracer:
                 stream_cache.tracer = None
+            # The profile and trace ride on the report even when the
+            # run failed (strict mode raises with the report attached)
+            # — a failed run is exactly when you want them.
             report.run_profile = session.run_profile()
             session.finalize()
             if session.tracing and session.trace_dir is not None:
                 report.trace_dir = str(session.trace_dir)
             self._session = None
-
-        if report.failures and not self.keep_going:
-            raise SuiteRunError(report, report.failures)
         return report
 
     # -- observability access ------------------------------------------
@@ -655,7 +511,7 @@ class CharacterizationEngine:
         outcome: _ExecutionOutcome,
         journal: Optional[RunJournal],
         abbr: str,
-        result: Characterization,
+        result: Dict[str, Characterization],
         stats: Optional[CacheStats],
         attempts: int,
         snapshot: Optional[dict] = None,
@@ -672,66 +528,36 @@ class CharacterizationEngine:
     def _run_serial(
         self,
         selected: Sequence[str],
-        preset: ScalePreset,
+        plan: _RunPlan,
         journal: Optional[RunJournal],
         outcome: _ExecutionOutcome,
-        run_one=None,
-        mode: str = "serial",
     ) -> None:
         """In-process loop with retry + failure isolation.
 
-        The attempt body is pluggable: *run_one(abbr, attempt)* produces
-        the result recorded for one workload (the default characterizes
-        it on ``self.device``, sharing one profiler — and its kernel
-        memo — across workloads; the sweep path characterizes it across
-        a device list).  Per-workload timeouts cannot be enforced here —
-        a running characterization cannot be preempted in-process — so
+        Per-workload timeouts cannot be enforced here — a running
+        characterization cannot be preempted in-process — so
         ``retry_policy.timeout_s`` only applies on the pool path.
         """
         policy = self.retry_policy
         tracer = self._tracer
-        if run_one is None:
-            profiler = Profiler(
-                simulator=GPUSimulator(
-                    self.device, options=self.options, tracer=tracer
-                )
-            )
-
-            def run_one(abbr: str, attempt: int):
-                if self.fault_plan is not None:
-                    self.fault_plan.before(abbr, attempt)
-                workload = get_workload(
-                    abbr,
-                    scale=preset.for_workload(abbr),
-                    seed=preset.seed,
-                )
-                result = characterize(
-                    workload,
-                    device=self.device,
-                    profiler=profiler,
-                    cache=self.cache,
-                    tracer=tracer,
-                )
-                if self.fault_plan is not None:
-                    result = self.fault_plan.after(
-                        abbr, attempt, result, self.cache
-                    )
-                return result
-
         for abbr in selected:
             attempt = 0
             started = time.monotonic()
             while True:
                 attempt += 1
                 try:
-                    with tracer.span(
-                        "attempt",
-                        category="workload",
-                        workload=abbr,
-                        attempt=attempt,
-                        mode=mode,
-                    ):
-                        result = run_one(abbr, attempt)
+                    result = _attempt(
+                        abbr,
+                        plan.preset,
+                        plan.devices,
+                        self.options,
+                        self.cache,
+                        plan.stream_cache,
+                        tracer,
+                        attempt,
+                        self.fault_plan,
+                        mode="serial",
+                    )
                 except Exception as exc:
                     if policy.should_retry(exc, attempt):
                         delay = policy.backoff_s(abbr, attempt)
@@ -763,11 +589,6 @@ class CharacterizationEngine:
                     )
                     break
 
-    def _cache_dir_arg(self) -> Optional[str]:
-        if self.cache is not None and self.cache.cache_dir is not None:
-            return str(self.cache.cache_dir)
-        return None
-
     def _new_pool(self, jobs: int, tasks: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=min(jobs, tasks))
 
@@ -788,20 +609,12 @@ class CharacterizationEngine:
     def _run_parallel(
         self,
         selected: Sequence[str],
-        preset: ScalePreset,
+        plan: _RunPlan,
         jobs: int,
         journal: Optional[RunJournal],
         outcome: _ExecutionOutcome,
-        submit_task=None,
     ) -> None:
-        """Fan out across a process pool with retry/timeout/rebuild.
-
-        The submitted task is pluggable: *submit_task(pool, abbr,
-        attempt, handoff)* returns the wave's future for one workload
-        (default: :func:`_characterize_one` on ``self.device``; the
-        sweep path submits :func:`_sweep_one` over a device list).
-        Every worker must return the ``(abbr, result, stats, snapshot)``
-        tuple this loop harvests.
+        """Fan :func:`_sweep_one` out across a process pool.
 
         Work proceeds in waves: every unresolved workload is submitted,
         then awaited in registration order under the per-workload
@@ -816,22 +629,17 @@ class CharacterizationEngine:
         policy = self.retry_policy
         tracer = self._tracer
         session = self._obs
-        cache_dir = self._cache_dir_arg()
-        if submit_task is None:
-
-            def submit_task(pool, abbr: str, attempt: int, handoff):
-                return pool.submit(
-                    _characterize_one,
-                    abbr,
-                    preset.for_workload(abbr),
-                    preset.seed,
-                    self.device,
-                    self.options,
-                    cache_dir,
-                    attempt,
-                    self.fault_plan,
-                    handoff,
-                )
+        cache_dir = (
+            str(self.cache.cache_dir)
+            if self.cache is not None and self.cache.cache_dir is not None
+            else None
+        )
+        stream_cache_dir = (
+            str(plan.stream_cache.backend.cache_dir)
+            if plan.stream_cache is not None
+            and plan.stream_cache.backend.cache_dir is not None
+            else None
+        )
 
         try:
             pool = self._new_pool(jobs, len(selected))
@@ -875,10 +683,16 @@ class CharacterizationEngine:
                 tracer.incr("engine.retries")
                 time.sleep(delay)
             started.setdefault(abbr, time.monotonic())
-            return submit_task(
-                pool,
+            return pool.submit(
+                _sweep_one,
                 abbr,
+                plan.preset,
+                plan.devices,
+                self.options,
+                cache_dir,
+                stream_cache_dir,
                 attempts[abbr] + 1,
+                self.fault_plan,
                 session.handoff() if session is not None else None,
             )
 

@@ -1,27 +1,31 @@
 """Resumable run checkpoints: a per-run journal of completed workloads.
 
-A suite run interrupted after N workloads (crash, SIGTERM, power loss)
+A run interrupted after N workloads (crash, SIGTERM, power loss)
 should restart and re-run only the remaining ones — *even with the
 result cache disabled*.  The journal makes that possible by recording
-each completed characterization as it lands:
+each completed workload as it lands.  Suite runs and device sweeps
+share one format, because a suite run is a one-device sweep:
 
 ``<journal_dir>/run.json``
     Run metadata: journal schema version, the run key (a content
-    digest of device + simulation options + preset + workload
+    digest of the device(s) + simulation options + preset + workload
     selection), and the selected workload list.  A journal whose run
     key does not match the current run is stale and is wiped before
     the run starts — resuming is only ever offered for *identical*
     runs.
 ``<journal_dir>/done/<ABBR>.json``
-    One completion marker per finished workload, holding the full
-    serialized :class:`~repro.core.characterize.Characterization`
-    (lossless — see :mod:`repro.core.serialize`) plus the run key and
-    attempt count.
+    One completion marker per finished workload, holding its whole
+    device axis — ``{"devices": {device_name: characterization}}``,
+    serialized losslessly (see :mod:`repro.core.serialize`) — plus the
+    run key and attempt count.  A resumed run skips exactly the
+    workloads whose full device set already landed; the run key digests
+    the device list, so adding a device starts a fresh journal.
 
 All writes are atomic (temp file + ``os.replace``, like
 :mod:`repro.core.cache`), so a marker is either complete or absent;
-a corrupt or foreign marker is treated as "not done" and the workload
-simply re-runs.
+a corrupt or foreign marker — or one in the older single-device
+``{"characterization": ...}`` format — is treated as "not done" and the
+workload simply re-runs.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
 
 
 class RunJournal:
-    """Checkpoint store for one suite run identity.
+    """Checkpoint store for one run identity (suite run or sweep).
 
     The optional *tracer* (see :mod:`repro.obs`) emits a
     ``journal.checkpoint`` event per completion marker plus
@@ -97,7 +101,9 @@ class RunJournal:
             return None
         return meta if isinstance(meta, dict) else None
 
-    def begin(self, selected: Iterable[str]) -> Dict[str, Characterization]:
+    def begin(
+        self, selected: Iterable[str]
+    ) -> Dict[str, Dict[str, Characterization]]:
         """Start (or resume) a run; return already-completed results.
 
         If an existing journal matches this run key, the completed
@@ -145,8 +151,8 @@ class RunJournal:
 
     def _load_completed(
         self, selected: Iterable[str]
-    ) -> Dict[str, Characterization]:
-        completed: Dict[str, Characterization] = {}
+    ) -> Dict[str, Dict[str, Characterization]]:
+        completed: Dict[str, Dict[str, Characterization]] = {}
         for abbr in selected:
             path = self.marker_path(abbr)
             try:
@@ -154,17 +160,22 @@ class RunJournal:
                     marker = json.load(handle)
                 if marker.get("run_key") != self.run_key:
                     continue  # marker from a different run identity
-                completed[abbr] = characterization_from_dict(
-                    marker["characterization"]
-                )
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # absent or corrupt marker → just re-run it
+                completed[abbr] = {
+                    name: characterization_from_dict(payload)
+                    for name, payload in marker["devices"].items()
+                }
+            except (OSError, ValueError, KeyError, TypeError, AttributeError):
+                # Absent, corrupt or old-format marker → just re-run it.
+                continue
         return completed
 
     def mark_done(
-        self, abbr: str, result: Characterization, attempts: int = 1
+        self,
+        abbr: str,
+        result: Dict[str, Characterization],
+        attempts: int = 1,
     ) -> None:
-        """Atomically record *abbr* as completed with its full result."""
+        """Atomically record *abbr* with its full per-device result map."""
         _atomic_write_json(
             self.marker_path(abbr),
             {
@@ -172,7 +183,10 @@ class RunJournal:
                 "run_key": self.run_key,
                 "abbr": abbr.upper(),
                 "attempts": attempts,
-                "characterization": characterization_to_dict(result),
+                "devices": {
+                    name: characterization_to_dict(entry)
+                    for name, entry in result.items()
+                },
             },
         )
         self.tracer.event(
@@ -232,65 +246,3 @@ class RunJournal:
         self.tracer.event(
             "journal.finish", category="journal", status=meta["status"]
         )
-
-
-class SweepJournal(RunJournal):
-    """Checkpoint store for one device-sweep run identity.
-
-    Same on-disk layout and lifecycle as :class:`RunJournal`, but each
-    completion marker holds the workload's *whole device axis* —
-    ``{"devices": {device_name: characterization_dict}}`` — because the
-    sweep's unit of work is one workload across all devices, and a
-    resumed sweep must skip exactly the workloads whose full device set
-    already landed.  The run key (built by
-    :meth:`~repro.core.engine.CharacterizationEngine.sweep_run_key`)
-    digests the device list, so adding a device starts a fresh journal
-    rather than resuming against incomplete markers.
-    """
-
-    def _load_completed(
-        self, selected: Iterable[str]
-    ) -> Dict[str, Dict[str, Characterization]]:
-        completed: Dict[str, Dict[str, Characterization]] = {}
-        for abbr in selected:
-            path = self.marker_path(abbr)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    marker = json.load(handle)
-                if marker.get("run_key") != self.run_key:
-                    continue  # marker from a different run identity
-                completed[abbr] = {
-                    name: characterization_from_dict(payload)
-                    for name, payload in marker["devices"].items()
-                }
-            except (OSError, ValueError, KeyError, TypeError, AttributeError):
-                continue  # absent or corrupt marker → just re-run it
-        return completed
-
-    def mark_done(
-        self,
-        abbr: str,
-        result: Dict[str, Characterization],
-        attempts: int = 1,
-    ) -> None:
-        """Atomically record *abbr* with its full per-device result map."""
-        _atomic_write_json(
-            self.marker_path(abbr),
-            {
-                "schema": JOURNAL_SCHEMA_VERSION,
-                "run_key": self.run_key,
-                "abbr": abbr.upper(),
-                "attempts": attempts,
-                "devices": {
-                    name: characterization_to_dict(entry)
-                    for name, entry in result.items()
-                },
-            },
-        )
-        self.tracer.event(
-            "journal.checkpoint",
-            category="journal",
-            workload=abbr.upper(),
-            attempts=attempts,
-        )
-        self.tracer.incr("engine.journal_checkpoints")

@@ -28,7 +28,7 @@ from repro.gpu.metrics import KernelMetrics
 from repro.profiler.records import ApplicationProfile, KernelProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.suite import SuiteRunReport
+    from repro.core.suite import RunRecord, SuiteRunReport
     from repro.core.sweep import SweepRunReport
 
 
@@ -145,7 +145,45 @@ def scale_preset_from_dict(payload: Dict[str, Any]) -> ScalePreset:
     return ScalePreset(**payload)
 
 
-# -- whole suite-run reports ------------------------------------------
+# -- whole run reports -------------------------------------------------
+def _run_record_to_dict(report: "RunRecord") -> Dict[str, Any]:
+    """The run record's fields, in wire order (shared by both reports)."""
+    return {
+        "failures": [failure.as_dict() for failure in report.failures],
+        "attempts": dict(report.attempts),
+        "fallback_reason": report.fallback_reason,
+        "resumed": list(report.resumed),
+        "run_profile": (
+            report.run_profile.as_dict()
+            if report.run_profile is not None
+            else None
+        ),
+        "trace_dir": report.trace_dir,
+    }
+
+
+def _run_record_from_dict(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Constructor keyword arguments for the run record's fields."""
+    from repro.obs.metrics import RunProfile
+
+    profile = payload.get("run_profile")
+    return {
+        "failures": [
+            WorkloadFailure.from_dict(f) for f in payload.get("failures", [])
+        ],
+        "attempts": {
+            abbr: int(count)
+            for abbr, count in payload.get("attempts", {}).items()
+        },
+        "fallback_reason": payload.get("fallback_reason"),
+        "resumed": list(payload.get("resumed", [])),
+        "run_profile": (
+            RunProfile.from_dict(profile) if profile is not None else None
+        ),
+        "trace_dir": payload.get("trace_dir"),
+    }
+
+
 def suite_run_report_to_dict(report: "SuiteRunReport") -> Dict[str, Any]:
     """Serialize a whole run report — survivors *and* failure record.
 
@@ -161,24 +199,13 @@ def suite_run_report_to_dict(report: "SuiteRunReport") -> Dict[str, Any]:
             abbr: characterization_to_dict(result)
             for abbr, result in report.results.items()
         },
-        "failures": [failure.as_dict() for failure in report.failures],
-        "attempts": dict(report.attempts),
-        "fallback_reason": report.fallback_reason,
-        "resumed": list(report.resumed),
-        "run_profile": (
-            report.run_profile.as_dict()
-            if report.run_profile is not None
-            else None
-        ),
-        "trace_dir": report.trace_dir,
+        **_run_record_to_dict(report),
     }
 
 
 def suite_run_report_from_dict(payload: Dict[str, Any]) -> "SuiteRunReport":
     from repro.core.suite import SuiteRunReport
-    from repro.obs.metrics import RunProfile
 
-    profile = payload.get("run_profile")
     return SuiteRunReport(
         device=device_spec_from_dict(payload["device"]),
         preset=scale_preset_from_dict(payload["preset"]),
@@ -186,19 +213,7 @@ def suite_run_report_from_dict(payload: Dict[str, Any]) -> "SuiteRunReport":
             abbr: characterization_from_dict(result)
             for abbr, result in payload["results"].items()
         },
-        failures=[
-            WorkloadFailure.from_dict(f) for f in payload.get("failures", [])
-        ],
-        attempts={
-            abbr: int(count)
-            for abbr, count in payload.get("attempts", {}).items()
-        },
-        fallback_reason=payload.get("fallback_reason"),
-        resumed=list(payload.get("resumed", [])),
-        run_profile=(
-            RunProfile.from_dict(profile) if profile is not None else None
-        ),
-        trace_dir=payload.get("trace_dir"),
+        **_run_record_from_dict(payload),
     )
 
 
@@ -219,24 +234,13 @@ def sweep_run_report_to_dict(report: "SweepRunReport") -> Dict[str, Any]:
             }
             for abbr, per_device in report.results.items()
         },
-        "failures": [failure.as_dict() for failure in report.failures],
-        "attempts": dict(report.attempts),
-        "fallback_reason": report.fallback_reason,
-        "resumed": list(report.resumed),
-        "run_profile": (
-            report.run_profile.as_dict()
-            if report.run_profile is not None
-            else None
-        ),
-        "trace_dir": report.trace_dir,
+        **_run_record_to_dict(report),
     }
 
 
 def sweep_run_report_from_dict(payload: Dict[str, Any]) -> "SweepRunReport":
     from repro.core.sweep import SweepRunReport
-    from repro.obs.metrics import RunProfile
 
-    profile = payload.get("run_profile")
     return SweepRunReport(
         devices=[device_spec_from_dict(d) for d in payload["devices"]],
         preset=scale_preset_from_dict(payload["preset"]),
@@ -247,19 +251,7 @@ def sweep_run_report_from_dict(payload: Dict[str, Any]) -> "SweepRunReport":
             }
             for abbr, per_device in payload["results"].items()
         },
-        failures=[
-            WorkloadFailure.from_dict(f) for f in payload.get("failures", [])
-        ],
-        attempts={
-            abbr: int(count)
-            for abbr, count in payload.get("attempts", {}).items()
-        },
-        fallback_reason=payload.get("fallback_reason"),
-        resumed=list(payload.get("resumed", [])),
-        run_profile=(
-            RunProfile.from_dict(profile) if profile is not None else None
-        ),
-        trace_dir=payload.get("trace_dir"),
+        **_run_record_from_dict(payload),
     )
 
 

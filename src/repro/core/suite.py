@@ -50,15 +50,13 @@ class SuiteResult:
 
 
 @dataclass
-class SuiteRunReport(SuiteResult):
-    """A :class:`SuiteResult` plus the run's failure/resilience record.
+class RunRecord:
+    """The failure/resilience record every engine run report carries.
 
-    ``results`` holds the *surviving* characterizations (registration
-    order); every workload that failed terminally appears instead in
-    ``failures`` (also registration order) with its full traceback.
-    Downstream analyses degrade gracefully: suite aggregates are
-    computed over the survivors, and :meth:`SuiteResult.suite` already
-    skips absent workloads.
+    Shared by :class:`SuiteRunReport` and
+    :class:`~repro.core.sweep.SweepRunReport`: workloads that failed
+    terminally are listed in ``failures`` (registration order) with
+    their full tracebacks instead of appearing in the results.
     """
 
     failures: List[WorkloadFailure] = field(default_factory=list)
@@ -95,6 +93,18 @@ class SuiteRunReport(SuiteResult):
         return "\n".join(f.render() for f in self.failures)
 
 
+@dataclass
+class SuiteRunReport(RunRecord, SuiteResult):
+    """A :class:`SuiteResult` plus the run's :class:`RunRecord`.
+
+    ``results`` holds the *surviving* characterizations (registration
+    order); every workload that failed terminally appears instead in
+    ``failures``.  Downstream analyses degrade gracefully: suite
+    aggregates are computed over the survivors, and
+    :meth:`SuiteResult.suite` already skips absent workloads.
+    """
+
+
 def run_suite(
     suites: Sequence[str] = ("Cactus",),
     preset: ScalePreset = LAPTOP_SCALE,
@@ -124,7 +134,8 @@ def run_suite(
     :mod:`repro.obs` event log and Chrome-trace export for the run
     (run metrics on ``report.run_profile`` are collected regardless).
     This is a thin wrapper over
-    :class:`~repro.core.engine.CharacterizationEngine`.
+    :meth:`~repro.core.engine.CharacterizationEngine.run_suite`, which
+    runs a one-device sweep and returns its device slice.
     """
     from repro.core.cache import ResultCache
     from repro.core.engine import CharacterizationEngine

@@ -17,28 +17,25 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.characterize import Characterization
 from repro.core.config import LAPTOP_SCALE, ScalePreset
-from repro.core.resilience import RetryPolicy, WorkloadFailure
+from repro.core.resilience import RetryPolicy
+from repro.core.suite import RunRecord, SuiteRunReport
 from repro.gpu.device import DeviceSpec
 from repro.workloads.registry import list_workloads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import ResultCache
     from repro.core.streamcache import StreamCache
-    from repro.core.suite import SuiteResult
-    from repro.obs import RunProfile
     from repro.testing.faults import FaultPlan
 
 
 @dataclass
-class SweepRunReport:
+class SweepRunReport(RunRecord):
     """Per-workload, per-device characterizations plus the run record.
 
     ``results`` maps workload abbreviation → ``{device_name:
     Characterization}`` (workloads in registration order, devices in
-    sweep order).  Every entry is bit-for-bit identical to what a
-    scalar :func:`~repro.core.characterize.characterize` run on that
-    single device would produce — the differential suite
-    (``tests/engine/test_sweep.py``) pins this.
+    sweep order).  Every engine run produces one of these; a suite run
+    is the one-device case, viewed through :meth:`for_device`.
     """
 
     devices: List[DeviceSpec] = field(default_factory=list)
@@ -46,17 +43,6 @@ class SweepRunReport:
     results: Dict[str, Dict[str, Characterization]] = field(
         default_factory=dict
     )
-    failures: List[WorkloadFailure] = field(default_factory=list)
-    #: Attempt counts per executed workload (resumed ones are absent).
-    attempts: Dict[str, int] = field(default_factory=dict)
-    #: Why the engine degraded from the pool to the serial path, if it did.
-    fallback_reason: Optional[str] = None
-    #: Workloads skipped because a journal marked them already complete.
-    resumed: List[str] = field(default_factory=list)
-    #: Aggregated run observability (see :mod:`repro.obs`).
-    run_profile: Optional["RunProfile"] = None
-    #: Where the run's event log / Chrome trace landed, if tracing was on.
-    trace_dir: Optional[str] = None
 
     def __getitem__(self, abbr: str) -> Dict[str, Characterization]:
         return self.results[abbr.upper()]
@@ -68,26 +54,8 @@ class SweepRunReport:
         return len(self.results)
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def failed_workloads(self) -> List[str]:
-        return [f.abbr for f in self.failures]
-
-    @property
     def device_names(self) -> List[str]:
         return [d.name for d in self.devices]
-
-    def failure_for(self, abbr: str) -> Optional[WorkloadFailure]:
-        for failure in self.failures:
-            if failure.abbr == abbr.upper():
-                return failure
-        return None
-
-    def render_failures(self) -> str:
-        """One line per failed workload (empty string when all passed)."""
-        return "\n".join(f.render() for f in self.failures)
 
     def device(self, name: str) -> DeviceSpec:
         """The swept :class:`DeviceSpec` called *name* (exact match)."""
@@ -98,25 +66,28 @@ class SweepRunReport:
             f"device {name!r} not in sweep (have {self.device_names})"
         )
 
-    def for_device(self, name: str) -> "SuiteResult":
-        """One device's slice of the sweep as a plain SuiteResult.
+    def for_device(self, name: str) -> SuiteRunReport:
+        """One device's slice of the sweep, run record included.
 
-        The returned object is interchangeable with what ``run_suite``
-        on that device alone would yield (minus the run record), so
-        every existing single-device analysis — suite tables, roofline
-        charts, report sections — applies unmodified to a sweep slice.
+        The returned report is exactly what ``run_suite`` on that device
+        yields — ``run_suite`` *is* this view of a one-device sweep — so
+        every single-device analysis (suite tables, roofline charts,
+        report sections) applies unmodified to a sweep slice.
         """
-        from repro.core.suite import SuiteResult
-
-        spec = self.device(name)
-        return SuiteResult(
-            device=spec,
+        return SuiteRunReport(
+            device=self.device(name),
             preset=self.preset,
             results={
                 abbr: per_device[name]
                 for abbr, per_device in self.results.items()
                 if name in per_device
             },
+            failures=list(self.failures),
+            attempts=dict(self.attempts),
+            fallback_reason=self.fallback_reason,
+            resumed=list(self.resumed),
+            run_profile=self.run_profile,
+            trace_dir=self.trace_dir,
         )
 
     def suite(self, suite_name: str) -> List[Dict[str, Characterization]]:

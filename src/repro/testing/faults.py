@@ -41,7 +41,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 #: PID of the process that imported this module first (the test
 #: runner / engine parent under fork-based pools) — DIE faults only
@@ -166,16 +166,31 @@ class FaultPlan:
                     f"injected permanent fault in {abbr} (attempt {attempt})"
                 )
 
-    def after(self, abbr: str, attempt: int, result: Any, cache: Any) -> Any:
-        """Post-work hook: corrupt the result or the on-disk cache."""
+    def after(
+        self,
+        abbr: str,
+        attempt: int,
+        results: Dict[str, Any],
+        cache: Any,
+    ) -> Dict[str, Any]:
+        """Post-work hook: corrupt the per-device results or the cache.
+
+        *results* maps device name → characterization (one attempt's
+        whole device axis); ``CORRUPT_RESULT`` corrupts every entry.
+        Called once per attempt: ``CORRUPT_CACHE`` XORs the same first
+        file each time, so a second call would restore it.
+        """
         for fault in self.faults:
             if not fault.fires(abbr, attempt):
                 continue
             if fault.kind == CORRUPT_RESULT:
-                result = corrupt_characterization(result)
+                results = {
+                    name: corrupt_characterization(result)
+                    for name, result in results.items()
+                }
             elif fault.kind == CORRUPT_CACHE:
                 flip_cache_bytes(cache, max_files=fault.max_files)
-        return result
+        return results
 
 
 def corrupt_characterization(result: Any) -> Any:

@@ -222,16 +222,16 @@ class TestCollisions:
 
     def test_ablation_results_cached_separately(self, tmp_path):
         from repro.core.cache import ResultCache
-        from repro.core.engine import CharacterizationEngine
+        from repro.core.characterize import characterize
         from repro.workloads import get_workload
 
         cache = ResultCache(cache_dir=tmp_path)
-        modeled = CharacterizationEngine(cache=cache).characterize(
-            get_workload("GST", scale=0.005)
+        modeled = characterize(get_workload("GST", scale=0.005), cache=cache)
+        ablated = characterize(
+            get_workload("GST", scale=0.005),
+            options=SimulationOptions(model_caches=False),
+            cache=cache,
         )
-        ablated = CharacterizationEngine(
-            options=SimulationOptions(model_caches=False), cache=cache
-        ).characterize(get_workload("GST", scale=0.005))
         # Different keys → the second run simulated (stored), not hit.
         assert cache.stats.hits == 0
         assert cache.stats.stores == 2

@@ -17,8 +17,8 @@ from repro.core import (
     run_suite,
     run_sweep,
 )
-from repro.core.config import LAPTOP_SCALE
 from repro.gpu import DEVICE_ZOO, RTX_3080, V100
+from repro.testing import CRASH_PERMANENT, FaultPlan
 
 ZOO = list(DEVICE_ZOO.values())
 WLS = ["GMS", "GST", "DCG"]
@@ -63,7 +63,7 @@ class TestOneStreamManyDevices:
         report = run_sweep(ZOO, workloads=WLS)
         gen = report.run_profile.histograms.get("span.stream-gen_s")
         assert gen is not None and gen["count"] == len(WLS)
-        sims = report.run_profile.histograms.get("span.simulate-devices_s")
+        sims = report.run_profile.histograms.get("span.simulate_s")
         assert sims is not None and sims["count"] == len(WLS)
 
     def test_stream_cache_skips_generation_on_second_run(self, tmp_path):
@@ -113,7 +113,7 @@ class TestCacheInterop:
             [RTX_3080, V100], workloads=WLS, cache_dir=cache_dir
         )
         profile = again.run_profile
-        assert "span.simulate-devices_s" not in profile.histograms
+        assert "span.simulate_s" not in profile.histograms
         assert "span.stream-gen_s" not in profile.histograms
         for abbr in WLS:
             assert again.results[abbr] == first.results[abbr]
@@ -149,30 +149,22 @@ class TestParallelAndResume:
         assert all(len(wider.results[a]) == 2 for a in WLS)
 
 
-class TestEngineStreamMemo:
-    def test_characterize_twice_generates_once(self):
-        """Satellite: same workload object on two devices pays stream
-        generation once (the engine memoizes per object identity)."""
-        from repro.workloads import get_workload
 
-        calls = {"n": 0}
-        workload = get_workload(
-            "GST",
-            scale=LAPTOP_SCALE.for_workload("GST"),
-            seed=LAPTOP_SCALE.seed,
+class TestRunRecord:
+    def test_for_device_carries_the_run_record(self):
+        """A device slice is the SuiteRunReport run_suite would return:
+        failures, attempts and the run profile ride along."""
+        plan = FaultPlan.single("GST", CRASH_PERMANENT, attempts=())
+        report = run_sweep(
+            [RTX_3080, V100], workloads=WLS, keep_going=True, fault_plan=plan
         )
-        original = workload.launch_stream
+        for device in (RTX_3080, V100):
+            view = report.for_device(device.name)
+            assert view.ok is False
+            assert view.failed_workloads == ["GST"]
+            assert list(view.results) == ["GMS", "DCG"]
+            assert view.attempts == report.attempts
+            assert view.run_profile is report.run_profile
 
-        def counting():
-            calls["n"] += 1
-            return original()
-
-        workload.launch_stream = counting
-        engine = CharacterizationEngine(device=RTX_3080)
-        first = engine.characterize(workload)
-        engine.device = V100
-        second = engine.characterize(workload)
-        assert calls["n"] == 1
-        assert first.abbr == second.abbr == "GST"
-        # Different devices, so genuinely different characterizations.
-        assert first.profile.total_time_s != second.profile.total_time_s
+    def test_sweep_profiles_the_simulate_phase(self, sweep_report):
+        assert sweep_report.run_profile.phase_seconds("simulate") > 0

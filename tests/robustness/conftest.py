@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import LAPTOP_SCALE, RetryPolicy, run_suite
+from repro.core import LAPTOP_SCALE, RetryPolicy, run_suite, run_sweep
+from repro.gpu import RTX_3080, V100
 
 #: Registration-ordered slice used throughout: GMS < GST < GRU.
 WORKLOADS = ["GMS", "GST", "GRU"]
@@ -27,7 +28,20 @@ def run_slice(**kwargs):
     )
 
 
+def run_sweep_slice(**kwargs):
+    """A two-device sweep over the standard three-workload slice."""
+    return run_sweep(
+        [RTX_3080, V100], preset=LAPTOP_SCALE, workloads=WORKLOADS, **kwargs
+    )
+
+
 @pytest.fixture(scope="session")
 def baseline():
     """Fault-free serial reference run (bit-for-bit ground truth)."""
     return run_slice()
+
+
+@pytest.fixture(scope="session")
+def sweep_baseline():
+    """Fault-free two-device sweep reference run."""
+    return run_sweep_slice()

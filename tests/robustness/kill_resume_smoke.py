@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Kill-and-resume smoke: SIGTERM a live suite run, then resume it.
+"""Kill-and-resume smoke: SIGTERM a live run, then resume it.
 
 Not a pytest module (the filename keeps it out of collection) — this is
-an end-to-end process-level check used by the CI ``robustness`` job:
+an end-to-end process-level check used by the CI ``robustness`` job.
+For each case — ``table1`` (a suite run) and ``sweep`` (a two-device
+sweep; both share one journal format):
 
-1. launch ``python -m repro table1`` with a journal dir and no cache,
+1. launch ``python -m repro`` with a journal dir and no cache,
 2. poll the journal's ``done/`` markers and SIGTERM the process once at
    least two workloads have been checkpointed,
 3. rerun the identical command and assert it resumes (skipping every
    checkpointed workload) and completes with exit code 0.
 
+Usage: ``kill_resume_smoke.py [table1] [sweep]`` (default: both).
 Exit code 0 = smoke passed.
 """
 
@@ -39,11 +42,18 @@ def _env():
     return env
 
 
-def _command(journal_dir):
+#: Subcommand arguments of each case.
+CASES = {
+    "table1": ["table1"],
+    "sweep": ["sweep", "--devices", "RTX 3080,V100"],
+}
+
+
+def _command(journal_dir, case):
     return [
         sys.executable, "-m", "repro",
         "--no-cache", "--journal-dir", str(journal_dir),
-        "table1",
+        *CASES[case],
     ]
 
 
@@ -61,12 +71,13 @@ def _cactus_workloads():
     return set(list_workloads("Cactus"))
 
 
-def main():
-    expected = _cactus_workloads()
+def smoke(case, expected):
+    """One SIGTERM-then-resume cycle for *case*; returns an exit code."""
+    print(f"[{case}]")
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as journal_dir:
         # -- phase 1: start and kill mid-run ---------------------------
         proc = subprocess.Popen(
-            _command(journal_dir), env=_env(),
+            _command(journal_dir, case), env=_env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         deadline = time.monotonic() + DEADLINE_S
@@ -105,7 +116,7 @@ def main():
 
         # -- phase 2: resume -------------------------------------------
         result = subprocess.run(
-            _command(journal_dir), env=_env(),
+            _command(journal_dir, case), env=_env(),
             capture_output=True, text=True, timeout=DEADLINE_S,
         )
         if result.returncode != 0:
@@ -134,5 +145,14 @@ def main():
         return 0
 
 
+def main(argv):
+    expected = _cactus_workloads()
+    for case in argv or list(CASES):
+        rc = smoke(case, expected)
+        if rc:
+            return rc
+    return 0
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

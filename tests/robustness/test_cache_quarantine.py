@@ -10,7 +10,7 @@ from repro.core import ResultCache
 from repro.testing import CORRUPT_CACHE, FaultPlan
 from repro.testing.faults import flip_cache_bytes
 
-from .conftest import run_slice
+from .conftest import run_slice, run_sweep_slice
 
 KEY = "ab" + "0" * 62
 
@@ -133,6 +133,22 @@ class TestEndToEnd:
 
         rerun = run_slice(cache_dir=tmp_path)
         assert rerun.results == baseline.results
+
+    def test_corrupt_cache_fault_reaches_sweeps(self, sweep_baseline, tmp_path):
+        # Sweeps run the same attempt body as suite runs, so the
+        # post-work hook fires there too — once per attempt, whatever
+        # the device count: exactly one entry is left corrupted.
+        plan = FaultPlan.single("GMS", CORRUPT_CACHE)
+        first = run_sweep_slice(cache_dir=str(tmp_path), fault_plan=plan)
+        assert first.results == sweep_baseline.results
+
+        scanner = ResultCache(cache_dir=tmp_path)
+        for path in sorted(scanner.version_dir.glob("*/*.json")):
+            scanner.get(path.stem)
+        assert scanner.stats.corrupt == 1
+
+        rerun = run_sweep_slice(cache_dir=str(tmp_path))
+        assert rerun.results == sweep_baseline.results
 
     def test_quarantined_files_do_not_count_as_entries(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)

@@ -76,6 +76,22 @@ class TestResume:
         assert report.ok
         assert report.results == baseline.results
 
+    def test_old_format_marker_reruns_the_workload(self, baseline, tmp_path):
+        """A marker in the older single-device format
+        (``{"characterization": ...}``) is "not done": it re-runs."""
+        run_slice(journal_dir=tmp_path)
+        marker = tmp_path / "done" / "GST.json"
+        payload = json.loads(marker.read_text(encoding="utf-8"))
+        (payload["characterization"],) = payload.pop("devices").values()
+        marker.write_text(json.dumps(payload), encoding="utf-8")
+        report = run_slice(journal_dir=tmp_path)
+        assert report.resumed == ["GMS", "GRU"]
+        assert report.ok
+        assert report.results == baseline.results
+        # The re-run rewrote the marker in the per-device format.
+        rewritten = json.loads(marker.read_text(encoding="utf-8"))
+        assert list(rewritten["devices"]) == ["RTX 3080"]
+
     def test_failed_workloads_are_not_marked_done(self, tmp_path):
         plan = FaultPlan.single("GST", CRASH_PERMANENT, attempts=())
         run_slice(journal_dir=tmp_path, keep_going=True, fault_plan=plan)
@@ -95,7 +111,7 @@ class TestRunJournalUnit:
     def test_foreign_marker_ignored(self, baseline, tmp_path):
         ours = RunJournal(tmp_path, run_key="k1")
         ours.begin(["GMS"])
-        ours.mark_done("GMS", baseline["GMS"])
+        ours.mark_done("GMS", {"RTX 3080": baseline["GMS"]})
         # Same directory, different identity: marker must not leak.
         theirs = RunJournal(tmp_path, run_key="k2")
         assert theirs.begin(["GMS"]) == {}
@@ -103,9 +119,11 @@ class TestRunJournalUnit:
     def test_mark_done_round_trips_losslessly(self, baseline, tmp_path):
         journal = RunJournal(tmp_path, run_key="k1")
         journal.begin(WORKLOADS)
-        journal.mark_done("GMS", baseline["GMS"], attempts=2)
+        per_device = {"RTX 3080": baseline["GMS"], "V100": baseline["GST"]}
+        journal.mark_done("GMS", per_device, attempts=2)
         resumed = journal.begin(WORKLOADS)
-        assert resumed["GMS"] == baseline["GMS"]
+        assert resumed == {"GMS": per_device}
+        assert list(resumed["GMS"]) == ["RTX 3080", "V100"]
         assert journal.completed_workloads() == ["GMS"]
 
     def test_run_key_depends_on_identity(self):

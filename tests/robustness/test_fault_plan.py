@@ -96,8 +96,11 @@ class TestCorruption:
 
     def test_corrupt_result_fault_applies(self, baseline):
         plan = FaultPlan.single("GMS", CORRUPT_RESULT)
-        original = baseline["GMS"]
-        assert plan.after("GMS", 1, original, None) != original
+        original = {"RTX 3080": baseline["GMS"], "V100": baseline["GMS"]}
+        corrupted = plan.after("GMS", 1, original, None)
+        # Every device's entry of the attempt is corrupted.
+        assert list(corrupted) == list(original)
+        assert all(corrupted[name] != original[name] for name in original)
         assert plan.after("GMS", 2, original, None) == original  # off-schedule
 
     def test_flip_cache_bytes(self, tmp_path):
