@@ -46,9 +46,9 @@ def _run_suites(suites):
 
     With ``REPRO_REQUIRE_CACHE_WARM=1`` (the CI warm run), the fixture
     fails unless every characterization was served from the persistent
-    cache — a 100% hit rate, zero misses.  A silent cache-key or
-    serialization regression would otherwise recompute everything and
-    still pass.
+    cache — a 100% hit rate, zero misses — and no launch stream was
+    generated.  A silent cache-key or serialization regression would
+    otherwise recompute (or regenerate) everything and still pass.
     """
     from repro.core import ResultCache
 
@@ -68,6 +68,13 @@ def _run_suites(suites):
                 f"{'+'.join(suites)} run was not fully cache-served: "
                 f"{stats.render()} (hit rate "
                 f"{stats.hit_rate:.0%}, want 100%)"
+            )
+            histograms = report.run_profile.histograms
+            assert "span.stream-gen_s" not in histograms, (
+                f"REPRO_REQUIRE_CACHE_WARM is set but the "
+                f"{'+'.join(suites)} run generated "
+                f"{histograms['span.stream-gen_s']['count']} launch "
+                f"stream(s); a warm hit must not need one"
             )
     return report
 

@@ -21,8 +21,8 @@ Commands
 ``trace ABBR PATH``
     Export a workload's kernel launch stream as a JSONL trace.
 ``cache``
-    Inspect the persistent result cache: entry counts, schema
-    version directory, and optional pruning of stale version trees.
+    Inspect the persistent result cache: entry counts, version
+    directory, source fingerprint, and optional pruning of stale trees.
 ``similar``
     Build a kernel-similarity index over a suite run and answer
     nearest-neighbour or representative-subset queries.
@@ -49,6 +49,7 @@ from repro.core import (
     run_sweep,
 )
 from repro.gpu.device import DEVICE_ZOO, device_by_name
+from repro.gpu.digest import source_fingerprint
 from repro.core.report import generate_report
 from repro.workloads import get_workload, list_workloads
 
@@ -378,16 +379,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "cache",
         help="inspect (and optionally prune) the persistent result cache",
         description=(
-            "Prints the persistent cache location, schema version "
-            "directory, and entry count for the --cache-dir (or "
-            "$REPRO_CACHE_DIR) tree.  --prune removes version trees "
-            "left behind by older cache schemas."
+            "Prints the persistent cache location, version directory, "
+            "model-source fingerprint, and entry count for the "
+            "--cache-dir (or $REPRO_CACHE_DIR) tree.  --prune removes "
+            "version trees of other cache schemas and other source "
+            "fingerprints."
         ),
     )
     cache_cmd.add_argument(
         "--prune",
         action="store_true",
-        help="delete persistent trees of older cache schema versions",
+        help=(
+            "delete persistent trees of other cache schema versions "
+            "and other source fingerprints"
+        ),
     )
 
     similar = sub.add_parser(
@@ -621,10 +626,11 @@ def _cmd_cache(args, cache: Optional[ResultCache]) -> int:
         return 0
     print(f"cache dir:    {cache.cache_dir}")
     print(f"version dir:  {cache.version_dir}")
+    print(f"fingerprint:  {source_fingerprint()}")
     print(f"entries:      {cache.persistent_entries()}")
     if args.prune:
         removed = cache.prune()
-        print(f"pruned:       {removed} stale version tree(s)")
+        print(f"pruned:       {removed} stale tree(s)")
     print(f"stats:        {cache.stats.render()}")
     return 0
 

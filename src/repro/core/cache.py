@@ -1,4 +1,4 @@
-"""Content-addressed result cache for the characterization engine.
+"""Persistent result cache for the characterization engine.
 
 Layout
 ------
@@ -8,7 +8,10 @@ A :class:`ResultCache` has two tiers:
 * an **in-memory LRU** (bounded ``OrderedDict``) that serves repeated
   lookups within one process at dict speed, and
 * an optional **persistent tier**: one JSON file per entry under
-  ``<cache_dir>/v<CACHE_SCHEMA_VERSION>/<key[:2]>/<key>.json``.
+  ``<cache_dir>/<version>/<namespace>/<key[:2]>/<key>.json``, where
+  ``<version>`` is ``v<CACHE_SCHEMA_VERSION>-<fingerprint[:16]>``
+  (:func:`~repro.gpu.digest.source_fingerprint`) and the namespace is
+  empty for characterizations (``streams`` for the stream cache).
 
 Keys are hex SHA-256 digests produced by :mod:`repro.gpu.digest`; the
 two-character fan-out directory keeps any single directory small even
@@ -17,10 +20,11 @@ with hundreds of thousands of entries.  Writes are atomic (temp file +
 directory can never observe a torn entry; a corrupt or unreadable file
 is treated as a miss and rewritten.
 
-Invalidation is by versioning, not deletion: the schema version is part
-of both the key material and the directory path, so bumping
-:data:`~repro.gpu.digest.CACHE_SCHEMA_VERSION` orphans every stale
-entry at once (``prune`` removes orphaned version trees).
+Invalidation is by directory, not deletion: the version directory is
+named after the schema version *and* the model source, so a payload
+schema bump or any edit to the model code orphans every stale entry at
+once (``prune`` removes orphaned trees).  Nothing has to be bumped by
+hand.
 
 Corruption handling: an entry that exists but cannot be parsed
 (truncated write from a killed process, at-rest bit rot) is counted in
@@ -39,15 +43,14 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 from repro.gpu.device import DeviceSpec
 from repro.gpu.digest import (
     CACHE_SCHEMA_VERSION,
-    launch_stream_digest,
+    source_fingerprint,
     stable_digest,
 )
-from repro.gpu.kernel import KernelLaunch
 
 
 @dataclass
@@ -114,10 +117,12 @@ class CacheStats:
 
 @dataclass
 class ResultCache:
-    """Two-tier (LRU memory + optional disk) content-addressed cache."""
+    """Two-tier (LRU memory + optional disk) keyed cache."""
 
     cache_dir: Optional[Path] = None
     max_memory_entries: int = 4096
+    #: Subdirectory of the version tree holding this cache's entries.
+    namespace: str = ""
     stats: CacheStats = field(default_factory=CacheStats)
     #: Optional run-scoped tracer (see :mod:`repro.obs`): every get/put
     #: also bumps ``cache.*`` run metrics and, when an event log is
@@ -143,13 +148,15 @@ class ResultCache:
     def version_dir(self) -> Optional[Path]:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"v{CACHE_SCHEMA_VERSION}"
+        return self.cache_dir / (
+            f"v{CACHE_SCHEMA_VERSION}-{source_fingerprint()[:16]}"
+        )
 
     def _path(self, key: str) -> Optional[Path]:
         root = self.version_dir
         if root is None:
             return None
-        return root / key[:2] / f"{key}.json"
+        return root / self.namespace / key[:2] / f"{key}.json"
 
     # -- observability -------------------------------------------------
     def _observe(self, op: str, key: str, outcome: str) -> None:
@@ -256,16 +263,21 @@ class ResultCache:
         root = self.version_dir
         if root is None or not root.is_dir():
             return 0
-        return sum(1 for _ in root.glob("*/*.json"))
+        return sum(1 for _ in (root / self.namespace).glob("*/*.json"))
 
     def prune(self) -> int:
-        """Drop persistent trees of older schema versions; count them."""
+        """Drop trees of other versions and source fingerprints; count them.
+
+        Also drops the ``streams`` tree older versions kept beside the
+        version trees.
+        """
         if self.cache_dir is None or not self.cache_dir.is_dir():
             return 0
         removed = 0
-        keep = f"v{CACHE_SCHEMA_VERSION}"
+        keep = self.version_dir.name
         for child in self.cache_dir.iterdir():
-            if child.is_dir() and child.name.startswith("v") and child.name != keep:
+            stale = child.name.startswith("v") or child.name == "streams"
+            if child.is_dir() and stale and child.name != keep:
                 shutil.rmtree(child, ignore_errors=True)
                 removed += 1
         return removed
@@ -277,25 +289,19 @@ class ResultCache:
 def characterization_key(
     device: DeviceSpec,
     options: Any,
-    workload_identity: Dict[str, Any],
-    launches: Iterable[KernelLaunch],
+    abbr: str,
+    scale: float,
+    seed: int,
 ) -> str:
-    """Cache key for a whole-workload characterization result.
+    """Cache key for one workload's characterization on one device.
 
-    Content-addressed on the (steady-state-cropped) launch stream: any
-    change to the workload model that alters even one launch changes the
-    key, so stale results can never be served.  The device and
-    simulation options cover the simulator and roofline classification;
-    *workload_identity* (name/abbr/suite/domain) covers the metadata
-    columns carried into Table I.
+    Keyed on the recipe, not the stream: ``get_workload(abbr, scale,
+    seed)`` fully determines the launch stream, so a lookup needs no
+    stream at all.  The device and simulation options cover the
+    simulator and roofline classification.  Model edits are caught by
+    the fingerprinted version directory, not by the key.
     """
     return stable_digest(
-        [
-            "characterization",
-            CACHE_SCHEMA_VERSION,
-            device,
-            options,
-            workload_identity,
-            launch_stream_digest(launches),
-        ]
+        ["characterization", CACHE_SCHEMA_VERSION, device, options, abbr,
+         scale, seed]
     )

@@ -14,10 +14,11 @@ over the naive serial loop:
   order, so a parallel run is indistinguishable from a serial one.
 * **Result reuse** — an optional :class:`~repro.core.cache.ResultCache`
   memoizes whole :class:`~repro.core.characterize.Characterization`
-  objects, keyed on content digests of ``(DeviceSpec,
-  SimulationOptions, launch stream)``.  A warm run replays the suite
-  from disk without touching the timing model; within one workload
-  the simulator's in-process memo reuses per-kernel metrics.
+  objects, keyed on the recipe ``(DeviceSpec, SimulationOptions, abbr,
+  scale, seed)`` the engine rebuilds each workload from.  A warm run
+  replays the suite from disk without generating a single stream;
+  within one workload the simulator's in-process memo reuses
+  per-kernel metrics.
 * **Fault tolerance** — every worker exception is captured into a
   structured :class:`~repro.core.resilience.WorkloadFailure` instead of
   aborting the run; a :class:`~repro.core.resilience.RetryPolicy`
@@ -52,11 +53,19 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cache import CacheStats, ResultCache
-from repro.core.characterize import Characterization, characterize_devices
+from repro.core.cache import CacheStats, ResultCache, characterization_key
+from repro.core.characterize import (
+    Characterization,
+    characterize_devices,
+    generate_stream,
+)
 from repro.core.config import LAPTOP_SCALE, ScalePreset
 from repro.core.journal import RunJournal
-from repro.core.streamcache import StreamCache
+from repro.core.serialize import (
+    characterization_from_dict,
+    characterization_to_dict,
+)
+from repro.core.streamcache import StreamCache, stream_key
 from repro.core.resilience import (
     RetryPolicy,
     SuiteRunError,
@@ -65,7 +74,11 @@ from repro.core.resilience import (
 from repro.core.suite import SuiteRunReport
 from repro.core.sweep import SweepRunReport
 from repro.gpu.device import RTX_3080, DeviceSpec
-from repro.gpu.digest import CACHE_SCHEMA_VERSION, stable_digest
+from repro.gpu.digest import (
+    CACHE_SCHEMA_VERSION,
+    launch_stream_digest,
+    stable_digest,
+)
 from repro.gpu.simulator import SimulationOptions
 from repro.obs import NULL_TRACER, ObsSession, TraceHandoff, Tracer, worker_tracer
 from repro.workloads.registry import get_workload, list_workloads
@@ -102,11 +115,16 @@ def _attempt(
     """One attempt at one workload across every device of the run.
 
     The only attempt body, shared by the serial loop (``mode="serial"``)
-    and the pool worker (``mode="pool"``): it rebuilds the workload
-    from its identity and runs
-    :func:`~repro.core.characterize.characterize_devices`.  The
-    *fault_plan* hooks run once per attempt and are strict no-ops when
-    the plan is empty (the fault-free differential test pins this).
+    and the pool worker (``mode="pool"``).  The engine rebuilds every
+    workload as ``get_workload(abbr, scale, seed)``, so it probes the
+    result cache under those recipe keys first; if every device hits,
+    no workload or stream is built.  Otherwise the stream is loaded or
+    generated and digested once, and the missed devices go through
+    :func:`~repro.core.characterize.characterize_devices`, stored with
+    that ``stream_digest``.  A hit whose ``stream_digest`` differs from
+    the stream in hand is stale: recomputed, overwritten and counted in
+    ``cache.stale``.  The *fault_plan* hooks run once per attempt and
+    are strict no-ops when the plan is empty.
     """
     with tracer.span(
         "attempt",
@@ -118,20 +136,82 @@ def _attempt(
     ):
         if fault_plan is not None:
             fault_plan.before(abbr, attempt)
-        workload = get_workload(
-            abbr, scale=preset.for_workload(abbr), seed=preset.seed
-        )
-        result = characterize_devices(
-            workload,
-            list(devices),
-            options=options,
-            cache=cache,
-            stream_cache=stream_cache,
-            tracer=tracer,
-        )
+        scale, seed = preset.for_workload(abbr), preset.seed
+        keys: Dict[str, str] = {}
+        hits: Dict[str, Tuple[Characterization, Optional[str]]] = {}
+        if cache is not None:
+            with tracer.span(
+                "cache-lookup",
+                category="phase",
+                workload=abbr,
+                devices=len(devices),
+            ) as sp:
+                for device in devices:
+                    keys[device.name] = key = characterization_key(
+                        device, options, abbr, scale, seed
+                    )
+                    payload = cache.get(key)
+                    if payload is None:
+                        continue
+                    try:
+                        hits[device.name] = (
+                            characterization_from_dict(payload),
+                            payload.get("stream_digest"),
+                        )
+                    except (KeyError, TypeError, ValueError):
+                        pass  # schema-corrupt entry → recompute below
+                sp.set_attr("hits", len(hits))
+        result = {name: hit[0] for name, hit in hits.items()}
+        if len(hits) < len(devices):
+            workload = get_workload(abbr, scale=scale, seed=seed)
+            stream = _load_stream(workload, stream_cache, tracer)
+            digest = (
+                launch_stream_digest(stream) if cache is not None else None
+            )
+            stale = [n for n, hit in hits.items() if hit[1] != digest]
+            if stale:
+                tracer.incr("cache.stale", float(len(stale)))
+            fresh = characterize_devices(
+                workload,
+                [d for d in devices if d.name not in hits or d.name in stale],
+                options=options,
+                tracer=tracer,
+                stream=stream,
+            )
+            if cache is not None:
+                with tracer.span(
+                    "cache-store",
+                    category="phase",
+                    workload=abbr,
+                    devices=len(fresh),
+                ):
+                    for name, characterization in fresh.items():
+                        payload = characterization_to_dict(characterization)
+                        payload["stream_digest"] = digest
+                        cache.put(keys[name], payload)
+            result.update(fresh)
+        result = {device.name: result[device.name] for device in devices}
         if fault_plan is not None:
             result = fault_plan.after(abbr, attempt, result, cache)
     return result
+
+
+def _load_stream(workload, stream_cache: Optional[StreamCache], tracer: Tracer):
+    """*workload*'s stream from *stream_cache*, else generated (and stored)."""
+    if stream_cache is None:
+        return generate_stream(workload, tracer)
+    key = stream_key(workload.abbr, workload.scale, workload.seed)
+    with tracer.span(
+        "stream-cache-lookup", category="phase", workload=workload.abbr
+    ):
+        stream = stream_cache.get(key)
+    if stream is None:
+        stream = generate_stream(workload, tracer)
+        with tracer.span(
+            "stream-cache-store", category="phase", workload=workload.abbr
+        ):
+            stream_cache.put(key, stream)
+    return stream
 
 
 def _sweep_one(
@@ -139,8 +219,8 @@ def _sweep_one(
     preset: ScalePreset,
     devices: Tuple[DeviceSpec, ...],
     options: SimulationOptions,
-    cache_dir: Optional[str],
-    stream_cache_dir: Optional[str],
+    cache_dir: Optional["os.PathLike[str] | str"],
+    stream_cache_dir: Optional["os.PathLike[str] | str"],
     attempt: int = 1,
     fault_plan: Optional["FaultPlan"] = None,
     handoff: Optional[TraceHandoff] = None,
@@ -149,7 +229,7 @@ def _sweep_one(
 
     Module-level (picklable) so it can run inside a process pool.  Each
     worker owns one workload end to end, generates (or loads) its
-    stream exactly once, and opens its own handles on the shared cache
+    stream at most once, and opens its own handles on the shared cache
     directories — entry writes are atomic, so concurrent workers can
     share them safely.
 
@@ -161,9 +241,7 @@ def _sweep_one(
     boundary.
     """
     tracer = worker_tracer(handoff)
-    cache = ResultCache(cache_dir=cache_dir) if cache_dir else None
-    if cache is not None:
-        cache.tracer = tracer
+    cache = ResultCache(cache_dir=cache_dir, tracer=tracer) if cache_dir else None
     stream_cache = (
         StreamCache(cache_dir=stream_cache_dir) if stream_cache_dir else None
     )
@@ -257,7 +335,7 @@ class CharacterizationEngine:
     trace_dir: Optional[str] = None
     #: Optional device-independent launch-stream cache (see
     #: :mod:`repro.core.streamcache`).  When absent but ``cache`` has a
-    #: disk tier, sweeps derive one under ``<cache_dir>/streams``.
+    #: disk tier, sweeps derive one in the same version tree.
     stream_cache: Optional[StreamCache] = None
 
     def select(
@@ -342,11 +420,11 @@ class CharacterizationEngine:
     ) -> SweepRunReport:
         """Characterize every workload of *suites* across N devices.
 
-        Each stream is generated once per run and cached device-free in
-        the stream cache (``stream_cache``, or one derived under
-        ``<cache_dir>/streams``) for the next run.  Result cache keys
-        are the ones :meth:`run_suite` uses, so a suite run on any zoo
-        device warm-starts the sweep and vice versa.
+        Each stream is generated at most once per run and cached
+        device-free in the stream cache (``stream_cache``, or one
+        derived from ``cache``'s directory) for the next run.  Result
+        cache keys are the ones :meth:`run_suite` uses, so a suite run
+        on any zoo device warm-starts the sweep and vice versa.
         """
         devices = list(devices)
         selected = self.select(suites, workloads)
@@ -372,9 +450,7 @@ class CharacterizationEngine:
         if self.stream_cache is not None:
             return self.stream_cache
         if self.cache is not None and self.cache.cache_dir is not None:
-            return StreamCache(
-                cache_dir=os.path.join(str(self.cache.cache_dir), "streams")
-            )
+            return StreamCache(cache_dir=self.cache.cache_dir)
         return None
 
     # -- the one execution path ----------------------------------------
@@ -414,10 +490,8 @@ class CharacterizationEngine:
         self._session = session
         # In-process cache traffic counts toward this run's metrics;
         # the tracers are detached again before returning.
-        restore_cache_tracer = False
         if self.cache is not None and self.cache.tracer is None:
             self.cache.tracer = session.tracer
-            restore_cache_tracer = True
         if stream_cache is not None and stream_cache.tracer is None:
             stream_cache.tracer = session.tracer
         try:
@@ -480,7 +554,7 @@ class CharacterizationEngine:
                 if journal is not None:
                     journal.finish(ok=not report.failures)
         finally:
-            if restore_cache_tracer and self.cache is not None:
+            if self.cache is not None and self.cache.tracer is session.tracer:
                 self.cache.tracer = None
             if stream_cache is not None and stream_cache.tracer is session.tracer:
                 stream_cache.tracer = None
@@ -589,6 +663,19 @@ class CharacterizationEngine:
                     )
                     break
 
+    def _fall_back(self, outcome: _ExecutionOutcome, reason: str) -> None:
+        """Record why the run degrades to the serial path, and warn."""
+        outcome.fallback_reason = reason
+        self._tracer.event(
+            "pool.fallback-serial", category="resilience", reason=reason
+        )
+        self._tracer.incr("engine.pool_fallbacks")
+        warnings.warn(
+            f"{reason}; degrading to serial execution",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+
     def _new_pool(self, jobs: int, tasks: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=min(jobs, tasks))
 
@@ -629,35 +716,16 @@ class CharacterizationEngine:
         policy = self.retry_policy
         tracer = self._tracer
         session = self._obs
-        cache_dir = (
-            str(self.cache.cache_dir)
-            if self.cache is not None and self.cache.cache_dir is not None
-            else None
-        )
+        cache_dir = self.cache.cache_dir if self.cache is not None else None
         stream_cache_dir = (
-            str(plan.stream_cache.backend.cache_dir)
-            if plan.stream_cache is not None
-            and plan.stream_cache.backend.cache_dir is not None
-            else None
+            plan.stream_cache.cache_dir if plan.stream_cache is not None else None
         )
 
         try:
             pool = self._new_pool(jobs, len(selected))
         except _POOL_UNAVAILABLE as exc:
-            outcome.fallback_reason = (
-                f"process pool unavailable: {type(exc).__name__}: {exc}"
-            )
-            tracer.event(
-                "pool.fallback-serial",
-                category="resilience",
-                reason=outcome.fallback_reason,
-            )
-            tracer.incr("engine.pool_fallbacks")
-            warnings.warn(
-                f"{outcome.fallback_reason}; falling back to serial "
-                f"execution",
-                RuntimeWarning,
-                stacklevel=2,
+            self._fall_back(
+                outcome, f"process pool unavailable: {type(exc).__name__}: {exc}"
             )
             return
 
@@ -722,21 +790,10 @@ class CharacterizationEngine:
             try:
                 pool = self._new_pool(jobs, max(len(pending), 1))
             except _POOL_UNAVAILABLE as exc:
-                outcome.fallback_reason = (
+                self._fall_back(
+                    outcome,
                     f"pool rebuild failed after {reason}: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                tracer.event(
-                    "pool.fallback-serial",
-                    category="resilience",
-                    reason=outcome.fallback_reason,
-                )
-                tracer.incr("engine.pool_fallbacks")
-                warnings.warn(
-                    f"{outcome.fallback_reason}; degrading to serial "
-                    f"execution",
-                    RuntimeWarning,
-                    stacklevel=3,
+                    f"{type(exc).__name__}: {exc}",
                 )
                 return False
             return True
@@ -774,21 +831,10 @@ class CharacterizationEngine:
                         if rebuild(f"submit-time {type(exc).__name__}"):
                             continue
                     else:
-                        outcome.fallback_reason = (
+                        self._fall_back(
+                            outcome,
                             f"process pool broke twice: "
-                            f"{type(exc).__name__}: {exc}"
-                        )
-                        tracer.event(
-                            "pool.fallback-serial",
-                            category="resilience",
-                            reason=outcome.fallback_reason,
-                        )
-                        tracer.incr("engine.pool_fallbacks")
-                        warnings.warn(
-                            f"{outcome.fallback_reason}; degrading to "
-                            f"serial execution",
-                            RuntimeWarning,
-                            stacklevel=2,
+                            f"{type(exc).__name__}: {exc}",
                         )
                         self._kill_pool(pool)
                     return
@@ -835,21 +881,10 @@ class CharacterizationEngine:
                             rebuilds_left -= 1
                             if rebuild(type(exc).__name__):
                                 break
-                        outcome.fallback_reason = (
+                        self._fall_back(
+                            outcome,
                             f"process pool broke twice: "
-                            f"{type(exc).__name__}: {exc}"
-                        )
-                        tracer.event(
-                            "pool.fallback-serial",
-                            category="resilience",
-                            reason=outcome.fallback_reason,
-                        )
-                        tracer.incr("engine.pool_fallbacks")
-                        warnings.warn(
-                            f"{outcome.fallback_reason}; degrading to "
-                            f"serial execution",
-                            RuntimeWarning,
-                            stacklevel=2,
+                            f"{type(exc).__name__}: {exc}",
                         )
                         self._kill_pool(pool)
                         return

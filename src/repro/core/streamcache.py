@@ -1,29 +1,26 @@
-"""Stream-level cache: launch streams keyed on workload identity alone.
+"""Stream-level cache: launch streams keyed on the workload recipe alone.
 
 The result cache (:mod:`repro.core.cache`) memoizes *characterizations*
-under ``(device, options, workload, stream-digest)`` keys — one entry
-per (workload, device) pair.  Stream **generation**, however, is
-completely device-independent and dominates a cold run's wall clock, so
-a device sweep that misses the result cache for a new device would
-regenerate every stream even though nothing about the stream changed.
+under ``(device, options, abbr, scale, seed)`` keys — one entry per
+(workload, device) pair.  Stream **generation**, however, is completely
+device-independent and dominates a cold run's wall clock, so a device
+sweep that misses the result cache for a new device would regenerate
+every stream even though nothing about the stream changed.
 
 :class:`StreamCache` fills that gap: it persists the steady-state
-launch stream itself, keyed on the workload identity (name/abbr/suite/
-domain), its scale/seed, and the steady-state flag — **no device, no
-simulation options** — so any sweep or suite run over the same workload
+launch stream itself, keyed on the workload recipe (abbr, scale, seed)
+and the steady-state flag — **no device, no simulation options** — so any sweep or suite run over the same workload
 preset reuses the stream no matter which devices it targets.  Keys are
 deliberately disjoint from :func:`repro.core.cache.characterization_key`
-material (different tag, own schema version), so result-cache keys stay
-backward-compatible.
+material (different tag), and entries live in their own ``streams``
+namespace of the result cache's version tree.
 
-Staleness contract: the key does not hash the stream *content* (that
-would require generating it, defeating the point).  A change to a
-workload model that alters its stream MUST bump
-:data:`STREAM_CACHE_SCHEMA_VERSION` (or the global
-:data:`~repro.gpu.digest.CACHE_SCHEMA_VERSION`, which is folded in
-too).  The golden digest suite (``tests/golden``) regenerates streams
-from source and pins their digests, so a forgotten bump cannot slip
-through CI unnoticed.
+Staleness: the key does not hash the stream *content* (that would
+require generating it, defeating the point).  It does not need to: the
+entries live under the fingerprinted version directory of
+:class:`~repro.core.cache.ResultCache`, so an edit to any workload model
+orphans every cached stream.  :data:`STREAM_CACHE_SCHEMA_VERSION` only
+versions the payload layout below.
 
 Serialization is lossless: floats survive the JSON round trip
 bit-for-bit (repr-based encoding), kernels are stored once in a
@@ -46,8 +43,7 @@ from repro.gpu.kernel import (
     MemoryFootprint,
 )
 
-#: Bump when the stream payload schema — or any workload model whose
-#: streams may be cached — changes incompatibly.
+#: Bump when the stream payload layout changes incompatibly.
 STREAM_CACHE_SCHEMA_VERSION = 1
 
 __all__ = [
@@ -60,27 +56,17 @@ __all__ = [
 
 
 def stream_key(
-    workload_identity: Dict[str, Any],
-    scale: float,
-    seed: int,
-    steady_state: bool = True,
+    abbr: str, scale: float, seed: int, steady_state: bool = True
 ) -> str:
     """Cache key for one workload's (cropped) launch stream.
 
-    Device-free by design: the same entry serves every device of a
-    sweep.  ``steady_state`` is part of the key because the profiler's
-    cropping changes which launches are measured.
+    Keyed on the recipe, like the result cache, and device-free by
+    design: the same entry serves every device of a sweep.
+    ``steady_state`` is part of the key because the profiler's cropping
+    changes which launches are measured.
     """
     return stable_digest(
-        [
-            "launch-stream",
-            CACHE_SCHEMA_VERSION,
-            STREAM_CACHE_SCHEMA_VERSION,
-            workload_identity,
-            scale,
-            seed,
-            steady_state,
-        ]
+        ["launch-stream", CACHE_SCHEMA_VERSION, abbr, scale, seed, steady_state]
     )
 
 
@@ -179,17 +165,20 @@ def launches_from_payload(payload: Dict[str, Any]) -> List[KernelLaunch]:
 class StreamCache:
     """Persistent launch-stream store (a thin :class:`ResultCache` skin).
 
-    Lives under its own directory (conventionally
-    ``<cache_dir>/streams``) so stream entries and characterization
-    entries never share a namespace, and reuses the result cache's
-    two-tier LRU + atomic-write + quarantine machinery wholesale.
+    Given the result cache's ``cache_dir``, its entries live in the
+    ``streams`` namespace of the same version tree, so stream and
+    characterization entries never share a directory but are orphaned
+    (and pruned) together.  It reuses the result cache's two-tier LRU +
+    atomic-write + quarantine machinery wholesale.
     """
 
     cache_dir: Optional[Union[str, Any]] = None
     backend: ResultCache = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.backend = ResultCache(cache_dir=self.cache_dir)
+        self.backend = ResultCache(
+            cache_dir=self.cache_dir, namespace="streams"
+        )
 
     @property
     def stats(self) -> Any:

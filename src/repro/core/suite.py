@@ -9,6 +9,7 @@ from repro.core.characterize import Characterization
 from repro.core.config import LAPTOP_SCALE, ScalePreset
 from repro.core.resilience import RetryPolicy, WorkloadFailure
 from repro.gpu.device import RTX_3080, DeviceSpec
+from repro.gpu.simulator import SimulationOptions
 from repro.workloads.registry import list_workloads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -118,10 +119,12 @@ def run_suite(
     journal_dir: Optional[str] = None,
     fault_plan: Optional["FaultPlan"] = None,
     trace_dir: Optional[str] = None,
+    options: Optional[SimulationOptions] = None,
 ) -> SuiteRunReport:
     """Characterize every workload of the given suites.
 
-    Pass ``workloads`` to restrict to specific abbreviations, ``jobs``
+    Pass ``workloads`` to restrict to specific abbreviations, *options*
+    to change the simulator switches (e.g. an ablation), ``jobs``
     to fan out across a process pool (negative → one worker per CPU),
     and ``cache``/``cache_dir`` to reuse results across calls and runs.
     Failure semantics are governed by *retry_policy* (retries,
@@ -144,6 +147,7 @@ def run_suite(
         cache = ResultCache(cache_dir=cache_dir)
     engine = CharacterizationEngine(
         device=device,
+        options=options or SimulationOptions(),
         jobs=jobs,
         cache=cache,
         retry_policy=retry_policy or RetryPolicy(),

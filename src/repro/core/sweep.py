@@ -120,7 +120,7 @@ def run_sweep(
     :func:`~repro.core.suite.run_suite` — jobs, caching, retries,
     journaled resume, tracing — plus *devices* (the sweep axis) and an
     optional *stream_cache*.  With ``cache_dir`` set and no explicit
-    stream cache, launch streams persist under ``<cache_dir>/streams``
+    stream cache, launch streams persist in the cache's version tree
     automatically.  This is a thin wrapper over
     :meth:`~repro.core.engine.CharacterizationEngine.run_sweep`.
     """

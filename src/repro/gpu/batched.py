@@ -16,8 +16,8 @@ quantities become a ``(K,)`` row vector, device-side parameters a
 the resulting ``(D, K)`` matrix.
 
 Bit-for-bit equivalence with the scalar path is a hard contract here
-(the per-device result must hit the same content-addressed cache keys
-and compare equal to a scalar run), and it is achievable because the
+(the per-device result shares its cache entry with a scalar run and
+must compare equal to it), and it is achievable because the
 analytical model uses only IEEE-exact operations — ``+ - * /``,
 ``min``/``max``, ``ceil`` and integer division; no transcendentals.
 Three rules keep the batched pass exact:

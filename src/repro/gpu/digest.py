@@ -1,11 +1,13 @@
 """Stable content digests for the GPU-model value types.
 
-The result cache (:mod:`repro.core.cache`) is content-addressed: a
-cached characterization is keyed on a SHA-256 digest of everything that
-determines it — the :class:`~repro.gpu.device.DeviceSpec`, the
-:class:`~repro.gpu.simulator.SimulationOptions` and the whole launch
-stream.  This module provides the
-canonicalization and hashing primitives those keys are built from.
+The result cache (:mod:`repro.core.cache`) keys a characterization on
+a SHA-256 digest of its recipe — the
+:class:`~repro.gpu.device.DeviceSpec`, the
+:class:`~repro.gpu.simulator.SimulationOptions` and the workload's
+abbr, scale and seed — and stores the launch stream's digest beside it.
+This module provides the canonicalization and hashing primitives those
+digests are built from, and the source fingerprint that names the
+cache's version directory.
 
 Design rules that make the digests trustworthy cache keys:
 
@@ -17,23 +19,31 @@ Design rules that make the digests trustworthy cache keys:
   dataclass name and field names, so two different types (or the same
   type with permuted field values) cannot collide structurally.
 * **Versioned invalidation** — :data:`CACHE_SCHEMA_VERSION` is folded
-  into every key.  Bump it whenever the canonical form, the metric
-  serialization, or the *semantics* of the analytical model change, and
-  every stale entry silently becomes unreachable.
+  into every key; bump it when the canonical form or the serialized
+  payloads change.  Model changes need no bump: the persistent cache
+  lives under a directory named after :func:`source_fingerprint`, so
+  editing the model source orphans every stale entry by itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import importlib
 import json
+from pathlib import Path
 from typing import Any, Dict, Iterable, Optional
 
 from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
 
 #: Version folded into every cache key.  Bump on any change to the
-#: canonical form, the serialized payloads, or the model semantics.
+#: canonical form or the serialized payloads.
 CACHE_SCHEMA_VERSION = 1
+
+#: ``repro/`` sources that cannot change a characterization: the front
+#: ends, observability and the fault-injection harness.
+_NOT_MODEL_SOURCE = ("cli.py", "__main__.py", "service/", "obs/", "testing/")
 
 
 def canonicalize(obj: Any) -> Any:
@@ -99,3 +109,37 @@ def launch_stream_digest(
             f"{launch.stream_id}|{launch.phase}|{digest}".encode("utf-8")
         )
     return hasher.hexdigest()
+
+
+def source_fingerprint(root: Optional[Path] = None) -> str:
+    """Hex SHA-256 of the model source and the numeric stack it runs on.
+
+    Hashes the relative path and bytes of every ``*.py`` file under
+    *root* (default: the installed ``repro`` package) except the
+    non-model sources of ``_NOT_MODEL_SOURCE``, plus the numpy and
+    scipy versions.  Any edit that could change a result changes the
+    fingerprint, and so the cache's version directory.  The package's
+    own fingerprint is computed once per process.
+    """
+    if root is None:
+        return _package_fingerprint()
+    root = Path(root)
+    hasher = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative.startswith(_NOT_MODEL_SOURCE):
+            continue
+        hasher.update(f"{relative}\0".encode("utf-8"))
+        hasher.update(path.read_bytes())
+    for package in ("numpy", "scipy"):
+        try:
+            version = importlib.import_module(package).__version__
+        except ImportError:
+            version = "absent"
+        hasher.update(f"\0{package}=={version}".encode("utf-8"))
+    return hasher.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _package_fingerprint() -> str:
+    return source_fingerprint(Path(__file__).resolve().parents[1])

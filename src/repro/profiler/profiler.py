@@ -37,9 +37,8 @@ class Profiler:
         """*workload*'s launch stream after steady-state cropping.
 
         This is exactly the launch sequence :meth:`profile` aggregates;
-        the characterization engine hashes it to build content-addressed
-        cache keys, so it must stay the single source of truth for what
-        gets measured.
+        the characterization engine simulates and digests it, so it
+        must stay the single source of truth for what gets measured.
         """
         stream = list(workload.launch_stream())
         if not stream:

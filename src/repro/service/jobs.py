@@ -260,12 +260,15 @@ class JobManager:
                     break
             time.sleep(0.05)
         interrupted: List[str] = []
-        for record in self.coalescer.records():
-            if not record.terminal:
-                record.state = JOB_INTERRUPTED
-                self._persist(record)
-                record.done_event.set()
-                interrupted.append(record.id)
+        # Under the lock, so a job finishing right now cannot persist
+        # its state in between: _run_job never overwrites this mark.
+        with self._lock:
+            for record in self.coalescer.records():
+                if not record.terminal:
+                    record.state = JOB_INTERRUPTED
+                    self._persist(record)
+                    record.done_event.set()
+                    interrupted.append(record.id)
         return interrupted
 
     # -- submission ----------------------------------------------------
@@ -464,46 +467,48 @@ class JobManager:
             self._running[record.id] = record
             self._engine_runs_started += 1
         self._persist(record)
+        outcome: Dict[str, Any] = {"state": JOB_FAILED}
         try:
             engine = self._engine_for(request, record.id)
+            suites = list(request.suites)
+            workloads = (
+                list(request.workloads) if request.workloads is not None else None
+            )
             if request.kind == "sweep":
                 report = engine.run_sweep(
                     list(request.devices),
-                    suites=list(request.suites),
+                    suites=suites,
                     preset=request.preset,
-                    workloads=(
-                        list(request.workloads)
-                        if request.workloads is not None
-                        else None
-                    ),
+                    workloads=workloads,
                 )
-                record.result = sweep_run_report_to_dict(report)
+                result = sweep_run_report_to_dict(report)
             else:
                 report = engine.run_suite(
-                    list(request.suites),
-                    preset=request.preset,
-                    workloads=(
-                        list(request.workloads)
-                        if request.workloads is not None
-                        else None
-                    ),
+                    suites, preset=request.preset, workloads=workloads
                 )
-                record.result = suite_run_report_to_dict(report)
-            record.resumed = list(report.resumed)
+                result = suite_run_report_to_dict(report)
             stats = engine.cache_stats
-            record.cache_stats = stats.as_dict() if stats is not None else None
-            record.state = JOB_DONE
-            record.error = None
-            with self._lock:
-                self._engine_runs_completed += 1
+            outcome = {
+                "state": JOB_DONE,
+                "result": result,
+                "resumed": list(report.resumed),
+                "cache_stats": stats.as_dict() if stats is not None else None,
+                "error": None,
+            }
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            record.state = JOB_FAILED
-            record.error = f"{type(exc).__name__}: {exc}"
-            with self._lock:
-                self._engine_runs_failed += 1
+            outcome["error"] = f"{type(exc).__name__}: {exc}"
         finally:
-            record.finished_unix = self.clock()
             with self._lock:
                 self._running.pop(record.id, None)
-            self._persist(record)
+                if outcome["state"] == JOB_DONE:
+                    self._engine_runs_completed += 1
+                else:
+                    self._engine_runs_failed += 1
+                # A drain that already persisted this job as interrupted
+                # keeps the last word: its journal resumes it later.
+                if record.state != JOB_INTERRUPTED:
+                    for name, value in outcome.items():
+                        setattr(record, name, value)
+                    record.finished_unix = self.clock()
+                    self._persist(record)
             record.done_event.set()

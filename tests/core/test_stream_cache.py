@@ -13,14 +13,6 @@ from repro.core.streamcache import (
 from repro.gpu.digest import launch_stream_digest
 from repro.workloads import get_workload
 
-IDENTITY = {
-    "name": "Gromacs",
-    "abbr": "GMS",
-    "suite": "Cactus",
-    "domain": "MD",
-}
-
-
 @pytest.fixture(scope="module")
 def stream():
     return list(get_workload("GMS", scale=0.05, seed=7).launch_stream())
@@ -43,7 +35,7 @@ class TestRoundTrip:
 
     def test_disk_round_trip(self, stream, tmp_path):
         cache = StreamCache(cache_dir=tmp_path)
-        key = stream_key(IDENTITY, 0.05, 7)
+        key = stream_key("GMS", 0.05, 7)
         assert cache.get(key) is None
         cache.put(key, stream)
         # A fresh handle (fresh process in real life) sees it.
@@ -53,22 +45,21 @@ class TestRoundTrip:
 
 class TestKeys:
     def test_key_varies_with_every_component(self):
-        base = stream_key(IDENTITY, 0.05, 7, steady_state=True)
-        assert base != stream_key(IDENTITY, 0.06, 7)
-        assert base != stream_key(IDENTITY, 0.05, 8)
-        assert base != stream_key(IDENTITY, 0.05, 7, steady_state=False)
-        other = dict(IDENTITY, abbr="LMR")
-        assert base != stream_key(other, 0.05, 7)
+        base = stream_key("GMS", 0.05, 7, steady_state=True)
+        assert base != stream_key("GMS", 0.06, 7)
+        assert base != stream_key("GMS", 0.05, 8)
+        assert base != stream_key("GMS", 0.05, 7, steady_state=False)
+        assert base != stream_key("LMR", 0.05, 7)
 
-    def test_disjoint_from_characterization_keys(self, stream):
-        """Stream keys can never collide with result-cache keys even in
-        a shared backend — different digest tag and schema axis."""
+    def test_disjoint_from_characterization_keys(self):
+        """Stream keys can never collide with result-cache keys for the
+        same recipe — different digest tag."""
         from repro.gpu.device import RTX_3080
         from repro.gpu.simulator import SimulationOptions
 
-        skey = stream_key(IDENTITY, 0.05, 7)
+        skey = stream_key("GMS", 0.05, 7)
         ckey = characterization_key(
-            RTX_3080, SimulationOptions(), IDENTITY, stream
+            RTX_3080, SimulationOptions(), "GMS", 0.05, 7
         )
         assert skey != ckey
 
@@ -76,7 +67,7 @@ class TestKeys:
 class TestSchemaSafety:
     def test_schema_mismatch_is_a_miss(self, stream, tmp_path):
         cache = StreamCache(cache_dir=tmp_path)
-        key = stream_key(IDENTITY, 0.05, 7)
+        key = stream_key("GMS", 0.05, 7)
         payload = launches_to_payload(stream)
         payload["schema"] = STREAM_CACHE_SCHEMA_VERSION + 1
         cache.backend.put(key, payload)
@@ -84,7 +75,7 @@ class TestSchemaSafety:
 
     def test_corrupt_payload_is_a_miss(self, stream, tmp_path):
         cache = StreamCache(cache_dir=tmp_path)
-        key = stream_key(IDENTITY, 0.05, 7)
+        key = stream_key("GMS", 0.05, 7)
         payload = launches_to_payload(stream)
         del payload["kernels"][0]["mix"]
         cache.backend.put(key, payload)

@@ -1,9 +1,11 @@
-"""Property-based tests for the content-addressed cache keys.
+"""Property-based tests for the cache keys and content digests.
 
 The cache is only sound if its keys are (a) stable — the same inputs
 hash identically in every process, run, and ``PYTHONHASHSEED`` — and
-(b) collision-free across distinct devices, simulation options, and
-kernels.  Hypothesis drives (b); a subprocess round trip checks (a).
+(b) collision-free across distinct devices, simulation options and
+workload recipes.  Hypothesis drives (b); a subprocess round trip
+checks (a).  The stream digests stored beside each entry must be
+collision-free across kernels.
 """
 
 import subprocess
@@ -30,14 +32,9 @@ from repro.gpu.kernel import (
 from repro.gpu.simulator import SimulationOptions
 from repro.gpu.timing import TimingOptions
 
-#: Workload identity folded into every characterization key below.
-IDENTITY = {"name": "Probe", "abbr": "PRB", "suite": "Test", "domain": "none"}
-
-
-def result_key(device, opts, kernel) -> str:
-    """Characterization key of a two-launch stream of *kernel*."""
-    launches = [KernelLaunch(kernel=kernel), KernelLaunch(kernel=kernel, phase="p")]
-    return characterization_key(device, opts, IDENTITY, launches)
+def result_key(device, opts, abbr="PRB", scale=0.05, seed=0) -> str:
+    """Characterization key of one workload recipe."""
+    return characterization_key(device, opts, abbr, scale, seed)
 
 
 # -- strategies --------------------------------------------------------
@@ -98,12 +95,10 @@ kernels = st.builds(
 # -- stability ---------------------------------------------------------
 
 class TestStability:
-    @given(devices, options, kernels)
+    @given(devices, options)
     @settings(max_examples=50, deadline=None)
-    def test_key_deterministic_within_process(self, device, opts, kernel):
-        assert result_key(device, opts, kernel) == result_key(
-            device, opts, kernel
-        )
+    def test_key_deterministic_within_process(self, device, opts):
+        assert result_key(device, opts) == result_key(device, opts)
 
     @given(kernels)
     @settings(max_examples=50, deadline=None)
@@ -126,14 +121,8 @@ class TestStability:
             "from repro.core.cache import characterization_key\n"
             "from repro.gpu.device import RTX_3080\n"
             "from repro.gpu.simulator import SimulationOptions\n"
-            "from repro.gpu.kernel import KernelCharacteristics, "
-            "KernelLaunch, MemoryFootprint\n"
-            "k = KernelCharacteristics(name='probe', grid_blocks=128, "
-            "threads_per_block=256, warp_insts=1.5e6, "
-            "memory=MemoryFootprint(bytes_read=3.25e5))\n"
-            f"print(characterization_key(RTX_3080, SimulationOptions(), "
-            f"{IDENTITY!r}, [KernelLaunch(kernel=k), "
-            "KernelLaunch(kernel=k, phase='p')]))\n"
+            "print(characterization_key(RTX_3080, SimulationOptions(), "
+            "'PRB', 0.05, 0))\n"
         )
         env = dict(os.environ)
         env.update({"PYTHONHASHSEED": "12345", "PYTHONPATH": src})
@@ -144,20 +133,13 @@ class TestStability:
             check=True,
             env=env,
         )
-        kernel = KernelCharacteristics(
-            name="probe",
-            grid_blocks=128,
-            threads_per_block=256,
-            warp_insts=1.5e6,
-            memory=MemoryFootprint(bytes_read=3.25e5),
-        )
-        local = result_key(RTX_3080, SimulationOptions(), kernel)
+        local = result_key(RTX_3080, SimulationOptions())
         assert out.stdout.strip() == local
-        # Pinned: a persistent cache written by an earlier version must
-        # stay reachable.
+        # Pinned: the key hashes the recipe only, so no source edit may
+        # move it (model edits move the fingerprinted directory instead).
         assert local == (
-            "909b9db9cc41c2f329abfb0525c8c279"
-            "1b98c5cd5452b9f5bec7497ca3260874"
+            "e0131c75bdc447900331286217990792"
+            "d5c1d9037f836d809793e1624ccdbc9a"
         )
 
     def test_pinned_digest_guards_schema_version(self):
@@ -178,24 +160,28 @@ class TestStability:
 # -- collision resistance ----------------------------------------------
 
 class TestCollisions:
-    @given(devices, devices, options, kernels)
+    @given(devices, devices, options)
     @settings(max_examples=50, deadline=None)
-    def test_distinct_devices_never_collide(self, d1, d2, opts, kernel):
-        if d1 == d2:
-            assert result_key(d1, opts, kernel) == result_key(
-                d2, opts, kernel
-            )
-        else:
-            assert result_key(d1, opts, kernel) != result_key(
-                d2, opts, kernel
-            )
+    def test_distinct_devices_never_collide(self, d1, d2, opts):
+        assert (result_key(d1, opts) == result_key(d2, opts)) == (d1 == d2)
 
-    @given(options, options, kernels)
+    @given(options, options)
     @settings(max_examples=50, deadline=None)
-    def test_distinct_options_never_collide(self, o1, o2, kernel):
-        k1 = result_key(RTX_3080, o1, kernel)
-        k2 = result_key(RTX_3080, o2, kernel)
+    def test_distinct_options_never_collide(self, o1, o2):
+        k1 = result_key(RTX_3080, o1)
+        k2 = result_key(RTX_3080, o2)
         assert (k1 == k2) == (o1 == o2)
+
+    @given(
+        st.sampled_from(["GMS", "GST", "PRB"]),
+        st.floats(min_value=1e-3, max_value=1.0),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_distinct_recipes_never_collide(self, abbr, scale, seed):
+        key = result_key(RTX_3080, SimulationOptions(), abbr, scale, seed)
+        base = result_key(RTX_3080, SimulationOptions())
+        assert (key == base) == ((abbr, scale, seed) == ("PRB", 0.05, 0))
 
     @given(kernels, kernels)
     @settings(max_examples=50, deadline=None)
@@ -205,33 +191,23 @@ class TestCollisions:
 
     def test_no_cache_ablation_uses_distinct_key(self):
         """The no-cache ablation must not poison default entries."""
-        kernel = KernelCharacteristics(
-            name="k",
-            grid_blocks=64,
-            threads_per_block=128,
-            warp_insts=1e6,
-            memory=MemoryFootprint(bytes_read=1e6),
-        )
-        default = result_key(
-            RTX_3080, SimulationOptions(), kernel
-        )
-        ablated = result_key(
-            RTX_3080, SimulationOptions(model_caches=False), kernel
-        )
+        default = result_key(RTX_3080, SimulationOptions())
+        ablated = result_key(RTX_3080, SimulationOptions(model_caches=False))
         assert default != ablated
 
     def test_ablation_results_cached_separately(self, tmp_path):
-        from repro.core.cache import ResultCache
-        from repro.core.characterize import characterize
-        from repro.workloads import get_workload
+        from repro.core import LAPTOP_SCALE, ResultCache, run_suite
 
         cache = ResultCache(cache_dir=tmp_path)
-        modeled = characterize(get_workload("GST", scale=0.005), cache=cache)
-        ablated = characterize(
-            get_workload("GST", scale=0.005),
+        modeled = run_suite(
+            workloads=["GST"], preset=LAPTOP_SCALE, cache=cache
+        )["GST"]
+        ablated = run_suite(
+            workloads=["GST"],
+            preset=LAPTOP_SCALE,
             options=SimulationOptions(model_caches=False),
             cache=cache,
-        )
+        )["GST"]
         # Different keys → the second run simulated (stored), not hit.
         assert cache.stats.hits == 0
         assert cache.stats.stores == 2

@@ -9,6 +9,8 @@ Any model change that breaks this equivalence is a bug in the engine,
 not in the model.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -125,25 +127,32 @@ class TestSerializationRoundTrip:
 
 class TestEngineBehaviour:
     def test_single_workload_cache_hit(self, tmp_path):
-        cache = ResultCache(cache_dir=tmp_path)
-        workload = get_workload("GST", scale=0.005)
-        first = characterize(workload, cache=cache)
-        again = characterize(
-            get_workload("GST", scale=0.005),
-            cache=ResultCache(cache_dir=tmp_path),
+        first = run_suite(
+            workloads=["GST"], cache=ResultCache(cache_dir=tmp_path)
         )
-        assert first == again
+        warm = ResultCache(cache_dir=tmp_path)
+        again = run_suite(workloads=["GST"], cache=warm)
+        assert warm.stats.disk_hits == 1 and warm.stats.stores == 0
+        assert first.results == again.results
 
     def test_different_scale_misses(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
-        first = characterize(get_workload("GST", scale=0.005), cache=cache)
+        first = run_suite(workloads=["GST"], cache=cache)["GST"]
         stores_before = cache.stats.stores
-        second = characterize(get_workload("GST", scale=0.004), cache=cache)
-        # The app-level entry cannot be reused: the launch stream (and
-        # therefore the content-addressed key) differs, so the second
-        # run computed and stored fresh entries.
+        smaller = dataclasses.replace(LAPTOP_SCALE, graph=0.004)
+        second = run_suite(workloads=["GST"], preset=smaller, cache=cache)
+        # The app-level entry cannot be reused: the recipe (and
+        # therefore the key) differs, so the second run computed and
+        # stored a fresh entry.
         assert cache.stats.stores > stores_before
-        assert first != second
+        assert first != second["GST"]
+
+    def test_warm_run_generates_no_stream(self, tmp_path):
+        run_suite(workloads=["GST", "DCG"], cache_dir=str(tmp_path))
+        warm = run_suite(workloads=["GST", "DCG"], cache_dir=str(tmp_path))
+        histograms = warm.run_profile.histograms
+        assert "span.stream-gen_s" not in histograms
+        assert histograms["span.cache-lookup_s"]["count"] == 2
 
     def test_engine_selects_in_registration_order(self):
         engine = CharacterizationEngine()

@@ -1,11 +1,14 @@
 """Unit tests for the two-tier result cache."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.cache import CacheStats, ResultCache
-from repro.gpu.digest import CACHE_SCHEMA_VERSION
+from repro.gpu.digest import CACHE_SCHEMA_VERSION, source_fingerprint
 
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "0" * 62
@@ -52,12 +55,9 @@ class TestPersistentTier:
     def test_layout_is_versioned_and_fanned_out(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
         cache.put(KEY_A, {"v": 1})
-        expected = (
-            tmp_path
-            / f"v{CACHE_SCHEMA_VERSION}"
-            / KEY_A[:2]
-            / f"{KEY_A}.json"
-        )
+        version = f"v{CACHE_SCHEMA_VERSION}-{source_fingerprint()[:16]}"
+        expected = tmp_path / version / KEY_A[:2] / f"{KEY_A}.json"
+        assert cache.version_dir == tmp_path / version
         assert expected.is_file()
         assert json.loads(expected.read_text()) == {"v": 1}
 
@@ -89,14 +89,60 @@ class TestPersistentTier:
         assert cache.persistent_entries() == 2
 
     def test_prune_drops_stale_version_trees(self, tmp_path):
-        stale = tmp_path / "v0" / "ab"
-        stale.mkdir(parents=True)
-        (stale / ("ab" + "0" * 62 + ".json")).write_text("{}")
+        # An older schema, an older model source (same schema, other
+        # fingerprint) and the stream tree older versions kept beside.
+        stale = ["v0", f"v{CACHE_SCHEMA_VERSION}-{'0' * 16}", "streams"]
+        for name in stale:
+            (tmp_path / name / "ab").mkdir(parents=True)
+            (tmp_path / name / "ab" / ("ab" + "0" * 62 + ".json")).write_text("{}")
         cache = ResultCache(cache_dir=tmp_path)
         cache.put(KEY_A, {"v": 1})
-        assert cache.prune() == 1
-        assert not (tmp_path / "v0").exists()
+        assert cache.prune() == len(stale)
+        assert not any((tmp_path / name).exists() for name in stale)
         assert cache.persistent_entries() == 1
+
+    def test_namespaces_share_the_version_tree(self, tmp_path):
+        results = ResultCache(cache_dir=tmp_path)
+        streams = ResultCache(cache_dir=tmp_path, namespace="streams")
+        results.put(KEY_A, {"v": 1})
+        streams.put(KEY_B, {"v": 2})
+        assert (results.version_dir / "streams" / "bb").is_dir()
+        assert results.get(KEY_B) is None
+        assert results.persistent_entries() == streams.persistent_entries() == 1
+
+
+class TestSourceFingerprint:
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent, root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        return root
+
+    def test_copy_matches_the_package(self, tree):
+        assert source_fingerprint(tree) == source_fingerprint()
+
+    def test_model_edit_changes_it(self, tree):
+        before = source_fingerprint(tree)
+        timing = tree / "gpu" / "timing.py"
+        source = timing.read_text()
+        edited = source.replace(
+            "BARRIER_LATENCY_CYCLES = 120.0", "BARRIER_LATENCY_CYCLES = 121.0"
+        )
+        assert edited != source
+        timing.write_text(edited)
+        assert source_fingerprint(tree) != before
+
+    @pytest.mark.parametrize(
+        "name", ["cli.py", "service/jobs.py", "obs/spans.py"]
+    )
+    def test_front_end_edit_keeps_it(self, tree, name):
+        before = source_fingerprint(tree)
+        path = tree / name
+        path.write_text(path.read_text() + "\n# comment\n")
+        assert source_fingerprint(tree) == before
 
 
 class TestStats:

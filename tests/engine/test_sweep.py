@@ -8,6 +8,8 @@ result cache is shared in both directions, and the journal resumes a
 sweep the same way it resumes a suite run.
 """
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -115,8 +117,30 @@ class TestCacheInterop:
         profile = again.run_profile
         assert "span.simulate_s" not in profile.histograms
         assert "span.stream-gen_s" not in profile.histograms
+        # Recipe keys: a full hit never even looks for the stream.
+        assert "span.stream-cache-lookup_s" not in profile.histograms
         for abbr in WLS:
             assert again.results[abbr] == first.results[abbr]
+
+    def test_stale_hit_is_recomputed_on_a_mixed_run(self, tmp_path):
+        """An entry whose stream_digest disagrees with the stream in hand
+        is recomputed and overwritten, and counted as stale."""
+        cache_dir = str(tmp_path / "cache")
+        suite = run_suite(workloads=["GST"], device=V100, cache_dir=cache_dir)
+        [entry] = ResultCache(cache_dir=cache_dir).version_dir.glob("*/*.json")
+        payload = json.loads(entry.read_text(encoding="utf-8"))
+        fresh_digest = payload["stream_digest"]
+        payload["stream_digest"] = "0" * 64
+        entry.write_text(json.dumps(payload), encoding="utf-8")
+
+        # RTX 3080 misses, so the run holds the stream and can check V100.
+        sweep = run_sweep(
+            [RTX_3080, V100], workloads=["GST"], cache_dir=cache_dir
+        )
+        assert sweep.run_profile.counter("cache.stale") == 1
+        assert sweep.results["GST"]["V100"] == suite.results["GST"]
+        rewritten = json.loads(entry.read_text(encoding="utf-8"))
+        assert rewritten["stream_digest"] == fresh_digest
 
 
 class TestParallelAndResume:

@@ -68,7 +68,7 @@ def start_server(state_dir: pathlib.Path, log_name: str) -> subprocess.Popen:
             "--state-dir", str(state_dir),
             "--port", "0",
             "--workers", "1",
-            "--drain-grace", "1.0",
+            "--drain-grace", "0",
             "--quota-burst", "256",
             "--quota-rate", "256",
         ],

@@ -5,6 +5,7 @@ NST: a few hundredths of a second each at laptop scale), so the suite
 exercises the full submit → engine → persisted-result path, not mocks.
 """
 
+import json
 import threading
 
 import pytest
@@ -189,6 +190,45 @@ class TestFailureAndRecovery:
         assert record.done_event.is_set()
         with pytest.raises(RuntimeError):
             manager.submit(FAST_REQUEST, client="t")
+
+    def test_drain_mark_survives_a_job_finishing_after_it(
+        self, tmp_path, monkeypatch
+    ):
+        """A running job that completes after the drain marked it
+        interrupted must not overwrite the mark: the journal resumes it."""
+        manager = _manager(tmp_path, workers=1)
+        started, release = threading.Event(), threading.Event()
+        engine_for = manager._engine_for
+
+        class GatedEngine:
+            def __init__(self, engine):
+                self.engine = engine
+
+            def __getattr__(self, name):
+                return getattr(self.engine, name)
+
+            def run_suite(self, *args, **kwargs):
+                started.set()
+                assert release.wait(timeout=30)
+                return self.engine.run_suite(*args, **kwargs)
+
+        monkeypatch.setattr(
+            manager,
+            "_engine_for",
+            lambda request, job_id: GatedEngine(engine_for(request, job_id)),
+        )
+        manager.start()
+        record, _ = manager.submit(FAST_REQUEST, client="t")
+        assert started.wait(timeout=30)
+        assert manager.drain(grace_s=0.0) == [record.id]
+        release.set()
+        # The queue is closed, so the worker exits once the job returns.
+        worker = manager._threads[0]
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert record.state == JOB_INTERRUPTED
+        persisted = manager.jobs_dir / f"{record.id[:32]}.json"
+        assert json.loads(persisted.read_text())["state"] == JOB_INTERRUPTED
 
     def test_restart_recovers_and_completes_interrupted_job(self, tmp_path):
         first = _manager(tmp_path, workers=1)
