@@ -8,7 +8,7 @@ re-neighbouring event.  This module compiles a classic cell-list sweep
 (the algorithm real MD engines use) to native code with the system C
 compiler at first use and calls it through ``ctypes`` — no third-party
 build dependency, and the pure-scipy path remains as a fallback wherever
-a compiler is unavailable.
+a compiler is unavailable (with a RuntimeWarning saying why).
 
 Exactness contract
 ------------------
@@ -38,13 +38,15 @@ Two guards make the fast path provably exact instead of merely close:
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import math
 import os
 import shutil
 import subprocess
 import tempfile
-from typing import NamedTuple, Optional, Tuple
+import warnings
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,124 +64,140 @@ MAX_CELLS_PER_EDGE = 192
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
-/* Count unordered atom pairs with periodic squared distance <= r2sq in
- * a cubic box, via a half-stencil cell-list sweep.  Atoms arrive sorted
- * by cell id; cell_start is the CSR index over nc^3 cells.  Pairs with
- * d2 <= r1sq increment *out_in and both atoms' per_atom counters; pairs
- * with r1sq < d2 <= r2sq only increment *out_band (the ambiguity band).
- */
-void count_pairs(const double *restrict pos, int64_t n, double box,
-                 int64_t nc, int64_t srad,
-                 const int64_t *restrict cell_start,
-                 double r1sq, double r2sq,
-                 int32_t *restrict per_atom,
-                 int64_t *restrict out_in, int64_t *restrict out_band)
+/* On x86-64 GCC, build a baseline clone and an AVX2 clone of the kernel;
+ * the loader picks one for the running CPU.  The inner loop only
+ * vectorizes with AVX2, and one shared object serves every host. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define KERNEL_DISPATCH __attribute__((target_clones("avx2", "default")))
+#else
+#define KERNEL_DISPATCH
+#endif
+
+/* Count unordered atom pairs with periodic squared distance <= r2sq
+ * among n atoms (pos: xyz triples) in a cubic box of nc^3 cells, with a
+ * half-stencil of radius s.  Pairs with d2 <= r1sq increment out[0] and
+ * both atoms' per_atom counters (input order); pairs with
+ * r1sq < d2 <= r2sq only increment out[1] (the ambiguity band).
+ * Returns 0 on success, 1 for a coordinate that is non-finite or
+ * outside [0, box], 2 if an allocation fails, 3 for an unsupported
+ * grid.  On a non-zero return the outputs are unspecified. */
+KERNEL_DISPATCH
+int count_pairs(const double *restrict pos, int64_t n, double box,
+                int64_t nc, int64_t s, double r1sq, double r2sq,
+                int32_t *restrict per_atom, int64_t *restrict out)
 {
-    int64_t in_count = 0, band_count = 0;
-    const double h = box / (double) nc;
-    const int s = (int) srad;
+    if (s < 1 || s > 2 || nc < 2 * s + 1 || nc > 1024 || n < 1)
+        return 3;
+    /* Reject anything outside [0, box], NaN included, before it can
+     * index a cell.  x == box (an np.mod rounding edge) is accepted and
+     * clamped into the last cell below. */
+    for (int64_t i = 0; i < 3 * n; i++)
+        if (!(pos[i] >= 0.0 && pos[i] <= box))
+            return 1;
 
-    /* Lexicographically-positive stencil offsets within radius s,
-     * pruned by the minimum possible distance between the two cells
-     * (offset d along one axis => separation >= (|d|-1) * h). */
-    int off[124][3];
-    int n_off = 0;
-    for (int dx = 0; dx <= s; dx++) {
-        for (int dy = -s; dy <= s; dy++) {
-            for (int dz = -s; dz <= s; dz++) {
-                if (dx == 0 && (dy < 0 || (dy == 0 && dz <= 0)))
-                    continue;
-                const int ax = dx > 0 ? dx - 1 : 0;
-                const int ay = (dy > 0 ? dy : -dy) > 0 ? (dy > 0 ? dy : -dy) - 1 : 0;
-                const int az = (dz > 0 ? dz : -dz) > 0 ? (dz > 0 ? dz : -dz) - 1 : 0;
-                const double m2 = (double)(ax * ax + ay * ay + az * az) * h * h;
-                if (m2 > r2sq)
-                    continue;
-                off[n_off][0] = dx;
-                off[n_off][1] = dy;
-                off[n_off][2] = dz;
-                n_off++;
-            }
+    /* One zeroed block holds every scratch array.  start[c] is the
+     * first sorted index of cell c once binned, and start[n_cells] == n;
+     * x/y/z are the coordinates in cell order, order[k] the input index
+     * of sorted atom k and cnt[k] its count. */
+    const int64_t n_cells = nc * nc * nc;
+    int64_t *start = calloc((size_t) (n_cells + 2 + 5 * n), sizeof *start);
+    if (!start)
+        return 2;
+    int64_t *restrict order = start + n_cells + 2, *restrict cnt = order + n;
+    double *restrict x = (double *) (cnt + n), *restrict y = x + n,
+           *restrict z = x + 2 * n;
+
+    /* Bin by a stable counting sort over cell ids (z fastest), keeping
+     * each atom's cell id in per_atom until the counts overwrite it. */
+    const double inv_h = 1.0 / (box / (double) nc);
+    for (int64_t i = 0; i < n; i++) {
+        int64_t id = 0;
+        for (int a = 0; a < 3; a++) {
+            const int64_t c = (int64_t) (pos[3 * i + a] * inv_h);
+            id = id * nc + (c < nc ? c : nc - 1);
         }
+        per_atom[i] = (int32_t) id;
+        start[id + 2]++;
+    }
+    for (int64_t c = 2; c < n_cells + 2; c++)
+        start[c] += start[c - 1];
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t k = start[per_atom[i] + 1]++;
+        order[k] = i;
+        x[k] = pos[3 * i];
+        y[k] = pos[3 * i + 1];
+        z[k] = pos[3 * i + 2];
     }
 
+    int64_t in_count = 0, r2_count = 0;
     for (int64_t cx = 0; cx < nc; cx++)
     for (int64_t cy = 0; cy < nc; cy++)
     for (int64_t cz = 0; cz < nc; cz++) {
         const int64_t c = (cx * nc + cy) * nc + cz;
-        const int64_t a0 = cell_start[c], a1 = cell_start[c + 1];
+        const int64_t a0 = start[c], a1 = start[c + 1];
         if (a0 == a1)
             continue;
-
-        /* Pairs within the cell itself. */
-        for (int64_t i = a0; i < a1; i++) {
-            const double xi = pos[3 * i];
-            const double yi = pos[3 * i + 1];
-            const double zi = pos[3 * i + 2];
-            for (int64_t j = i + 1; j < a1; j++) {
-                const double dxp = pos[3 * j] - xi;
-                const double dyp = pos[3 * j + 1] - yi;
-                const double dzp = pos[3 * j + 2] - zi;
-                const double d2 = dxp * dxp + dyp * dyp + dzp * dzp;
-                if (d2 <= r2sq) {
-                    if (d2 <= r1sq) {
-                        in_count++;
-                        per_atom[i]++;
-                        per_atom[j]++;
-                    } else {
-                        band_count++;
-                    }
-                }
-            }
-        }
-
-        /* Pairs against each half-stencil partner cell, with periodic
-         * wrap: a partner wrapped past the upper edge holds atoms that
-         * are physically at +box relative to this cell, so shift the
-         * reference atom by -box (and symmetrically for the lower
-         * edge). */
-        for (int k = 0; k < n_off; k++) {
-            int64_t px = cx + off[k][0];
-            int64_t py = cy + off[k][1];
-            int64_t pz = cz + off[k][2];
-            double sx = 0.0, sy = 0.0, sz = 0.0;
+        for (int64_t dx = 0; dx <= s; dx++)
+        for (int64_t dy = (dx == 0 ? 0 : -s); dy <= s; dy++) {
+            const int own = dx == 0 && dy == 0;
+            int64_t px = cx + dx, py = cy + dy;
+            double sx = 0.0, sy = 0.0;
             if (px >= nc) { px -= nc; sx = box; }
-            else if (px < 0) { px += nc; sx = -box; }
             if (py >= nc) { py -= nc; sy = box; }
             else if (py < 0) { py += nc; sy = -box; }
-            if (pz >= nc) { pz -= nc; sz = box; }
-            else if (pz < 0) { pz += nc; sz = -box; }
-            const int64_t p = (px * nc + py) * nc + pz;
-            const int64_t b0 = cell_start[p], b1 = cell_start[p + 1];
-            if (b0 == b1)
-                continue;
-            for (int64_t i = a0; i < a1; i++) {
-                const double xi = pos[3 * i] - sx;
-                const double yi = pos[3 * i + 1] - sy;
-                const double zi = pos[3 * i + 2] - sz;
-                for (int64_t j = b0; j < b1; j++) {
-                    const double dxp = pos[3 * j] - xi;
-                    const double dyp = pos[3 * j + 1] - yi;
-                    const double dzp = pos[3 * j + 2] - zi;
-                    const double d2 = dxp * dxp + dyp * dyp + dzp * dzp;
-                    if (d2 <= r2sq) {
-                        if (d2 <= r1sq) {
-                            in_count++;
-                            per_atom[i]++;
-                            per_atom[j]++;
-                        } else {
-                            band_count++;
-                        }
+            const int64_t base = (px * nc + py) * nc;
+
+            /* This (dx, dy) column's cells cz-s..cz+s are contiguous in
+             * sorted order: up to three runs, wrapped below the z edge
+             * (w = -1), inside, and wrapped above (w = 1).  A run wrapped
+             * above holds atoms physically at +box, so the reference atom
+             * is shifted by -box (symmetrically below).  The own column
+             * starts after atom i and skips its wrapped lower run: those
+             * pairs belong to the lower cells. */
+            for (int64_t w = own ? 0 : -1; w <= 1; w++) {
+                const int64_t lo = cz - s - w * nc, hi = cz + s - w * nc;
+                if (hi < 0 || lo >= nc)
+                    continue;
+                const int64_t b0 = start[base + (lo < 0 ? 0 : lo)];
+                const int64_t b1 = start[base + (hi >= nc ? nc : hi + 1)];
+                const double sz = (double) w * box;
+                for (int64_t i = a0; i < a1; i++) {
+                    const double xi = x[i] - sx;
+                    const double yi = y[i] - sy;
+                    const double zi = z[i] - sz;
+                    int64_t ci = 0, cb = 0;
+                    for (int64_t j = own && w == 0 ? i + 1 : b0; j < b1; j++) {
+                        const double dxp = x[j] - xi;
+                        const double dyp = y[j] - yi;
+                        const double dzp = z[j] - zi;
+                        const double d2 = dxp * dxp + dyp * dyp + dzp * dzp;
+                        const int64_t in = d2 <= r1sq;
+                        ci += in;
+                        cb += d2 <= r2sq;
+                        cnt[j] += in;
                     }
+                    cnt[i] += ci;
+                    in_count += ci;
+                    r2_count += cb;
                 }
             }
         }
     }
-    *out_in = in_count;
-    *out_band = band_count;
+
+    for (int64_t k = 0; k < n; k++)
+        per_atom[order[k]] = (int32_t) cnt[k];
+    out[0] = in_count;
+    out[1] = r2_count - in_count;
+    free(start);
+    return 0;
 }
 """
+
+#: Compile flags.  ``-ffp-contract=off`` forbids fused multiply-adds,
+#: so ``d2`` is rounded the same way on every target and every clone.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 class PairCounts(NamedTuple):
@@ -193,10 +211,6 @@ class PairCounts(NamedTuple):
     per_atom: np.ndarray
 
 
-_kernel: Optional[ctypes.CDLL] = None
-_kernel_tried = False
-
-
 def _cache_dir() -> str:
     override = os.environ.get(ENV_CACHE_DIR)
     if override:
@@ -206,75 +220,84 @@ def _cache_dir() -> str:
     )
 
 
-def _compile_library() -> Optional[str]:
-    """Compile the C source to a cached shared object; None on failure."""
+def _build_tag(command: Sequence[str]) -> str:
+    """Shared-object cache tag: the C source plus the compile command."""
+    digest = hashlib.sha256(_C_SOURCE.encode("utf-8"))
+    for part in command:
+        digest.update(b"\0" + part.encode("utf-8"))
+    return digest.hexdigest()[:16]
+
+
+def _compile_library() -> str:
+    """Compile the C source to a cached shared object, or raise why not."""
     compiler = (
         shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     )
     if compiler is None:
-        return None
-    tag = hashlib.sha256(_C_SOURCE.encode("utf-8")).hexdigest()[:16]
+        raise RuntimeError("no C compiler (cc, gcc or clang) on PATH")
+    command = [compiler, *_CFLAGS]
+    tag = _build_tag(command)
     cache_dir = _cache_dir()
     lib_path = os.path.join(cache_dir, f"cellkernel-{tag}.so")
     if os.path.exists(lib_path):
         return lib_path
+    os.makedirs(cache_dir, exist_ok=True)
+    src_path = os.path.join(cache_dir, f"cellkernel-{tag}.c")
+    with open(src_path, "w", encoding="utf-8") as handle:
+        handle.write(_C_SOURCE)
+    tmp_path = f"{lib_path}.tmp.{os.getpid()}"
     try:
-        os.makedirs(cache_dir, exist_ok=True)
-        src_path = os.path.join(cache_dir, f"cellkernel-{tag}.c")
-        with open(src_path, "w", encoding="utf-8") as handle:
-            handle.write(_C_SOURCE)
-        tmp_path = f"{lib_path}.tmp.{os.getpid()}"
         subprocess.run(
-            [compiler, "-O3", "-fPIC", "-shared", "-o", tmp_path, src_path],
+            [*command, "-o", tmp_path, src_path],
             check=True,
             capture_output=True,
             timeout=120,
         )
-        # Atomic publish so concurrent builders never load a torn file.
-        os.replace(tmp_path, lib_path)
-        return lib_path
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:
+        stderr = (exc.stderr or b"").decode("utf-8", "replace").strip()
+        raise RuntimeError(f"{compiler} failed: {stderr[-400:]}") from exc
+    # Atomic publish so concurrent builders never load a torn file.
+    os.replace(tmp_path, lib_path)
+    return lib_path
 
 
+@functools.lru_cache(maxsize=1)
 def load_kernel() -> Optional[ctypes.CDLL]:
-    """The compiled library, building it on first call; None if unavailable."""
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    _kernel_tried = True
+    """The compiled library, building it on first call; None if unavailable.
+
+    A missing compiler or a failed build emits one RuntimeWarning with
+    the reason: MD pair counts then run on the slower KD-tree path.
+    Disabling the kernel through ``REPRO_NO_CELLKERNEL`` is silent.
+    """
     if os.environ.get(ENV_DISABLE):
         return None
-    lib_path = _compile_library()
-    if lib_path is None:
-        return None
     try:
-        lib = ctypes.CDLL(lib_path)
-        lib.count_pairs.restype = None
-        lib.count_pairs.argtypes = [
-            ctypes.POINTER(ctypes.c_double),  # pos
-            ctypes.c_int64,  # n
-            ctypes.c_double,  # box
-            ctypes.c_int64,  # nc
-            ctypes.c_int64,  # srad
-            ctypes.POINTER(ctypes.c_int64),  # cell_start
-            ctypes.c_double,  # r1sq
-            ctypes.c_double,  # r2sq
-            ctypes.POINTER(ctypes.c_int32),  # per_atom
-            ctypes.POINTER(ctypes.c_int64),  # out_in
-            ctypes.POINTER(ctypes.c_int64),  # out_band
-        ]
-        _kernel = lib
-    except OSError:
-        _kernel = None
-    return _kernel
+        lib = ctypes.CDLL(_compile_library())
+    except (RuntimeError, OSError) as exc:
+        warnings.warn(
+            f"compiled MD pair counter unavailable ({exc}); neighbour "
+            "counts fall back to the slower KD-tree path",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+    lib.count_pairs.restype = ctypes.c_int
+    lib.count_pairs.argtypes = [
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
+        ctypes.c_int64,  # n
+        ctypes.c_double,  # box
+        ctypes.c_int64,  # cells per edge
+        ctypes.c_int64,  # stencil radius
+        ctypes.c_double,  # r1sq
+        ctypes.c_double,  # r2sq
+        np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+    ]
+    return lib
 
 
-def reset_kernel_cache() -> None:
-    """Forget the loaded kernel (tests toggle the env switches)."""
-    global _kernel, _kernel_tried
-    _kernel = None
-    _kernel_tried = False
+#: Forget the loaded kernel (tests toggle the env switches).
+reset_kernel_cache = load_kernel.cache_clear
 
 
 def _choose_grid(box: float, cutoff: float, n_atoms: int) -> Optional[Tuple[int, int]]:
@@ -299,55 +322,32 @@ def count_pairs_exact(
 ) -> Optional[PairCounts]:
     """Exact pair counts via the compiled sweep, or None if unavailable.
 
-    ``positions`` must lie in ``[0, box)``.  A None return (no compiler,
-    kernel disabled, or box too small for the stencil) and a result with
+    ``positions`` should lie in ``[0, box]``.  A None return (no compiler,
+    kernel disabled, box too small for the stencil, or a coordinate that
+    is non-finite or outside the box) and a result with
     ``band_pairs > 0`` both mean: use the KD-tree reference path.
     """
     lib = load_kernel()
     if lib is None:
         return None
     n = positions.shape[0]
-    if n < 2:
-        return None
     grid = _choose_grid(box, cutoff, n)
     if grid is None:
         return None
     srad, nc = grid
-
-    h = box / nc
-    cells = np.minimum(
-        (positions * (1.0 / h)).astype(np.int64), nc - 1
-    )
-    cell_ids = (cells[:, 0] * nc + cells[:, 1]) * nc + cells[:, 2]
-    order = np.argsort(cell_ids, kind="stable")
-    sorted_pos = np.ascontiguousarray(positions[order])
-    counts = np.bincount(cell_ids, minlength=nc**3)
-    cell_start = np.zeros(nc**3 + 1, dtype=np.int64)
-    np.cumsum(counts, out=cell_start[1:])
+    # reshape raises unless the input holds exactly n xyz triples.
+    pos = np.ascontiguousarray(positions, dtype=np.float64).reshape(n, 3)
 
     r1sq = (cutoff * (1.0 - BAND_REL)) ** 2
     r2sq = (cutoff * (1.0 + BAND_REL)) ** 2
-    per_atom_sorted = np.zeros(n, dtype=np.int32)
-    out_in = ctypes.c_int64(0)
-    out_band = ctypes.c_int64(0)
-    lib.count_pairs(
-        sorted_pos.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        ctypes.c_int64(n),
-        ctypes.c_double(box),
-        ctypes.c_int64(nc),
-        ctypes.c_int64(srad),
-        cell_start.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        ctypes.c_double(r1sq),
-        ctypes.c_double(r2sq),
-        per_atom_sorted.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-        ctypes.byref(out_in),
-        ctypes.byref(out_band),
-    )
-
     per_atom = np.empty(n, dtype=np.int32)
-    per_atom[order] = per_atom_sorted
+    out = np.zeros(2, dtype=np.int64)
+    if lib.count_pairs(pos, n, box, nc, srad, r1sq, r2sq, per_atom, out):
+        # A coordinate outside [0, box] (NaN included) or a failed
+        # allocation: the reference path decides.
+        return None
     return PairCounts(
-        total_pairs=int(out_in.value),
-        band_pairs=int(out_band.value),
+        total_pairs=int(out[0]),
+        band_pairs=int(out[1]),
         per_atom=per_atom,
     )

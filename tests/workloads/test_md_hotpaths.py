@@ -18,13 +18,18 @@ implementation.  Enforced three ways:
    kernel construction — compared by stream digest across cadences;
 3. hypothesis property tests of the pair counts themselves (brute-force
    periodic min-image agreement, symmetry, permutation invariance)
-   which hold on the compiled path and the scipy fallback alike.
+   which hold on the compiled path and the scipy fallback alike;
+4. wrap-edge differentials of the compiled sweep against brute force on
+   every grid shape it supports, plus its input rejection, build-cache
+   tag and fallback warnings.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -620,3 +625,155 @@ def test_grid_selection_bounds():
     assert nc >= 2 * srad + 1
     # The cell edge never drops below cutoff/srad (no missed pairs).
     assert 10.0 / nc >= 1.0 / srad
+
+
+# ---------------------------------------------------------------------------
+# Compiled kernel: periodic wrap edges, bad input, build cache and warnings
+# ---------------------------------------------------------------------------
+
+_HAS_COMPILER = any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
+needs_compiler = pytest.mark.skipif(
+    not _HAS_COMPILER, reason="no C compiler (cc, gcc or clang) on PATH"
+)
+
+#: ``(stencil radius, cells per edge, box, atoms)`` at cutoff 1.0, each
+#: forcing the named grid: the smallest legal ``nc = 2s+1``, ``2s+2``
+#: (the z edge splits every column), and a larger grid.
+_WRAP_GRIDS = [
+    (1, 3, 3.5, 200),
+    (1, 4, 4.5, 300),
+    (1, 7, 7.5, 300),
+    (2, 5, 2.75, 300),
+    (2, 6, 3.25, 300),
+    (2, 9, 4.75, 800),
+]
+
+
+def _wrap_edge_positions(box, n, seed):
+    """Uniform atoms plus atoms within 1e-3 of every face, atoms at
+    exactly 0 and ``box``, and a clustered solute straddling a corner."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for axis in range(3):
+        for near_high in (False, True):
+            face = rng.uniform(0.0, box, size=(6, 3))
+            inset = rng.uniform(0.0, 1e-3, size=6)
+            face[:, axis] = box - inset if near_high else inset
+            parts.append(face)
+            exact = rng.uniform(0.0, box, size=(2, 3))
+            exact[:, axis] = box if near_high else 0.0
+            parts.append(exact)
+    parts.append(np.array([[0.0, 0.0, 0.0], [box, box, box], [0.0, box, 0.0]]))
+    parts.append(np.mod(rng.normal(0.0, 0.3, size=(40, 3)), box))
+    used = sum(len(p) for p in parts)
+    parts.append(rng.uniform(0.0, box, size=(n - used, 3)))
+    return np.concatenate(parts)
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "srad, nc, box, n", _WRAP_GRIDS,
+    ids=[f"s{s}-nc{nc}" for s, nc, _, _ in _WRAP_GRIDS],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_compiled_counts_exact_at_wrap_edges(srad, nc, box, n, seed):
+    """Total, band and per-atom counts equal brute force on every
+    supported grid shape, with atoms on and next to every face."""
+    assert cellkernel._choose_grid(box, 1.0, n) == (srad, nc)
+    positions = _wrap_edge_positions(box, n, seed)
+    counts = cellkernel.count_pairs_exact(positions, box, 1.0)
+    assert counts is not None
+    expected_pairs, expected_per_atom = _brute_force_counts(positions, box, 1.0)
+    assert counts.band_pairs == 0
+    assert counts.total_pairs == expected_pairs
+    np.testing.assert_array_equal(counts.per_atom, expected_per_atom)
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "srad, nc, box, n", _WRAP_GRIDS,
+    ids=[f"s{s}-nc{nc}" for s, nc, _, _ in _WRAP_GRIDS],
+)
+def test_compiled_band_pair_across_wrap(srad, nc, box, n):
+    """A pair at exactly the cutoff through the periodic x edge lands in
+    the ambiguity band and is left out of the total."""
+    positions = _wrap_edge_positions(box, n, seed=2)
+    positions[0] = [0.25, 0.5 * box, 0.5 * box]
+    positions[1] = [box - 0.75, 0.5 * box, 0.5 * box]
+    assert cellkernel._choose_grid(box, 1.0, n) == (srad, nc)
+    counts = cellkernel.count_pairs_exact(positions, box, 1.0)
+    assert counts is not None
+    expected_pairs, _ = _brute_force_counts(positions, box, 1.0)
+    assert counts.band_pairs == 1
+    assert counts.total_pairs == expected_pairs - 1
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "bad", [math.nan, -1e-9, -0.5, 10.0 + 1e-6, math.inf],
+    ids=["nan", "tiny-negative", "negative", "past-box", "inf"],
+)
+def test_compiled_rejects_coordinates_outside_box(bad):
+    """A coordinate that is non-finite or outside [0, box] makes the
+    kernel decline (KD-tree fallback) instead of indexing a cell."""
+    positions = np.random.default_rng(0).uniform(0.0, 10.0, size=(500, 3))
+    assert cellkernel.count_pairs_exact(positions, 10.0, 1.0) is not None
+    positions[17, 1] = bad
+    assert cellkernel.count_pairs_exact(positions, 10.0, 1.0) is None
+    # x == box (an np.mod rounding edge) is accepted.
+    positions[17, 1] = 10.0
+    assert cellkernel.count_pairs_exact(positions, 10.0, 1.0) is not None
+
+
+@needs_compiler
+def test_compiled_kernel_is_active():
+    """With a C compiler on PATH the compiled path must load: a
+    toolchain or dispatch regression must not pass slowly on the KD-tree."""
+    cellkernel.reset_kernel_cache()
+    assert cellkernel.load_kernel() is not None
+
+
+def test_build_tag_covers_compile_command():
+    base = cellkernel._build_tag(["cc", "-O3", "-fPIC", "-shared"])
+    assert base == cellkernel._build_tag(["cc", "-O3", "-fPIC", "-shared"])
+    assert base != cellkernel._build_tag(["cc", "-O2", "-fPIC", "-shared"])
+    assert base != cellkernel._build_tag(["clang", "-O3", "-fPIC", "-shared"])
+    assert base != cellkernel._build_tag(["cc", "-O3", "-fPIC -shared"])
+
+
+@pytest.fixture
+def fresh_kernel():
+    """Forget the loaded kernel before and after the test."""
+    cellkernel.reset_kernel_cache()
+    yield
+    cellkernel.reset_kernel_cache()
+
+
+def test_missing_compiler_warns_once(fresh_kernel, monkeypatch):
+    monkeypatch.delenv(cellkernel.ENV_DISABLE, raising=False)
+    monkeypatch.setattr(cellkernel.shutil, "which", lambda name: None)
+    with pytest.warns(RuntimeWarning, match="no C compiler"):
+        assert cellkernel.load_kernel() is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cellkernel.load_kernel() is None
+
+
+def test_failed_compile_warns_with_compiler_stderr(
+    fresh_kernel, monkeypatch, tmp_path
+):
+    fake_cc = tmp_path / "cc"
+    fake_cc.write_text("#!/bin/sh\necho 'unrecognized option -ffoo' >&2\nexit 1\n")
+    fake_cc.chmod(0o755)
+    monkeypatch.delenv(cellkernel.ENV_DISABLE, raising=False)
+    monkeypatch.setenv(cellkernel.ENV_CACHE_DIR, str(tmp_path / "build"))
+    monkeypatch.setattr(cellkernel.shutil, "which", lambda name: str(fake_cc))
+    with pytest.warns(RuntimeWarning, match="unrecognized option -ffoo"):
+        assert cellkernel.load_kernel() is None
+
+
+def test_disabled_kernel_is_silent(fresh_kernel, monkeypatch):
+    monkeypatch.setenv(cellkernel.ENV_DISABLE, "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cellkernel.load_kernel() is None
