@@ -33,7 +33,6 @@ from repro.core.serialize import (
     sweep_run_report_from_dict,
     sweep_run_report_to_dict,
 )
-from repro.core.streamcache import StreamCache
 from repro.core.suite import SuiteResult, SuiteRunReport, run_suite
 from repro.core.sweep import SweepRunReport, run_sweep
 
@@ -44,7 +43,6 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "RunJournal",
-    "StreamCache",
     "SuiteRunError",
     "SweepRunReport",
     "WorkloadFailure",

@@ -8,10 +8,9 @@ A :class:`ResultCache` has two tiers:
 * an **in-memory LRU** (bounded ``OrderedDict``) that serves repeated
   lookups within one process at dict speed, and
 * an optional **persistent tier**: one JSON file per entry under
-  ``<cache_dir>/<version>/<namespace>/<key[:2]>/<key>.json``, where
-  ``<version>`` is ``v<CACHE_SCHEMA_VERSION>-<fingerprint[:16]>``
-  (:func:`~repro.gpu.digest.source_fingerprint`) and the namespace is
-  empty for characterizations (``streams`` for the stream cache).
+  ``<cache_dir>/<version>/<key[:2]>/<key>.json``, where ``<version>``
+  is ``v<CACHE_SCHEMA_VERSION>-<fingerprint[:16]>``
+  (:func:`~repro.gpu.digest.source_fingerprint`).
 
 Keys are hex SHA-256 digests produced by :mod:`repro.gpu.digest`; the
 two-character fan-out directory keeps any single directory small even
@@ -31,7 +30,8 @@ Corruption handling: an entry that exists but cannot be parsed
 ``stats.corrupt``, *quarantined* into ``<cache_dir>/corrupt/`` for
 post-mortem inspection, and reported as a miss — so the caller
 recomputes and cleanly rewrites the entry instead of tripping over the
-same broken file forever.
+same broken file forever.  An entry that parses but fails the caller's
+own schema check goes the same way through :meth:`ResultCache.reject`.
 """
 
 from __future__ import annotations
@@ -121,8 +121,6 @@ class ResultCache:
 
     cache_dir: Optional[Path] = None
     max_memory_entries: int = 4096
-    #: Subdirectory of the version tree holding this cache's entries.
-    namespace: str = ""
     stats: CacheStats = field(default_factory=CacheStats)
     #: Optional run-scoped tracer (see :mod:`repro.obs`): every get/put
     #: also bumps ``cache.*`` run metrics and, when an event log is
@@ -156,7 +154,7 @@ class ResultCache:
         root = self.version_dir
         if root is None:
             return None
-        return root / self.namespace / key[:2] / f"{key}.json"
+        return root / key[:2] / f"{key}.json"
 
     # -- observability -------------------------------------------------
     def _observe(self, op: str, key: str, outcome: str) -> None:
@@ -204,6 +202,24 @@ class ResultCache:
         self.stats.misses += 1
         self._observe("get", key, "misses")
         return None
+
+    def reject(self, key: str) -> None:
+        """Re-book the disk hit :meth:`get` just served for *key* as corrupt.
+
+        For a caller whose schema check fails on a payload that parsed:
+        the lookup counts as a miss, and the entry leaves the memory
+        tier and is quarantined, exactly as if it had not parsed, so the
+        caller recomputes and rewrites it.  Only a disk hit can be
+        schema-corrupt: the memory tier holds what :meth:`put` stored
+        and what :meth:`get` read, and a rejected read is dropped here.
+        """
+        self.stats.disk_hits -= 1
+        if self.tracer is not None:
+            self.tracer.incr("cache.disk_hits", -1.0)
+        self.stats.misses += 1
+        self._observe("reject", key, "misses")
+        self._memory.pop(key, None)
+        self._quarantine(self._path(key))
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside into ``<cache_dir>/corrupt/``."""
@@ -263,7 +279,7 @@ class ResultCache:
         root = self.version_dir
         if root is None or not root.is_dir():
             return 0
-        return sum(1 for _ in (root / self.namespace).glob("*/*.json"))
+        return sum(1 for _ in root.glob("*/*.json"))
 
     def prune(self) -> int:
         """Drop trees of other versions and source fingerprints; count them.

@@ -65,7 +65,6 @@ from repro.core.serialize import (
     characterization_from_dict,
     characterization_to_dict,
 )
-from repro.core.streamcache import StreamCache, stream_key
 from repro.core.resilience import (
     RetryPolicy,
     SuiteRunError,
@@ -106,7 +105,6 @@ def _attempt(
     devices: Sequence[DeviceSpec],
     options: SimulationOptions,
     cache: Optional[ResultCache],
-    stream_cache: Optional[StreamCache],
     tracer: Tracer,
     attempt: int,
     fault_plan: Optional["FaultPlan"],
@@ -118,13 +116,16 @@ def _attempt(
     and the pool worker (``mode="pool"``).  The engine rebuilds every
     workload as ``get_workload(abbr, scale, seed)``, so it probes the
     result cache under those recipe keys first; if every device hits,
-    no workload or stream is built.  Otherwise the stream is loaded or
-    generated and digested once, and the missed devices go through
+    no workload or stream is built.  Otherwise the stream is generated
+    and digested once, and the missed devices go through
     :func:`~repro.core.characterize.characterize_devices`, stored with
-    that ``stream_digest``.  A hit whose ``stream_digest`` differs from
-    the stream in hand is stale: recomputed, overwritten and counted in
-    ``cache.stale``.  The *fault_plan* hooks run once per attempt and
-    are strict no-ops when the plan is empty.
+    that ``stream_digest``.  An entry that parses but is not a
+    characterization is quarantined like an unparsable one
+    (:meth:`~repro.core.cache.ResultCache.reject`) and recomputed.  A
+    hit whose ``stream_digest`` differs from the stream in hand is
+    stale: recomputed, overwritten and counted in ``cache.stale``.  The
+    *fault_plan* hooks run once per attempt and are strict no-ops when
+    the plan is empty.
     """
     with tracer.span(
         "attempt",
@@ -159,12 +160,12 @@ def _attempt(
                             payload.get("stream_digest"),
                         )
                     except (KeyError, TypeError, ValueError):
-                        pass  # schema-corrupt entry → recompute below
+                        cache.reject(key)  # schema-corrupt → recompute
                 sp.set_attr("hits", len(hits))
         result = {name: hit[0] for name, hit in hits.items()}
         if len(hits) < len(devices):
             workload = get_workload(abbr, scale=scale, seed=seed)
-            stream = _load_stream(workload, stream_cache, tracer)
+            stream = generate_stream(workload, tracer)
             digest = (
                 launch_stream_digest(stream) if cache is not None else None
             )
@@ -196,31 +197,12 @@ def _attempt(
     return result
 
 
-def _load_stream(workload, stream_cache: Optional[StreamCache], tracer: Tracer):
-    """*workload*'s stream from *stream_cache*, else generated (and stored)."""
-    if stream_cache is None:
-        return generate_stream(workload, tracer)
-    key = stream_key(workload.abbr, workload.scale, workload.seed)
-    with tracer.span(
-        "stream-cache-lookup", category="phase", workload=workload.abbr
-    ):
-        stream = stream_cache.get(key)
-    if stream is None:
-        stream = generate_stream(workload, tracer)
-        with tracer.span(
-            "stream-cache-store", category="phase", workload=workload.abbr
-        ):
-            stream_cache.put(key, stream)
-    return stream
-
-
 def _sweep_one(
     abbr: str,
     preset: ScalePreset,
-    devices: Tuple[DeviceSpec, ...],
+    devices: Sequence[DeviceSpec],
     options: SimulationOptions,
     cache_dir: Optional["os.PathLike[str] | str"],
-    stream_cache_dir: Optional["os.PathLike[str] | str"],
     attempt: int = 1,
     fault_plan: Optional["FaultPlan"] = None,
     handoff: Optional[TraceHandoff] = None,
@@ -228,10 +210,9 @@ def _sweep_one(
     """Pool worker: one workload, every device of the run.
 
     Module-level (picklable) so it can run inside a process pool.  Each
-    worker owns one workload end to end, generates (or loads) its
-    stream at most once, and opens its own handles on the shared cache
-    directories — entry writes are atomic, so concurrent workers can
-    share them safely.
+    worker owns one workload end to end, generates its stream at most
+    once, and opens its own handle on the shared cache directory —
+    entry writes are atomic, so concurrent workers can share it safely.
 
     *handoff* (see :mod:`repro.obs`) roots this attempt's spans under
     the parent's run span and — when tracing is enabled — appends them
@@ -242,15 +223,10 @@ def _sweep_one(
     """
     tracer = worker_tracer(handoff)
     cache = ResultCache(cache_dir=cache_dir, tracer=tracer) if cache_dir else None
-    stream_cache = (
-        StreamCache(cache_dir=stream_cache_dir) if stream_cache_dir else None
-    )
-    if stream_cache is not None:
-        stream_cache.tracer = tracer
     try:
         result = _attempt(
-            abbr, preset, devices, options, cache, stream_cache, tracer,
-            attempt, fault_plan, mode="pool",
+            abbr, preset, devices, options, cache, tracer, attempt,
+            fault_plan, mode="pool",
         )
     finally:
         if tracer.sink is not None:
@@ -258,15 +234,6 @@ def _sweep_one(
     snapshot = tracer.metrics.snapshot() if tracer.metrics else None
     stats = cache.stats if cache is not None else CacheStats()
     return abbr, result, stats, snapshot
-
-
-@dataclass(frozen=True)
-class _RunPlan:
-    """What every attempt of one run shares: scale and device axis."""
-
-    preset: ScalePreset
-    devices: Tuple[DeviceSpec, ...]
-    stream_cache: Optional[StreamCache]
 
 
 @dataclass
@@ -333,10 +300,6 @@ class CharacterizationEngine:
     journal_dir: Optional[str] = None
     fault_plan: Optional["FaultPlan"] = None
     trace_dir: Optional[str] = None
-    #: Optional device-independent launch-stream cache (see
-    #: :mod:`repro.core.streamcache`).  When absent but ``cache`` has a
-    #: disk tier, sweeps derive one in the same version tree.
-    stream_cache: Optional[StreamCache] = None
 
     def select(
         self,
@@ -395,9 +358,8 @@ class CharacterizationEngine:
         """Characterize every workload of *suites* on ``self.device``.
 
         A one-device run viewed through
-        :meth:`~repro.core.sweep.SweepRunReport.for_device`.  It keeps
-        its own journal identity (:meth:`run_key`) and derives no
-        stream cache: only an explicitly given ``stream_cache`` is used.
+        :meth:`~repro.core.sweep.SweepRunReport.for_device`, with its
+        own journal identity (:meth:`run_key`).
         """
         selected = self.select(suites, workloads)
         report = self._run(
@@ -407,7 +369,6 @@ class CharacterizationEngine:
             selected,
             run_key=self.run_key(preset, selected),
             span="suite-run",
-            stream_cache=self.stream_cache,
         )
         return self._settle(report.for_device(self.device.name))
 
@@ -420,11 +381,10 @@ class CharacterizationEngine:
     ) -> SweepRunReport:
         """Characterize every workload of *suites* across N devices.
 
-        Each stream is generated at most once per run and cached
-        device-free in the stream cache (``stream_cache``, or one
-        derived from ``cache``'s directory) for the next run.  Result
-        cache keys are the ones :meth:`run_suite` uses, so a suite run
-        on any zoo device warm-starts the sweep and vice versa.
+        Each stream is generated at most once per run, and only when
+        some device misses the result cache.  Result cache keys are the
+        ones :meth:`run_suite` uses, so a suite run on any zoo device
+        warm-starts the sweep and vice versa.
         """
         devices = list(devices)
         selected = self.select(suites, workloads)
@@ -435,7 +395,6 @@ class CharacterizationEngine:
             selected,
             run_key=self.sweep_run_key(preset, selected, devices),
             span="sweep-run",
-            stream_cache=self._sweep_stream_cache(),
         )
         return self._settle(report)
 
@@ -444,14 +403,6 @@ class CharacterizationEngine:
         if report.failures and not self.keep_going:
             raise SuiteRunError(report, report.failures)
         return report
-
-    def _sweep_stream_cache(self) -> Optional[StreamCache]:
-        """The sweep's stream cache (explicit, derived, or None)."""
-        if self.stream_cache is not None:
-            return self.stream_cache
-        if self.cache is not None and self.cache.cache_dir is not None:
-            return StreamCache(cache_dir=self.cache.cache_dir)
-        return None
 
     # -- the one execution path ----------------------------------------
     def _run(
@@ -462,7 +413,6 @@ class CharacterizationEngine:
         selected: List[str],
         run_key: str,
         span: str,
-        stream_cache: Optional[StreamCache],
     ) -> SweepRunReport:
         """Characterize *selected* across *devices*.
 
@@ -484,16 +434,13 @@ class CharacterizationEngine:
 
         jobs = _resolve_jobs(self.jobs)
         report = SweepRunReport(devices=devices, preset=preset)
-        plan = _RunPlan(preset, tuple(devices), stream_cache)
 
         session = ObsSession(self.trace_dir)
         self._session = session
         # In-process cache traffic counts toward this run's metrics;
-        # the tracers are detached again before returning.
+        # the tracer is detached again before returning.
         if self.cache is not None and self.cache.tracer is None:
             self.cache.tracer = session.tracer
-        if stream_cache is not None and stream_cache.tracer is None:
-            stream_cache.tracer = session.tracer
         try:
             with session.tracer.span(
                 span,
@@ -523,13 +470,15 @@ class CharacterizationEngine:
                 if remaining:
                     if jobs > 1:
                         self._run_parallel(
-                            remaining, plan, jobs, journal, outcome
+                            remaining, preset, devices, jobs, journal, outcome
                         )
                         remaining = [
                             a for a in remaining if a not in outcome.resolved
                         ]
                     if remaining:  # serial path, or parallel degraded
-                        self._run_serial(remaining, plan, journal, outcome)
+                        self._run_serial(
+                            remaining, preset, devices, journal, outcome
+                        )
 
                 for abbr in selected:
                     if abbr in outcome.results:
@@ -556,8 +505,6 @@ class CharacterizationEngine:
         finally:
             if self.cache is not None and self.cache.tracer is session.tracer:
                 self.cache.tracer = None
-            if stream_cache is not None and stream_cache.tracer is session.tracer:
-                stream_cache.tracer = None
             # The profile and trace ride on the report even when the
             # run failed (strict mode raises with the report attached)
             # — a failed run is exactly when you want them.
@@ -602,7 +549,8 @@ class CharacterizationEngine:
     def _run_serial(
         self,
         selected: Sequence[str],
-        plan: _RunPlan,
+        preset: ScalePreset,
+        devices: Sequence[DeviceSpec],
         journal: Optional[RunJournal],
         outcome: _ExecutionOutcome,
     ) -> None:
@@ -622,11 +570,10 @@ class CharacterizationEngine:
                 try:
                     result = _attempt(
                         abbr,
-                        plan.preset,
-                        plan.devices,
+                        preset,
+                        devices,
                         self.options,
                         self.cache,
-                        plan.stream_cache,
                         tracer,
                         attempt,
                         self.fault_plan,
@@ -696,7 +643,8 @@ class CharacterizationEngine:
     def _run_parallel(
         self,
         selected: Sequence[str],
-        plan: _RunPlan,
+        preset: ScalePreset,
+        devices: Sequence[DeviceSpec],
         jobs: int,
         journal: Optional[RunJournal],
         outcome: _ExecutionOutcome,
@@ -717,9 +665,6 @@ class CharacterizationEngine:
         tracer = self._tracer
         session = self._obs
         cache_dir = self.cache.cache_dir if self.cache is not None else None
-        stream_cache_dir = (
-            plan.stream_cache.cache_dir if plan.stream_cache is not None else None
-        )
 
         try:
             pool = self._new_pool(jobs, len(selected))
@@ -754,11 +699,10 @@ class CharacterizationEngine:
             return pool.submit(
                 _sweep_one,
                 abbr,
-                plan.preset,
-                plan.devices,
+                preset,
+                devices,
                 self.options,
                 cache_dir,
-                stream_cache_dir,
                 attempts[abbr] + 1,
                 self.fault_plan,
                 session.handoff() if session is not None else None,

@@ -24,7 +24,6 @@ from repro.workloads.registry import list_workloads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import ResultCache
-    from repro.core.streamcache import StreamCache
     from repro.testing.faults import FaultPlan
 
 
@@ -107,7 +106,6 @@ def run_sweep(
     jobs: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
     cache_dir: Optional[str] = None,
-    stream_cache: Optional["StreamCache"] = None,
     retry_policy: Optional[RetryPolicy] = None,
     keep_going: bool = False,
     journal_dir: Optional[str] = None,
@@ -118,10 +116,11 @@ def run_sweep(
 
     Same knobs and failure semantics as
     :func:`~repro.core.suite.run_suite` — jobs, caching, retries,
-    journaled resume, tracing — plus *devices* (the sweep axis) and an
-    optional *stream_cache*.  With ``cache_dir`` set and no explicit
-    stream cache, launch streams persist in the cache's version tree
-    automatically.  This is a thin wrapper over
+    journaled resume, tracing — plus *devices* (the sweep axis).  Each
+    workload's stream is generated once per run, and only if some
+    device misses the result cache; streams are never persisted, so
+    adding a device to a swept cache directory regenerates each stream
+    once.  This is a thin wrapper over
     :meth:`~repro.core.engine.CharacterizationEngine.run_sweep`.
     """
     from repro.core.cache import ResultCache
@@ -132,7 +131,6 @@ def run_sweep(
     engine = CharacterizationEngine(
         jobs=jobs,
         cache=cache,
-        stream_cache=stream_cache,
         retry_policy=retry_policy or RetryPolicy(),
         keep_going=keep_going,
         journal_dir=journal_dir,

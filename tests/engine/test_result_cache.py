@@ -101,15 +101,6 @@ class TestPersistentTier:
         assert not any((tmp_path / name).exists() for name in stale)
         assert cache.persistent_entries() == 1
 
-    def test_namespaces_share_the_version_tree(self, tmp_path):
-        results = ResultCache(cache_dir=tmp_path)
-        streams = ResultCache(cache_dir=tmp_path, namespace="streams")
-        results.put(KEY_A, {"v": 1})
-        streams.put(KEY_B, {"v": 2})
-        assert (results.version_dir / "streams" / "bb").is_dir()
-        assert results.get(KEY_B) is None
-        assert results.persistent_entries() == streams.persistent_entries() == 1
-
 
 class TestSourceFingerprint:
     @pytest.fixture

@@ -9,13 +9,13 @@ sweep the same way it resumes a suite run.
 """
 
 import json
+import re
 
 import pytest
 
 from repro.core import (
     CharacterizationEngine,
     ResultCache,
-    StreamCache,
     run_suite,
     run_sweep,
 )
@@ -68,22 +68,6 @@ class TestOneStreamManyDevices:
         sims = report.run_profile.histograms.get("span.simulate_s")
         assert sims is not None and sims["count"] == len(WLS)
 
-    def test_stream_cache_skips_generation_on_second_run(self, tmp_path):
-        stream_cache = StreamCache(cache_dir=tmp_path / "streams")
-        engine = CharacterizationEngine(stream_cache=stream_cache)
-        first = engine.run_sweep([RTX_3080, V100], workloads=WLS)
-        gen1 = first.run_profile.histograms["span.stream-gen_s"]["count"]
-        assert gen1 == len(WLS)
-        # A fresh engine (fresh process in real life), same stream dir:
-        # zero generations, identical results.
-        engine2 = CharacterizationEngine(
-            stream_cache=StreamCache(cache_dir=tmp_path / "streams")
-        )
-        second = engine2.run_sweep([RTX_3080, V100], workloads=WLS)
-        assert "span.stream-gen_s" not in second.run_profile.histograms
-        for abbr in WLS:
-            assert second.results[abbr] == first.results[abbr]
-
 
 class TestCacheInterop:
     def test_suite_run_warms_sweep_and_back(self, tmp_path):
@@ -97,6 +81,12 @@ class TestCacheInterop:
             "cache.memory_hits"
         ) + sweep.run_profile.counter("cache.disk_hits")
         assert hits >= len(WLS)
+        # ...but RTX 3080 missed, and streams are not persisted: the
+        # sweep regenerates each stream exactly once, and the V100 hits
+        # agree with the regenerated streams.
+        gen = sweep.run_profile.histograms["span.stream-gen_s"]
+        assert gen["count"] == len(WLS)
+        assert sweep.run_profile.counter("cache.stale") == 0
         for abbr in WLS:
             assert sweep.results[abbr]["V100"] == suite.results[abbr]
         # ...and the sweep's RTX 3080 entries warm a later suite run.
@@ -117,10 +107,19 @@ class TestCacheInterop:
         profile = again.run_profile
         assert "span.simulate_s" not in profile.histograms
         assert "span.stream-gen_s" not in profile.histograms
-        # Recipe keys: a full hit never even looks for the stream.
-        assert "span.stream-cache-lookup_s" not in profile.histograms
         for abbr in WLS:
             assert again.results[abbr] == first.results[abbr]
+
+    def test_sweep_writes_only_characterization_entries(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        run_sweep([RTX_3080, V100], workloads=WLS, cache_dir=cache_dir)
+        root = ResultCache(cache_dir=cache_dir).version_dir
+        assert len(list(root.rglob("*.json"))) == len(WLS) * 2
+        # Only the two-hex-character fan-out directories, no subtrees.
+        assert all(
+            p.parent == root and re.fullmatch("[0-9a-f]{2}", p.name)
+            for p in root.rglob("*") if p.is_dir()
+        )
 
     def test_stale_hit_is_recomputed_on_a_mixed_run(self, tmp_path):
         """An entry whose stream_digest disagrees with the stream in hand

@@ -6,7 +6,14 @@ post-mortem inspection, and count them in ``CacheStats`` — so a killed
 worker's torn write can never poison later runs.
 """
 
-from repro.core import ResultCache
+import json
+
+import pytest
+
+from repro.core import LAPTOP_SCALE, ResultCache
+from repro.core.cache import characterization_key
+from repro.gpu import RTX_3080
+from repro.gpu.simulator import SimulationOptions
 from repro.testing import CORRUPT_CACHE, FaultPlan
 from repro.testing.faults import flip_cache_bytes
 
@@ -116,6 +123,41 @@ class TestEndToEnd:
         third = run_slice(cache=third_cache)
         assert third.results == baseline.results
         assert third_cache.stats.corrupt == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_schema_invalid_entry_is_quarantined_not_a_hit(
+        self, baseline, tmp_path, jobs
+    ):
+        # Valid JSON, valid dict, but not a characterization: the engine
+        # must count it corrupt and quarantine it, not report a hit.
+        run_slice(cache_dir=tmp_path)
+        key = characterization_key(
+            RTX_3080, SimulationOptions(), "GMS",
+            LAPTOP_SCALE.for_workload("GMS"), LAPTOP_SCALE.seed,
+        )
+        entry = ResultCache(cache_dir=tmp_path).version_dir / key[:2] / (
+            f"{key}.json"
+        )
+        digest = json.loads(entry.read_text(encoding="utf-8"))["stream_digest"]
+        entry.write_text(json.dumps({"stream_digest": digest}), encoding="utf-8")
+
+        rerun_cache = ResultCache(cache_dir=tmp_path)
+        rerun = run_slice(cache=rerun_cache, jobs=jobs)
+        assert rerun.results == baseline.results
+        stats = rerun_cache.stats
+        assert (stats.disk_hits, stats.misses, stats.corrupt, stats.stores) == (
+            len(baseline.results) - 1, 1, 1, 1
+        )
+        profile = rerun.run_profile
+        assert profile.counter("cache.disk_hits") == stats.disk_hits
+        assert profile.counter("cache.misses") == 1
+        assert profile.counter("cache.corrupt") == 1
+        assert profile.histograms["span.stream-gen_s"]["count"] == 1
+        assert (tmp_path / "corrupt" / entry.name).exists()
+        # The recompute rewrote the entry: the next run is all hits.
+        third_cache = ResultCache(cache_dir=tmp_path)
+        assert run_slice(cache=third_cache).results == baseline.results
+        assert third_cache.stats.hit_rate == 1.0
 
     def test_corrupt_cache_fault_kind_round_trips(self, baseline, tmp_path):
         # The CORRUPT_CACHE fault kind flips bytes *after* the workload
