@@ -13,10 +13,9 @@ thousands of tiny launches dominate the road graph).
 from repro.workloads.graphs.bfs import GunrockBFS, RoadBFS, SocialBFS
 from repro.workloads.graphs.csr import CSRGraph
 from repro.workloads.graphs.generator import road_network, social_network
-from repro.workloads.graphs.sampling import AliasTable, CdfSampler
+from repro.workloads.graphs.sampling import CdfSampler
 
 __all__ = [
-    "AliasTable",
     "CSRGraph",
     "CdfSampler",
     "GunrockBFS",

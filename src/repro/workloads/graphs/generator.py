@@ -16,10 +16,12 @@ depends on — survive the scaling.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.workloads.graphs.csr import CSRGraph
-from repro.workloads.graphs.sampling import AliasTable, CdfSampler
+from repro.workloads.graphs.sampling import SAMPLE_CHUNK, CdfSampler
 
 
 def social_network(
@@ -27,7 +29,6 @@ def social_network(
     avg_degree: float = 12.6,
     power_law_exponent: float = 2.1,
     seed: int = 0,
-    endpoint_sampler: str = "guide",
 ) -> CSRGraph:
     """Chung-Lu scale-free graph (SOC-Twitter10 surrogate).
 
@@ -36,14 +37,11 @@ def social_network(
     the weights, giving the hubs + heavy tail of a social network.
     The default average degree 12.6 matches 265 M edges / 21 M vertices.
 
-    *endpoint_sampler* selects how the 2·E weighted endpoint draws run:
-
-    * ``"guide"`` (default) — guide-table inverse CDF, bit-for-bit the
-      stream ``rng.choice`` produced historically, so every pinned
-      launch-stream digest is preserved;
-    * ``"alias"`` — Walker alias method, O(1) per draw with the same
-      marginal distribution but a different uniform→vertex mapping, so
-      it yields a *different* (equally valid) graph per seed.
+    The 2·E endpoint draws replay ``rng.choice`` bit for bit
+    (:class:`CdfSampler`), so every pinned launch-stream digest is
+    preserved.  Self-loops are dropped by compacting the endpoint arrays
+    in place, one chunk at a time: the CSR build holds the two int64
+    endpoint arrays and its output, and no full-size copy of either.
     """
     if num_vertices < 2:
         raise ValueError("num_vertices must be >= 2")
@@ -51,30 +49,44 @@ def social_network(
         raise ValueError("avg_degree must be positive")
     if power_law_exponent <= 1.0:
         raise ValueError("power_law_exponent must be > 1")
-    if endpoint_sampler not in ("guide", "alias"):
-        raise ValueError(
-            "endpoint_sampler must be 'guide' or 'alias', "
-            f"got {endpoint_sampler!r}"
-        )
     rng = np.random.default_rng(seed)
     num_edges = int(num_vertices * avg_degree)
+    src, dst = _draw_endpoints(
+        rng, num_vertices, num_edges, avg_degree, power_law_exponent
+    )
+    kept = 0
+    for start in range(0, num_edges, SAMPLE_CHUNK):
+        stop = min(start + SAMPLE_CHUNK, num_edges)
+        keep = src[start:stop] != dst[start:stop]
+        # The write cursor never passes the read chunk, and the masked
+        # reads are copied before the write lands.
+        count = int(np.count_nonzero(keep))
+        src[kept : kept + count] = src[start:stop][keep]
+        dst[kept : kept + count] = dst[start:stop][keep]
+        kept += count
+    return CSRGraph.from_edges(num_vertices, src[:kept], dst[:kept])
 
+
+def _draw_endpoints(
+    rng: np.random.Generator,
+    num_vertices: int,
+    num_edges: int,
+    avg_degree: float,
+    power_law_exponent: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Source then destination endpoints of every edge.
+
+    A function of its own so the weight arrays and the sampler's tables
+    are freed before the CSR build, the generator's memory peak.
+    """
     ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
     weights = ranks ** (-1.0 / (power_law_exponent - 1.0))
     # Cap the largest expected degree at ~2% of vertices, as real social
     # graphs do (even celebrity accounts are followed by a small
     # fraction of all users).
     weights = np.minimum(weights, weights.sum() * 0.02 / avg_degree)
-    probabilities = weights / weights.sum()
-
-    if endpoint_sampler == "alias":
-        sampler = AliasTable(probabilities)
-    else:
-        sampler = CdfSampler(probabilities)
-    src = sampler.sample(rng, num_edges)
-    dst = sampler.sample(rng, num_edges)
-    keep = src != dst
-    return CSRGraph.from_edges(num_vertices, src[keep], dst[keep])
+    sampler = CdfSampler(weights / weights.sum())
+    return sampler.sample(rng, num_edges), sampler.sample(rng, num_edges)
 
 
 def road_network(

@@ -1,33 +1,82 @@
-"""Fast weighted vertex sampling for the graph generators.
+"""Exact weighted vertex sampling for the graph generators.
 
 The social-network generator draws tens of millions of edge endpoints
 from a power-law vertex distribution.  ``numpy``'s ``Generator.choice``
 implements this as a full binary search of the CDF per sample, which
-profiling shows dominating GST's graph build.  This module provides two
-O(1)-per-draw samplers:
+profiling shows dominating GST's graph build.  :class:`CdfSampler` is a
+Chen–Asau *guide table* accelerating the exact inverse-CDF transform.
+Fed the same uniform stream, it reproduces ``rng.choice(n, size=size,
+p=p)`` **bit for bit** (it computes exactly ``cdf.searchsorted(u,
+side="right")``, just with a bucketed search), so every downstream
+launch-stream digest is unchanged.
 
-* :class:`CdfSampler` — a Chen–Asau *guide table* accelerating the exact
-  inverse-CDF transform.  Fed the same uniform stream, it reproduces
-  ``rng.choice(n, size=size, p=p)`` **bit for bit** (it computes exactly
-  ``cdf.searchsorted(u, side="right")``, just with a bucketed search),
-  so every downstream launch-stream digest is unchanged.  This is the
-  sampler the pipeline uses.
-* :class:`AliasTable` — Walker's alias method.  Construction is O(n),
-  each draw costs one uniform and two table probes.  It samples the same
-  *distribution* but maps uniforms to indices differently, so it cannot
-  replay an existing ``rng.choice`` stream; use it for new code where no
-  digest-compatibility contract exists.
-
-Both are seeded-deterministic: the mapping from ``(probabilities,
-uniform draws)`` to samples contains no hidden state, so equal seeds
-give equal graphs across processes and platforms.
+The lookup runs as a compiled C loop (built by
+:mod:`repro.workloads.native`) and falls back to a vectorized numpy
+bisection that makes the same comparisons; the numpy path is also the
+differential oracle for the C one.  Draws are made and resolved in
+fixed-size chunks, so sampling needs no full-size temporaries beyond
+its int64 output.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Optional
 
 import numpy as np
+
+from repro.workloads import native
+
+#: Uniforms drawn and resolved per chunk by :meth:`CdfSampler.sample`.
+SAMPLE_CHUNK = 1 << 16
+
+_C_SOURCE = r"""
+#include <stdint.h>
+
+/* out[i] = the first index k with cdf[k] > u[i] (numpy's searchsorted
+ * with side="right") for m uniforms.  Bucket j = floor(u * buckets) of
+ * the guide table brackets the answer in [guide[j], guide[j + 1]]; a
+ * bisection with the same cdf[mid] <= u comparisons resolves it.
+ * Returns 0 on success, 1 for a u that is non-finite or outside
+ * [0, 1): it is never used as an index, and the outputs are then
+ * unspecified. */
+int cdf_lookup(const double *restrict cdf, const int64_t *restrict guide,
+               int64_t buckets, const double *restrict u, int64_t m,
+               int64_t *restrict out)
+{
+    const double scale = (double) buckets;
+    for (int64_t i = 0; i < m; i++) {
+        const double x = u[i];
+        if (!(x >= 0.0 && x < 1.0))
+            return 1;
+        const int64_t j = (int64_t) (x * scale);
+        int64_t lo = guide[j], hi = guide[j + 1];
+        while (lo < hi) {
+            const int64_t mid = (lo + hi) >> 1;
+            if (cdf[mid] <= x)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        out[i] = lo;
+    }
+    return 0;
+}
+"""
+
+KERNEL = native.Kernel(
+    source=_C_SOURCE,
+    argtypes={
+        "cdf_lookup": [
+            np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"),
+            np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+            ctypes.c_int64,  # buckets
+            np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"),
+            ctypes.c_int64,  # m
+            np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+        ],
+    },
+)
 
 
 def _normalized_probabilities(probabilities: np.ndarray) -> np.ndarray:
@@ -56,7 +105,7 @@ class CdfSampler:
     sample through a guide table of ``K`` equal-width buckets over
     [0, 1): bucket ``j`` pre-stores the index range the search can land
     in, so the per-sample binary search collapses to one or two
-    vectorized refinement rounds instead of ``log2(n)`` scalar probes.
+    refinement steps instead of ``log2(n)`` probes.
 
     ``K`` is a power of two so ``floor(u * K)`` and the bucket bounds
     ``j / K`` are exact in binary floating point — the bracketing
@@ -88,18 +137,39 @@ class CdfSampler:
         boundaries = (
             np.arange(guide_buckets + 1, dtype=np.float64) / guide_buckets
         )
-        dtype = np.int32 if n < np.iinfo(np.int32).max else np.int64
-        self._guide = cdf.searchsorted(boundaries, side="right").astype(dtype)
+        self._guide = cdf.searchsorted(boundaries, side="right").astype(np.int64)
 
     def __len__(self) -> int:
         return int(self.cdf.size)
 
     # ------------------------------------------------------------------
-    def lookup(self, u: np.ndarray) -> np.ndarray:
-        """``cdf.searchsorted(u, side="right")`` for uniforms in [0, 1)."""
-        u = np.asarray(u, dtype=np.float64)
+    def lookup(
+        self, u: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``cdf.searchsorted(u, side="right")`` for uniforms in [0, 1).
+
+        *u* is flattened.  Writes into *out* (a contiguous int64 array
+        of ``u.size`` entries) when given.  Raises ValueError for a
+        non-finite *u* or one outside [0, 1).
+        """
+        u = np.ascontiguousarray(u, dtype=np.float64).reshape(-1)
+        if out is None:
+            out = np.empty(u.size, dtype=np.int64)
+        elif out.shape != u.shape:
+            raise ValueError(f"out must have shape {u.shape}, got {out.shape}")
+        lib = native.load_kernel()
+        if lib is None:
+            return self._lookup_numpy(u, out)
+        if lib.cdf_lookup(self.cdf, self._guide, self._buckets, u, u.size, out):
+            raise ValueError("uniforms must be finite and in [0, 1)")
+        return out
+
+    def _lookup_numpy(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The numpy bisection: the fallback and the compiled path's oracle."""
+        if not np.all((u >= 0.0) & (u < 1.0)):
+            raise ValueError("uniforms must be finite and in [0, 1)")
         cdf = self.cdf
-        bucket = (u * self._buckets).astype(self._guide.dtype)
+        bucket = (u * self._buckets).astype(np.int64)
         lo = self._guide[bucket]
         hi = self._guide[bucket + 1]
         # Vectorized bisection on the (typically empty or single-entry)
@@ -115,64 +185,22 @@ class CdfSampler:
             lo[active] = alo
             hi[active] = ahi
             active = active[alo < ahi]
-        return lo.astype(np.int64, copy=False)
+        out[...] = lo
+        return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw *size* indices; bit-identical to ``rng.choice(n, size, p=p)``.
 
         Consumes exactly ``size`` doubles from *rng*, the same stream
-        ``Generator.choice`` would consume.
+        ``Generator.choice`` would consume: successive ``rng.random``
+        chunks of :data:`SAMPLE_CHUNK` concatenate to the doubles one
+        ``rng.random(size)`` call returns.
         """
-        return self.lookup(rng.random(size))
-
-
-class AliasTable:
-    """Walker alias-method sampler: O(n) build, O(1) per draw.
-
-    Each of the *n* equal-width columns stores a threshold and an alias;
-    a draw picks a column from one uniform and keeps either the column
-    index or its alias.  The split/donate construction is vectorized:
-    every round pairs the current under-full columns with over-full
-    donors, so the build finishes in a handful of array passes.
-
-    Samples the same distribution as :class:`CdfSampler` but consumes
-    randomness differently (column + coin from one double), so streams
-    are *not* interchangeable with ``Generator.choice`` — see the module
-    docstring for when that matters.
-    """
-
-    def __init__(self, probabilities: np.ndarray) -> None:
-        p = _normalized_probabilities(probabilities)
-        p = p / p.sum()
-        n = p.size
-        prob = p * n
-        alias = np.arange(n, dtype=np.int64)
-        small = np.flatnonzero(prob < 1.0)
-        large = np.flatnonzero(prob >= 1.0)
-        # Pair under-full columns with donors; donors shrink and may
-        # become under-full themselves, feeding the next round.
-        while small.size and large.size:
-            k = min(small.size, large.size)
-            take_small = small[:k]
-            take_large = large[:k]
-            alias[take_small] = take_large
-            prob[take_large] -= 1.0 - prob[take_small]
-            donors_now_small = take_large[prob[take_large] < 1.0]
-            donors_still_large = take_large[prob[take_large] >= 1.0]
-            small = np.concatenate([small[k:], donors_now_small])
-            large = np.concatenate([large[k:], donors_still_large])
-        # Float residue: whatever is left fills its own column exactly.
-        prob[small] = 1.0
-        prob[large] = 1.0
-        self.prob = prob
-        self.alias = alias
-
-    def __len__(self) -> int:
-        return int(self.prob.size)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw *size* indices from the table's distribution."""
-        scaled = rng.random(size) * len(self)
-        column = scaled.astype(np.int64)
-        coin = scaled - column
-        return np.where(coin < self.prob[column], column, self.alias[column])
+        out = np.empty(size, dtype=np.int64)
+        uniforms = np.empty(min(size, SAMPLE_CHUNK), dtype=np.float64)
+        for start in range(0, size, SAMPLE_CHUNK):
+            stop = min(start + SAMPLE_CHUNK, size)
+            chunk = uniforms[: stop - start]
+            rng.random(out=chunk)
+            self.lookup(chunk, out=out[start:stop])
+        return out

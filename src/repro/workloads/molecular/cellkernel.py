@@ -4,11 +4,11 @@
 cutoff plus per-atom neighbour counts.  The scipy ``cKDTree`` dual-tree
 counter is exact but costs ~1.5 s per build at the paper-scale GMS
 system (70 K atoms, ~420 neighbours each), and it is rebuilt on every
-re-neighbouring event.  This module compiles a classic cell-list sweep
-(the algorithm real MD engines use) to native code with the system C
-compiler at first use and calls it through ``ctypes`` — no third-party
-build dependency, and the pure-scipy path remains as a fallback wherever
-a compiler is unavailable (with a RuntimeWarning saying why).
+re-neighbouring event.  This module holds a classic cell-list sweep
+(the algorithm real MD engines use) in C; :mod:`repro.workloads.native`
+compiles it on first use and it is called through ``ctypes``.  The
+pure-scipy path remains as a fallback wherever a compiler is unavailable
+(with a RuntimeWarning saying why).
 
 Exactness contract
 ------------------
@@ -38,22 +38,14 @@ Two guards make the fast path provably exact instead of merely close:
 from __future__ import annotations
 
 import ctypes
-import functools
-import hashlib
 import math
-import os
-import shutil
-import subprocess
-import tempfile
-import warnings
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-#: Environment switches: disable the compiled kernel entirely (exercises
-#: the scipy fallback), or redirect the shared-object build cache.
-ENV_DISABLE = "REPRO_NO_CELLKERNEL"
-ENV_CACHE_DIR = "REPRO_CELLKERNEL_DIR"
+# load_kernel and reset_kernel_cache stay reachable here: MD callers and
+# the benchmark's prebuild load the shared library through this module.
+from repro.workloads.native import Kernel, load_kernel, reset_kernel_cache
 
 #: Relative half-width of the exactness band around the cutoff.
 BAND_REL = 1e-12
@@ -195,10 +187,6 @@ int count_pairs(const double *restrict pos, int64_t n, double box,
 }
 """
 
-#: Compile flags.  ``-ffp-contract=off`` forbids fused multiply-adds,
-#: so ``d2`` is rounded the same way on every target and every clone.
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-
 
 class PairCounts(NamedTuple):
     """Result of one compiled cell-list sweep."""
@@ -211,93 +199,22 @@ class PairCounts(NamedTuple):
     per_atom: np.ndarray
 
 
-def _cache_dir() -> str:
-    override = os.environ.get(ENV_CACHE_DIR)
-    if override:
-        return override
-    return os.path.join(
-        tempfile.gettempdir(), f"repro-cellkernel-{os.getuid()}"
-    )
-
-
-def _build_tag(command: Sequence[str]) -> str:
-    """Shared-object cache tag: the C source plus the compile command."""
-    digest = hashlib.sha256(_C_SOURCE.encode("utf-8"))
-    for part in command:
-        digest.update(b"\0" + part.encode("utf-8"))
-    return digest.hexdigest()[:16]
-
-
-def _compile_library() -> str:
-    """Compile the C source to a cached shared object, or raise why not."""
-    compiler = (
-        shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    )
-    if compiler is None:
-        raise RuntimeError("no C compiler (cc, gcc or clang) on PATH")
-    command = [compiler, *_CFLAGS]
-    tag = _build_tag(command)
-    cache_dir = _cache_dir()
-    lib_path = os.path.join(cache_dir, f"cellkernel-{tag}.so")
-    if os.path.exists(lib_path):
-        return lib_path
-    os.makedirs(cache_dir, exist_ok=True)
-    src_path = os.path.join(cache_dir, f"cellkernel-{tag}.c")
-    with open(src_path, "w", encoding="utf-8") as handle:
-        handle.write(_C_SOURCE)
-    tmp_path = f"{lib_path}.tmp.{os.getpid()}"
-    try:
-        subprocess.run(
-            [*command, "-o", tmp_path, src_path],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-    except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:
-        stderr = (exc.stderr or b"").decode("utf-8", "replace").strip()
-        raise RuntimeError(f"{compiler} failed: {stderr[-400:]}") from exc
-    # Atomic publish so concurrent builders never load a torn file.
-    os.replace(tmp_path, lib_path)
-    return lib_path
-
-
-@functools.lru_cache(maxsize=1)
-def load_kernel() -> Optional[ctypes.CDLL]:
-    """The compiled library, building it on first call; None if unavailable.
-
-    A missing compiler or a failed build emits one RuntimeWarning with
-    the reason: MD pair counts then run on the slower KD-tree path.
-    Disabling the kernel through ``REPRO_NO_CELLKERNEL`` is silent.
-    """
-    if os.environ.get(ENV_DISABLE):
-        return None
-    try:
-        lib = ctypes.CDLL(_compile_library())
-    except (RuntimeError, OSError) as exc:
-        warnings.warn(
-            f"compiled MD pair counter unavailable ({exc}); neighbour "
-            "counts fall back to the slower KD-tree path",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    lib.count_pairs.restype = ctypes.c_int
-    lib.count_pairs.argtypes = [
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
-        ctypes.c_int64,  # n
-        ctypes.c_double,  # box
-        ctypes.c_int64,  # cells per edge
-        ctypes.c_int64,  # stencil radius
-        ctypes.c_double,  # r1sq
-        ctypes.c_double,  # r2sq
-        np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
-    ]
-    return lib
-
-
-#: Forget the loaded kernel (tests toggle the env switches).
-reset_kernel_cache = load_kernel.cache_clear
+KERNEL = Kernel(
+    source=_C_SOURCE,
+    argtypes={
+        "count_pairs": [
+            np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
+            ctypes.c_int64,  # n
+            ctypes.c_double,  # box
+            ctypes.c_int64,  # cells per edge
+            ctypes.c_int64,  # stencil radius
+            ctypes.c_double,  # r1sq
+            ctypes.c_double,  # r2sq
+            np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
+            np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+        ],
+    },
+)
 
 
 def _choose_grid(box: float, cutoff: float, n_atoms: int) -> Optional[Tuple[int, int]]:

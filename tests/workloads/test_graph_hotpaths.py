@@ -15,11 +15,18 @@ enforce the contract three ways:
 3. pinned digests: every Cactus workload's stream digest at the laptop
    preset against the checked-in fixture captured from the
    pre-vectorization code.
+
+The endpoint sampler's compiled lookup is held to its numpy bisection
+and to ``cdf.searchsorted`` on adversarial uniforms, on both the native
+and the ``REPRO_NO_CELLKERNEL`` paths, and the social graph build is
+held to a memory bound.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +46,8 @@ from repro.workloads.graphs.bfs import (
 )
 from repro.workloads.graphs.csr import CSRGraph
 from repro.workloads.graphs.generator import road_network, social_network
-from repro.workloads.graphs.sampling import AliasTable, CdfSampler
+from repro.workloads import native
+from repro.workloads.graphs.sampling import SAMPLE_CHUNK, CdfSampler
 from repro.workloads.registry import get_workload
 
 DIGEST_FIXTURE = (
@@ -326,51 +334,152 @@ def test_all_cactus_stream_digests_match_pinned_fixture():
         assert launch_stream_digest(stream) == reference["digest"], abbr
 
 
-# ---------------------------------------------------------------------------
-# Alias sampler (public API; distribution-equivalent, not stream-compatible)
-# ---------------------------------------------------------------------------
-
-def test_alias_table_matches_distribution():
-    rng = np.random.default_rng(3)
-    p = rng.random(50)
-    p /= p.sum()
-    draws = AliasTable(p).sample(np.random.default_rng(7), 200_000)
-    empirical = np.bincount(draws, minlength=50) / draws.size
-    # Total-variation distance shrinks as 1/sqrt(samples); 0.01 is ~10x
-    # the expected statistical noise here.
-    assert 0.5 * np.abs(empirical - p).sum() < 0.01
-
-
-def test_alias_table_is_seed_deterministic():
-    p = np.arange(1, 20, dtype=np.float64)
-    a = AliasTable(p).sample(np.random.default_rng(11), 1000)
-    b = AliasTable(p).sample(np.random.default_rng(11), 1000)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_samplers_reject_bad_probabilities():
-    for cls in (CdfSampler, AliasTable):
-        with pytest.raises(ValueError):
-            cls(np.array([]))
-        with pytest.raises(ValueError):
-            cls(np.array([0.5, -0.1]))
-        with pytest.raises(ValueError):
-            cls(np.array([0.0, 0.0]))
-
-
-def test_social_network_alias_sampler_option():
-    alias_graph = social_network(5000, seed=1, endpoint_sampler="alias")
-    guide_graph = social_network(5000, seed=1)
-    assert alias_graph.num_vertices == guide_graph.num_vertices
-    # Same edge budget and broadly the same degree mass, but a different
-    # uniform->vertex mapping: the graphs must differ.
-    assert abs(alias_graph.num_edges - guide_graph.num_edges) < 0.02 * guide_graph.num_edges
-    assert not (
-        alias_graph.num_edges == guide_graph.num_edges
-        and np.array_equal(alias_graph.indices, guide_graph.indices)
-    )
     with pytest.raises(ValueError):
-        social_network(100, endpoint_sampler="bogus")
+        CdfSampler(np.array([]))
+    with pytest.raises(ValueError):
+        CdfSampler(np.array([0.5, -0.1]))
+    with pytest.raises(ValueError):
+        CdfSampler(np.array([0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Compiled endpoint sampler: differentials against the numpy bisection
+# ---------------------------------------------------------------------------
+
+_HAS_COMPILER = any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
+needs_compiler = pytest.mark.skipif(
+    not _HAS_COMPILER, reason="no C compiler (cc, gcc or clang) on PATH"
+)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def lookup_path(request, monkeypatch):
+    """Run the test on the compiled lookup, then with the kernels disabled."""
+    if request.param == "native":
+        if not _HAS_COMPILER:
+            pytest.skip("no C compiler (cc, gcc or clang) on PATH")
+        monkeypatch.delenv(native.ENV_DISABLE, raising=False)
+    else:
+        monkeypatch.setenv(native.ENV_DISABLE, "1")
+    native.reset_kernel_cache()
+    assert (native.load_kernel() is not None) == (request.param == "native")
+    yield request.param
+    native.reset_kernel_cache()
+
+
+def _adversarial_uniforms(sampler):
+    """0, every bucket edge k/K and its neighbours, every cdf value and
+    its neighbours, and the largest double below 1."""
+    edges = np.arange(sampler._buckets + 1, dtype=np.float64) / sampler._buckets
+    points = np.concatenate([edges, sampler.cdf, [0.0, 1.0 - 2.0**-53]])
+    u = np.concatenate([
+        points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _assert_lookups_agree(sampler, u):
+    expected = sampler.cdf.searchsorted(u, side="right")
+    oracle = sampler._lookup_numpy(u, np.empty(u.size, dtype=np.int64))
+    np.testing.assert_array_equal(oracle, expected)
+    np.testing.assert_array_equal(sampler.lookup(u), expected)
+
+
+@needs_compiler
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-9, 1e6)), min_size=1, max_size=80
+    ).filter(lambda w: sum(w) > 0),
+    log2_buckets=st.one_of(st.none(), st.integers(1, 9)),
+    extra=st.lists(
+        st.floats(0.0, 1.0, exclude_max=True), min_size=0, max_size=50
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_compiled_lookup_matches_numpy_and_searchsorted(
+    weights, log2_buckets, extra
+):
+    """Compiled lookup == numpy bisection == searchsorted, including
+    zero-probability entries (repeated cdf values), bucket edges and
+    their nextafter neighbours, and 1 - 2**-53."""
+    assert native.load_kernel() is not None
+    buckets = None if log2_buckets is None else 1 << log2_buckets
+    sampler = CdfSampler(np.asarray(weights), guide_buckets=buckets)
+    u = np.concatenate([_adversarial_uniforms(sampler), extra])
+    _assert_lookups_agree(sampler, u)
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "p", [[1.0], [0.3, 0.7], [0.0, 1.0], [1.0, 0.0], [0.5, 0.0, 0.0, 0.5]],
+    ids=["n1", "n2", "n2-zero-first", "n2-zero-last", "zero-middle"],
+)
+def test_compiled_lookup_on_tiny_tables(p):
+    assert native.load_kernel() is not None
+    sampler = CdfSampler(np.asarray(p))
+    _assert_lookups_agree(sampler, _adversarial_uniforms(sampler))
+
+
+@pytest.mark.parametrize(
+    "size",
+    [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 7],
+    ids=["chunk-1", "chunk", "chunk+1", "3chunk+7"],
+)
+def test_chunked_sample_replays_rng_choice(lookup_path, size):
+    """Chunked draws concatenate to one rng.random(size) call, so the
+    sample is rng.choice's, and both leave the generator in one state."""
+    p = np.random.default_rng(5).random(3000) ** 4
+    p[::7] = 0.0
+    p /= p.sum()
+    expected_rng = np.random.default_rng(9)
+    expected = expected_rng.choice(p.size, size=size, p=p)
+    actual_rng = np.random.default_rng(9)
+    actual = CdfSampler(p).sample(actual_rng, size)
+    assert actual.dtype == np.int64
+    np.testing.assert_array_equal(actual, expected)
+    assert actual_rng.random() == expected_rng.random()
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, 1.0, -1e-300, -1.0, np.inf, -np.inf, 1.5],
+    ids=["nan", "one", "tiny-negative", "negative", "inf", "-inf", "above"],
+)
+def test_lookup_rejects_uniforms_outside_unit_interval(lookup_path, bad):
+    sampler = CdfSampler(np.arange(1.0, 40.0))
+    u = np.random.default_rng(0).random(1000)
+    sampler.lookup(u)
+    u[-1] = bad
+    with pytest.raises(ValueError, match=r"finite and in \[0, 1\)"):
+        sampler.lookup(u)
+
+
+def test_lookup_rejects_mismatched_output():
+    sampler = CdfSampler(np.arange(1.0, 5.0))
+    with pytest.raises(ValueError, match="out must have shape"):
+        sampler.lookup(np.zeros(10), out=np.empty(9, dtype=np.int64))
+
+
+def test_social_network_build_memory_is_bounded():
+    """Peak traced memory of the 100 K-vertex build stays within 3.5
+    int64 arrays of E entries: the two endpoint arrays, the CSR indices
+    and scipy's int8 scratch (3.125), plus O(V + chunk).  A full-size
+    temporary, or sampler tables kept alive through the CSR build, break
+    it.  The graph is the legacy generator's, byte for byte."""
+    num_vertices = 100_000
+    num_edges = int(num_vertices * 12.6)
+    native.load_kernel()  # build outside the traced window
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        graph = social_network(num_vertices, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 3.5 * num_edges * 8
+    legacy = legacy_social_network(num_vertices, seed=0)
+    assert graph.indptr.tobytes() == legacy.indptr.tobytes()
+    assert graph.indices.tobytes() == legacy.indices.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from repro.workloads.molecular import (
     cellkernel,
     forces,
 )
+from repro.workloads import native
 from repro.workloads.molecular.gromacs import _PME_SPACING_NM
 from repro.workloads.molecular.system import COLLOID, RHODOPSIN, T4_LYSOZYME
 
@@ -435,17 +436,17 @@ def test_scipy_fallback_matches_compiled_path():
     fast_system = ParticleSystem(scaled, seed=5)
     fast = CellList(fast_system).build()
 
-    previous = os.environ.get(cellkernel.ENV_DISABLE)
-    os.environ[cellkernel.ENV_DISABLE] = "1"
+    previous = os.environ.get(native.ENV_DISABLE)
+    os.environ[native.ENV_DISABLE] = "1"
     cellkernel.reset_kernel_cache()
     try:
         slow_system = ParticleSystem(scaled, seed=5)
         slow = CellList(slow_system).build()
     finally:
         if previous is None:
-            os.environ.pop(cellkernel.ENV_DISABLE, None)
+            os.environ.pop(native.ENV_DISABLE, None)
         else:
-            os.environ[cellkernel.ENV_DISABLE] = previous
+            os.environ[native.ENV_DISABLE] = previous
         cellkernel.reset_kernel_cache()
 
     assert fast == slow
@@ -734,11 +735,11 @@ def test_compiled_kernel_is_active():
 
 
 def test_build_tag_covers_compile_command():
-    base = cellkernel._build_tag(["cc", "-O3", "-fPIC", "-shared"])
-    assert base == cellkernel._build_tag(["cc", "-O3", "-fPIC", "-shared"])
-    assert base != cellkernel._build_tag(["cc", "-O2", "-fPIC", "-shared"])
-    assert base != cellkernel._build_tag(["clang", "-O3", "-fPIC", "-shared"])
-    assert base != cellkernel._build_tag(["cc", "-O3", "-fPIC -shared"])
+    base = native._build_tag(["cc", "-O3", "-fPIC", "-shared"])
+    assert base == native._build_tag(["cc", "-O3", "-fPIC", "-shared"])
+    assert base != native._build_tag(["cc", "-O2", "-fPIC", "-shared"])
+    assert base != native._build_tag(["clang", "-O3", "-fPIC", "-shared"])
+    assert base != native._build_tag(["cc", "-O3", "-fPIC -shared"])
 
 
 @pytest.fixture
@@ -750,8 +751,8 @@ def fresh_kernel():
 
 
 def test_missing_compiler_warns_once(fresh_kernel, monkeypatch):
-    monkeypatch.delenv(cellkernel.ENV_DISABLE, raising=False)
-    monkeypatch.setattr(cellkernel.shutil, "which", lambda name: None)
+    monkeypatch.delenv(native.ENV_DISABLE, raising=False)
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
     with pytest.warns(RuntimeWarning, match="no C compiler"):
         assert cellkernel.load_kernel() is None
     with warnings.catch_warnings():
@@ -765,15 +766,15 @@ def test_failed_compile_warns_with_compiler_stderr(
     fake_cc = tmp_path / "cc"
     fake_cc.write_text("#!/bin/sh\necho 'unrecognized option -ffoo' >&2\nexit 1\n")
     fake_cc.chmod(0o755)
-    monkeypatch.delenv(cellkernel.ENV_DISABLE, raising=False)
-    monkeypatch.setenv(cellkernel.ENV_CACHE_DIR, str(tmp_path / "build"))
-    monkeypatch.setattr(cellkernel.shutil, "which", lambda name: str(fake_cc))
+    monkeypatch.delenv(native.ENV_DISABLE, raising=False)
+    monkeypatch.setenv(native.ENV_CACHE_DIR, str(tmp_path / "build"))
+    monkeypatch.setattr(native.shutil, "which", lambda name: str(fake_cc))
     with pytest.warns(RuntimeWarning, match="unrecognized option -ffoo"):
         assert cellkernel.load_kernel() is None
 
 
 def test_disabled_kernel_is_silent(fresh_kernel, monkeypatch):
-    monkeypatch.setenv(cellkernel.ENV_DISABLE, "1")
+    monkeypatch.setenv(native.ENV_DISABLE, "1")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cellkernel.load_kernel() is None
