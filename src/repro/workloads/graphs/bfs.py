@@ -169,26 +169,26 @@ class GunrockBFS(Workload):
                 # get scanned).  Materialized only when the Beamer
                 # pre-conditions actually hold — push-only traversals
                 # never pay this O(V) scan.
-                unvisited_vertices = np.flatnonzero(~visited)
                 scanned = int(
-                    graph.frontier_edges(unvisited_vertices) * 0.6
+                    graph.frontier_edges(np.flatnonzero(~visited)) * 0.6
                 )
 
             # The actual expansion (correctness is tested against a
-            # reference BFS).
-            raw_neighbors = graph.expand(frontier)
-            raw_out = raw_neighbors.size
+            # reference BFS).  Its raw output is every frontier edge.
+            raw_out = edges
             if 4 * raw_out >= n:
                 # Dense level: dedup + visited-filter via a bitmap
-                # scatter, O(V) regardless of duplication.
+                # scatter, O(V) regardless of duplication, marked in
+                # bounded windows so the raw output is never stored.
                 mask = np.zeros(n, dtype=bool)
-                mask[raw_neighbors] = True
+                graph.mark_neighbors(frontier, mask)
                 mask &= ~visited
                 next_frontier = np.flatnonzero(mask)
             else:
                 # Sparse level: filter first, then sort-unique only the
                 # survivors — O(r log r) in the (tiny) raw output, never
                 # in V.  Same sorted set either way.
+                raw_neighbors = graph.expand(frontier)
                 fresh = raw_neighbors[~visited[raw_neighbors]]
                 next_frontier = np.unique(fresh)
             visited[next_frontier] = True

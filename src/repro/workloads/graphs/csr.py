@@ -3,6 +3,10 @@
 The storage format Gunrock (and every GPU graph framework) operates on.
 All BFS levels, frontier sizes and traversed-edge counts downstream are
 computed on this structure with vectorized numpy operations.
+
+Vertex ids are four bytes, as in Gunrock's default build: ``indices``
+is int32, so a graph has fewer than ``2**31`` vertices.  ``indptr``
+stays int64, since edge offsets may pass ``2**31``.
 """
 
 from __future__ import annotations
@@ -16,17 +20,72 @@ try:  # pragma: no cover - availability depends on the environment
 except ImportError:  # pragma: no cover
     _scipy_sparsetools = None
 
+#: Exclusive bound on what is stored as int32: vertex ids and counts,
+#: sampler outcomes, and the scipy build's edge offsets.
+MAX_VERTICES = 1 << 31
+
+#: Most edges :meth:`CSRGraph.mark_neighbors` gathers at once, which
+#: bounds its scratch at 12 bytes per edge of this.
+MARK_CHUNK_EDGES = 1 << 16
+
+
+def _check_num_vertices(num_vertices: int) -> None:
+    if num_vertices >= MAX_VERTICES:
+        raise ValueError(
+            f"at most {MAX_VERTICES - 1} vertices (int32 ids), "
+            f"got {num_vertices}"
+        )
+
+
+def _vertex_ids(ids: np.ndarray, num_vertices: int, what: str) -> np.ndarray:
+    """*ids* as int32, after checking them in their input dtype.
+
+    Narrowing first would wrap an id such as ``2**32 + 1`` to a small,
+    valid-looking one.
+    """
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        ids = ids.astype(np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= num_vertices):
+        raise ValueError(f"{what} contain out-of-range vertex ids")
+    return ids.astype(np.int32, copy=False)
+
+
+def _slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Offsets of every element of the slices ``[starts, starts + lengths)``.
+
+    Built with a single cumsum: fill with ones (step +1 inside a slice),
+    scatter each slice's jump at its first element, and prefix-sum.
+    One pass over the output instead of the two ``np.repeat`` expansions
+    plus arithmetic the naive construction needs.  *lengths* must sum
+    to more than zero.
+    """
+    # Zero-length slices would scatter their successor's jump onto the
+    # same position as another slice's — drop them first.
+    nonzero = lengths > 0
+    if not nonzero.all():
+        starts = starts[nonzero]
+        lengths = lengths[nonzero]
+    positions = np.ones(int(lengths.sum()), dtype=np.int64)
+    positions[0] = starts[0]
+    boundaries = np.cumsum(lengths[:-1])
+    positions[boundaries] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
+    np.cumsum(positions, out=positions)
+    return positions
+
 
 class CSRGraph:
-    """Directed graph in CSR form (``indptr``/``indices``)."""
+    """Directed graph in CSR form (int64 ``indptr``, int32 ``indices``)."""
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
         if indptr.ndim != 1 or indices.ndim != 1:
             raise ValueError("indptr and indices must be one-dimensional")
         if len(indptr) < 1 or indptr[0] != 0:
             raise ValueError("indptr must start with 0")
+        n = len(indptr) - 1
+        _check_num_vertices(n)
         if indptr[-1] != len(indices):
             raise ValueError(
                 f"indptr[-1] ({indptr[-1]}) must equal len(indices) "
@@ -34,11 +93,8 @@ class CSRGraph:
             )
         if np.any(np.diff(indptr) < 0):
             raise ValueError("indptr must be non-decreasing")
-        n = len(indptr) - 1
-        if len(indices) and (indices.min() < 0 or indices.max() >= n):
-            raise ValueError("indices contain out-of-range vertex ids")
         self.indptr = indptr
-        self.indices = indices
+        self.indices = _vertex_ids(indices, n, "indices")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -65,29 +121,27 @@ class CSRGraph:
         the build is O(V + E) instead of the O(E log E) comparison sort
         a generic ``argsort`` pays.  Edges with the same source keep
         their input order (stable), and duplicate edges are preserved,
-        exactly like the argsort-based build this replaces.
+        exactly like the argsort-based build this replaces.  int32
+        endpoints are used in place; wider ones are range-checked, then
+        narrowed.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape:
+        _check_num_vertices(num_vertices)
+        if np.shape(src) != np.shape(dst):
             raise ValueError("src and dst must have the same shape")
+        src = _vertex_ids(src, num_vertices, "edge endpoints")
+        dst = _vertex_ids(dst, num_vertices, "edge endpoints")
         num_edges = src.size
-        if num_edges and (
-            src.min() < 0
-            or src.max() >= num_vertices
-            or dst.min() < 0
-            or dst.max() >= num_vertices
-        ):
-            raise ValueError("edge endpoints contain out-of-range vertex ids")
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         if num_edges == 0:
-            return cls._from_trusted(indptr, dst)
-        if _scipy_sparsetools is not None:
+            return cls._from_trusted(np.zeros(num_vertices + 1, np.int64), dst)
+        if _scipy_sparsetools is not None and num_edges < MAX_VERTICES:
             # scipy's COO→CSR kernel is this exact counting sort in C:
             # histogram the rows, prefix-sum, scatter columns stably.
             # It does NOT merge duplicates (that is a separate
-            # sum_duplicates pass the high-level API adds).
-            indices = np.empty(num_edges, dtype=np.int64)
+            # sum_duplicates pass the high-level API adds).  Its index
+            # type is the endpoints' int32, so the offsets are widened
+            # afterwards.
+            indptr = np.zeros(num_vertices + 1, dtype=np.int32)
+            indices = np.empty(num_edges, dtype=np.int32)
             data = np.zeros(num_edges, dtype=np.int8)
             _scipy_sparsetools.coo_tocsr(
                 num_vertices,
@@ -100,11 +154,11 @@ class CSRGraph:
                 indices,
                 data,
             )
-            return cls._from_trusted(indptr, indices)
+            return cls._from_trusted(indptr.astype(np.int64), indices)
         # Pure-numpy fallback: a stable argsort groups edges by source.
         order = np.argsort(src, kind="stable")
-        counts = np.bincount(src, minlength=num_vertices)
-        np.cumsum(counts, out=indptr[1:])
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
         return cls._from_trusted(indptr, dst[order])
 
     # ------------------------------------------------------------------
@@ -132,31 +186,37 @@ class CSRGraph:
         return int(degrees.sum())
 
     def expand(self, frontier: np.ndarray) -> np.ndarray:
-        """All neighbours of the frontier (with duplicates).
+        """All neighbours of the frontier (with duplicates)."""
+        starts = self.indptr[frontier]
+        lengths = self.indptr[frontier + 1] - starts
+        if not lengths.any():
+            return np.empty(0, dtype=self.indices.dtype)
+        return self.indices[_slice_positions(starts, lengths)]
 
-        The multi-slice gather positions are built with a single cumsum:
-        fill with ones (step +1 inside a slice), scatter each slice's
-        jump at its first element, and prefix-sum.  One pass over the
-        output instead of the two ``np.repeat`` expansions plus
-        arithmetic the naive construction needs.
+    def mark_neighbors(self, frontier: np.ndarray, mask: np.ndarray) -> None:
+        """``mask[self.expand(frontier)] = True`` without the full expand.
+
+        The frontier's concatenated adjacency is walked in windows of
+        :data:`MARK_CHUNK_EDGES` edges; a window may start and end inside
+        one vertex's list, so no scratch array outgrows the window.
         """
         starts = self.indptr[frontier]
         lengths = self.indptr[frontier + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        # Zero-length slices would scatter their successor's jump onto
-        # the same position as another slice's — drop them first.
-        nonzero = lengths > 0
-        if not nonzero.all():
-            starts = starts[nonzero]
-            lengths = lengths[nonzero]
-        positions = np.ones(total, dtype=np.int64)
-        positions[0] = starts[0]
-        boundaries = np.cumsum(lengths[:-1])
-        positions[boundaries] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-        np.cumsum(positions, out=positions)
-        return self.indices[positions]
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if ends.size else 0
+        for lo in range(0, total, MARK_CHUNK_EDGES):
+            hi = min(lo + MARK_CHUNK_EDGES, total)
+            # Frontier entries first..last hold the window's edges.
+            first = int(np.searchsorted(ends, lo, side="right"))
+            last = int(np.searchsorted(ends, hi, side="left"))
+            window_starts = starts[first : last + 1].copy()
+            window_lengths = lengths[first : last + 1].copy()
+            skip = lo - int(ends[first] - lengths[first])
+            window_starts[0] += skip
+            window_lengths[0] -= skip
+            window_lengths[-1] -= int(ends[last]) - hi
+            positions = _slice_positions(window_starts, window_lengths)
+            mask[self.indices[positions]] = True
 
     def degree_histogram(self, bins: int = 32) -> Tuple[np.ndarray, np.ndarray]:
         """Log-spaced degree histogram (for generator validation)."""

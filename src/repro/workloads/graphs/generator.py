@@ -39,9 +39,10 @@ def social_network(
 
     The 2·E endpoint draws replay ``rng.choice`` bit for bit
     (:class:`CdfSampler`), so every pinned launch-stream digest is
-    preserved.  Self-loops are dropped by compacting the endpoint arrays
-    in place, one chunk at a time: the CSR build holds the two int64
-    endpoint arrays and its output, and no full-size copy of either.
+    preserved.  The endpoints are int32 vertex ids, and self-loops are
+    dropped by compacting the endpoint arrays in place, one chunk at a
+    time: the CSR build holds the two int32 endpoint arrays and its
+    output, and no full-size copy of either.
     """
     if num_vertices < 2:
         raise ValueError("num_vertices must be >= 2")
@@ -111,24 +112,24 @@ def road_network(
     side = int(np.sqrt(num_vertices))
     n = side * side
 
-    row, col = np.divmod(np.arange(n, dtype=np.int64), side)
+    vertices = np.arange(n, dtype=np.int32)
+    row, col = np.divmod(vertices, side)
 
     edges_src = []
     edges_dst = []
 
     # Horizontal lattice edges (always kept: the row backbone).
-    horizontal = col < side - 1
-    edges_src.append(np.arange(n)[horizontal])
-    edges_dst.append(np.arange(n)[horizontal] + 1)
+    horizontal = vertices[col < side - 1]
+    edges_src.append(horizontal)
+    edges_dst.append(horizontal + 1)
 
     # One vertical connector per row (kept: ties rows together).
-    first_in_row = np.arange(0, n - side, side)
+    first_in_row = vertices[: n - side : side]
     edges_src.append(first_in_row)
     edges_dst.append(first_in_row + side)
 
     # Remaining vertical edges kept at random.
-    vertical = (row < side - 1) & (col > 0)
-    candidates = np.arange(n)[vertical]
+    candidates = vertices[(row < side - 1) & (col > 0)]
     kept = candidates[
         rng.random(len(candidates)) < edge_keep_probability
     ]

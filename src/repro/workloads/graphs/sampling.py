@@ -15,7 +15,8 @@ The lookup runs as a compiled C loop (built by
 bisection that makes the same comparisons; the numpy path is also the
 differential oracle for the C one.  Draws are made and resolved in
 fixed-size chunks, so sampling needs no full-size temporaries beyond
-its int64 output.
+its output.  Indices are int32, the graphs' vertex-id format, so a
+table holds fewer than ``2**31`` outcomes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.workloads import native
+from repro.workloads.graphs.csr import MAX_VERTICES
 
 #: Uniforms drawn and resolved per chunk by :meth:`CdfSampler.sample`.
 SAMPLE_CHUNK = 1 << 16
@@ -42,7 +44,7 @@ _C_SOURCE = r"""
  * unspecified. */
 int cdf_lookup(const double *restrict cdf, const int64_t *restrict guide,
                int64_t buckets, const double *restrict u, int64_t m,
-               int64_t *restrict out)
+               int32_t *restrict out)
 {
     const double scale = (double) buckets;
     for (int64_t i = 0; i < m; i++) {
@@ -58,7 +60,7 @@ int cdf_lookup(const double *restrict cdf, const int64_t *restrict guide,
             else
                 hi = mid;
         }
-        out[i] = lo;
+        out[i] = (int32_t) lo;
     }
     return 0;
 }
@@ -73,7 +75,7 @@ KERNEL = native.Kernel(
             ctypes.c_int64,  # buckets
             np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"),
             ctypes.c_int64,  # m
-            np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+            np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
         ],
     },
 )
@@ -83,6 +85,10 @@ def _normalized_probabilities(probabilities: np.ndarray) -> np.ndarray:
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probabilities must be a non-empty 1-D array")
+    if p.size >= MAX_VERTICES:
+        raise ValueError(
+            f"at most {MAX_VERTICES - 1} outcomes (int32 indices), got {p.size}"
+        )
     if np.any(p < 0):
         raise ValueError("probabilities must be non-negative")
     total = p.sum()
@@ -148,15 +154,17 @@ class CdfSampler:
     ) -> np.ndarray:
         """``cdf.searchsorted(u, side="right")`` for uniforms in [0, 1).
 
-        *u* is flattened.  Writes into *out* (a contiguous int64 array
-        of ``u.size`` entries) when given.  Raises ValueError for a
-        non-finite *u* or one outside [0, 1).
+        *u* is flattened.  Returns int32 indices, written into *out* (a
+        contiguous int32 array of ``u.size`` entries) when given.  Raises
+        ValueError for a non-finite *u* or one outside [0, 1).
         """
         u = np.ascontiguousarray(u, dtype=np.float64).reshape(-1)
         if out is None:
-            out = np.empty(u.size, dtype=np.int64)
+            out = np.empty(u.size, dtype=np.int32)
         elif out.shape != u.shape:
             raise ValueError(f"out must have shape {u.shape}, got {out.shape}")
+        elif out.dtype != np.int32 or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous int32 array")
         lib = native.load_kernel()
         if lib is None:
             return self._lookup_numpy(u, out)
@@ -189,14 +197,14 @@ class CdfSampler:
         return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw *size* indices; bit-identical to ``rng.choice(n, size, p=p)``.
+        """Draw *size* int32 indices, equal to ``rng.choice(n, size, p=p)``.
 
         Consumes exactly ``size`` doubles from *rng*, the same stream
         ``Generator.choice`` would consume: successive ``rng.random``
         chunks of :data:`SAMPLE_CHUNK` concatenate to the doubles one
         ``rng.random(size)`` call returns.
         """
-        out = np.empty(size, dtype=np.int64)
+        out = np.empty(size, dtype=np.int32)
         uniforms = np.empty(min(size, SAMPLE_CHUNK), dtype=np.float64)
         for start in range(0, size, SAMPLE_CHUNK):
             stop = min(start + SAMPLE_CHUNK, size)

@@ -18,8 +18,9 @@ enforce the contract three ways:
 
 The endpoint sampler's compiled lookup is held to its numpy bisection
 and to ``cdf.searchsorted`` on adversarial uniforms, on both the native
-and the ``REPRO_NO_CELLKERNEL`` paths, and the social graph build is
-held to a memory bound.
+and the ``REPRO_NO_CELLKERNEL`` paths.  The social graph build and the
+BFS over it are held to memory bounds, and the int32 vertex-id format
+to range checks made before any narrowing.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.workloads.graphs.bfs import (
     RoadBFS,
     SocialBFS,
 )
+from repro.workloads.graphs import csr
 from repro.workloads.graphs.csr import CSRGraph
 from repro.workloads.graphs.generator import road_network, social_network
 from repro.workloads import native
@@ -239,6 +241,73 @@ def test_from_edges_rejects_out_of_range_endpoints():
         CSRGraph.from_edges(3, np.array([0, 1]), np.array([1, -1]))
 
 
+# 2**32 + 1 wraps to the valid id 1 under a bare int32 cast, and
+# 2**31 + 2 to a negative one; both must be caught in the input dtype.
+_WRAPPING_IDS = [2**32 + 1, 2**32, 2**31 + 2]
+
+
+@pytest.mark.parametrize("bad", _WRAPPING_IDS)
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_from_edges_checks_range_before_narrowing(bad, dtype):
+    ok = np.array([0, 2], dtype=dtype)
+    wide = np.array([0, bad], dtype=dtype)
+    with pytest.raises(ValueError, match="out-of-range"):
+        CSRGraph.from_edges(3, wide, ok)
+    with pytest.raises(ValueError, match="out-of-range"):
+        CSRGraph.from_edges(3, ok, wide)
+
+
+@pytest.mark.parametrize("bad", _WRAPPING_IDS)
+def test_constructor_checks_range_before_narrowing(bad):
+    with pytest.raises(ValueError, match="out-of-range"):
+        CSRGraph(np.array([0, 1, 2]), np.array([1, bad], dtype=np.int64))
+
+
+def test_vertex_count_must_fit_int32():
+    with pytest.raises(ValueError, match="int32 ids"):
+        CSRGraph.from_edges(2**31, np.array([0]), np.array([1]))
+    # A zero-stride indptr of 2**31 + 1 entries: V = 2**31 with no
+    # memory behind it, rejected before any O(V) check touches it.
+    indptr = np.broadcast_to(np.int64(0), (2**31 + 1,))
+    with pytest.raises(ValueError, match="int32 ids"):
+        CSRGraph(indptr, np.empty(0, dtype=np.int32))
+
+
+def test_sampler_outcomes_must_fit_int32():
+    weights = np.broadcast_to(np.float64(1.0), (2**31,))
+    with pytest.raises(ValueError, match="int32 indices"):
+        CdfSampler(weights)
+
+
+@given(
+    num_vertices=st.integers(1, 300),
+    num_edges=st.integers(0, 2000),
+    empty_rows=st.integers(0, 150),
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.int32, np.int64]),
+)
+@settings(max_examples=50, deadline=None)
+def test_scipy_and_argsort_builds_are_byte_identical(
+    num_vertices, num_edges, empty_rows, seed, dtype
+):
+    """The scipy counting sort and the argsort fallback agree on values
+    and dtypes, with duplicate edges and vertices without out-edges."""
+    rng = np.random.default_rng(seed)
+    sources = rng.integers(0, num_vertices, size=num_edges, dtype=dtype)
+    # Vertices below empty_rows get no out-edges.
+    sources = sources[sources >= min(empty_rows, num_vertices - 1)]
+    dst = rng.integers(0, num_vertices, size=sources.size, dtype=dtype)
+    scipy_graph = CSRGraph.from_edges(num_vertices, sources, dst)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr, "_scipy_sparsetools", None)
+        numpy_graph = CSRGraph.from_edges(num_vertices, sources, dst)
+    for graph in (scipy_graph, numpy_graph):
+        assert graph.indptr.dtype == np.int64
+        assert graph.indices.dtype == np.int32
+    assert scipy_graph.indptr.tobytes() == numpy_graph.indptr.tobytes()
+    assert scipy_graph.indices.tobytes() == numpy_graph.indices.tobytes()
+
+
 @given(
     num_vertices=st.integers(1, 200),
     num_edges=st.integers(0, 1500),
@@ -272,9 +341,38 @@ def test_expand_zero_degree_frontier_vertices():
     np.testing.assert_array_equal(
         graph.expand(frontier), legacy_expand(graph, frontier)
     )
-    np.testing.assert_array_equal(
-        graph.expand(np.array([1])), np.empty(0, dtype=np.int64)
+    empty = graph.expand(np.array([1]))
+    assert empty.size == 0 and empty.dtype == graph.indices.dtype == np.int32
+    assert graph.expand(np.array([0, 2])).dtype == np.int32
+
+
+@given(
+    num_vertices=st.integers(1, 200),
+    num_edges=st.integers(0, 1500),
+    frontier_size=st.integers(1, 60),
+    chunk=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_mark_neighbors_matches_expand(
+    num_vertices, num_edges, frontier_size, chunk, seed
+):
+    """Windowed marking sets exactly the expanded neighbours, whatever
+    the window size relative to the adjacency lists."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, num_vertices, size=num_edges)
+    dst = rng.integers(0, num_vertices, size=num_edges)
+    graph = CSRGraph.from_edges(num_vertices, src, dst)
+    frontier = np.unique(
+        rng.integers(0, num_vertices, size=min(frontier_size, num_vertices))
     )
+    expected = np.zeros(num_vertices, dtype=bool)
+    expected[graph.expand(frontier)] = True
+    marked = np.zeros(num_vertices, dtype=bool)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr, "MARK_CHUNK_EDGES", chunk)
+        graph.mark_neighbors(frontier, marked)
+    np.testing.assert_array_equal(marked, expected)
 
 
 @given(n=st.integers(2000, 60000), seed=st.integers(0, 1000))
@@ -316,6 +414,18 @@ def test_bfs_stream_digest_matches_legacy_driver(
     current = workload.launch_stream()
     assert len(current) == len(legacy)
     assert launch_stream_digest(current) == launch_stream_digest(legacy)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7, 64])
+def test_bfs_stream_digest_with_tiny_mark_windows(monkeypatch, chunk):
+    """Dense levels marked a few edges at a time, so windows start and
+    end before, on and after adjacency-list boundaries: the stream is
+    still the legacy driver's."""
+    workload = SocialBFS(scale=0.001, seed=3, source=11)
+    graph = workload._build_graph()
+    expected = launch_stream_digest(legacy_launch_stream(workload, graph))
+    monkeypatch.setattr(csr, "MARK_CHUNK_EDGES", chunk)
+    assert launch_stream_digest(workload.launch_stream()) == expected
 
 
 def test_all_cactus_stream_digests_match_pinned_fixture():
@@ -381,7 +491,7 @@ def _adversarial_uniforms(sampler):
 
 def _assert_lookups_agree(sampler, u):
     expected = sampler.cdf.searchsorted(u, side="right")
-    oracle = sampler._lookup_numpy(u, np.empty(u.size, dtype=np.int64))
+    oracle = sampler._lookup_numpy(u, np.empty(u.size, dtype=np.int32))
     np.testing.assert_array_equal(oracle, expected)
     np.testing.assert_array_equal(sampler.lookup(u), expected)
 
@@ -436,7 +546,7 @@ def test_chunked_sample_replays_rng_choice(lookup_path, size):
     expected = expected_rng.choice(p.size, size=size, p=p)
     actual_rng = np.random.default_rng(9)
     actual = CdfSampler(p).sample(actual_rng, size)
-    assert actual.dtype == np.int64
+    assert actual.dtype == np.int32
     np.testing.assert_array_equal(actual, expected)
     assert actual_rng.random() == expected_rng.random()
 
@@ -457,29 +567,60 @@ def test_lookup_rejects_uniforms_outside_unit_interval(lookup_path, bad):
 def test_lookup_rejects_mismatched_output():
     sampler = CdfSampler(np.arange(1.0, 5.0))
     with pytest.raises(ValueError, match="out must have shape"):
-        sampler.lookup(np.zeros(10), out=np.empty(9, dtype=np.int64))
+        sampler.lookup(np.zeros(10), out=np.empty(9, dtype=np.int32))
+    with pytest.raises(ValueError, match="C-contiguous int32"):
+        sampler.lookup(np.zeros(10), out=np.empty(10, dtype=np.int64))
+    with pytest.raises(ValueError, match="C-contiguous int32"):
+        sampler.lookup(np.zeros(10), out=np.empty(20, dtype=np.int32)[::2])
 
 
-def test_social_network_build_memory_is_bounded():
-    """Peak traced memory of the 100 K-vertex build stays within 3.5
-    int64 arrays of E entries: the two endpoint arrays, the CSR indices
-    and scipy's int8 scratch (3.125), plus O(V + chunk).  A full-size
-    temporary, or sampler tables kept alive through the CSR build, break
-    it.  The graph is the legacy generator's, byte for byte."""
-    num_vertices = 100_000
-    num_edges = int(num_vertices * 12.6)
-    native.load_kernel()  # build outside the traced window
+_MEMORY_VERTICES = 100_000
+_MEMORY_EDGES = int(_MEMORY_VERTICES * 12.6)
+
+
+def _traced_peak(fn):
+    """(result, peak traced bytes above the start) of calling *fn*."""
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        graph = social_network(num_vertices, seed=0)
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base <= 3.5 * num_edges * 8
-    legacy = legacy_social_network(num_vertices, seed=0)
+    return result, peak - base
+
+
+def test_social_network_build_memory_is_bounded():
+    """Peak traced memory of the 100 K-vertex build stays within 2.0
+    int64 arrays of E entries: the two int32 endpoint arrays, the int32
+    CSR indices and scipy's int8 scratch (1.625), plus O(V + chunk).
+    int64 endpoints or indices, a full-size temporary, or sampler tables
+    kept alive through the CSR build break it.  The graph is the legacy
+    generator's, byte for byte."""
+    native.load_kernel()  # build outside the traced window
+    graph, peak = _traced_peak(
+        lambda: social_network(_MEMORY_VERTICES, seed=0)
+    )
+    assert peak <= 2.0 * _MEMORY_EDGES * 8
+    legacy = legacy_social_network(_MEMORY_VERTICES, seed=0)
+    assert graph.indptr.dtype == np.int64
+    assert graph.indices.dtype == np.int32
     assert graph.indptr.tobytes() == legacy.indptr.tobytes()
     assert graph.indices.tobytes() == legacy.indices.tobytes()
+
+
+def test_bfs_memory_above_the_graph_is_bounded(monkeypatch):
+    """The BFS over a prebuilt 100 K-vertex social graph allocates at
+    most one int64 array of E entries beyond the graph: its dense
+    levels, whose raw output nearly reaches E, are marked in bounded
+    windows instead of gathered whole."""
+    graph = social_network(_MEMORY_VERTICES, seed=0)
+    workload = SocialBFS(scale=0.001)
+    monkeypatch.setattr(workload, "_build_graph", lambda: graph)
+    expected = launch_stream_digest(legacy_launch_stream(workload, graph))
+    stream, peak = _traced_peak(workload.launch_stream)
+    assert peak <= 1.0 * _MEMORY_EDGES * 8
+    assert launch_stream_digest(stream) == expected
 
 
 # ---------------------------------------------------------------------------
