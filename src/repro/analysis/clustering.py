@@ -43,8 +43,10 @@ def ward_clustering(
 ) -> ClusteringResult:
     """Ward's method via the Lance-Williams update.
 
-    ``points`` is (n_samples, n_features); cluster ids 0..n-1 are the
-    leaves, and merge step i creates cluster id n+i.
+    ``points`` is (n_samples, n_features) and must be finite; cluster
+    ids 0..n-1 are the leaves, and merge step i creates cluster id n+i.
+    Each step merges the closest active pair, the first one in
+    creation order on a tie.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -56,59 +58,53 @@ def ward_clustering(
         raise ValueError("need at least two points")
 
     # Squared Euclidean distances; Ward heights follow d^2 bookkeeping.
-    diff = points[:, None, :] - points[None, :, :]
-    distance = (diff ** 2).sum(axis=2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = points[:, None, :] - points[None, :, :]
+        distance = (diff ** 2).sum(axis=2)
+        # No merge cost exceeds n/2 times the largest distance.
+        bound = distance.max() * n
+    if not np.isfinite(bound):
+        # A NaN makes "the closest pair" depend on scan order.
+        raise ValueError("points must be finite, far from overflow")
 
-    active: Dict[int, int] = {i: 1 for i in range(n)}  # id -> size
-    # Map active cluster id -> row in the distance matrix bookkeeping.
-    dist: Dict[Tuple[int, int], float] = {}
-    ids = list(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = distance[i, j]
-
-    def get(a: int, b: int) -> float:
-        return dist[(a, b) if a < b else (b, a)]
-
-    def put(a: int, b: int, value: float) -> None:
-        dist[(a, b) if a < b else (b, a)] = value
-
+    # Distances between every cluster id the run creates, +inf
+    # wherever either cluster is not active (and on the diagonal).
+    # New ids only grow, so ascending id order is the order clusters
+    # were created in.  A cluster is active while its size is nonzero.
+    size = 2 * n - 1
+    dist = np.full((size, size), np.inf)
+    upper = np.triu_indices(n, 1)
+    dist[upper] = dist[upper[::-1]] = distance[upper]
+    sizes = np.zeros(size, dtype=np.int64)
+    sizes[:n] = 1
     merges: List[Merge] = []
-    next_id = n
-    while len(ids) > 1:
-        best = None
-        best_pair = None
-        for index_a in range(len(ids)):
-            for index_b in range(index_a + 1, len(ids)):
-                a, b = ids[index_a], ids[index_b]
-                d = get(a, b)
-                if best is None or d < best:
-                    best = d
-                    best_pair = (a, b)
-        a, b = best_pair  # type: ignore[misc]
-        size_a, size_b = active[a], active[b]
+    for next_id in range(n, size):
+        # The matrix is symmetric, so its first row-major minimum is
+        # the first minimum of its upper triangle: the pair a < b that
+        # a strict-< scan in creation order keeps on a tie.
+        a, b = divmod(int(np.argmin(dist)), size)
+        best = dist[a, b]
+        size_a, size_b = sizes[a], sizes[b]
+        sizes[a] = sizes[b] = 0
+        rest = np.flatnonzero(sizes)
+        size_c = sizes[rest]
         new_size = size_a + size_b
-        height = float(np.sqrt(max(0.0, best)))
+        total = new_size + size_c
 
         # Lance-Williams update for Ward linkage.
-        for c in ids:
-            if c in (a, b):
-                continue
-            size_c = active[c]
-            total = new_size + size_c
-            updated = (
-                (size_a + size_c) / total * get(a, c)
-                + (size_b + size_c) / total * get(b, c)
-                - size_c / total * best
-            )
-            put(next_id, c, updated)
-
-        ids.remove(a)
-        ids.remove(b)
-        ids.append(next_id)
-        active[next_id] = new_size
-        merges.append(Merge(left=a, right=b, height=height, size=new_size))
-        next_id += 1
+        updated = (
+            (size_a + size_c) / total * dist[a, rest]
+            + (size_b + size_c) / total * dist[b, rest]
+            - size_c / total * best
+        )
+        dist[next_id, rest] = dist[rest, next_id] = updated
+        dist[a] = dist[b] = np.inf
+        dist[:, a] = dist[:, b] = np.inf
+        sizes[next_id] = new_size
+        height = float(np.sqrt(max(0.0, best)))
+        merges.append(
+            Merge(left=a, right=b, height=height, size=int(new_size))
+        )
 
     return ClusteringResult(labels=tuple(labels), merges=tuple(merges))
 

@@ -10,6 +10,7 @@ white (none, < 0.2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Sequence, Tuple
@@ -124,12 +125,28 @@ def correlation_matrix(
         )
     if len(kernels) < 2:
         raise ValueError("need at least two kernels to correlate")
+    # Each metric's sample, its deviations from the mean and its root
+    # sum of squares, once per call: every cell then replays
+    # :func:`pearson`'s arithmetic in the same order, bit for bit.
+    centred: Dict[str, Tuple[List[float], float]] = {}
+    for metric in (*rows, *columns):
+        if metric not in centred:
+            sample = [_kernel_metric(k, metric) for k in kernels]
+            mean = sum(sample) / len(sample)
+            deviations = [x - mean for x in sample]
+            root = math.sqrt(sum(d ** 2 for d in deviations))
+            centred[metric] = (deviations, root)
     values: Dict[Tuple[str, str], float] = {}
     for row in rows:
-        xs = [_kernel_metric(k, row) for k in kernels]
+        dx, root_x = centred[row]
         for column in columns:
-            ys = [_kernel_metric(k, column) for k in kernels]
-            values[(row, column)] = pearson(xs, ys)
+            dy, root_y = centred[column]
+            cov = sum(map(operator.mul, dx, dy))
+            denominator = root_x * root_y
+            values[(row, column)] = (
+                0.0 if denominator <= 0.0
+                else max(-1.0, min(1.0, cov / denominator))
+            )
     return CorrelationMatrix(
         rows=tuple(rows), columns=tuple(columns), values=values
     )

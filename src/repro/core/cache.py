@@ -53,6 +53,26 @@ from repro.gpu.digest import (
 )
 
 
+def atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
+    """Publish *payload* at *path* atomically (temp file + replace).
+
+    ``json.dumps`` runs the C encoder (``json.dump`` always takes the
+    pure-Python one) and writes the same compact bytes in one call.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, separators=(",", ":")))
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class CacheStats:
     """Hit/miss accounting for one cache (mergeable across workers)."""
@@ -245,22 +265,9 @@ class ResultCache:
         path = self._path(key)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         # Atomic publish: concurrent workers may race on the same key,
         # but both write identical content and os.replace is atomic.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write_json(path, payload)
 
     def _remember(self, key: str, payload: Dict[str, Any]) -> None:
         if self.max_memory_entries == 0:

@@ -21,22 +21,21 @@ share one format, because a suite run is a one-device sweep:
     workloads whose full device set already landed; the run key digests
     the device list, so adding a device starts a fresh journal.
 
-All writes are atomic (temp file + ``os.replace``, like
-:mod:`repro.core.cache`), so a marker is either complete or absent;
-a corrupt or foreign marker — or one in the older single-device
-``{"characterization": ...}`` format — is treated as "not done" and the
-workload simply re-runs.
+All writes are atomic (temp file + ``os.replace``, through
+:func:`repro.core.cache.atomic_write_json`), so a marker is either
+complete or absent; a corrupt or foreign marker — or one in the older
+single-device ``{"characterization": ...}`` format — is treated as
+"not done" and the workload simply re-runs.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import shutil
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional
 
+from repro.core.cache import atomic_write_json
 from repro.core.characterize import Characterization
 from repro.core.serialize import (
     characterization_from_dict,
@@ -44,22 +43,6 @@ from repro.core.serialize import (
 )
 
 JOURNAL_SCHEMA_VERSION = 1
-
-
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    """Publish *payload* at *path* atomically (temp file + replace)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class RunJournal:
@@ -132,7 +115,7 @@ class RunJournal:
         # Stale or absent journal: start fresh.
         if self.done_dir.is_dir():
             shutil.rmtree(self.done_dir, ignore_errors=True)
-        _atomic_write_json(
+        atomic_write_json(
             self.run_path,
             {
                 "schema": JOURNAL_SCHEMA_VERSION,
@@ -176,7 +159,7 @@ class RunJournal:
         attempts: int = 1,
     ) -> None:
         """Atomically record *abbr* with its full per-device result map."""
-        _atomic_write_json(
+        atomic_write_json(
             self.marker_path(abbr),
             {
                 "schema": JOURNAL_SCHEMA_VERSION,
@@ -242,7 +225,7 @@ class RunJournal:
             "run_key": self.run_key,
         }
         meta["status"] = "complete" if ok else "failed"
-        _atomic_write_json(self.run_path, meta)
+        atomic_write_json(self.run_path, meta)
         self.tracer.event(
             "journal.finish", category="journal", status=meta["status"]
         )

@@ -236,6 +236,6 @@ def write_chrome_trace(
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with tmp.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
+        handle.write(json.dumps(payload, separators=(",", ":")))
     os.replace(tmp, path)
     return len(trace_events)

@@ -33,15 +33,13 @@ plain daemon threads that a draining process can abandon safely
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.cache import CacheStats, ResultCache
+from repro.core.cache import CacheStats, ResultCache, atomic_write_json
 from repro.core.engine import CharacterizationEngine
 from repro.core.journal import RunJournal
 from repro.core.resilience import RetryPolicy
@@ -76,21 +74,6 @@ JOB_INTERRUPTED = "interrupted"
 #: States a job never leaves on its own (a failed job can be re-admitted
 #: by a fresh identical submission, which replaces the record).
 TERMINAL_STATES = frozenset({JOB_DONE, JOB_FAILED})
-
-
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -428,7 +411,7 @@ class JobManager:
 
     # -- persistence ---------------------------------------------------
     def _persist(self, record: JobRecord) -> None:
-        _atomic_write_json(
+        atomic_write_json(
             self.jobs_dir / f"{record.id[:32]}.json", record.to_dict()
         )
 

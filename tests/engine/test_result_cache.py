@@ -1,5 +1,6 @@
 """Unit tests for the two-tier result cache."""
 
+import io
 import json
 import shutil
 from pathlib import Path
@@ -8,7 +9,11 @@ import pytest
 
 import repro
 from repro.core.cache import CacheStats, ResultCache
+from repro.core.characterize import characterize
+from repro.core.journal import JOURNAL_SCHEMA_VERSION, RunJournal
+from repro.core.serialize import characterization_to_dict
 from repro.gpu.digest import CACHE_SCHEMA_VERSION, source_fingerprint
+from repro.workloads.registry import get_workload
 
 KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "0" * 62
@@ -176,3 +181,49 @@ class TestStats:
         stats = CacheStats()
         assert stats.hit_rate == 0.0
         assert "0/0 hits" in stats.render()
+
+
+class TestJsonBytes:
+    """``atomic_write_json`` writes with ``json.dumps`` (the C encoder);
+    cache entries and journal markers must keep the exact bytes the
+    pure-Python ``json.dump`` encoder wrote before."""
+
+    @pytest.fixture(scope="class")
+    def characterization(self):
+        return characterize(get_workload("GMS", scale=0.05))
+
+    @staticmethod
+    def legacy_bytes(payload):
+        buffer = io.StringIO()
+        json.dump(payload, buffer, separators=(",", ":"))
+        return buffer.getvalue().encode("utf-8")
+
+    def test_cache_entry_matches_json_dump(self, tmp_path, characterization):
+        payload = characterization_to_dict(characterization)
+        payload["stream_digest"] = "ab" * 32
+        cache = ResultCache(cache_dir=tmp_path)
+        cache.put(KEY_A, payload)
+        written = cache._path(KEY_A).read_bytes()
+        assert written == self.legacy_bytes(payload)
+        assert list(cache._path(KEY_A).parent.glob("*.tmp")) == []
+
+    def test_journal_marker_matches_json_dump(self, tmp_path, characterization):
+        journal = RunJournal(tmp_path, run_key="k" * 64)
+        assert journal.begin(["gms"]) == {}
+        assert journal.run_path.read_bytes() == self.legacy_bytes({
+            "schema": JOURNAL_SCHEMA_VERSION,
+            "run_key": "k" * 64,
+            "selected": ["GMS"],
+            "status": "running",
+        })
+        journal.mark_done("gms", {"RTX 3080": characterization}, attempts=2)
+        expected = {
+            "schema": JOURNAL_SCHEMA_VERSION,
+            "run_key": "k" * 64,
+            "abbr": "GMS",
+            "attempts": 2,
+            "devices": {"RTX 3080": characterization_to_dict(characterization)},
+        }
+        written = journal.marker_path("GMS").read_bytes()
+        assert written == self.legacy_bytes(expected)
+        assert journal.completed_workloads() == ["GMS"]

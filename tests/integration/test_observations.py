@@ -9,8 +9,13 @@ broadly than the 32 real binaries did.
 
 import pytest
 
-from repro.analysis.correlation import correlation_matrix
+from repro.analysis.correlation import (
+    _kernel_metric,
+    correlation_matrix,
+    pearson,
+)
 from repro.core import OBSERVATION_SCALE, check_observations, run_suite
+from repro.gpu.metrics import PRIMARY_METRICS, SECONDARY_METRICS
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +52,47 @@ class TestObservations:
         text = report.render()
         assert "Observations:" in text
         assert "#12" in text
+
+
+class TestCorrelationExactness:
+    """``correlation_matrix`` centres each metric's sample once per call;
+    every cell must still equal :func:`pearson` on the same two
+    samples, bit for bit."""
+
+    @pytest.mark.parametrize("side", ["cactus", "prt"])
+    @pytest.mark.parametrize("dominant_only", [False, True])
+    def test_every_cell_is_pearson_bit_for_bit(
+        self, suite_runs, side, dominant_only
+    ):
+        cactus, prt = suite_runs
+        profiles = cactus.profiles("Cactus") if side == "cactus" else [
+            c.profile
+            for suite in ("Parboil", "Rodinia", "Tango")
+            for c in prt.suite(suite)
+        ]
+        matrix = correlation_matrix(profiles, dominant_only=dominant_only)
+        kernels = [
+            k
+            for p in profiles
+            for k in (p.dominant_kernels if dominant_only else p.kernels)
+        ]
+        for row in PRIMARY_METRICS:
+            xs = [_kernel_metric(k, row) for k in kernels]
+            for column in SECONDARY_METRICS:
+                ys = [_kernel_metric(k, column) for k in kernels]
+                expected = pearson(xs, ys)
+                actual = matrix.value(row, column)
+                assert actual.hex() == float(expected).hex(), (row, column)
+
+    def test_metric_in_rows_and_columns(self, suite_runs):
+        # A metric on both axes is centred once and serves both.
+        cactus, _ = suite_runs
+        profiles = cactus.profiles("Cactus")
+        metrics = ("gips", "sm_efficiency", "warp_occupancy")
+        matrix = correlation_matrix(profiles, rows=metrics, columns=metrics)
+        kernels = [k for p in profiles for k in p.kernels]
+        for row in metrics:
+            xs = [_kernel_metric(k, row) for k in kernels]
+            for column in metrics:
+                ys = [_kernel_metric(k, column) for k in kernels]
+                assert matrix.value(row, column) == pearson(xs, ys)
