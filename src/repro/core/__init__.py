@@ -30,7 +30,6 @@ from repro.core.resilience import (
 from repro.core.serialize import (
     suite_run_report_from_dict,
     suite_run_report_to_dict,
-    sweep_run_report_from_dict,
     sweep_run_report_to_dict,
 )
 from repro.core.suite import SuiteResult, SuiteRunReport, run_suite
@@ -64,6 +63,5 @@ __all__ = [
     "run_sweep",
     "suite_run_report_from_dict",
     "suite_run_report_to_dict",
-    "sweep_run_report_from_dict",
     "sweep_run_report_to_dict",
 ]

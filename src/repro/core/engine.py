@@ -26,9 +26,10 @@ over the naive serial loop:
   per-workload wall-clock timeout (a hung worker is killed and the pool
   rebuilt); a broken pool rebuilds once and then degrades to the serial
   path with a recorded ``fallback_reason``; and an optional
-  :class:`~repro.core.journal.RunJournal` checkpoints each completed
-  workload so an interrupted run resumes where it left off — even with
-  the cache disabled.
+  :class:`~repro.core.journal.RunJournal` marks each completed
+  workload so an interrupted run resumes where it left off, reading the
+  marked results back from the result cache — a private one under the
+  journal directory when the cache is disabled or memory-only.
 
 Failure disposition is the caller's choice: with ``keep_going=True``
 the run returns a report carrying both survivors and failures;
@@ -51,7 +52,7 @@ import warnings
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats, ResultCache, characterization_key
 from repro.core.characterize import (
@@ -99,6 +100,47 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+def _lookup(
+    abbr: str,
+    preset: ScalePreset,
+    devices: Sequence[DeviceSpec],
+    options: SimulationOptions,
+    cache: ResultCache,
+    tracer: Tracer,
+) -> Tuple[Dict[str, str], Dict[str, Tuple[Characterization, Optional[str]]]]:
+    """Probe *cache* for one workload on every device of the run.
+
+    Returns ``(keys, hits)``: each device's recipe key and, for the
+    devices that hit, the characterization with its ``stream_digest``.
+    An entry that parses but is not a characterization is quarantined
+    like an unparsable one (:meth:`~repro.core.cache.ResultCache.reject`)
+    and left out of *hits*.  Shared by :func:`_attempt` and journal
+    resume, so both read results through one key and one codec.
+    """
+    scale, seed = preset.for_workload(abbr), preset.seed
+    keys: Dict[str, str] = {}
+    hits: Dict[str, Tuple[Characterization, Optional[str]]] = {}
+    with tracer.span(
+        "cache-lookup", category="phase", workload=abbr, devices=len(devices)
+    ) as sp:
+        for device in devices:
+            keys[device.name] = key = characterization_key(
+                device, options, abbr, scale, seed
+            )
+            payload = cache.get(key)
+            if payload is None:
+                continue
+            try:
+                hits[device.name] = (
+                    characterization_from_dict(payload),
+                    payload.get("stream_digest"),
+                )
+            except (KeyError, TypeError, ValueError):
+                cache.reject(key)  # schema-corrupt → recompute
+        sp.set_attr("hits", len(hits))
+    return keys, hits
+
+
 def _attempt(
     abbr: str,
     preset: ScalePreset,
@@ -115,17 +157,14 @@ def _attempt(
     The only attempt body, shared by the serial loop (``mode="serial"``)
     and the pool worker (``mode="pool"``).  The engine rebuilds every
     workload as ``get_workload(abbr, scale, seed)``, so it probes the
-    result cache under those recipe keys first; if every device hits,
-    no workload or stream is built.  Otherwise the stream is generated
-    and digested once, and the missed devices go through
-    :func:`~repro.core.characterize.characterize_devices`, stored with
-    that ``stream_digest``.  An entry that parses but is not a
-    characterization is quarantined like an unparsable one
-    (:meth:`~repro.core.cache.ResultCache.reject`) and recomputed.  A
-    hit whose ``stream_digest`` differs from the stream in hand is
-    stale: recomputed, overwritten and counted in ``cache.stale``.  The
-    *fault_plan* hooks run once per attempt and are strict no-ops when
-    the plan is empty.
+    result cache under those recipe keys first (:func:`_lookup`); if
+    every device hits, no workload or stream is built.  Otherwise the
+    stream is generated and digested once, and the missed devices go
+    through :func:`~repro.core.characterize.characterize_devices`,
+    stored with that ``stream_digest``.  A hit whose ``stream_digest``
+    differs from the stream in hand is stale: recomputed, overwritten
+    and counted in ``cache.stale``.  The *fault_plan* hooks run once per
+    attempt and are strict no-ops when the plan is empty.
     """
     with tracer.span(
         "attempt",
@@ -137,33 +176,14 @@ def _attempt(
     ):
         if fault_plan is not None:
             fault_plan.before(abbr, attempt)
-        scale, seed = preset.for_workload(abbr), preset.seed
-        keys: Dict[str, str] = {}
-        hits: Dict[str, Tuple[Characterization, Optional[str]]] = {}
-        if cache is not None:
-            with tracer.span(
-                "cache-lookup",
-                category="phase",
-                workload=abbr,
-                devices=len(devices),
-            ) as sp:
-                for device in devices:
-                    keys[device.name] = key = characterization_key(
-                        device, options, abbr, scale, seed
-                    )
-                    payload = cache.get(key)
-                    if payload is None:
-                        continue
-                    try:
-                        hits[device.name] = (
-                            characterization_from_dict(payload),
-                            payload.get("stream_digest"),
-                        )
-                    except (KeyError, TypeError, ValueError):
-                        cache.reject(key)  # schema-corrupt → recompute
-                sp.set_attr("hits", len(hits))
+        keys, hits = (
+            _lookup(abbr, preset, devices, options, cache, tracer)
+            if cache is not None
+            else ({}, {})
+        )
         result = {name: hit[0] for name, hit in hits.items()}
         if len(hits) < len(devices):
+            scale, seed = preset.for_workload(abbr), preset.seed
             workload = get_workload(abbr, scale=scale, seed=seed)
             stream = generate_stream(workload, tracer)
             digest = (
@@ -280,6 +300,8 @@ class CharacterizationEngine:
     journal_dir:
         Optional checkpoint directory; an interrupted run with the
         same identity resumes there and skips completed workloads.
+        Without a disk-backed *cache*, the run keeps its results in a
+        private cache under ``<journal_dir>/results``.
     fault_plan:
         Deterministic fault-injection plan (testing only); ``None`` and
         an empty plan are strict no-ops.
@@ -457,27 +479,45 @@ class CharacterizationEngine:
                 # the job's run profile.
                 session.tracer.incr("engine.runs")
                 journal: Optional[RunJournal] = None
-                completed: Dict[str, Dict[str, Characterization]] = {}
+                marked: Set[str] = set()
                 if self.journal_dir is not None:
                     journal = RunJournal(
                         self.journal_dir, run_key, tracer=session.tracer
                     )
-                    completed = journal.begin(selected)
-                    report.resumed = [a for a in selected if a in completed]
+                    marked = journal.begin(selected)
+                cache = self._run_cache(journal, session.tracer)
 
-                remaining = [a for a in selected if a not in completed]
-                outcome = _ExecutionOutcome(results=dict(completed))
+                # A marked workload resumes only if every device's entry
+                # is still in the cache; otherwise it simply re-runs.
+                outcome = _ExecutionOutcome()
+                for abbr in (a for a in selected if a in marked):
+                    _, hits = _lookup(
+                        abbr, preset, devices, self.options, cache,
+                        session.tracer,
+                    )
+                    if len(hits) == len(devices):
+                        outcome.results[abbr] = {
+                            name: hit[0] for name, hit in hits.items()
+                        }
+                report.resumed = list(outcome.results)
+                session.tracer.incr(
+                    "engine.workloads_resumed", float(len(report.resumed))
+                )
+
+                remaining = [a for a in selected if a not in outcome.results]
                 if remaining:
                     if jobs > 1:
                         self._run_parallel(
-                            remaining, preset, devices, jobs, journal, outcome
+                            remaining, preset, devices, jobs, cache,
+                            journal, outcome,
                         )
                         remaining = [
                             a for a in remaining if a not in outcome.resolved
                         ]
                     if remaining:  # serial path, or parallel degraded
                         self._run_serial(
-                            remaining, preset, devices, journal, outcome
+                            remaining, preset, devices, cache, journal,
+                            outcome,
                         )
 
                 for abbr in selected:
@@ -492,7 +532,7 @@ class CharacterizationEngine:
                 report.fallback_reason = outcome.fallback_reason
                 session.tracer.incr(
                     "engine.workloads_completed",
-                    float(len(outcome.results) - len(completed)),
+                    float(len(outcome.results) - len(report.resumed)),
                 )
                 session.tracer.incr(
                     "engine.workloads_failed", float(len(report.failures))
@@ -514,6 +554,25 @@ class CharacterizationEngine:
                 report.trace_dir = str(session.trace_dir)
             self._session = None
         return report
+
+    def _run_cache(
+        self, journal: Optional[RunJournal], tracer: Tracer
+    ) -> Optional[ResultCache]:
+        """The cache one run reads and writes.
+
+        A journaled run resumes from cached entries, so without a disk
+        tier in ``self.cache`` it uses a private cache under the journal
+        directory that counts into ``self.cache``'s stats.
+        """
+        if journal is None or (
+            self.cache is not None and self.cache.cache_dir is not None
+        ):
+            return self.cache
+        return ResultCache(
+            cache_dir=journal.results_dir,
+            stats=self.cache.stats if self.cache is not None else CacheStats(),
+            tracer=tracer,
+        )
 
     # -- observability access ------------------------------------------
     @property
@@ -544,13 +603,16 @@ class CharacterizationEngine:
         if snapshot is not None and self._obs is not None:
             self._obs.absorb(snapshot)
         if journal is not None:
-            journal.mark_done(abbr, result, attempts=attempts)
+            # Written after the attempt's atomic entry writes, so every
+            # marked workload's entries exist.
+            journal.mark_done(abbr, attempts=attempts)
 
     def _run_serial(
         self,
         selected: Sequence[str],
         preset: ScalePreset,
         devices: Sequence[DeviceSpec],
+        cache: Optional[ResultCache],
         journal: Optional[RunJournal],
         outcome: _ExecutionOutcome,
     ) -> None:
@@ -573,7 +635,7 @@ class CharacterizationEngine:
                         preset,
                         devices,
                         self.options,
-                        self.cache,
+                        cache,
                         tracer,
                         attempt,
                         self.fault_plan,
@@ -646,6 +708,7 @@ class CharacterizationEngine:
         preset: ScalePreset,
         devices: Sequence[DeviceSpec],
         jobs: int,
+        cache: Optional[ResultCache],
         journal: Optional[RunJournal],
         outcome: _ExecutionOutcome,
     ) -> None:
@@ -664,7 +727,7 @@ class CharacterizationEngine:
         policy = self.retry_policy
         tracer = self._tracer
         session = self._obs
-        cache_dir = self.cache.cache_dir if self.cache is not None else None
+        cache_dir = cache.cache_dir if cache is not None else None
 
         try:
             pool = self._new_pool(jobs, len(selected))

@@ -1,31 +1,35 @@
 """Resumable run checkpoints: a per-run journal of completed workloads.
 
 A run interrupted after N workloads (crash, SIGTERM, power loss)
-should restart and re-run only the remaining ones — *even with the
-result cache disabled*.  The journal makes that possible by recording
-each completed workload as it lands.  Suite runs and device sweeps
-share one format, because a suite run is a one-device sweep:
+should restart and re-run only the remaining ones.  The journal records
+*which* workloads completed; the results themselves live in the run's
+:class:`~repro.core.cache.ResultCache`, the one store with one keying
+rule.  Suite runs and device sweeps share one format, because a suite
+run is a one-device sweep:
 
 ``<journal_dir>/run.json``
     Run metadata: journal schema version, the run key (a content
     digest of the device(s) + simulation options + preset + workload
     selection), and the selected workload list.  A journal whose run
-    key does not match the current run is stale and is wiped before
-    the run starts — resuming is only ever offered for *identical*
-    runs.
+    key or schema does not match the current run is stale and is wiped
+    before the run starts — resuming is only ever offered for
+    *identical* runs.
 ``<journal_dir>/done/<ABBR>.json``
-    One completion marker per finished workload, holding its whole
-    device axis — ``{"devices": {device_name: characterization}}``,
-    serialized losslessly (see :mod:`repro.core.serialize`) — plus the
-    run key and attempt count.  A resumed run skips exactly the
-    workloads whose full device set already landed; the run key digests
-    the device list, so adding a device starts a fresh journal.
+    One completion marker per finished workload:
+    ``{"schema", "run_key", "abbr", "attempts"}`` and nothing else.  The
+    engine rebuilds each device's cache key from the run identity and
+    reads the characterizations back from the result cache; a marker
+    whose entries are missing or invalid counts as not done.
+``<journal_dir>/results/``
+    The private result cache (same layout, key and codec as any other)
+    the engine opens when the run's own cache has no disk tier; wiped
+    with the markers when the journal is stale.
 
 All writes are atomic (temp file + ``os.replace``, through
 :func:`repro.core.cache.atomic_write_json`), so a marker is either
-complete or absent; a corrupt or foreign marker — or one in the older
-single-device ``{"characterization": ...}`` format — is treated as
-"not done" and the workload simply re-runs.
+complete or absent, and it is written only after its entries; a
+corrupt or foreign marker is treated as "not done" and the workload
+simply re-runs.
 """
 
 from __future__ import annotations
@@ -33,16 +37,22 @@ from __future__ import annotations
 import json
 import shutil
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Set
 
 from repro.core.cache import atomic_write_json
-from repro.core.characterize import Characterization
-from repro.core.serialize import (
-    characterization_from_dict,
-    characterization_to_dict,
-)
 
-JOURNAL_SCHEMA_VERSION = 1
+#: ``begin()`` wipes a journal written under any other schema.
+JOURNAL_SCHEMA_VERSION = 2
+
+
+def _read_json(path: Path) -> Optional[Dict[str, Any]]:
+    """The JSON object at *path*, or None if absent, corrupt or not a dict."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 class RunJournal:
@@ -72,49 +82,43 @@ class RunJournal:
     def done_dir(self) -> Path:
         return self.journal_dir / "done"
 
+    @property
+    def results_dir(self) -> Path:
+        return self.journal_dir / "results"
+
     def marker_path(self, abbr: str) -> Path:
         return self.done_dir / f"{abbr.upper()}.json"
 
     # -- lifecycle -----------------------------------------------------
-    def _read_meta(self) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self.run_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return meta if isinstance(meta, dict) else None
+    def begin(self, selected: Iterable[str]) -> Set[str]:
+        """Start (or resume) a run; return the workloads marked done.
 
-    def begin(
-        self, selected: Iterable[str]
-    ) -> Dict[str, Dict[str, Characterization]]:
-        """Start (or resume) a run; return already-completed results.
-
-        If an existing journal matches this run key, the completed
-        characterizations are loaded and returned so the engine can
-        skip them.  Otherwise any stale journal is wiped and a fresh
-        ``run.json`` is written.
+        If an existing journal matches this schema and run key, the
+        abbreviations whose marker names this run are returned so the
+        engine can try to resume them from the result cache.  Otherwise
+        the stale journal (markers and private results) is wiped and a
+        fresh ``run.json`` is written.
         """
         selected = [abbr.upper() for abbr in selected]
-        meta = self._read_meta()
+        meta = _read_json(self.run_path) or {}
         if (
-            meta is not None
-            and meta.get("schema") == JOURNAL_SCHEMA_VERSION
+            meta.get("schema") == JOURNAL_SCHEMA_VERSION
             and meta.get("run_key") == self.run_key
         ):
-            completed = self._load_completed(selected)
+            marked = {
+                abbr for abbr in selected
+                if (_read_json(self.marker_path(abbr)) or {}).get("run_key")
+                == self.run_key
+            }
             self.tracer.event(
                 "journal.resume",
                 category="journal",
                 run_key=self.run_key[:16],
-                resumed=len(completed),
+                marked=len(marked),
             )
-            self.tracer.incr(
-                "engine.workloads_resumed", float(len(completed))
-            )
-            return completed
-        # Stale or absent journal: start fresh.
-        if self.done_dir.is_dir():
-            shutil.rmtree(self.done_dir, ignore_errors=True)
+            return marked
+        for stale in (self.done_dir, self.results_dir):
+            shutil.rmtree(stale, ignore_errors=True)
         atomic_write_json(
             self.run_path,
             {
@@ -130,35 +134,10 @@ class RunJournal:
             run_key=self.run_key[:16],
             selected=len(selected),
         )
-        return {}
+        return set()
 
-    def _load_completed(
-        self, selected: Iterable[str]
-    ) -> Dict[str, Dict[str, Characterization]]:
-        completed: Dict[str, Dict[str, Characterization]] = {}
-        for abbr in selected:
-            path = self.marker_path(abbr)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    marker = json.load(handle)
-                if marker.get("run_key") != self.run_key:
-                    continue  # marker from a different run identity
-                completed[abbr] = {
-                    name: characterization_from_dict(payload)
-                    for name, payload in marker["devices"].items()
-                }
-            except (OSError, ValueError, KeyError, TypeError, AttributeError):
-                # Absent, corrupt or old-format marker → just re-run it.
-                continue
-        return completed
-
-    def mark_done(
-        self,
-        abbr: str,
-        result: Dict[str, Characterization],
-        attempts: int = 1,
-    ) -> None:
-        """Atomically record *abbr* with its full per-device result map."""
+    def mark_done(self, abbr: str, attempts: int = 1) -> None:
+        """Atomically record *abbr* as complete (its entries are cached)."""
         atomic_write_json(
             self.marker_path(abbr),
             {
@@ -166,10 +145,6 @@ class RunJournal:
                 "run_key": self.run_key,
                 "abbr": abbr.upper(),
                 "attempts": attempts,
-                "devices": {
-                    name: characterization_to_dict(entry)
-                    for name, entry in result.items()
-                },
             },
         )
         self.tracer.event(
@@ -180,37 +155,19 @@ class RunJournal:
         )
         self.tracer.incr("engine.journal_checkpoints")
 
-    def completed_workloads(self) -> list:
-        """Abbreviations with a completion marker on disk (sorted)."""
-        if not self.done_dir.is_dir():
-            return []
-        return sorted(p.stem for p in self.done_dir.glob("*.json"))
-
     @classmethod
     def peek(cls, journal_dir) -> Dict[str, Any]:
         """Read-only snapshot of a journal directory's progress.
 
         Returns ``{"run_key", "status", "selected", "done"}`` without
-        constructing an engine or loading any characterization payloads
-        — the service layer uses this to report a running job's
-        checkpoint progress cheaply.  An absent or unreadable journal
-        yields an empty snapshot (``run_key=None, done=[]``).
+        constructing an engine or touching the result cache — the
+        service layer uses this to report a running job's checkpoint
+        progress cheaply.  An absent or unreadable journal yields an
+        empty snapshot (``run_key=None, done=[]``).
         """
         root = Path(journal_dir)
-        meta: Dict[str, Any] = {}
-        try:
-            with open(root / "run.json", "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
-            if isinstance(loaded, dict):
-                meta = loaded
-        except (OSError, ValueError):
-            meta = {}
-        done_dir = root / "done"
-        done = (
-            sorted(p.stem for p in done_dir.glob("*.json"))
-            if done_dir.is_dir()
-            else []
-        )
+        meta = _read_json(root / "run.json") or {}
+        done = sorted(p.stem for p in (root / "done").glob("*.json"))
         return {
             "run_key": meta.get("run_key"),
             "status": meta.get("status"),
@@ -220,7 +177,7 @@ class RunJournal:
 
     def finish(self, ok: bool = True) -> None:
         """Mark the run's terminal status in ``run.json``."""
-        meta = self._read_meta() or {
+        meta = _read_json(self.run_path) or {
             "schema": JOURNAL_SCHEMA_VERSION,
             "run_key": self.run_key,
         }

@@ -9,7 +9,7 @@ come back as tuples and nested dataclasses must be rebuilt as the right
 types.
 
 Every helper pair here is an exact inverse: ``X_from_dict(X_to_dict(x))
-== x`` bit-for-bit.  The golden fixture generator reuses the same
+== x`` bit-for-bit (sweep run reports are only ever written).  The golden fixture generator reuses the same
 encoders so fixtures and cache payloads share one format.
 """
 
@@ -236,23 +236,6 @@ def sweep_run_report_to_dict(report: "SweepRunReport") -> Dict[str, Any]:
         },
         **_run_record_to_dict(report),
     }
-
-
-def sweep_run_report_from_dict(payload: Dict[str, Any]) -> "SweepRunReport":
-    from repro.core.sweep import SweepRunReport
-
-    return SweepRunReport(
-        devices=[device_spec_from_dict(d) for d in payload["devices"]],
-        preset=scale_preset_from_dict(payload["preset"]),
-        results={
-            abbr: {
-                name: characterization_from_dict(entry)
-                for name, entry in per_device.items()
-            }
-            for abbr, per_device in payload["results"].items()
-        },
-        **_run_record_from_dict(payload),
-    )
 
 
 def characterization_from_dict(payload: Dict[str, Any]) -> Characterization:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 __all__ = [
     "HistogramStat",
@@ -272,9 +272,3 @@ class RunProfile:
             },
         )
 
-
-def run_profile_or_none(
-    profile: Optional[RunProfile],
-) -> Optional[Dict[str, Any]]:
-    """Serialize an optional profile (helper for the report serializer)."""
-    return profile.as_dict() if profile is not None else None

@@ -207,23 +207,22 @@ class TestJsonBytes:
         assert written == self.legacy_bytes(payload)
         assert list(cache._path(KEY_A).parent.glob("*.tmp")) == []
 
-    def test_journal_marker_matches_json_dump(self, tmp_path, characterization):
+    def test_journal_marker_matches_json_dump(self, tmp_path):
         journal = RunJournal(tmp_path, run_key="k" * 64)
-        assert journal.begin(["gms"]) == {}
+        assert journal.begin(["gms"]) == set()
         assert journal.run_path.read_bytes() == self.legacy_bytes({
             "schema": JOURNAL_SCHEMA_VERSION,
             "run_key": "k" * 64,
             "selected": ["GMS"],
             "status": "running",
         })
-        journal.mark_done("gms", {"RTX 3080": characterization}, attempts=2)
+        journal.mark_done("gms", attempts=2)
         expected = {
             "schema": JOURNAL_SCHEMA_VERSION,
             "run_key": "k" * 64,
             "abbr": "GMS",
             "attempts": 2,
-            "devices": {"RTX 3080": characterization_to_dict(characterization)},
         }
         written = journal.marker_path("GMS").read_bytes()
         assert written == self.legacy_bytes(expected)
-        assert journal.completed_workloads() == ["GMS"]
+        assert RunJournal.peek(tmp_path)["done"] == ["GMS"]

@@ -160,6 +160,13 @@ class TestParallelAndResume:
         assert second.resumed == WLS
         for abbr in WLS:
             assert second.results[abbr] == first.results[abbr]
+        # Markers record completion only: the characterizations live in
+        # the result cache, never a second time in the journal.
+        markers = sorted((tmp_path / "journal" / "done").glob("*.json"))
+        assert [m.stem for m in markers] == sorted(WLS)
+        for marker in markers:
+            payload = json.loads(marker.read_text(encoding="utf-8"))
+            assert "devices" not in payload and "profile" not in payload
 
     def test_journal_identity_includes_devices(self, tmp_path):
         """Adding a device must start fresh, not resume short markers."""

@@ -3,19 +3,25 @@
 
 Not a pytest module (the filename keeps it out of collection) — this is
 an end-to-end process-level check used by the CI ``robustness`` job.
-For each case — ``table1`` (a suite run) and ``sweep`` (a two-device
-sweep; both share one journal format):
+For each case — ``table1`` (a suite run), ``sweep`` (a two-device
+sweep; both share one journal format) and ``sweep-cached`` (the same
+sweep over a shared disk cache, the shape service jobs run in):
 
-1. launch ``python -m repro`` with a journal dir and no cache,
+1. launch ``python -m repro`` with a journal dir and no cache (or, for
+   ``sweep-cached``, a fresh ``--cache-dir``),
 2. poll the journal's ``done/`` markers and SIGTERM the process once at
    least two workloads have been checkpointed,
 3. rerun the identical command and assert it resumes (skipping every
-   checkpointed workload) and completes with exit code 0.
+   checkpointed workload) and completes with exit code 0, with the
+   results kept in the cache — the journal's private ``results/`` cache
+   without a cache dir, the shared one with it — and not in the markers.
 
-Usage: ``kill_resume_smoke.py [table1] [sweep]`` (default: both).
+Usage: ``kill_resume_smoke.py [table1] [sweep] [sweep-cached]``
+(default: all three).
 Exit code 0 = smoke passed.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -35,26 +41,47 @@ DEADLINE_S = 300.0
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    # Pin the run shape: serial, journaled, cache-free, no retries env.
+    # Pin the run shape: serial, journaled, no cache dir or retries from
+    # the environment (each case picks its own cache flag).
     for name in ("REPRO_JOBS", "REPRO_RETRIES", "REPRO_TIMEOUT",
                  "REPRO_CACHE_DIR", "REPRO_JOURNAL_DIR"):
         env.pop(name, None)
     return env
 
 
-#: Subcommand arguments of each case.
+SWEEP = ["sweep", "--devices", "RTX 3080,V100"]
+
+#: Whether each case runs over a shared disk cache, and its subcommand.
 CASES = {
-    "table1": ["table1"],
-    "sweep": ["sweep", "--devices", "RTX 3080,V100"],
+    "table1": (False, ["table1"]),
+    "sweep": (False, SWEEP),
+    "sweep-cached": (True, SWEEP),
 }
 
 
-def _command(journal_dir, case):
+def _command(work_dir, case):
+    cached, subcommand = CASES[case]
+    cache = ["--cache-dir", str(work_dir / "cache")] if cached else ["--no-cache"]
     return [
         sys.executable, "-m", "repro",
-        "--no-cache", "--journal-dir", str(journal_dir),
-        *CASES[case],
+        *cache, "--journal-dir", str(work_dir / "journal"),
+        *subcommand,
     ]
+
+
+def _cache_problems(work_dir, case):
+    """Results must live in one cache, never in the journal markers."""
+    cached = CASES[case][0]
+    results = work_dir / ("cache" if cached else "journal/results")
+    problems = []
+    if not any(results.glob("v*/*/*.json")):
+        problems.append(f"no cache entries under {results}")
+    if cached and (work_dir / "journal" / "results").exists():
+        problems.append("journal kept private results beside --cache-dir")
+    for marker in (work_dir / "journal" / "done").glob("*.json"):
+        if "devices" in json.loads(marker.read_text(encoding="utf-8")):
+            problems.append(f"marker {marker.name} embeds characterizations")
+    return problems
 
 
 def _markers(journal_dir):
@@ -74,10 +101,12 @@ def _cactus_workloads():
 def smoke(case, expected):
     """One SIGTERM-then-resume cycle for *case*; returns an exit code."""
     print(f"[{case}]")
-    with tempfile.TemporaryDirectory(prefix="repro-smoke-") as journal_dir:
+    with tempfile.TemporaryDirectory(prefix="repro-smoke-") as work:
+        work_dir = Path(work)
+        journal_dir = work_dir / "journal"
         # -- phase 1: start and kill mid-run ---------------------------
         proc = subprocess.Popen(
-            _command(journal_dir, case), env=_env(),
+            _command(work_dir, case), env=_env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         deadline = time.monotonic() + DEADLINE_S
@@ -116,7 +145,7 @@ def smoke(case, expected):
 
         # -- phase 2: resume -------------------------------------------
         result = subprocess.run(
-            _command(journal_dir, case), env=_env(),
+            _command(work_dir, case), env=_env(),
             capture_output=True, text=True, timeout=DEADLINE_S,
         )
         if result.returncode != 0:
@@ -136,6 +165,10 @@ def smoke(case, expected):
         if missing:
             print(f"FAIL: checkpointed workloads vanished: {missing}",
                   file=sys.stderr)
+            return 1
+        problems = _cache_problems(work_dir, case)
+        if problems:
+            print("FAIL: " + "; ".join(problems), file=sys.stderr)
             return 1
         print(
             f"resumed run skipped {len(survivors)} checkpointed "

@@ -1,19 +1,32 @@
 """Resumable checkpoints: interrupted runs restart where they left off.
 
-Acceptance criterion (ISSUE 2): a suite run interrupted after N
-workloads resumes and re-runs only the remaining ones, verified through
-the journal — with the result cache disabled.
+A suite run interrupted after N workloads resumes and re-runs only the
+remaining ones, verified through the journal — with the result cache
+disabled.  Journal markers record completion only; resumed results are
+read back from the run's result cache, so a marker whose entries are
+gone, corrupt or from another model version re-runs its workload.
 """
 
 import json
+import shutil
 
 import pytest
 
-from repro.core import LAPTOP_SCALE, RunJournal, SuiteRunError, run_suite
+from repro.core import (
+    LAPTOP_SCALE,
+    ResultCache,
+    RunJournal,
+    SuiteRunError,
+    run_suite,
+)
+from repro.core.cache import characterization_key
 from repro.core.engine import CharacterizationEngine
+from repro.core.serialize import characterization_to_dict
+from repro.gpu import V100
+from repro.gpu.simulator import SimulationOptions
 from repro.testing import CRASH_PERMANENT, FaultPlan, FaultSpec
 
-from .conftest import WORKLOADS, run_slice
+from .conftest import WORKLOADS, run_slice, run_sweep_slice
 
 
 class TestResume:
@@ -77,20 +90,40 @@ class TestResume:
         assert report.results == baseline.results
 
     def test_old_format_marker_reruns_the_workload(self, baseline, tmp_path):
-        """A marker in the older single-device format
-        (``{"characterization": ...}``) is "not done": it re-runs."""
+        """A schema-1 journal (markers embedding every characterization)
+        is wiped and re-runs everything once; the rewritten journal then
+        resumes as usual."""
         run_slice(journal_dir=tmp_path)
-        marker = tmp_path / "done" / "GST.json"
-        payload = json.loads(marker.read_text(encoding="utf-8"))
-        (payload["characterization"],) = payload.pop("devices").values()
-        marker.write_text(json.dumps(payload), encoding="utf-8")
+        meta = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+        meta["schema"] = 1
+        (tmp_path / "run.json").write_text(json.dumps(meta), encoding="utf-8")
+        for abbr in WORKLOADS:
+            marker = tmp_path / "done" / f"{abbr}.json"
+            payload = json.loads(marker.read_text(encoding="utf-8"))
+            payload["schema"] = 1
+            payload["devices"] = {
+                "RTX 3080": characterization_to_dict(baseline[abbr])
+            }
+            marker.write_text(json.dumps(payload), encoding="utf-8")
+
         report = run_slice(journal_dir=tmp_path)
-        assert report.resumed == ["GMS", "GRU"]
+        assert report.resumed == []
         assert report.ok
         assert report.results == baseline.results
-        # The re-run rewrote the marker in the per-device format.
-        rewritten = json.loads(marker.read_text(encoding="utf-8"))
-        assert list(rewritten["devices"]) == ["RTX 3080"]
+        # The wipe took the private results too: every workload was
+        # recomputed and stored again.
+        assert report.run_profile.counter("cache.stores") == len(WORKLOADS)
+        for abbr in WORKLOADS:
+            rewritten = json.loads(
+                (tmp_path / "done" / f"{abbr}.json").read_text(encoding="utf-8")
+            )
+            assert rewritten == {
+                "schema": 2,
+                "run_key": meta["run_key"],
+                "abbr": abbr,
+                "attempts": 1,
+            }
+        assert run_slice(journal_dir=tmp_path).resumed == WORKLOADS
 
     def test_failed_workloads_are_not_marked_done(self, tmp_path):
         plan = FaultPlan.single("GST", CRASH_PERMANENT, attempts=())
@@ -101,30 +134,89 @@ class TestResume:
         assert meta["status"] == "failed"
 
 
+class TestStaleResume:
+    def test_no_stale_resume_across_a_model_edit(
+        self, baseline, tmp_path, monkeypatch
+    ):
+        """A model edit (or numpy/scipy upgrade) changes the source
+        fingerprint; markers from before it must not replay results the
+        cache would refuse to serve."""
+        run_slice(journal_dir=tmp_path)
+        monkeypatch.setattr(
+            "repro.core.cache.source_fingerprint", lambda: "e" * 64
+        )
+        report = run_slice(journal_dir=tmp_path)
+        assert report.resumed == []
+        assert report.results == baseline.results
+
+    def test_missing_results_rerun_everything(self, baseline, tmp_path):
+        run_slice(journal_dir=tmp_path)
+        shutil.rmtree(tmp_path / "results")
+        report = run_slice(journal_dir=tmp_path)
+        assert report.resumed == []
+        assert report.results == baseline.results
+        assert sorted(p.stem for p in (tmp_path / "done").glob("*.json")) \
+            == sorted(WORKLOADS)
+
+    @pytest.mark.parametrize(
+        "garbage", ["{ definitely not json", '{"abbr": "GST"}'],
+        ids=["unparsable", "schema-invalid"],
+    )
+    def test_corrupt_entry_is_quarantined_and_reruns(
+        self, sweep_baseline, tmp_path, garbage
+    ):
+        """One device's entry of a marked workload is corrupt: the
+        workload re-runs and the entry is quarantined and counted."""
+        run_sweep_slice(journal_dir=tmp_path)
+        key = characterization_key(
+            V100, SimulationOptions(), "GST",
+            LAPTOP_SCALE.for_workload("GST"), LAPTOP_SCALE.seed,
+        )
+        entry = ResultCache(cache_dir=tmp_path / "results")._path(key)
+        entry.write_text(garbage, encoding="utf-8")
+
+        cache = ResultCache()  # memory-only: the run's stats land here
+        report = run_sweep_slice(journal_dir=tmp_path, cache=cache)
+        assert report.resumed == ["GMS", "GRU"]
+        assert report.results == sweep_baseline.results
+        assert cache.stats.corrupt == 1
+        assert (tmp_path / "results" / "corrupt" / entry.name).exists()
+        rewritten = json.loads(entry.read_text(encoding="utf-8"))
+        assert rewritten["abbr"] == "GST"
+        assert "profile" in rewritten
+
+
 class TestRunJournalUnit:
     def test_begin_is_idempotent_for_same_key(self, tmp_path):
         journal = RunJournal(tmp_path, run_key="k1")
-        assert journal.begin(["A", "B"]) == {}
-        assert journal.begin(["A", "B"]) == {}
+        assert journal.begin(["A", "B"]) == set()
+        assert journal.begin(["A", "B"]) == set()
         assert json.loads(journal.run_path.read_text())["run_key"] == "k1"
 
-    def test_foreign_marker_ignored(self, baseline, tmp_path):
+    def test_foreign_marker_ignored(self, tmp_path):
         ours = RunJournal(tmp_path, run_key="k1")
-        ours.begin(["GMS"])
-        ours.mark_done("GMS", {"RTX 3080": baseline["GMS"]})
-        # Same directory, different identity: marker must not leak.
+        ours.begin(["GMS", "GST"])
+        ours.mark_done("GMS")
+        # A marker naming another run key inside our journal: not done.
+        RunJournal(tmp_path, run_key="k2").mark_done("GST")
+        assert RunJournal(tmp_path, run_key="k1").begin(["GMS", "GST"]) \
+            == {"GMS"}
+        # Same directory, different identity: no marker may leak.
         theirs = RunJournal(tmp_path, run_key="k2")
-        assert theirs.begin(["GMS"]) == {}
+        assert theirs.begin(["GMS", "GST"]) == set()
 
-    def test_mark_done_round_trips_losslessly(self, baseline, tmp_path):
+    def test_mark_done_round_trips_losslessly(self, tmp_path):
         journal = RunJournal(tmp_path, run_key="k1")
         journal.begin(WORKLOADS)
-        per_device = {"RTX 3080": baseline["GMS"], "V100": baseline["GST"]}
-        journal.mark_done("GMS", per_device, attempts=2)
-        resumed = journal.begin(WORKLOADS)
-        assert resumed == {"GMS": per_device}
-        assert list(resumed["GMS"]) == ["RTX 3080", "V100"]
-        assert journal.completed_workloads() == ["GMS"]
+        journal.mark_done("gms", attempts=2)
+        assert journal.begin(WORKLOADS) == {"GMS"}
+        assert json.loads(journal.marker_path("GMS").read_text()) == {
+            "schema": 2,
+            "run_key": "k1",
+            "abbr": "GMS",
+            "attempts": 2,
+        }
+        assert RunJournal.peek(tmp_path)["done"] == ["GMS"]
 
     def test_run_key_depends_on_identity(self):
         engine = CharacterizationEngine()
