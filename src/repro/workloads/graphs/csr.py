@@ -7,26 +7,76 @@ computed on this structure with vectorized numpy operations.
 Vertex ids are four bytes, as in Gunrock's default build: ``indices``
 is int32, so a graph has fewer than ``2**31`` vertices.  ``indptr``
 stays int64, since edge offsets may pass ``2**31``.
+
+:meth:`CSRGraph.from_edges` is a counting sort in C, compiled by
+:mod:`repro.workloads.native`; a numpy argsort build is its fallback
+and its differential oracle.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - availability depends on the environment
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-except ImportError:  # pragma: no cover
-    _scipy_sparsetools = None
+from repro.workloads import native
 
 #: Exclusive bound on what is stored as int32: vertex ids and counts,
-#: sampler outcomes, and the scipy build's edge offsets.
+#: and sampler outcomes.
 MAX_VERTICES = 1 << 31
 
 #: Most edges :meth:`CSRGraph.mark_neighbors` gathers at once, which
 #: bounds its scratch at 12 bytes per edge of this.
 MARK_CHUNK_EDGES = 1 << 16
+
+_C_SOURCE = r"""
+#include <stdint.h>
+
+/* Stable counting sort of m edges (src[i], dst[i]) by source into CSR
+ * form over n vertices: indptr (n + 1 entries) and indices (m
+ * entries).  Edges of one source keep their input order and duplicates
+ * are kept.  The row starts double as scatter cursors, so the sort
+ * needs no scratch beyond its outputs.  Returns 0 on success, 1 for an
+ * endpoint outside [0, n): the outputs are then unspecified. */
+int csr_from_edges(int64_t n, const int32_t *restrict src,
+                   const int32_t *restrict dst, int64_t m,
+                   int64_t *restrict indptr, int32_t *restrict indices)
+{
+    for (int64_t v = 0; v <= n; v++)
+        indptr[v] = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const int32_t s = src[i], d = dst[i];
+        if (s < 0 || s >= n || d < 0 || d >= n)
+            return 1;
+        indptr[s + 1]++;
+    }
+    for (int64_t v = 0; v < n; v++)
+        indptr[v + 1] += indptr[v];
+    for (int64_t i = 0; i < m; i++)
+        indices[indptr[src[i]]++] = dst[i];
+    /* Each cursor indptr[v] advanced to its row's end, the start of row
+     * v + 1: shift them back up by one row. */
+    for (int64_t v = n; v > 0; v--)
+        indptr[v] = indptr[v - 1];
+    indptr[0] = 0;
+    return 0;
+}
+"""
+
+KERNEL = native.Kernel(
+    source=_C_SOURCE,
+    argtypes={
+        "csr_from_edges": [
+            ctypes.c_int64,  # n
+            np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
+            np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
+            ctypes.c_int64,  # m
+            np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+            np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
+        ],
+    },
+)
 
 
 def _check_num_vertices(num_vertices: int) -> None:
@@ -101,7 +151,7 @@ class CSRGraph:
     def _from_trusted(cls, indptr: np.ndarray, indices: np.ndarray) -> "CSRGraph":
         """Constructor bypass for arrays already known to be valid CSR.
 
-        Used by :meth:`from_edges`, whose counting sort produces a valid
+        Used by :meth:`from_edges`, whose sort produces a valid
         ``indptr`` by construction and validates vertex ranges up front —
         re-running the O(V + E) constructor checks would only re-prove
         what the build already guarantees.
@@ -117,45 +167,36 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build a CSR graph from parallel edge arrays (duplicates kept).
 
-        Counting sort — ``bincount`` + prefix sum + stable scatter — so
-        the build is O(V + E) instead of the O(E log E) comparison sort
-        a generic ``argsort`` pays.  Edges with the same source keep
-        their input order (stable), and duplicate edges are preserved,
-        exactly like the argsort-based build this replaces.  int32
-        endpoints are used in place; wider ones are range-checked, then
-        narrowed.
+        Counting sort — histogram + prefix sum + stable scatter — so the
+        build is O(V + E) instead of the O(E log E) comparison sort a
+        generic ``argsort`` pays.  Edges with the same source keep their
+        input order (stable), and duplicate edges are preserved, exactly
+        as in the argsort fallback.  Contiguous int32 endpoints are used
+        in place; wider ones are range-checked, then narrowed.
         """
         _check_num_vertices(num_vertices)
         if np.shape(src) != np.shape(dst):
             raise ValueError("src and dst must have the same shape")
         src = _vertex_ids(src, num_vertices, "edge endpoints")
         dst = _vertex_ids(dst, num_vertices, "edge endpoints")
-        num_edges = src.size
-        if num_edges == 0:
-            return cls._from_trusted(np.zeros(num_vertices + 1, np.int64), dst)
-        if _scipy_sparsetools is not None and num_edges < MAX_VERTICES:
-            # scipy's COO→CSR kernel is this exact counting sort in C:
-            # histogram the rows, prefix-sum, scatter columns stably.
-            # It does NOT merge duplicates (that is a separate
-            # sum_duplicates pass the high-level API adds).  Its index
-            # type is the endpoints' int32, so the offsets are widened
-            # afterwards.
-            indptr = np.zeros(num_vertices + 1, dtype=np.int32)
-            indices = np.empty(num_edges, dtype=np.int32)
-            data = np.zeros(num_edges, dtype=np.int8)
-            _scipy_sparsetools.coo_tocsr(
-                num_vertices,
-                num_vertices,
-                num_edges,
-                src,
-                dst,
-                data,
-                indptr,
-                indices,
-                data,
-            )
-            return cls._from_trusted(indptr.astype(np.int64), indices)
-        # Pure-numpy fallback: a stable argsort groups edges by source.
+        lib = native.load_kernel()
+        if lib is None:
+            return cls._from_edges_numpy(num_vertices, src, dst)
+        src = np.ascontiguousarray(src)
+        dst = np.ascontiguousarray(dst)
+        indptr = np.empty(num_vertices + 1, dtype=np.int64)
+        indices = np.empty(src.size, dtype=np.int32)
+        if lib.csr_from_edges(
+            num_vertices, src, dst, src.size, indptr, indices
+        ):
+            raise ValueError("edge endpoints contain out-of-range vertex ids")
+        return cls._from_trusted(indptr, indices)
+
+    @classmethod
+    def _from_edges_numpy(
+        cls, num_vertices: int, src: np.ndarray, dst: np.ndarray
+    ) -> "CSRGraph":
+        """The argsort build: the fallback and the compiled sort's oracle."""
         order = np.argsort(src, kind="stable")
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])

@@ -22,13 +22,15 @@ optimization (see DESIGN.md section 12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.workloads.molecular import cellkernel
 from repro.workloads.molecular.system import ParticleSystem
+
+if TYPE_CHECKING:  # scipy is imported only when the reference path runs
+    from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,8 @@ class CellList:
 
         # Reference path: no compiler, unsupported geometry, or a pair
         # inside the cutoff ambiguity band.
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(system.positions, boxsize=system.box)
         ordered = tree.count_neighbors(tree, cutoff)
         self._cached_pairs = int((ordered - system.n_atoms) // 2)
@@ -128,6 +132,8 @@ class CellList:
 
     def _sample_tree(self) -> cKDTree:
         if self._cached_tree is None:
+            from scipy.spatial import cKDTree
+
             self._cached_tree = cKDTree(
                 self.system.positions, boxsize=self.system.box
             )

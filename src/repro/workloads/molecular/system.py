@@ -71,6 +71,24 @@ class SystemSpec:
         )
 
 
+def wrap_into_box(x: np.ndarray, box: float) -> None:
+    """``np.mod(x, box, out=x)``, bit for bit, in a few cheap passes.
+
+    On (-box, 2 box) the remainder needs at most one subtraction or
+    addition of *box*: ``x - box`` is exact for x in [box, 2 box)
+    (Sterbenz), ``fmod`` is the identity on (-box, box), and numpy adds
+    *box* to a negative ``fmod`` with the same rounding as ``x + box``.
+    A -0.0 becomes +0.0, as under ``np.mod``.  Any value outside that
+    range (or non-finite) takes ``np.mod`` itself.
+    """
+    if not (x.min() > -box and x.max() < 2.0 * box):
+        np.mod(x, box, out=x)
+        return
+    np.subtract(x, box, out=x, where=x >= box)
+    np.add(x, box, out=x, where=x < 0.0)
+    np.add(x, 0.0, out=x, where=x == 0.0)
+
+
 class ParticleSystem:
     """Concrete particle positions generated from a :class:`SystemSpec`."""
 
@@ -117,11 +135,11 @@ class ParticleSystem:
         if displacement_nm < 0:
             raise ValueError("displacement_nm must be non-negative")
         step = self.rng.normal(0.0, displacement_nm, size=self.positions.shape)
-        # In place (same elementwise operations, so bit-identical to the
-        # rebinding form) to avoid two position-sized temporaries per
-        # perturbation at paper scale.
+        # In place (bit-identical to ``np.mod(positions + step, box)``)
+        # to avoid two position-sized temporaries per perturbation at
+        # paper scale.
         np.add(self.positions, step, out=self.positions)
-        np.mod(self.positions, self.box, out=self.positions)
+        wrap_into_box(self.positions, self.box)
         self.position_version += 1
 
     def set_positions(self, positions: np.ndarray) -> None:

@@ -3,7 +3,8 @@
 Every hot loop that numpy cannot express well ships its C source in the
 module that uses it (the MD pair counter in
 :mod:`repro.workloads.molecular.cellkernel`, the endpoint sampler's
-lookup in :mod:`repro.workloads.graphs.sampling`).  This module compiles
+lookup in :mod:`repro.workloads.graphs.sampling`, the edge-list
+counting sort in :mod:`repro.workloads.graphs.csr`).  This module compiles
 all of them into **one** shared object with the system C compiler on
 first use and loads it through ``ctypes``: no third-party build
 dependency, and nothing compiles or loads at import time.
@@ -13,7 +14,8 @@ dependency, and nothing compiles or loads at import time.
   to any kernel or flag builds a fresh object.
 * **One fallback.**  A missing compiler or a failed build warns once
   (RuntimeWarning, with the reason) and :func:`load_kernel` returns
-  None; each caller then takes its numpy/scipy reference path.
+  None; each caller then takes its reference path (the KD-tree for MD
+  pair counts, numpy for the graph kernels).
 * **Two switches.**  ``REPRO_NO_CELLKERNEL`` disables every kernel
   silently; ``REPRO_CELLKERNEL_DIR`` redirects the build cache.
 """
@@ -52,10 +54,10 @@ class Kernel(NamedTuple):
 
 def _kernels() -> List[Kernel]:
     """Every kernel, in build order (imported here, not at module load)."""
-    from repro.workloads.graphs import sampling
+    from repro.workloads.graphs import csr, sampling
     from repro.workloads.molecular import cellkernel
 
-    return [cellkernel.KERNEL, sampling.KERNEL]
+    return [cellkernel.KERNEL, sampling.KERNEL, csr.KERNEL]
 
 
 def _cache_dir() -> str:
@@ -129,7 +131,8 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     except (RuntimeError, OSError) as exc:
         warnings.warn(
             f"compiled kernels unavailable ({exc}); MD pair counts fall "
-            "back to the slower KD-tree and graph sampling to numpy",
+            "back to the slower KD-tree, and graph sampling and CSR "
+            "builds to numpy",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -18,7 +18,8 @@ enforce the contract three ways:
 
 The endpoint sampler's compiled lookup is held to its numpy bisection
 and to ``cdf.searchsorted`` on adversarial uniforms, on both the native
-and the ``REPRO_NO_CELLKERNEL`` paths.  The social graph build and the
+and the ``REPRO_NO_CELLKERNEL`` paths, and the compiled CSR counting
+sort to the argsort build, byte for byte.  The social graph build and the
 BFS over it are held to memory bounds, and the int32 vertex-id format
 to range checks made before any narrowing.
 """
@@ -51,6 +52,12 @@ from repro.workloads.graphs.generator import road_network, social_network
 from repro.workloads import native
 from repro.workloads.graphs.sampling import SAMPLE_CHUNK, CdfSampler
 from repro.workloads.registry import get_workload
+
+_HAS_COMPILER = any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
+needs_compiler = pytest.mark.skipif(
+    not _HAS_COMPILER, reason="no C compiler (cc, gcc or clang) on PATH"
+)
+
 
 DIGEST_FIXTURE = (
     Path(__file__).parent.parent / "golden" / "fixtures" / "stream_digests.json"
@@ -241,6 +248,30 @@ def test_from_edges_rejects_out_of_range_endpoints():
         CSRGraph.from_edges(3, np.array([0, 1]), np.array([1, -1]))
 
 
+@needs_compiler
+@pytest.mark.parametrize(
+    "src, dst", [([0, 3], [1, 2]), ([0, -1], [1, 2]), ([0, 1], [3, 2]),
+                 ([0, 1], [1, -1])],
+    ids=["src-high", "src-negative", "dst-high", "dst-negative"],
+)
+def test_compiled_sort_rejects_out_of_range_ids_itself(src, dst, monkeypatch):
+    """The C export checks every id against [0, V) on its own (status
+    1), and from_edges turns that status into ValueError."""
+    lib = native.load_kernel()
+    assert lib is not None
+    src = np.array(src, dtype=np.int32)
+    dst = np.array(dst, dtype=np.int32)
+    indptr = np.empty(4, dtype=np.int64)
+    indices = np.empty(2, dtype=np.int32)
+    assert lib.csr_from_edges(3, src, dst, 2, indptr, indices) == 1
+    # With the Python range check bypassed, the C check alone rejects.
+    monkeypatch.setattr(
+        csr, "_vertex_ids", lambda ids, n, what: ids.astype(np.int32)
+    )
+    with pytest.raises(ValueError, match="out-of-range"):
+        CSRGraph.from_edges(3, src, dst)
+
+
 # 2**32 + 1 wraps to the valid id 1 under a bare int32 cast, and
 # 2**31 + 2 to a negative one; both must be caught in the input dtype.
 _WRAPPING_IDS = [2**32 + 1, 2**32, 2**31 + 2]
@@ -279,6 +310,7 @@ def test_sampler_outcomes_must_fit_int32():
         CdfSampler(weights)
 
 
+@needs_compiler
 @given(
     num_vertices=st.integers(1, 300),
     num_edges=st.integers(0, 2000),
@@ -287,25 +319,27 @@ def test_sampler_outcomes_must_fit_int32():
     dtype=st.sampled_from([np.int32, np.int64]),
 )
 @settings(max_examples=50, deadline=None)
-def test_scipy_and_argsort_builds_are_byte_identical(
+def test_compiled_and_argsort_builds_are_byte_identical(
     num_vertices, num_edges, empty_rows, seed, dtype
 ):
-    """The scipy counting sort and the argsort fallback agree on values
-    and dtypes, with duplicate edges and vertices without out-edges."""
+    """The compiled counting sort and the argsort fallback agree on
+    values and dtypes, with duplicate edges and vertices without
+    out-edges."""
+    assert native.load_kernel() is not None
     rng = np.random.default_rng(seed)
     sources = rng.integers(0, num_vertices, size=num_edges, dtype=dtype)
     # Vertices below empty_rows get no out-edges.
     sources = sources[sources >= min(empty_rows, num_vertices - 1)]
     dst = rng.integers(0, num_vertices, size=sources.size, dtype=dtype)
-    scipy_graph = CSRGraph.from_edges(num_vertices, sources, dst)
+    compiled_graph = CSRGraph.from_edges(num_vertices, sources, dst)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(csr, "_scipy_sparsetools", None)
+        patch.setattr(csr.native, "load_kernel", lambda: None)
         numpy_graph = CSRGraph.from_edges(num_vertices, sources, dst)
-    for graph in (scipy_graph, numpy_graph):
+    for graph in (compiled_graph, numpy_graph):
         assert graph.indptr.dtype == np.int64
         assert graph.indices.dtype == np.int32
-    assert scipy_graph.indptr.tobytes() == numpy_graph.indptr.tobytes()
-    assert scipy_graph.indices.tobytes() == numpy_graph.indices.tobytes()
+    assert compiled_graph.indptr.tobytes() == numpy_graph.indptr.tobytes()
+    assert compiled_graph.indices.tobytes() == numpy_graph.indices.tobytes()
 
 
 @given(
@@ -457,12 +491,6 @@ def test_samplers_reject_bad_probabilities():
 # Compiled endpoint sampler: differentials against the numpy bisection
 # ---------------------------------------------------------------------------
 
-_HAS_COMPILER = any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
-needs_compiler = pytest.mark.skipif(
-    not _HAS_COMPILER, reason="no C compiler (cc, gcc or clang) on PATH"
-)
-
-
 @pytest.fixture(params=["native", "numpy"])
 def lookup_path(request, monkeypatch):
     """Run the test on the compiled lookup, then with the kernels disabled."""
@@ -590,18 +618,21 @@ def _traced_peak(fn):
     return result, peak - base
 
 
+@needs_compiler
 def test_social_network_build_memory_is_bounded():
-    """Peak traced memory of the 100 K-vertex build stays within 2.0
-    int64 arrays of E entries: the two int32 endpoint arrays, the int32
-    CSR indices and scipy's int8 scratch (1.625), plus O(V + chunk).
-    int64 endpoints or indices, a full-size temporary, or sampler tables
-    kept alive through the CSR build break it.  The graph is the legacy
+    """Peak traced memory of the 100 K-vertex build stays within 1.7
+    int64 arrays of E entries: the two int32 endpoint arrays and the
+    int32 CSR indices (1.5), plus O(V + chunk).  int64 endpoints or
+    indices, a full-size scratch array in the CSR build, or sampler
+    tables kept alive through it break it.  The graph is the legacy
     generator's, byte for byte."""
-    native.load_kernel()  # build outside the traced window
+    # Build outside the traced window; the bound is the compiled sort's
+    # (the argsort fallback holds an int64 permutation).
+    assert native.load_kernel() is not None
     graph, peak = _traced_peak(
         lambda: social_network(_MEMORY_VERTICES, seed=0)
     )
-    assert peak <= 2.0 * _MEMORY_EDGES * 8
+    assert peak <= 1.7 * _MEMORY_EDGES * 8
     legacy = legacy_social_network(_MEMORY_VERTICES, seed=0)
     assert graph.indptr.dtype == np.int64
     assert graph.indices.dtype == np.int32

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.profiler import Profiler
 from repro.workloads.molecular import (
@@ -12,7 +14,12 @@ from repro.workloads.molecular import (
     ParticleSystem,
     SystemSpec,
 )
-from repro.workloads.molecular.system import COLLOID, RHODOPSIN, T4_LYSOZYME
+from repro.workloads.molecular.system import (
+    COLLOID,
+    RHODOPSIN,
+    T4_LYSOZYME,
+    wrap_into_box,
+)
 
 SMALL = 0.05  # test scale: a few thousand atoms
 
@@ -68,6 +75,39 @@ class TestParticleSystem:
         system = ParticleSystem(RHODOPSIN.scaled(SMALL), seed=1)
         with pytest.raises(ValueError):
             system.perturb(-1.0)
+
+
+@st.composite
+def _wrap_inputs(draw):
+    """A box and positions plus displacements: in-box positions, edge
+    values (0, -0.0, box, its neighbours, and sums that round to box),
+    and displacements of a box or more, which leave (-box, 2 box)."""
+    box = draw(st.floats(1e-3, 1e3))
+    tiny = box * 2.0**-60  # box - tiny and -tiny + box round to box
+    edges = [0.0, -0.0, box, -tiny, box - tiny, np.nextafter(box, 0.0),
+             np.nextafter(box, np.inf), np.nextafter(-box, 0.0),
+             np.nextafter(2.0 * box, 0.0), 2.0 * box, -box]
+    positions = draw(st.lists(
+        st.one_of(st.floats(0.0, box, exclude_max=True),
+                  st.sampled_from(edges)),
+        min_size=1, max_size=40,
+    ))
+    steps = draw(st.lists(
+        st.one_of(st.floats(-0.5 * box, 0.5 * box),
+                  st.floats(-3.0 * box, 3.0 * box),
+                  st.sampled_from([0.0, -0.0, tiny, -tiny])),
+        min_size=len(positions), max_size=len(positions),
+    ))
+    return box, np.add(positions, steps)
+
+
+@given(_wrap_inputs())
+@settings(max_examples=300, deadline=None)
+def test_wrap_into_box_is_np_mod_bit_for_bit(inputs):
+    box, x = inputs
+    expected = np.mod(x, box)
+    wrap_into_box(x, box)
+    assert x.tobytes() == expected.tobytes()
 
 
 class TestCellList:

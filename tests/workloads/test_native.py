@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.workloads import native
 from repro.workloads.molecular import cellkernel
 
@@ -27,16 +31,49 @@ def fresh_kernel():
 @needs_compiler
 def test_one_library_exports_every_kernel(fresh_kernel, monkeypatch, tmp_path):
     """cellkernel.load_kernel() builds the one shared object, and it
-    exports both the MD pair counter and the sampler's lookup."""
+    exports the MD pair counter, the sampler's lookup and the CSR
+    counting sort."""
     monkeypatch.delenv(native.ENV_DISABLE, raising=False)
     monkeypatch.setenv(native.ENV_CACHE_DIR, str(tmp_path))
     lib = cellkernel.load_kernel()
     assert lib is not None
     assert lib is native.load_kernel()
     assert callable(lib.count_pairs) and callable(lib.cdf_lookup)
+    assert callable(lib.csr_from_edges)
     built = os.listdir(tmp_path)
     assert len(built) == 1 and built[0].startswith("native-")
     assert built[0].endswith(".so")
+
+
+_SCIPY_PROBE = """
+import sys
+from repro.core import LAPTOP_SCALE, run_suite
+run_suite(["Cactus"], preset=LAPTOP_SCALE)
+print(sorted(m for m in ("scipy.sparse", "scipy.spatial") if m in sys.modules))
+"""
+
+
+@needs_compiler
+def test_suite_run_keeps_scipy_submodules_unimported():
+    """With the kernels compiled, a Cactus run never imports
+    scipy.sparse or scipy.spatial: the KD-tree serves only the
+    reference path.  Probed in a fresh interpreter, since this one
+    already holds both."""
+    env = dict(os.environ)
+    env.pop(native.ENV_DISABLE, None)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert probe.returncode == 0, probe.stderr[-2000:]
+    assert probe.stdout.splitlines()[-1] == "[]"
 
 
 def test_build_tag_covers_every_kernel_source(monkeypatch):
