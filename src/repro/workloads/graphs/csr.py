@@ -8,15 +8,18 @@ Vertex ids are four bytes, as in Gunrock's default build: ``indices``
 is int32, so a graph has fewer than ``2**31`` vertices.  ``indptr``
 stays int64, since edge offsets may pass ``2**31``.
 
-:meth:`CSRGraph.from_edges` is a counting sort in C, compiled by
-:mod:`repro.workloads.native`; a numpy argsort build is its fallback
-and its differential oracle.
+:meth:`CSRGraph.from_edge_stream` is a counting sort in C, compiled by
+:mod:`repro.workloads.native`, that takes its edges in chunks over two
+passes (count, then scatter), so a generator can stream them without
+ever holding an endpoint array; :meth:`CSRGraph.from_edges` is the
+one-chunk case.  Each phase has a numpy version, the fallback and the
+differential oracle.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -33,48 +36,106 @@ MARK_CHUNK_EDGES = 1 << 16
 _C_SOURCE = r"""
 #include <stdint.h>
 
-/* Stable counting sort of m edges (src[i], dst[i]) by source into CSR
- * form over n vertices: indptr (n + 1 entries) and indices (m
- * entries).  Edges of one source keep their input order and duplicates
- * are kept.  The row starts double as scatter cursors, so the sort
- * needs no scratch beyond its outputs.  Returns 0 on success, 1 for an
- * endpoint outside [0, n): the outputs are then unspecified. */
-int csr_from_edges(int64_t n, const int32_t *restrict src,
-                   const int32_t *restrict dst, int64_t m,
-                   int64_t *restrict indptr, int32_t *restrict indices)
+/* A stable counting sort of edges (s, d) by source into CSR form over
+ * n vertices, in phases that take the edges in chunks, so no phase
+ * needs them all at once:
+ *
+ *   csr_count    indptr[s + 1]++ for every source s of a chunk;
+ *   (a prefix sum over indptr then holds every row's start;)
+ *   csr_scatter  indices[indptr[s]++] = d for every edge of a chunk,
+ *                so a row keeps its edges' input order (duplicates
+ *                too), and each row start becomes its row's end;
+ *   csr_finish   one forward pass that turns the row ends back into
+ *                row starts and, if drop_loops, moves each row's
+ *                entries d != v forward over its self-loops (d == v).
+ *
+ * The row starts double as scatter cursors, so the build needs no
+ * scratch beyond its outputs.  Rows are written at random, so
+ * csr_scatter prefetches for the edges a few steps ahead.  csr_count
+ * and csr_scatter return 1 for an endpoint outside [0, n), and
+ * csr_scatter returns 2 for an edge whose row is full up to capacity
+ * (edges that do not replay the counted sources); the outputs are then
+ * unspecified. */
+int csr_count(int64_t n, const int32_t *restrict src, int64_t m,
+              int64_t *restrict indptr)
 {
-    for (int64_t v = 0; v <= n; v++)
-        indptr[v] = 0;
     for (int64_t i = 0; i < m; i++) {
-        const int32_t s = src[i], d = dst[i];
-        if (s < 0 || s >= n || d < 0 || d >= n)
+        const int32_t s = src[i];
+        if (s < 0 || s >= n)
             return 1;
         indptr[s + 1]++;
     }
-    for (int64_t v = 0; v < n; v++)
-        indptr[v + 1] += indptr[v];
-    for (int64_t i = 0; i < m; i++)
-        indices[indptr[src[i]]++] = dst[i];
-    /* Each cursor indptr[v] advanced to its row's end, the start of row
-     * v + 1: shift them back up by one row. */
-    for (int64_t v = n; v > 0; v--)
-        indptr[v] = indptr[v - 1];
-    indptr[0] = 0;
+    return 0;
+}
+
+/* How far ahead csr_scatter prefetches a source's cursor, and the
+ * indices slot that cursor points at (hints only). */
+#define CURSOR_AHEAD 32
+#define SLOT_AHEAD 8
+
+int csr_scatter(int64_t n, const int32_t *restrict src,
+                const int32_t *restrict dst, int64_t m,
+                int64_t *restrict indptr, int32_t *restrict indices,
+                int64_t capacity)
+{
+    for (int64_t i = 0; i < m; i++) {
+        if (i + CURSOR_AHEAD < m) {
+            const int32_t t = src[i + CURSOR_AHEAD];
+            if (t >= 0 && t < n)
+                __builtin_prefetch(indptr + t, 1);
+        }
+        if (i + SLOT_AHEAD < m) {
+            const int32_t t = src[i + SLOT_AHEAD];
+            if (t >= 0 && t < n && indptr[t] < capacity)
+                __builtin_prefetch(indices + indptr[t], 1);
+        }
+        const int32_t s = src[i], d = dst[i];
+        if (s < 0 || s >= n || d < 0 || d >= n)
+            return 1;
+        const int64_t k = indptr[s];
+        if (k >= capacity)
+            return 2;
+        indices[k] = d;
+        indptr[s] = k + 1;
+    }
+    return 0;
+}
+
+int csr_finish(int64_t n, int64_t *restrict indptr,
+               int32_t *restrict indices, int32_t drop_loops)
+{
+    int64_t start = 0, kept = 0;
+    for (int64_t v = 0; v < n; v++) {
+        const int64_t end = indptr[v];
+        indptr[v] = kept;
+        if (!drop_loops)
+            kept = end;
+        else
+            for (int64_t k = start; k < end; k++)
+                if (indices[k] != v)
+                    indices[kept++] = indices[k];
+        start = end;
+    }
+    indptr[n] = kept;
     return 0;
 }
 """
 
+_IDS = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+_OFFSETS = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+
 KERNEL = native.Kernel(
     source=_C_SOURCE,
     argtypes={
-        "csr_from_edges": [
-            ctypes.c_int64,  # n
-            np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
-            np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
-            ctypes.c_int64,  # m
-            np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
-            np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
+        # (n, src, m, indptr)
+        "csr_count": [ctypes.c_int64, _IDS, ctypes.c_int64, _OFFSETS],
+        # (n, src, dst, m, indptr, indices, capacity)
+        "csr_scatter": [
+            ctypes.c_int64, _IDS, _IDS, ctypes.c_int64, _OFFSETS, _IDS,
+            ctypes.c_int64,
         ],
+        # (n, indptr, indices, drop_loops)
+        "csr_finish": [ctypes.c_int64, _OFFSETS, _IDS, ctypes.c_int32],
     },
 )
 
@@ -124,6 +185,79 @@ def _slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return positions
 
 
+_OUT_OF_RANGE = "edge endpoints contain out-of-range vertex ids"
+_NOT_REPLAYED = "the edges do not replay the counted sources"
+
+
+def _chunk_ids(lib, ids: np.ndarray, num_vertices: int) -> np.ndarray:
+    """One chunk of endpoints as a contiguous int32 array.
+
+    int32 chunks are range-checked by the compiled phases themselves;
+    the numpy phases, and wider ids before narrowing, are checked here.
+    """
+    ids = np.asarray(ids)
+    if lib is None or ids.dtype != np.int32:
+        ids = _vertex_ids(ids, num_vertices, "edge endpoints")
+    return np.ascontiguousarray(ids)
+
+
+# The build phases of the C source above, each with its numpy version:
+# the fallback without a compiler and the compiled phase's oracle.
+
+
+def _count(lib, src: np.ndarray, indptr: np.ndarray) -> None:
+    """``indptr[s + 1] += 1`` for every source *s*."""
+    num_vertices = indptr.size - 1
+    if lib is None:
+        indptr[1:] += np.bincount(src, minlength=num_vertices)
+    elif lib.csr_count(num_vertices, src, src.size, indptr):
+        raise ValueError(_OUT_OF_RANGE)
+
+
+def _scatter(lib, src, dst, indptr: np.ndarray, indices: np.ndarray) -> None:
+    """``indices[indptr[s]++] = d`` for every edge ``(s, d)``, in order."""
+    num_vertices = indptr.size - 1
+    if lib is not None:
+        status = lib.csr_scatter(
+            num_vertices, src, dst, src.size, indptr, indices, indices.size
+        )
+        if status:
+            raise ValueError(_OUT_OF_RANGE if status == 1 else _NOT_REPLAYED)
+        return
+    order = np.argsort(src, kind="stable")
+    rows, first, counts = np.unique(
+        src[order], return_index=True, return_counts=True
+    )
+    if np.any(indptr[rows] + counts > indices.size):
+        raise ValueError(_NOT_REPLAYED)
+    # The j-th edge of a row in this chunk goes to its cursor plus j.
+    positions = np.repeat(indptr[rows] - first, counts)
+    positions += np.arange(src.size)
+    indices[positions] = dst[order]
+    indptr[rows] += counts
+
+
+def _finish(
+    lib, indptr: np.ndarray, indices: np.ndarray, drop_loops: bool
+) -> None:
+    """Row ends back to row starts, dropping self-loops if *drop_loops*."""
+    num_vertices = indptr.size - 1
+    if lib is not None:
+        lib.csr_finish(num_vertices, indptr, indices, int(drop_loops))
+        return
+    indptr[1:] = indptr[:-1].copy()
+    indptr[0] = 0
+    if not drop_loops:
+        return
+    lengths = np.diff(indptr)
+    rows = np.repeat(np.arange(num_vertices, dtype=np.int32), lengths)
+    loops = indices == rows
+    kept = indices[~loops]
+    indices[: kept.size] = kept
+    lengths -= np.bincount(rows[loops], minlength=num_vertices)
+    np.cumsum(lengths, out=indptr[1:])
+
+
 class CSRGraph:
     """Directed graph in CSR form (int64 ``indptr``, int32 ``indices``)."""
 
@@ -151,10 +285,10 @@ class CSRGraph:
     def _from_trusted(cls, indptr: np.ndarray, indices: np.ndarray) -> "CSRGraph":
         """Constructor bypass for arrays already known to be valid CSR.
 
-        Used by :meth:`from_edges`, whose sort produces a valid
-        ``indptr`` by construction and validates vertex ranges up front —
-        re-running the O(V + E) constructor checks would only re-prove
-        what the build already guarantees.
+        Used by :meth:`from_edge_stream`, whose sort produces a valid
+        ``indptr`` by construction and validates every vertex id it
+        reads — re-running the O(V + E) constructor checks would only
+        re-prove what the build already guarantees.
         """
         graph = cls.__new__(cls)
         graph.indptr = indptr
@@ -170,37 +304,65 @@ class CSRGraph:
         Counting sort — histogram + prefix sum + stable scatter — so the
         build is O(V + E) instead of the O(E log E) comparison sort a
         generic ``argsort`` pays.  Edges with the same source keep their
-        input order (stable), and duplicate edges are preserved, exactly
-        as in the argsort fallback.  Contiguous int32 endpoints are used
-        in place; wider ones are range-checked, then narrowed.
+        input order (stable), and duplicate edges and self-loops are
+        preserved.  Contiguous int32 endpoints are used in place; wider
+        ones are range-checked, then narrowed.
         """
         _check_num_vertices(num_vertices)
         if np.shape(src) != np.shape(dst):
             raise ValueError("src and dst must have the same shape")
         src = _vertex_ids(src, num_vertices, "edge endpoints")
         dst = _vertex_ids(dst, num_vertices, "edge endpoints")
-        lib = native.load_kernel()
-        if lib is None:
-            return cls._from_edges_numpy(num_vertices, src, dst)
-        src = np.ascontiguousarray(src)
-        dst = np.ascontiguousarray(dst)
-        indptr = np.empty(num_vertices + 1, dtype=np.int64)
-        indices = np.empty(src.size, dtype=np.int32)
-        if lib.csr_from_edges(
-            num_vertices, src, dst, src.size, indptr, indices
-        ):
-            raise ValueError("edge endpoints contain out-of-range vertex ids")
-        return cls._from_trusted(indptr, indices)
+        return cls.from_edge_stream(
+            num_vertices, [src], [(src, dst)], drop_self_loops=False
+        )
 
     @classmethod
-    def _from_edges_numpy(
-        cls, num_vertices: int, src: np.ndarray, dst: np.ndarray
+    def from_edge_stream(
+        cls,
+        num_vertices: int,
+        sources: Iterable[np.ndarray],
+        edges: Iterable[Tuple[np.ndarray, np.ndarray]],
+        *,
+        drop_self_loops: bool,
     ) -> "CSRGraph":
-        """The argsort build: the fallback and the compiled sort's oracle."""
-        order = np.argsort(src, kind="stable")
+        """Build a CSR graph from edges streamed in chunks, in two passes.
+
+        *sources* yields the edges' source ids, chunk by chunk; it is
+        consumed entirely first, to count every row.  *edges* then
+        yields ``(src, dst)`` chunk pairs that replay the same sources
+        in the same order, and each edge is scattered into its row, so
+        a row keeps its edges' input order as in :meth:`from_edges`.
+        With *drop_self_loops*, edges ``(v, v)`` are left out.  No chunk
+        is kept: the build holds its outputs and the chunks in flight.
+        Raises ValueError for an id outside [0, V) and for edges that do
+        not replay the counted sources.
+        """
+        _check_num_vertices(num_vertices)
+        lib = native.load_kernel()
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
-        return cls._from_trusted(indptr, dst[order])
+        for src in sources:
+            _count(lib, _chunk_ids(lib, src, num_vertices), indptr)
+        np.cumsum(indptr, out=indptr)
+        total = int(indptr[-1])
+        indices = np.empty(total, dtype=np.int32)
+        scattered = 0
+        for src, dst in edges:
+            src = _chunk_ids(lib, src, num_vertices)
+            dst = _chunk_ids(lib, dst, num_vertices)
+            if src.shape != dst.shape:
+                raise ValueError("src and dst chunks must have the same shape")
+            scattered += src.size
+            if scattered > total:
+                raise ValueError(_NOT_REPLAYED)
+            _scatter(lib, src, dst, indptr, indices)
+        if scattered != total:
+            raise ValueError(_NOT_REPLAYED)
+        _finish(lib, indptr, indices, drop_self_loops)
+        if indptr[-1] < total:
+            # Shrink in place: the dropped self-loops' tail is released.
+            indices.resize(int(indptr[-1]), refcheck=False)
+        return cls._from_trusted(indptr, indices)
 
     # ------------------------------------------------------------------
     @property

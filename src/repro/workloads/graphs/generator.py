@@ -16,12 +16,12 @@ depends on — survive the scaling.
 
 from __future__ import annotations
 
-from typing import Tuple
+import copy
 
 import numpy as np
 
 from repro.workloads.graphs.csr import CSRGraph
-from repro.workloads.graphs.sampling import SAMPLE_CHUNK, CdfSampler
+from repro.workloads.graphs.sampling import CdfSampler
 
 
 def social_network(
@@ -37,12 +37,17 @@ def social_network(
     the weights, giving the hubs + heavy tail of a social network.
     The default average degree 12.6 matches 265 M edges / 21 M vertices.
 
-    The 2·E endpoint draws replay ``rng.choice`` bit for bit
-    (:class:`CdfSampler`), so every pinned launch-stream digest is
-    preserved.  The endpoints are int32 vertex ids, and self-loops are
-    dropped by compacting the endpoint arrays in place, one chunk at a
-    time: the CSR build holds the two int32 endpoint arrays and its
-    output, and no full-size copy of either.
+    The E source draws, then the E destination draws, replay
+    ``rng.choice`` bit for bit (:class:`CdfSampler`), so every pinned
+    launch-stream digest is preserved.  No endpoint array is ever held:
+    the CSR build streams the edges twice
+    (:meth:`CSRGraph.from_edge_stream`).  Pass 1 draws the sources from
+    ``rng`` and only counts them per row, which leaves ``rng`` at the
+    destination stream.  Pass 2 redraws the sources from a copy of the
+    generator taken at the start, draws the destinations from ``rng``,
+    and scatters each edge that is not a self-loop into its row.  The
+    build holds the int32 CSR output, the sampler's tables and a few
+    chunks.
     """
     if num_vertices < 2:
         raise ValueError("num_vertices must be >= 2")
@@ -51,43 +56,37 @@ def social_network(
     if power_law_exponent <= 1.0:
         raise ValueError("power_law_exponent must be > 1")
     rng = np.random.default_rng(seed)
+    source_rng = copy.deepcopy(rng)
     num_edges = int(num_vertices * avg_degree)
-    src, dst = _draw_endpoints(
-        rng, num_vertices, num_edges, avg_degree, power_law_exponent
+    sampler = _endpoint_sampler(num_vertices, avg_degree, power_law_exponent)
+    # Both iterators draw lazily: the sources pass runs to the end
+    # before the edges pass takes its first chunk.
+    sources = sampler.chunks(rng, num_edges)
+    edges = zip(
+        sampler.chunks(source_rng, num_edges), sampler.chunks(rng, num_edges)
     )
-    kept = 0
-    for start in range(0, num_edges, SAMPLE_CHUNK):
-        stop = min(start + SAMPLE_CHUNK, num_edges)
-        keep = src[start:stop] != dst[start:stop]
-        # The write cursor never passes the read chunk, and the masked
-        # reads are copied before the write lands.
-        count = int(np.count_nonzero(keep))
-        src[kept : kept + count] = src[start:stop][keep]
-        dst[kept : kept + count] = dst[start:stop][keep]
-        kept += count
-    return CSRGraph.from_edges(num_vertices, src[:kept], dst[:kept])
+    return CSRGraph.from_edge_stream(
+        num_vertices, sources, edges, drop_self_loops=True
+    )
 
 
-def _draw_endpoints(
-    rng: np.random.Generator,
-    num_vertices: int,
-    num_edges: int,
-    avg_degree: float,
-    power_law_exponent: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Source then destination endpoints of every edge.
+def _endpoint_sampler(
+    num_vertices: int, avg_degree: float, power_law_exponent: float
+) -> CdfSampler:
+    """The sampler of the edge endpoints.
 
-    A function of its own so the weight arrays and the sampler's tables
-    are freed before the CSR build, the generator's memory peak.
+    A function of its own so the weights are freed once the sampler is
+    built; they are computed in place, so the construction holds the
+    weights and the sampler's CDF and no further V-sized array.
     """
-    ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
-    weights = ranks ** (-1.0 / (power_law_exponent - 1.0))
+    weights = np.arange(1, num_vertices + 1, dtype=np.float64)
+    np.power(weights, -1.0 / (power_law_exponent - 1.0), out=weights)
     # Cap the largest expected degree at ~2% of vertices, as real social
     # graphs do (even celebrity accounts are followed by a small
     # fraction of all users).
-    weights = np.minimum(weights, weights.sum() * 0.02 / avg_degree)
-    sampler = CdfSampler(weights / weights.sum())
-    return sampler.sample(rng, num_edges), sampler.sample(rng, num_edges)
+    np.minimum(weights, weights.sum() * 0.02 / avg_degree, out=weights)
+    weights /= weights.sum()
+    return CdfSampler(weights)
 
 
 def road_network(
@@ -103,6 +102,12 @@ def road_network(
     spanning backbone (every vertex keeps its west edge along each row
     and one north edge per row) keeps the graph connected so BFS
     reaches the whole component.
+
+    The edges are listed as horizontal ones, one connector per row,
+    then the kept verticals, each by increasing vertex, followed by
+    all of them reversed.  Both endpoint arrays are written in place
+    into their final int32 arrays, so the CSR build holds them, its
+    output and no other copy.
     """
     if num_vertices < 4:
         raise ValueError("num_vertices must be >= 4")
@@ -111,34 +116,46 @@ def road_network(
     rng = np.random.default_rng(seed)
     side = int(np.sqrt(num_vertices))
     n = side * side
+    horizontal = side * (side - 1)
+    connectors = side - 1
+    verticals = _kept_verticals(rng, side, edge_keep_probability)
+    half = horizontal + connectors + verticals.size
+    all_src = np.empty(2 * half, dtype=np.int32)
+    all_dst = np.empty(2 * half, dtype=np.int32)
+    src, dst = all_src[:half], all_dst[:half]
 
-    vertices = np.arange(n, dtype=np.int32)
-    row, col = np.divmod(vertices, side)
-
-    edges_src = []
-    edges_dst = []
-
-    # Horizontal lattice edges (always kept: the row backbone).
-    horizontal = vertices[col < side - 1]
-    edges_src.append(horizontal)
-    edges_dst.append(horizontal + 1)
-
+    # Horizontal lattice edges (always kept: the row backbone): every
+    # vertex r * side + c with c < side - 1, and its east neighbour.
+    np.add(
+        np.arange(side - 1, dtype=np.int32),
+        np.arange(0, n, side, dtype=np.int32)[:, None],
+        out=src[:horizontal].reshape(side, side - 1),
+    )
+    np.add(src[:horizontal], 1, out=dst[:horizontal])
     # One vertical connector per row (kept: ties rows together).
-    first_in_row = vertices[: n - side : side]
-    edges_src.append(first_in_row)
-    edges_dst.append(first_in_row + side)
-
+    src[horizontal : horizontal + connectors] = np.arange(
+        0, n - side, side, dtype=np.int32
+    )
     # Remaining vertical edges kept at random.
-    candidates = vertices[(row < side - 1) & (col > 0)]
-    kept = candidates[
-        rng.random(len(candidates)) < edge_keep_probability
-    ]
-    edges_src.append(kept)
-    edges_dst.append(kept + side)
-
-    src = np.concatenate(edges_src)
-    dst = np.concatenate(edges_dst)
+    src[horizontal + connectors :] = verticals
+    del verticals  # not held through the CSR build
+    np.add(src[horizontal:], side, out=dst[horizontal:])
     # Road networks are undirected: add both directions.
-    all_src = np.concatenate([src, dst])
-    all_dst = np.concatenate([dst, src])
+    all_src[half:] = dst
+    all_dst[half:] = src
     return CSRGraph.from_edges(n, all_src, all_dst)
+
+
+def _kept_verticals(
+    rng: np.random.Generator, side: int, edge_keep_probability: float
+) -> np.ndarray:
+    """The vertices that keep their random north-south edge, increasing.
+
+    The candidates are the vertices outside the first column and the
+    last row, one uniform each; the k-th of them, ``r * side + c`` with
+    ``r = k // (side - 1)`` and ``c = k % (side - 1) + 1``, is
+    ``k + r + 1``.
+    """
+    candidates = (side - 1) * (side - 1)
+    kept = np.flatnonzero(rng.random(candidates) < edge_keep_probability)
+    return (kept + kept // (side - 1) + 1).astype(np.int32)

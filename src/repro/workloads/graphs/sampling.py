@@ -14,15 +14,16 @@ The lookup runs as a compiled C loop (built by
 :mod:`repro.workloads.native`) and falls back to a vectorized numpy
 bisection that makes the same comparisons; the numpy path is also the
 differential oracle for the C one.  Draws are made and resolved in
-fixed-size chunks, so sampling needs no full-size temporaries beyond
-its output.  Indices are int32, the graphs' vertex-id format, so a
-table holds fewer than ``2**31`` outcomes.
+fixed-size chunks (:meth:`CdfSampler.chunks`), so a caller can stream
+them without any full-size array.  Indices are int32, the graphs'
+vertex-id format, so a table holds fewer than ``2**31`` outcomes, and
+the guide table is int32 as well.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -35,19 +36,36 @@ SAMPLE_CHUNK = 1 << 16
 _C_SOURCE = r"""
 #include <stdint.h>
 
+/* How far ahead cdf_lookup prefetches the guide entry of a uniform,
+ * and the cdf entry that guide entry points at. */
+#define GUIDE_AHEAD 64
+#define CDF_AHEAD 16
+
 /* out[i] = the first index k with cdf[k] > u[i] (numpy's searchsorted
  * with side="right") for m uniforms.  Bucket j = floor(u * buckets) of
  * the guide table brackets the answer in [guide[j], guide[j + 1]]; a
  * bisection with the same cdf[mid] <= u comparisons resolves it.
- * Returns 0 on success, 1 for a u that is non-finite or outside
- * [0, 1): it is never used as an index, and the outputs are then
- * unspecified. */
-int cdf_lookup(const double *restrict cdf, const int64_t *restrict guide,
+ * Both tables are larger than the caches and the lookups independent,
+ * so each step prefetches for the uniforms a few steps ahead (hints
+ * only: the results do not depend on them).  Returns 0 on success, 1
+ * for a u that is non-finite or outside [0, 1): it is never used as an
+ * index, and the outputs are then unspecified. */
+int cdf_lookup(const double *restrict cdf, const int32_t *restrict guide,
                int64_t buckets, const double *restrict u, int64_t m,
                int32_t *restrict out)
 {
     const double scale = (double) buckets;
     for (int64_t i = 0; i < m; i++) {
+        if (i + GUIDE_AHEAD < m) {
+            const double y = u[i + GUIDE_AHEAD];
+            if (y >= 0.0 && y < 1.0)
+                __builtin_prefetch(guide + (int64_t) (y * scale));
+        }
+        if (i + CDF_AHEAD < m) {
+            const double y = u[i + CDF_AHEAD];
+            if (y >= 0.0 && y < 1.0)
+                __builtin_prefetch(cdf + guide[(int64_t) (y * scale)]);
+        }
         const double x = u[i];
         if (!(x >= 0.0 && x < 1.0))
             return 1;
@@ -71,7 +89,7 @@ KERNEL = native.Kernel(
     argtypes={
         "cdf_lookup": [
             np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"),
-            np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+            np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"),
             ctypes.c_int64,  # buckets
             np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"),
             ctypes.c_int64,  # m
@@ -140,10 +158,14 @@ class CdfSampler:
                 f"guide_buckets must be a power of two >= 2, got {guide_buckets}"
             )
         self._buckets = guide_buckets
-        boundaries = (
-            np.arange(guide_buckets + 1, dtype=np.float64) / guide_buckets
-        )
-        self._guide = cdf.searchsorted(boundaries, side="right").astype(np.int64)
+        # Bucket bounds j / K are searched a chunk at a time, straight
+        # into the int32 table: no full-size float or int64 temporaries.
+        self._guide = np.empty(guide_buckets + 1, dtype=np.int32)
+        for start in range(0, guide_buckets + 1, SAMPLE_CHUNK):
+            stop = min(start + SAMPLE_CHUNK, guide_buckets + 1)
+            boundaries = np.arange(start, stop, dtype=np.float64)
+            boundaries /= guide_buckets
+            self._guide[start:stop] = cdf.searchsorted(boundaries, side="right")
 
     def __len__(self) -> int:
         return int(self.cdf.size)
@@ -178,8 +200,9 @@ class CdfSampler:
             raise ValueError("uniforms must be finite and in [0, 1)")
         cdf = self.cdf
         bucket = (u * self._buckets).astype(np.int64)
-        lo = self._guide[bucket]
-        hi = self._guide[bucket + 1]
+        # int64, so the midpoint sum below cannot overflow.
+        lo = self._guide[bucket].astype(np.int64)
+        hi = self._guide[bucket + 1].astype(np.int64)
         # Vectorized bisection on the (typically empty or single-entry)
         # per-bucket index range; identical comparisons to searchsorted.
         active = np.flatnonzero(lo < hi)
@@ -196,19 +219,33 @@ class CdfSampler:
         out[...] = lo
         return out
 
+    def chunks(
+        self, rng: np.random.Generator, size: int
+    ) -> Iterator[np.ndarray]:
+        """Yield the draws of :meth:`sample` in :data:`SAMPLE_CHUNK` pieces.
+
+        Each piece is drawn when the iterator is advanced, into one
+        reused int32 buffer that the next piece overwrites.  Successive
+        ``rng.random`` chunks concatenate to the doubles one
+        ``rng.random(size)`` call returns, so the pieces concatenate to
+        ``rng.choice(n, size, p=p)``.
+        """
+        uniforms = np.empty(min(size, SAMPLE_CHUNK), dtype=np.float64)
+        out = np.empty(uniforms.size, dtype=np.int32)
+        for start in range(0, size, SAMPLE_CHUNK):
+            count = min(SAMPLE_CHUNK, size - start)
+            rng.random(out=uniforms[:count])
+            yield self.lookup(uniforms[:count], out=out[:count])
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw *size* int32 indices, equal to ``rng.choice(n, size, p=p)``.
 
         Consumes exactly ``size`` doubles from *rng*, the same stream
-        ``Generator.choice`` would consume: successive ``rng.random``
-        chunks of :data:`SAMPLE_CHUNK` concatenate to the doubles one
-        ``rng.random(size)`` call returns.
+        ``Generator.choice`` would consume.
         """
         out = np.empty(size, dtype=np.int32)
-        uniforms = np.empty(min(size, SAMPLE_CHUNK), dtype=np.float64)
-        for start in range(0, size, SAMPLE_CHUNK):
-            stop = min(start + SAMPLE_CHUNK, size)
-            chunk = uniforms[: stop - start]
-            rng.random(out=chunk)
-            self.lookup(chunk, out=out[start:stop])
+        start = 0
+        for chunk in self.chunks(rng, size):
+            out[start : start + chunk.size] = chunk
+            start += chunk.size
         return out

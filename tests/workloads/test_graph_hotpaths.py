@@ -19,9 +19,12 @@ enforce the contract three ways:
 The endpoint sampler's compiled lookup is held to its numpy bisection
 and to ``cdf.searchsorted`` on adversarial uniforms, on both the native
 and the ``REPRO_NO_CELLKERNEL`` paths, and the compiled CSR counting
-sort to the argsort build, byte for byte.  The social graph build and the
-BFS over it are held to memory bounds, and the int32 vertex-id format
-to range checks made before any narrowing.
+sort to its numpy phases, byte for byte.  The two-pass streamed social
+build is held to the legacy generator on both paths, down to graphs of
+a few vertices; the direct-write road build to the frozen previous
+generator.  Both builds and the BFS over the social graph are held to
+memory bounds, and the int32 vertex-id format to range checks made
+before any narrowing.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.digest import launch_stream_digest
@@ -106,6 +109,26 @@ def legacy_social_network(num_vertices, avg_degree=12.6,
     dst = rng.choice(num_vertices, size=num_edges, p=probabilities)
     keep = src != dst
     indptr, indices = legacy_from_edges(num_vertices, src[keep], dst[keep])
+    return CSRGraph(indptr, indices)
+
+
+def legacy_road_network(num_vertices, edge_keep_probability=0.2, seed=0):
+    """The road generator before its endpoints were written in place:
+    lattice pieces concatenated, then both directions."""
+    rng = np.random.default_rng(seed)
+    side = int(np.sqrt(num_vertices))
+    n = side * side
+    vertices = np.arange(n, dtype=np.int32)
+    row, col = np.divmod(vertices, side)
+    horizontal = vertices[col < side - 1]
+    first_in_row = vertices[: n - side : side]
+    candidates = vertices[(row < side - 1) & (col > 0)]
+    kept = candidates[rng.random(len(candidates)) < edge_keep_probability]
+    src = np.concatenate([horizontal, first_in_row, kept])
+    dst = np.concatenate([horizontal + 1, first_in_row + side, kept + side])
+    indptr, indices = legacy_from_edges(
+        n, np.concatenate([src, dst]), np.concatenate([dst, src])
+    )
     return CSRGraph(indptr, indices)
 
 
@@ -255,15 +278,19 @@ def test_from_edges_rejects_out_of_range_endpoints():
     ids=["src-high", "src-negative", "dst-high", "dst-negative"],
 )
 def test_compiled_sort_rejects_out_of_range_ids_itself(src, dst, monkeypatch):
-    """The C export checks every id against [0, V) on its own (status
-    1), and from_edges turns that status into ValueError."""
+    """The C count and scatter phases check every id they read against
+    [0, V) on their own (status 1), and from_edges turns that status
+    into ValueError."""
     lib = native.load_kernel()
     assert lib is not None
     src = np.array(src, dtype=np.int32)
     dst = np.array(dst, dtype=np.int32)
-    indptr = np.empty(4, dtype=np.int64)
+    indptr = np.zeros(4, dtype=np.int64)
     indices = np.empty(2, dtype=np.int32)
-    assert lib.csr_from_edges(3, src, dst, 2, indptr, indices) == 1
+    if src.min() < 0 or src.max() >= 3:
+        assert lib.csr_count(3, src, 2, indptr) == 1
+    indptr[:] = [0, 1, 1, 2]
+    assert lib.csr_scatter(3, src, dst, 2, indptr, indices, 2) == 1
     # With the Python range check bypassed, the C check alone rejects.
     monkeypatch.setattr(
         csr, "_vertex_ids", lambda ids, n, what: ids.astype(np.int32)
@@ -419,6 +446,113 @@ def test_social_network_matches_legacy_generator(n, seed):
     np.testing.assert_array_equal(new.indices, old.indices)
 
 
+@pytest.mark.parametrize("num_vertices", [2, 3, 5, 16, 64])
+def test_tiny_social_networks_match_legacy_generator(lookup_path, num_vertices):
+    """A few vertices: self-loops are common, and rows of only
+    self-loops and vertices without out-edges occur.  Compiled and
+    numpy phases alike give the legacy graph, byte for byte."""
+    for seed in range(5):
+        graph = social_network(num_vertices, seed=seed)
+        legacy = legacy_social_network(num_vertices, seed=seed)
+        assert legacy.num_edges < int(num_vertices * 12.6)  # loops dropped
+        assert graph.indptr.tobytes() == legacy.indptr.tobytes()
+        assert graph.indices.tobytes() == legacy.indices.tobytes()
+
+
+def _chunked(array, chunk):
+    return [array[start : start + chunk] for start in range(0, array.size, chunk)]
+
+
+@given(
+    num_vertices=st.integers(1, 200),
+    num_edges=st.integers(0, 1500),
+    loop_only_rows=st.integers(0, 60),
+    empty_rows=st.integers(0, 60),
+    chunk=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_streamed_build_matches_legacy_without_self_loops(
+    lookup_path, num_vertices, num_edges, loop_only_rows, empty_rows, chunk, seed
+):
+    """The two-pass chunked build with self-loops dropped equals the
+    argsort build of the other edges: about half the edges are loops,
+    rows below loop_only_rows hold only loops, rows below empty_rows
+    (taken first) none, at any chunking."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int32)
+    src = src[src >= min(empty_rows, num_vertices - 1)]
+    dst = rng.integers(0, num_vertices, size=src.size, dtype=np.int32)
+    loops = (rng.random(src.size) < 0.5) | (src < loop_only_rows)
+    dst[loops] = src[loops]
+    graph = CSRGraph.from_edge_stream(
+        num_vertices,
+        iter(_chunked(src, chunk)),
+        zip(_chunked(src, chunk), _chunked(dst, chunk)),
+        drop_self_loops=True,
+    )
+    keep = src != dst
+    indptr, indices = legacy_from_edges(num_vertices, src[keep], dst[keep])
+    assert graph.indptr.dtype == np.int64 and graph.indices.dtype == np.int32
+    np.testing.assert_array_equal(graph.indptr, indptr)
+    np.testing.assert_array_equal(graph.indices, indices)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 2**31 - 1])
+def test_streamed_build_rejects_out_of_range_ids(lookup_path, bad):
+    ok = np.array([0, 1, 2], dtype=np.int32)
+    wrong = np.array([0, bad, 2], dtype=np.int32)
+    with pytest.raises(ValueError, match="out-of-range"):
+        CSRGraph.from_edge_stream(
+            3, [wrong], [(wrong, ok)], drop_self_loops=True
+        )
+    with pytest.raises(ValueError, match="out-of-range"):
+        CSRGraph.from_edge_stream(3, [ok], [(ok, wrong)], drop_self_loops=True)
+    with pytest.raises(ValueError, match="out-of-range"):
+        CSRGraph.from_edge_stream(
+            3, [wrong.astype(np.int64)], [], drop_self_loops=True
+        )
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [([0, 0], [1, 2])],
+        [([0, 0, 2], [1, 2, 0]), ([0], [1])],
+        [([0, 2, 2], [1, 2, 0])],
+    ],
+    ids=["short", "long", "last-row-overfilled"],
+)
+def test_streamed_build_rejects_edges_that_do_not_replay(lookup_path, edges):
+    """A replay of another length, or one that overfills the last row,
+    is a ValueError before any write past the indices array."""
+    src = np.array([0, 0, 2], dtype=np.int32)
+    pairs = [
+        (np.array(s, dtype=np.int32), np.array(d, dtype=np.int32))
+        for s, d in edges
+    ]
+    with pytest.raises(ValueError, match="do not replay"):
+        CSRGraph.from_edge_stream(3, [src], pairs, drop_self_loops=False)
+
+
+# 4099 is not a square: the generator uses the 64 x 64 lattice.
+@pytest.mark.parametrize("num_vertices", [4, 10, 4099, 40_000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("keep", [0.2, 1.0])
+def test_road_network_matches_legacy_generator(num_vertices, seed, keep):
+    """Direct-write road build: the concatenating generator's graph,
+    byte for byte."""
+    graph = road_network(num_vertices, keep, seed=seed)
+    legacy = legacy_road_network(num_vertices, keep, seed=seed)
+    assert graph.indptr.dtype == np.int64 and graph.indices.dtype == np.int32
+    assert graph.indptr.tobytes() == legacy.indptr.tobytes()
+    assert graph.indices.tobytes() == legacy.indices.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # End-to-end stream differentials over (scale, seed, source)
 # ---------------------------------------------------------------------------
@@ -436,14 +570,11 @@ def test_bfs_stream_digest_matches_legacy_driver(
     """Scan-free BFS emits a bit-identical launch stream to the original
     per-level-scan driver running on the legacy-built graph."""
     workload = workload_cls(scale=scale, seed=seed, source=source)
-    if workload_cls is SocialBFS:
-        graph = legacy_social_network(workload._num_vertices(), seed=seed)
-    else:
-        # The road generator only changed its CSR build; rebuilding via
-        # the production path plus legacy_from_edges would duplicate the
-        # generator, and test_from_edges_* already proves that build is
-        # identical — so reuse the production graph here.
-        graph = workload._build_graph()
+    legacy_generator = (
+        legacy_social_network if workload_cls is SocialBFS
+        else legacy_road_network
+    )
+    graph = legacy_generator(workload._num_vertices(), seed=seed)
     legacy = legacy_launch_stream(workload, graph)
     current = workload.launch_stream()
     assert len(current) == len(legacy)
@@ -518,6 +649,7 @@ def _adversarial_uniforms(sampler):
 
 
 def _assert_lookups_agree(sampler, u):
+    assert sampler._guide.dtype == np.int32
     expected = sampler.cdf.searchsorted(u, side="right")
     oracle = sampler._lookup_numpy(u, np.empty(u.size, dtype=np.int32))
     np.testing.assert_array_equal(oracle, expected)
@@ -618,24 +750,75 @@ def _traced_peak(fn):
     return result, peak - base
 
 
+def _warm_up_builds():
+    """One small build of each graph: the first call's one-time imports
+    and ctypes setup stay out of the traced windows."""
+    assert native.load_kernel() is not None
+    social_network(1000, seed=0)
+    road_network(1000, seed=0)
+
+
+# Python objects a traced build may hold beyond its arrays.
+_TRACE_SLACK = 64 * 1024
+
+
 @needs_compiler
 def test_social_network_build_memory_is_bounded():
-    """Peak traced memory of the 100 K-vertex build stays within 1.7
-    int64 arrays of E entries: the two int32 endpoint arrays and the
-    int32 CSR indices (1.5), plus O(V + chunk).  int64 endpoints or
-    indices, a full-size scratch array in the CSR build, or sampler
-    tables kept alive through it break it.  The graph is the legacy
+    """Peak traced memory of the 100 K-vertex two-pass build, in bytes:
+
+    * ``4 E``: the int32 CSR indices of all E drawn edges (self-loops
+      are dropped from them only at the end);
+    * ``8 (V + 1)``: the int64 indptr, counted, then the scatter cursors;
+    * ``8 V + 4 (K + 1)``: the sampler's float64 CDF and its int32 guide
+      table of ``K = 2 ** ceil(log2(2 V))`` buckets;
+    * ``28 SAMPLE_CHUNK``: pass 2's two chunk iterators (sources and
+      destinations), each with a float64 uniform and an int32 id
+      buffer, and pass 1's last int32 chunk, still referenced;
+    * 64 KiB of Python objects.
+
+    That is 0.95 × E × 8 bytes at V = 100 K.  Holding both endpoint
+    arrays (1.66 × E × 8 traced by the one-pass build), keeping the
+    sources alive through the scatter (+0.5), or an int64 guide,
+    indices or scratch array breaks it.  The graph is the legacy
     generator's, byte for byte."""
-    # Build outside the traced window; the bound is the compiled sort's
-    # (the argsort fallback holds an int64 permutation).
-    assert native.load_kernel() is not None
+    # The bound is the compiled build's (the numpy phases sort each
+    # chunk and mark self-loops with full-size temporaries).
+    _warm_up_builds()
     graph, peak = _traced_peak(
         lambda: social_network(_MEMORY_VERTICES, seed=0)
     )
-    assert peak <= 1.7 * _MEMORY_EDGES * 8
+    buckets = 1 << int(np.ceil(np.log2(2 * _MEMORY_VERTICES)))
+    bound = (
+        4 * _MEMORY_EDGES
+        + 8 * (_MEMORY_VERTICES + 1)
+        + 8 * _MEMORY_VERTICES
+        + 4 * (buckets + 1)
+        + 28 * SAMPLE_CHUNK
+        + _TRACE_SLACK
+    )
+    assert peak <= bound
     legacy = legacy_social_network(_MEMORY_VERTICES, seed=0)
     assert graph.indptr.dtype == np.int64
     assert graph.indices.dtype == np.int32
+    assert graph.indptr.tobytes() == legacy.indptr.tobytes()
+    assert graph.indices.tobytes() == legacy.indices.tobytes()
+
+
+@needs_compiler
+def test_road_network_build_memory_is_bounded():
+    """Peak traced memory of the 100 K-vertex road build: its two int32
+    endpoint arrays and the int32 CSR indices, each of the graph's E
+    directed edges, and the int64 indptr, ``12 E + 8 (V + 1)`` bytes,
+    plus 64 KiB of Python objects.  The row/column arrays, lattice
+    pieces and one-direction copies the concatenating build held on
+    top (about 2 × this bound) break it."""
+    _warm_up_builds()
+    graph, peak = _traced_peak(
+        lambda: road_network(_MEMORY_VERTICES, seed=0)
+    )
+    n = graph.num_vertices
+    assert peak <= 12 * graph.num_edges + 8 * (n + 1) + _TRACE_SLACK
+    legacy = legacy_road_network(_MEMORY_VERTICES, seed=0)
     assert graph.indptr.tobytes() == legacy.indptr.tobytes()
     assert graph.indices.tobytes() == legacy.indices.tobytes()
 

@@ -32,14 +32,15 @@ def fresh_kernel():
 def test_one_library_exports_every_kernel(fresh_kernel, monkeypatch, tmp_path):
     """cellkernel.load_kernel() builds the one shared object, and it
     exports the MD pair counter, the sampler's lookup and the CSR
-    counting sort."""
+    counting sort's three phases."""
     monkeypatch.delenv(native.ENV_DISABLE, raising=False)
     monkeypatch.setenv(native.ENV_CACHE_DIR, str(tmp_path))
     lib = cellkernel.load_kernel()
     assert lib is not None
     assert lib is native.load_kernel()
     assert callable(lib.count_pairs) and callable(lib.cdf_lookup)
-    assert callable(lib.csr_from_edges)
+    assert callable(lib.csr_count) and callable(lib.csr_scatter)
+    assert callable(lib.csr_finish)
     built = os.listdir(tmp_path)
     assert len(built) == 1 and built[0].startswith("native-")
     assert built[0].endswith(".so")
