@@ -20,7 +20,7 @@ from repro.gpu import (
     RTX_3080,
     SimulationOptions,
 )
-from repro.gpu.timing import TimingOptions
+from repro.gpu.simulator import TimingOptions
 from repro.profiler import Profiler
 from repro.workloads import get_workload
 

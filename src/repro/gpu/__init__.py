@@ -32,15 +32,12 @@ from repro.gpu.kernel import (
     LaunchStream,
     MemoryFootprint,
 )
-from repro.gpu.memory import CacheModel, MemorySystemResult
 from repro.gpu.metrics import (
     PRIMARY_METRICS,
     SECONDARY_METRICS,
     KernelMetrics,
 )
-from repro.gpu.occupancy import OccupancyResult, compute_occupancy
 from repro.gpu.simulator import GPUSimulator, SimulationOptions
-from repro.gpu.timing import TimingBreakdown, TimingModel
 
 __all__ = [
     "A100",
@@ -62,15 +59,9 @@ __all__ = [
     "KernelLaunch",
     "LaunchStream",
     "MemoryFootprint",
-    "CacheModel",
-    "MemorySystemResult",
     "KernelMetrics",
     "PRIMARY_METRICS",
     "SECONDARY_METRICS",
-    "OccupancyResult",
-    "compute_occupancy",
     "GPUSimulator",
     "SimulationOptions",
-    "TimingBreakdown",
-    "TimingModel",
 ]

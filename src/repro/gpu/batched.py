@@ -1,31 +1,26 @@
 """Batched device-axis simulation: one stream, many devices.
 
-The launch stream of a workload is completely device-independent, yet
-the scalar path (:class:`~repro.gpu.simulator.GPUSimulator`) must walk
-the whole stream — and run the timing model per distinct kernel — once
-*per device*.  A device sweep over an 8-entry zoo therefore pays the
-stream walk and the Python-level model eight times for byte-identical
-inputs.
-
-:func:`simulate_devices` removes that multiplier.  It walks the stream
-**once** to collect the distinct kernels and the per-launch kernel
-indices, then evaluates the occupancy, cache and timing models for all
+This module is the one implementation of the analytical timing model
+(occupancy, cache hierarchy, instruction-roofline timing and the
+Table IV metrics).  :func:`batch_kernel_metrics` evaluates it for all
 ``(device, kernel)`` pairs in a single broadcast pass: kernel-side
 quantities become a ``(K,)`` row vector, device-side parameters a
 ``(D, 1)`` column vector, and every model expression is evaluated on
-the resulting ``(D, K)`` matrix.
+the resulting ``(D, K)`` matrix.  :func:`simulate_devices` walks a
+launch stream **once** to collect its distinct kernels and runs that
+pass for N devices, so a device sweep does not pay the stream walk per
+device; :class:`~repro.gpu.simulator.GPUSimulator` is its one-device
+case.
 
-Bit-for-bit equivalence with the scalar path is a hard contract here
-(the per-device result shares its cache entry with a scalar run and
-must compare equal to it), and it is achievable because the
-analytical model uses only IEEE-exact operations — ``+ - * /``,
-``min``/``max``, ``ceil`` and integer division; no transcendentals.
-Three rules keep the batched pass exact:
+Every element must equal the per-kernel scalar form of the model, kept
+as a frozen oracle in ``tests/gpu/scalar_oracle/``, bit for bit.  That
+is achievable because the analytical model uses only IEEE-exact
+operations — ``+ - * /``, ``min``/``max``, ``ceil`` and integer
+division; no transcendentals.  Three rules keep the batched pass exact:
 
 * every expression is written with the *same associativity* as its
-  scalar counterpart in :mod:`~repro.gpu.timing`,
-  :mod:`~repro.gpu.occupancy` and :mod:`~repro.gpu.memory`, so each
-  element sees the identical sequence of correctly-rounded operations;
+  scalar counterpart in the oracle, so each element sees the identical
+  sequence of correctly-rounded operations;
 * kernel-only quantities are computed per kernel with plain Python
   floats (literally the scalar formulas) before being packed into
   arrays, and device-only products (``peak_gips * 1e9`` …) are
@@ -36,7 +31,8 @@ Three rules keep the batched pass exact:
   divides by zero.
 
 ``tests/gpu/test_batched_devices.py`` pins the contract differentially
-against every zoo device and every pinned Cactus workload, plus
+against the oracle on every zoo device and every pinned Cactus
+workload at two presets, under every option ablation, plus
 hypothesis-perturbed devices.
 """
 
@@ -49,18 +45,22 @@ import numpy as np
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
 from repro.gpu.metrics import KernelMetrics
-from repro.gpu.simulator import GPUSimulator, SimulationOptions
-from repro.gpu.timing import (
-    BARRIER_LATENCY_CYCLES,
-    FP32_WARPS_PER_CYCLE,
-    LSU_WARPS_PER_CYCLE,
-    TimingOptions,
-)
+from repro.gpu.simulator import GPUSimulator, SimulationOptions, TimingOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Tracer
 
 __all__ = ["simulate_devices", "batch_kernel_metrics"]
+
+#: Cost of a block-wide barrier, in scheduler cycles per sync instruction.
+BARRIER_LATENCY_CYCLES = 120.0
+
+#: Peak per-SM warp-instruction throughput of the FP32 pipeline and the
+#: load/store units, in warp instructions per cycle.  On Ampere each SM
+#: has 128 FP32 lanes (4 warps/cycle) and 4 LSU groups (we model an
+#: effective 2 warp ld/st per cycle).
+FP32_WARPS_PER_CYCLE = 4.0
+LSU_WARPS_PER_CYCLE = 2.0
 
 
 def _collect_distinct(
@@ -68,8 +68,8 @@ def _collect_distinct(
 ) -> Tuple[List[KernelCharacteristics], List[int]]:
     """One stream walk: distinct kernels (first-seen order) + indices.
 
-    Grouping is by kernel *equality*, exactly like the scalar
-    simulator's memo dict, so repeated launches of an equal kernel map
+    Grouping is by kernel *equality*, exactly like
+    :class:`~repro.gpu.simulator.GPUSimulator`'s memo dict, so repeated launches of an equal kernel map
     to one shared metrics record downstream (the aggregation layer
     groups by object identity).
     """
@@ -96,8 +96,8 @@ def batch_kernel_metrics(
     """Metric records for every (device, kernel) pair, batched.
 
     Returns ``result[d][k]``: the metrics of ``kernels[k]`` on
-    ``devices[d]``, bit-for-bit equal to
-    ``TimingModel(devices[d], ...).run(kernels[k])``.
+    ``devices[d]``, bit-for-bit equal to the scalar oracle run for
+    that device and kernel.
     """
     opts = timing or TimingOptions()
     n_dev = len(devices)
@@ -221,8 +221,11 @@ def batch_kernel_metrics(
     else:
         overhead = col([0.0 for _ in devices])
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # -- occupancy (repro.gpu.occupancy.compute_occupancy) ---------
+    # over="ignore": a Python float division overflows to inf silently,
+    # as the scalar model's does (a near-zero working set gives
+    # l2_cap / working_set = inf, then min(1.0, inf) = 1.0).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # -- occupancy (oracle: scalar_oracle/occupancy.py) ------------
         blocks_per_sm = np.minimum(max_blocks, np.maximum(1, max_warps // wpb))
         warps_full = np.minimum(max_warps, blocks_per_sm * wpb)
         blocks_per_wave = blocks_per_sm * num_sms
@@ -246,7 +249,7 @@ def batch_kernel_metrics(
         )
         active_warps_per_sm = warps_full_f
 
-        # -- memory system (repro.gpu.memory.CacheModel.run) -----------
+        # -- memory system (oracle: scalar_oracle/memory.py) -----------
         if model_caches:
             l2_fraction = np.where(
                 working_set > 0,
@@ -274,7 +277,7 @@ def batch_kernel_metrics(
                 nocache_total * read_share, (n_dev, n_ker)
             )
 
-        # -- timing (repro.gpu.timing.TimingModel.time) ----------------
+        # -- timing (oracle: scalar_oracle/timing.py, time) ------------
         raw_lat = l1_hr * l1_lat + (1.0 - l1_hr) * (
             l2_hit_rate * l2_lat + (1.0 - l2_hit_rate) * dram_lat
         )
@@ -297,7 +300,7 @@ def batch_kernel_metrics(
         overhead_bound = overhead > bound_time
         memory_bound = ~overhead_bound & (memory_time >= compute_time)
 
-        # -- Table IV metrics (repro.gpu.timing.TimingModel._metrics) --
+        # -- Table IV metrics (oracle: scalar_oracle/timing.py) --------
         active_time = np.maximum(duration - overhead, 1e-12)
         total_ipc = warp_insts / (active_time * clock_hz)
         sm_ipc = total_ipc / np.maximum(1e-9, num_sms_f * sm_eff)
@@ -386,13 +389,13 @@ def simulate_devices(
     Returns ``result[d]``: one :class:`KernelMetrics` per launch, in
     launch order, for ``devices[d]`` — with repeated launches of an
     equal kernel sharing a single metrics object per device, exactly
-    like the scalar simulator's memo (the aggregation layer relies on
-    that identity structure).
+    like the single-device simulator's memo (the aggregation layer
+    relies on that identity structure).
 
-    For a single device this *is* the scalar path:
-    ``simulate_devices(s, [d])[0] == GPUSimulator(d).run_stream(s)``
-    bit-for-bit; for N > 1 the batched pass produces the same bits, as
-    pinned by the differential tests.
+    For a single device this *is* the single-device path:
+    ``simulate_devices(s, [d])[0] == GPUSimulator(d).run_stream(s)``;
+    for N > 1 every device's records equal the scalar oracle's bit for
+    bit, as pinned by the differential tests.
     """
     if not devices:
         raise ValueError("simulate_devices needs at least one device")
@@ -417,8 +420,9 @@ def simulate_devices(
     results = [
         [records[idx] for idx in indices] for records in per_device
     ]
-    # Mirror the scalar simulator's counters once per device so a sweep
-    # reads like N scalar runs in the run metrics, plus batching stats.
+    # Mirror the single-device simulator's counters once per device so
+    # a sweep reads like N one-device runs in the run metrics, plus
+    # batching stats.
     tracer.incr("sim.launches", float(len(indices) * len(devices)))
     tracer.incr("sim.distinct_kernels", float(len(kernels) * len(devices)))
     tracer.incr("sim.batched_device_passes", 1.0)

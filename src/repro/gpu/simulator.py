@@ -11,8 +11,9 @@ characterizations).
 This is the single-device path: the kernels the memo does not hold go
 through :func:`repro.gpu.batched.batch_kernel_metrics` for one device.
 Device sweeps go through :func:`repro.gpu.batched.simulate_devices`,
-which runs the same pass for N devices at once and is pinned
-bit-for-bit against ``run_stream``.
+which runs the same pass for N devices at once.  Both are pinned bit
+for bit against the frozen scalar form of the model kept with the
+tests (``tests/gpu/scalar_oracle/``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,24 @@ from typing import Dict, Iterable, List
 from repro.gpu.device import RTX_3080, DeviceSpec
 from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
 from repro.gpu.metrics import KernelMetrics
-from repro.gpu.timing import TimingOptions
+
+
+@dataclass(frozen=True)
+class TimingOptions:
+    """Switches used by the ablation benchmarks."""
+
+    #: Achievable fraction of the theoretical DRAM bandwidth.
+    dram_efficiency: float = 0.88
+    #: Model per-launch host overhead (disable to ablate).
+    model_launch_overhead: bool = True
+    #: Model latency hiding / issue efficiency (disable to ablate).
+    model_latency: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.dram_efficiency <= 1.0:
+            raise ValueError(
+                f"dram_efficiency must be in (0, 1], got {self.dram_efficiency}"
+            )
 
 
 @dataclass(frozen=True)
@@ -71,9 +89,8 @@ class GPUSimulator:
         the memo lookup runs once per *distinct* kernel instead of once
         per launch, and every distinct kernel the memo does not hold is
         evaluated in **one** vectorized
-        :func:`repro.gpu.batched.batch_kernel_metrics` pass (bit-for-bit
-        equal to per-kernel ``TimingModel.run`` calls) instead of a
-        Python-level model run per kernel.  Streams with thousands of
+        :func:`repro.gpu.batched.batch_kernel_metrics` pass instead of
+        a Python-level model run per kernel.  Streams with thousands of
         structurally distinct launches — GRU's per-level BFS frontiers —
         pay one broadcast pass, not thousands of scalar ones.
         """

@@ -11,7 +11,7 @@ result with the Table I statistics as properties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,16 +41,6 @@ class KernelProfile:
     @property
     def avg_time_per_invocation_s(self) -> float:
         return self.total_time_s / self.invocations
-
-
-def _weighted_mean(pairs: Iterable[Tuple[float, float]]) -> float:
-    """Mean of (value, weight) pairs; 0 when total weight is 0."""
-    total = 0.0
-    weight_sum = 0.0
-    for value, weight in pairs:
-        total += value * weight
-        weight_sum += weight
-    return total / weight_sum if weight_sum > 0 else 0.0
 
 
 #: Duration-weighted ratio metrics — exactly the Table IV columns.

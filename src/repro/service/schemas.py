@@ -37,8 +37,7 @@ from repro.core.config import (
 )
 from repro.gpu.device import DEVICE_ZOO, DeviceSpec, device_by_name
 from repro.gpu.digest import stable_digest
-from repro.gpu.simulator import SimulationOptions
-from repro.gpu.timing import TimingOptions
+from repro.gpu.simulator import SimulationOptions, TimingOptions
 from repro.workloads.registry import list_workloads
 
 __all__ = [

@@ -29,8 +29,7 @@ from repro.gpu.kernel import (
     KernelLaunch,
     MemoryFootprint,
 )
-from repro.gpu.simulator import SimulationOptions
-from repro.gpu.timing import TimingOptions
+from repro.gpu.simulator import SimulationOptions, TimingOptions
 
 def result_key(device, opts, abbr="PRB", scale=0.05, seed=0) -> str:
     """Characterization key of one workload recipe."""

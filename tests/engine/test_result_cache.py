@@ -122,13 +122,13 @@ class TestSourceFingerprint:
 
     def test_model_edit_changes_it(self, tree):
         before = source_fingerprint(tree)
-        timing = tree / "gpu" / "timing.py"
-        source = timing.read_text()
+        model = tree / "gpu" / "batched.py"
+        source = model.read_text()
         edited = source.replace(
             "BARRIER_LATENCY_CYCLES = 120.0", "BARRIER_LATENCY_CYCLES = 121.0"
         )
         assert edited != source
-        timing.write_text(edited)
+        model.write_text(edited)
         assert source_fingerprint(tree) != before
 
     @pytest.mark.parametrize(

@@ -1,39 +1,78 @@
-"""Differential guards for the batched device-axis simulator.
+"""Differential guards for the batched timing model.
 
-The whole value of :func:`repro.gpu.batched.simulate_devices` rests on
-one claim: the (D, K) broadcast evaluation is **bit-for-bit identical**
-to D independent scalar :meth:`GPUSimulator.run_stream` walks.  These
-tests pin that claim across every zoo device, every pinned Cactus
-workload, the simulator's option ablations, and (via hypothesis)
-randomly perturbed device specs — any float-level divergence in any
-:class:`KernelMetrics` field is a failure, not a tolerance question.
+The product runs the analytical model only as the (D, K) broadcast
+pass of :mod:`repro.gpu.batched`.  These tests pin it **bit for bit**
+against an independent implementation: the frozen per-kernel scalar
+model in :mod:`tests.gpu.scalar_oracle`, run once per distinct kernel
+and device.  They cover every zoo device on every pinned Cactus
+workload at the laptop and observation presets, the simulator's option
+ablations on every workload, and (via hypothesis) randomly perturbed
+device specs — any float-level divergence in any :class:`KernelMetrics`
+field is a failure, not a tolerance question.
 """
 
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import LAPTOP_SCALE
+from repro.core.config import LAPTOP_SCALE, OBSERVATION_SCALE
 from repro.gpu import (
     DEVICE_ZOO,
     RTX_3080,
     V100,
-    GPUSimulator,
     SimulationOptions,
     simulate_devices,
 )
 from repro.gpu.batched import batch_kernel_metrics
 from repro.gpu.simulator import TimingOptions
 from repro.workloads import get_workload, list_workloads
+from tests.gpu.scalar_oracle import CacheModel, TimingModel
 
 ZOO = list(DEVICE_ZOO.values())
 
 
+class NoCacheModel(CacheModel):
+    """Ablation cache model: all traffic is compulsory DRAM traffic."""
+
+    def run(self, kernel):
+        result = super().run(kernel)
+        footprint = kernel.memory
+        txn = self.device.dram_transaction_bytes
+        total = footprint.total_access_bytes / footprint.coalescence
+        read_share = (
+            footprint.bytes_read / footprint.unique_bytes
+            if footprint.unique_bytes > 0
+            else 1.0
+        )
+        return type(result)(
+            l1_hit_rate=0.0,
+            l2_hit_rate=0.0,
+            dram_transactions=total / txn,
+            dram_read_bytes=total * read_share,
+            dram_write_bytes=total * (1.0 - read_share),
+            total_access_transactions=result.total_access_transactions,
+        )
+
+
 def scalar_metrics(launches, device, options=None):
-    sim = GPUSimulator(device, options=options or SimulationOptions())
-    return sim.run_stream(launches)
+    """Per-launch metrics from the scalar oracle, one model run per
+    distinct kernel."""
+    options = options or SimulationOptions()
+    cache_model = (
+        CacheModel(device) if options.model_caches else NoCacheModel(device)
+    )
+    model = TimingModel(device, cache_model=cache_model, options=options.timing)
+    memo = {}
+    records = []
+    for launch in launches:
+        metrics = memo.get(launch.kernel)
+        if metrics is None:
+            metrics = memo[launch.kernel] = model.run(launch.kernel)
+        records.append(metrics)
+    return records
 
 
 def assert_streams_identical(batched, scalar, context=""):
@@ -47,31 +86,43 @@ def assert_streams_identical(batched, scalar, context=""):
             )
 
 
+def preset_streams(preset):
+    """Every pinned Cactus workload's launch stream at *preset*, built
+    one at a time."""
+    for abbr in list_workloads("Cactus"):
+        workload = get_workload(
+            abbr, scale=preset.for_workload(abbr), seed=preset.seed
+        )
+        yield abbr, list(workload.launch_stream())
+
+
 @pytest.fixture(scope="module")
 def cactus_streams():
     """Every pinned Cactus workload's laptop-preset launch stream."""
-    streams = {}
-    for abbr in list_workloads("Cactus"):
-        workload = get_workload(
-            abbr,
-            scale=LAPTOP_SCALE.for_workload(abbr),
-            seed=LAPTOP_SCALE.seed,
-        )
-        streams[abbr] = list(workload.launch_stream())
-    return streams
+    return dict(preset_streams(LAPTOP_SCALE))
+
+
+def assert_sweeps_match_oracle(streams):
+    """Every stream's 8-device sweep equals the oracle on each device."""
+    for abbr, stream in streams:
+        batched = simulate_devices(stream, ZOO)
+        for device, per_device in zip(ZOO, batched):
+            assert_streams_identical(
+                per_device,
+                scalar_metrics(stream, device),
+                context=f"{abbr} on {device.name}",
+            )
 
 
 class TestBatchedEqualsScalar:
     def test_every_zoo_device_every_cactus_workload(self, cactus_streams):
         """The headline differential: 10 workloads x 8 devices."""
-        for abbr, stream in cactus_streams.items():
-            batched = simulate_devices(stream, ZOO)
-            for device, per_device in zip(ZOO, batched):
-                assert_streams_identical(
-                    per_device,
-                    scalar_metrics(stream, device),
-                    context=f"{abbr} on {device.name}",
-                )
+        assert_sweeps_match_oracle(cactus_streams.items())
+
+    def test_every_zoo_device_every_cactus_workload_observation(self):
+        """The same differential at the observation preset, whose
+        streams hold more distinct kernels (GRU: 3,372)."""
+        assert_sweeps_match_oracle(preset_streams(OBSERVATION_SCALE))
 
     @pytest.mark.parametrize(
         "options",
@@ -90,17 +141,18 @@ class TestBatchedEqualsScalar:
     )
     def test_option_ablations(self, cactus_streams, options):
         """Every simulator switch takes the same branch in both paths."""
-        stream = cactus_streams["GST"]
-        batched = simulate_devices(stream, ZOO, options=options)
-        for device, per_device in zip(ZOO, batched):
-            assert_streams_identical(
-                per_device,
-                scalar_metrics(stream, device, options),
-                context=f"GST[{options!r}] on {device.name}",
-            )
+        for abbr, stream in cactus_streams.items():
+            batched = simulate_devices(stream, ZOO, options=options)
+            for device, per_device in zip(ZOO, batched):
+                assert_streams_identical(
+                    per_device,
+                    scalar_metrics(stream, device, options),
+                    context=f"{abbr}[{options!r}] on {device.name}",
+                )
 
     def test_single_device_reduces_to_scalar_path(self, cactus_streams):
-        """N=1 delegates to GPUSimulator itself — zero-risk fast path."""
+        """N=1 takes GPUSimulator's one-device path, which must match the
+        oracle too."""
         stream = cactus_streams["GRU"]
         for device in ZOO:
             (only,) = simulate_devices(stream, [device])
@@ -179,6 +231,8 @@ class TestBatchedProperties:
             )
 
     @staticmethod
+    @functools.lru_cache(maxsize=1)
     def _stream():
+        """Built once: every example reads the same (immutable) stream."""
         workload = get_workload("GST", scale=0.01, seed=3)
-        return list(workload.launch_stream())
+        return tuple(workload.launch_stream())

@@ -1,14 +1,14 @@
-"""Tests for the analytical cache model."""
+"""Tests for the analytical cache model (the scalar oracle's)."""
 
 import pytest
 
 from repro.gpu import (
-    CacheModel,
     InstructionMix,
     KernelCharacteristics,
     MemoryFootprint,
     RTX_3080,
 )
+from tests.gpu.scalar_oracle import CacheModel
 
 MIB = 1024 * 1024
 

@@ -1,4 +1,4 @@
-"""Tests for the SM occupancy model."""
+"""Tests for the SM occupancy model (the scalar oracle's)."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro.gpu import (
     KernelCharacteristics,
     MemoryFootprint,
     RTX_3080,
-    compute_occupancy,
 )
+from tests.gpu.scalar_oracle import compute_occupancy
 
 
 def kernel(grid_blocks, threads_per_block):

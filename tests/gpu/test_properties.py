@@ -1,7 +1,9 @@
 """Property-based tests on the GPU model (hypothesis).
 
 These check the invariants that every roofline figure in the paper
-relies on, across the whole space of plausible kernels.
+relies on, across the whole space of plausible kernels, on the product
+simulator.  The DRAM-traffic floor is an intermediate quantity of the
+cache model, so it is checked on the scalar oracle.
 """
 
 import math
@@ -10,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import (
+    GPUSimulator,
     InstructionMix,
     KernelCharacteristics,
     MemoryFootprint,
     RTX_3080,
-    TimingModel,
 )
+from tests.gpu.scalar_oracle import CacheModel
 
 
 @st.composite
@@ -44,13 +47,13 @@ def kernels(draw):
     )
 
 
-MODEL = TimingModel(RTX_3080)
+MODEL = GPUSimulator(RTX_3080)
 
 
 @given(kernels())
 @settings(max_examples=200, deadline=None)
 def test_achieved_gips_respects_both_roofs(kernel):
-    metrics = MODEL.run(kernel)
+    metrics = MODEL.run_kernel(kernel)
     assert metrics.gips <= RTX_3080.peak_gips * (1 + 1e-9)
     memory_roof = metrics.instruction_intensity * RTX_3080.peak_gtxn_per_s
     assert metrics.gips <= memory_roof * (1 + 1e-6)
@@ -59,7 +62,7 @@ def test_achieved_gips_respects_both_roofs(kernel):
 @given(kernels())
 @settings(max_examples=200, deadline=None)
 def test_metrics_are_finite_and_in_range(kernel):
-    m = MODEL.run(kernel)
+    m = MODEL.run_kernel(kernel)
     assert math.isfinite(m.duration_s) and m.duration_s > 0
     assert math.isfinite(m.gips) and m.gips > 0
     assert 0.0 <= m.l1_hit_rate <= 1.0
@@ -78,20 +81,17 @@ def test_more_work_on_a_full_machine_is_never_faster(kernel, factor):
     """Once the grid already fills the machine, scaling the work up can
     only slow the kernel down (cache cliffs make it superlinear, fill
     effects cannot make it sublinear)."""
-    from repro.gpu import compute_occupancy
-
-    base_occ = compute_occupancy(RTX_3080, kernel)
-    if base_occ.sm_efficiency < 1.0:
+    base = MODEL.run_kernel(kernel)
+    if base.sm_efficiency < 1.0:
         return  # partially filled machines may speed up with more work
-    base = MODEL.run(kernel)
-    bigger = MODEL.run(kernel.scaled(factor))
+    bigger = MODEL.run_kernel(kernel.scaled(factor))
     assert bigger.duration_s >= base.duration_s * 0.999
 
 
 @given(kernels())
 @settings(max_examples=100, deadline=None)
 def test_dram_traffic_never_below_compulsory(kernel):
-    result = MODEL.cache_model.run(kernel)
+    result = CacheModel(RTX_3080).run(kernel)
     compulsory_txn = (
         kernel.memory.unique_bytes / RTX_3080.dram_transaction_bytes
     )

@@ -3,7 +3,8 @@
 ``GPUSimulator.run_stream``, the dict-ordered ``kernel_names``, the
 incremental ``total_warp_insts`` and the matrix-reduction
 ``aggregate_launches`` all replaced Python generator loops; each must
-agree with a faithful reimplementation of the original fold.
+agree with a faithful reimplementation of the original fold, and the
+batched simulator with the frozen scalar timing model.
 """
 
 from __future__ import annotations
@@ -17,16 +18,26 @@ from repro.gpu.device import RTX_3080
 from repro.gpu.kernel import KernelCharacteristics, LaunchStream
 from repro.gpu.metrics import SECONDARY_METRICS, KernelMetrics
 from repro.gpu.simulator import GPUSimulator
-from repro.gpu.timing import TimingModel
 from repro.profiler.profiler import Profiler
-from repro.profiler.records import _weighted_mean, aggregate_launches
+from repro.profiler.records import aggregate_launches
 from repro.workloads.registry import get_workload
+from tests.gpu.scalar_oracle import TimingModel
 
 
 def _kernel(name: str, insts: float = 1e6) -> KernelCharacteristics:
     return KernelCharacteristics(
         name=name, grid_blocks=32, threads_per_block=128, warp_insts=insts
     )
+
+
+def _weighted_mean(pairs):
+    """Mean of (value, weight) pairs; 0 when total weight is 0."""
+    total = 0.0
+    weight_sum = 0.0
+    for value, weight in pairs:
+        total += value * weight
+        weight_sum += weight
+    return total / weight_sum if weight_sum > 0 else 0.0
 
 
 def _legacy_aggregate(name, records):
