@@ -93,10 +93,6 @@ class SweepAnalysis:
     def flipped_workloads(self) -> List[str]:
         return [row.abbr for row in self.classes if row.flips]
 
-    @property
-    def shifted_workloads(self) -> List[str]:
-        return [abbr for abbr, shifts in self.dominant_shifts.items() if shifts]
-
 
 def elbow_table(devices: Sequence[DeviceSpec]) -> List[DeviceElbowRow]:
     """Roofline-elbow positions, sorted from memory-rich to -starved.

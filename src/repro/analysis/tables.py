@@ -1,16 +1,14 @@
 """Text-table renderers for the paper's exhibits.
 
 A small formatting toolkit shared by the CLI, the report generator and
-the benchmark harnesses: fixed-width tables, Table I/III renderers, and
-stacked-bar renderings of time distributions.
+the benchmark harnesses: fixed-width tables and the Table I renderer.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.analysis.distribution import Table1Row
-from repro.profiler.records import ApplicationProfile
 
 
 def format_table(
@@ -62,40 +60,3 @@ def render_table1(rows: Sequence[Table1Row]) -> str:
         align_right=[False, False, True, True, True, True],
     )
 
-
-def render_stacked_time(
-    profile: ApplicationProfile, width: int = 50, top: int = 8
-) -> str:
-    """One workload's GPU time as a stacked text bar (Fig. 2 style).
-
-    Kernels beyond *top* are folded into an ``other`` segment.
-    """
-    shares = [
-        (k.name, k.total_time_s / profile.total_time_s)
-        for k in profile.kernels
-    ]
-    head = shares[:top]
-    other = sum(share for _, share in shares[top:])
-    if other > 0:
-        head.append(("other", other))
-
-    symbols = "#=+*o.:%&@-"
-    bar = ""
-    legend: List[str] = []
-    for index, (name, share) in enumerate(head):
-        symbol = symbols[index % len(symbols)]
-        bar += symbol * max(1 if share > 0.005 else 0, round(share * width))
-        legend.append(f"{symbol} {name} ({share:.0%})")
-    return f"[{bar[:width].ljust(width)}]\n  " + "\n  ".join(legend)
-
-
-def render_dominance_histogram(histogram: dict, total: int) -> str:
-    """Fig. 2's headline statistic in prose form."""
-    lines = []
-    for k, count in sorted(histogram.items()):
-        noun = "kernel" if k == 1 else "kernels"
-        lines.append(
-            f"{count}/{total} workloads cover >=70% of GPU time with "
-            f"{k} {noun}"
-        )
-    return "\n".join(lines)

@@ -10,8 +10,6 @@ from repro.core.characterize import (
 from repro.core.compare import (
     ObservationReport,
     check_observations,
-    diff_characterizations,
-    diff_suite_results,
 )
 from repro.core.config import (
     LAPTOP_SCALE,
@@ -28,7 +26,6 @@ from repro.core.resilience import (
     classify_exception,
 )
 from repro.core.serialize import (
-    suite_run_report_from_dict,
     suite_run_report_to_dict,
     sweep_run_report_to_dict,
 )
@@ -51,8 +48,6 @@ __all__ = [
     "classify_exception",
     "ObservationReport",
     "check_observations",
-    "diff_characterizations",
-    "diff_suite_results",
     "LAPTOP_SCALE",
     "OBSERVATION_SCALE",
     "PAPER_SCALE",
@@ -61,7 +56,6 @@ __all__ = [
     "SuiteRunReport",
     "run_suite",
     "run_sweep",
-    "suite_run_report_from_dict",
     "suite_run_report_to_dict",
     "sweep_run_report_to_dict",
 ]

@@ -305,9 +305,6 @@ class ResultCache:
                 removed += 1
         return removed
 
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
 
 def characterization_key(
     device: DeviceSpec,

@@ -88,10 +88,10 @@ def characterize(
     )[device.name]
 
 
-def generate_stream(workload: Workload, tracer, steady_state: bool = True):
+def generate_stream(workload: Workload, tracer):
     """The measured launch stream of *workload*, under a ``stream-gen`` span."""
     with tracer.span("stream-gen", category="phase", workload=workload.abbr) as sp:
-        stream = Profiler(steady_state=steady_state).prepare_stream(workload)
+        stream = Profiler().prepare_stream(workload)
         sp.set_attr("launches", len(stream))
     return stream
 
@@ -101,7 +101,6 @@ def characterize_devices(
     devices,
     options=None,
     tracer=None,
-    steady_state: bool = True,
     stream=None,
 ) -> "dict[str, Characterization]":
     """Characterize one workload across N devices from ONE stream.
@@ -124,7 +123,7 @@ def characterize_devices(
     tracer = tracer or NULL_TRACER
     abbr = workload.abbr
     if stream is None:
-        stream = generate_stream(workload, tracer, steady_state)
+        stream = generate_stream(workload, tracer)
     with tracer.span(
         "simulate", category="phase", workload=abbr, devices=len(devices)
     ) as sp:
@@ -135,7 +134,7 @@ def characterize_devices(
             tracer=tracer,
         )
         sp.set_attr("launches", len(stream))
-    aggregator = Profiler(steady_state=steady_state)
+    aggregator = Profiler()
     results: "dict[str, Characterization]" = {}
     with tracer.span(
         "analyze", category="phase", workload=abbr, devices=len(devices)

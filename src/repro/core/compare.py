@@ -4,17 +4,10 @@
 against a pair of suite runs and reports which hold, with evidence —
 the reproduction's "did we get the same shape?" scoreboard (used by
 EXPERIMENTS.md and the integration tests).
-
-``diff_characterizations``/``diff_suite_results`` are the engine's
-differential-comparison primitives: field-by-field equality checks
-between two runs of the same pipeline (serial vs. parallel, cold vs.
-warm cache) that report *where* two results diverge instead of a bare
-boolean, so a failing differential test names the drifted quantity.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -58,57 +51,6 @@ class ObservationReport:
             lines.append(f"  [{status}] #{o.number} {o.claim}")
             lines.append(f"         {o.evidence}")
         return "\n".join(lines)
-
-
-def _diff_value(path: str, a, b, out: List[str]) -> None:
-    """Recursively record human-readable differences between values."""
-    if dataclasses.is_dataclass(a) and not isinstance(a, type):
-        if type(a) is not type(b):
-            out.append(f"{path}: type {type(a).__name__} != {type(b).__name__}")
-            return
-        for field_ in dataclasses.fields(a):
-            _diff_value(
-                f"{path}.{field_.name}",
-                getattr(a, field_.name),
-                getattr(b, field_.name),
-                out,
-            )
-        return
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        if len(a) != len(b):
-            out.append(f"{path}: length {len(a)} != {len(b)}")
-            return
-        for index, (left, right) in enumerate(zip(a, b)):
-            _diff_value(f"{path}[{index}]", left, right, out)
-        return
-    if a != b:
-        out.append(f"{path}: {a!r} != {b!r}")
-
-
-def diff_characterizations(a, b, label: str = "") -> List[str]:
-    """Field-by-field differences between two characterizations.
-
-    Empty list ⇔ ``a == b`` (both are plain dataclass trees).  Used by
-    the differential tests so a drift failure names the exact metric.
-    """
-    out: List[str] = []
-    _diff_value(label or getattr(a, "abbr", "characterization"), a, b, out)
-    return out
-
-
-def diff_suite_results(a: SuiteResult, b: SuiteResult) -> List[str]:
-    """Differences between two suite runs (keys and per-workload data)."""
-    out: List[str] = []
-    if list(a.results) != list(b.results):
-        out.append(
-            f"workload sets differ: {sorted(a.results)} != {sorted(b.results)}"
-        )
-        return out
-    for abbr in a.results:
-        out.extend(
-            diff_characterizations(a.results[abbr], b.results[abbr], abbr)
-        )
-    return out
 
 
 def _dominant_kernel_features(

@@ -40,8 +40,8 @@ partial report — completed work is journaled, never discarded).
 Correctness of the whole stack is enforced by the differential harness
 (``tests/engine/test_differential.py``: serial == parallel == cold ==
 warm, bit-for-bit), the golden suite (``tests/golden``), and the
-fault-injection suite (``tests/robustness``) driven by
-:class:`~repro.testing.faults.FaultPlan`.
+fault-injection suite (``tests/robustness``) driven by the tests'
+deterministic fault plans.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import warnings
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats, ResultCache, characterization_key
 from repro.core.characterize import (
@@ -82,9 +82,6 @@ from repro.gpu.digest import (
 from repro.gpu.simulator import SimulationOptions
 from repro.obs import NULL_TRACER, ObsSession, TraceHandoff, Tracer, worker_tracer
 from repro.workloads.registry import get_workload, list_workloads
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.testing.faults import FaultPlan
 
 #: Environments where a process pool cannot even be created
 #: (restricted sandboxes, missing ``os.fork`` / semaphores).
@@ -149,7 +146,7 @@ def _attempt(
     cache: Optional[ResultCache],
     tracer: Tracer,
     attempt: int,
-    fault_plan: Optional["FaultPlan"],
+    fault_plan: Optional[Any],
     mode: str,
 ) -> Dict[str, Characterization]:
     """One attempt at one workload across every device of the run.
@@ -224,7 +221,7 @@ def _sweep_one(
     options: SimulationOptions,
     cache_dir: Optional["os.PathLike[str] | str"],
     attempt: int = 1,
-    fault_plan: Optional["FaultPlan"] = None,
+    fault_plan: Optional[Any] = None,
     handoff: Optional[TraceHandoff] = None,
 ) -> Tuple[str, Dict[str, Characterization], CacheStats, Optional[dict]]:
     """Pool worker: one workload, every device of the run.
@@ -303,8 +300,10 @@ class CharacterizationEngine:
         Without a disk-backed *cache*, the run keeps its results in a
         private cache under ``<journal_dir>/results``.
     fault_plan:
-        Deterministic fault-injection plan (testing only); ``None`` and
-        an empty plan are strict no-ops.
+        Deterministic fault-injection plan (testing only): any picklable
+        object with ``before(abbr, attempt)`` and ``after(abbr, attempt,
+        results, cache) -> results`` hooks, called duck-typed once per
+        attempt; ``None`` and an empty plan are strict no-ops.
     trace_dir:
         Optional observability directory (see :mod:`repro.obs`): runs
         append a JSONL event log there and export a Chrome/Perfetto
@@ -320,7 +319,7 @@ class CharacterizationEngine:
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     keep_going: bool = False
     journal_dir: Optional[str] = None
-    fault_plan: Optional["FaultPlan"] = None
+    fault_plan: Optional[Any] = None
     trace_dir: Optional[str] = None
 
     def select(

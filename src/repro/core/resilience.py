@@ -128,20 +128,6 @@ class WorkloadFailure:
             "elapsed_s": self.elapsed_s,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "WorkloadFailure":
-        """Exact inverse of :meth:`as_dict` (JSON round-trip safe)."""
-        return cls(
-            abbr=payload["abbr"],
-            phase=payload["phase"],
-            error_type=payload["error_type"],
-            message=payload["message"],
-            traceback=payload["traceback"],
-            classification=payload["classification"],
-            attempts=int(payload["attempts"]),
-            elapsed_s=float(payload["elapsed_s"]),
-        )
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -197,11 +183,6 @@ class RetryPolicy:
             raise ValueError("backoff_max_s must be >= backoff_base_s")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
-
-    # -- classification -------------------------------------------------
-    @staticmethod
-    def classify(exc: BaseException) -> str:
-        return classify_exception(exc)
 
     def should_retry(self, exc: BaseException, attempt: int) -> bool:
         """Retry after failed attempt number *attempt* (1-based)?"""

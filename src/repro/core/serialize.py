@@ -9,8 +9,10 @@ come back as tuples and nested dataclasses must be rebuilt as the right
 types.
 
 Every helper pair here is an exact inverse: ``X_from_dict(X_to_dict(x))
-== x`` bit-for-bit (sweep run reports are only ever written).  The golden fixture generator reuses the same
-encoders so fixtures and cache payloads share one format.
+== x`` bit-for-bit.  Device specs, presets and whole run reports are
+only ever written; the tests read run reports back with their own
+oracle.  The golden fixture generator reuses the same encoders so
+fixtures and cache payloads share one format.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.analysis.distribution import Table1Row
 from repro.analysis.roofline import RooflinePoint
 from repro.core.characterize import Characterization
 from repro.core.config import ScalePreset
-from repro.core.resilience import WorkloadFailure
 from repro.gpu.device import DeviceSpec
 from repro.gpu.metrics import KernelMetrics
 from repro.profiler.records import ApplicationProfile, KernelProfile
@@ -133,16 +134,8 @@ def device_spec_to_dict(device: DeviceSpec) -> Dict[str, Any]:
     return dataclasses.asdict(device)
 
 
-def device_spec_from_dict(payload: Dict[str, Any]) -> DeviceSpec:
-    return DeviceSpec(**payload)
-
-
 def scale_preset_to_dict(preset: ScalePreset) -> Dict[str, Any]:
     return dataclasses.asdict(preset)
-
-
-def scale_preset_from_dict(payload: Dict[str, Any]) -> ScalePreset:
-    return ScalePreset(**payload)
 
 
 # -- whole run reports -------------------------------------------------
@@ -159,28 +152,6 @@ def _run_record_to_dict(report: "RunRecord") -> Dict[str, Any]:
             else None
         ),
         "trace_dir": report.trace_dir,
-    }
-
-
-def _run_record_from_dict(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Constructor keyword arguments for the run record's fields."""
-    from repro.obs.metrics import RunProfile
-
-    profile = payload.get("run_profile")
-    return {
-        "failures": [
-            WorkloadFailure.from_dict(f) for f in payload.get("failures", [])
-        ],
-        "attempts": {
-            abbr: int(count)
-            for abbr, count in payload.get("attempts", {}).items()
-        },
-        "fallback_reason": payload.get("fallback_reason"),
-        "resumed": list(payload.get("resumed", [])),
-        "run_profile": (
-            RunProfile.from_dict(profile) if profile is not None else None
-        ),
-        "trace_dir": payload.get("trace_dir"),
     }
 
 
@@ -201,20 +172,6 @@ def suite_run_report_to_dict(report: "SuiteRunReport") -> Dict[str, Any]:
         },
         **_run_record_to_dict(report),
     }
-
-
-def suite_run_report_from_dict(payload: Dict[str, Any]) -> "SuiteRunReport":
-    from repro.core.suite import SuiteRunReport
-
-    return SuiteRunReport(
-        device=device_spec_from_dict(payload["device"]),
-        preset=scale_preset_from_dict(payload["preset"]),
-        results={
-            abbr: characterization_from_dict(result)
-            for abbr, result in payload["results"].items()
-        },
-        **_run_record_from_dict(payload),
-    )
 
 
 def sweep_run_report_to_dict(report: "SweepRunReport") -> Dict[str, Any]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.core.characterize import Characterization
 from repro.core.config import LAPTOP_SCALE, ScalePreset
@@ -15,7 +15,6 @@ from repro.workloads.registry import list_workloads
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import ResultCache
     from repro.obs import RunProfile
-    from repro.testing.faults import FaultPlan
 
 
 @dataclass
@@ -117,7 +116,7 @@ def run_suite(
     retry_policy: Optional[RetryPolicy] = None,
     keep_going: bool = False,
     journal_dir: Optional[str] = None,
-    fault_plan: Optional["FaultPlan"] = None,
+    fault_plan: Optional[Any] = None,
     trace_dir: Optional[str] = None,
     options: Optional[SimulationOptions] = None,
 ) -> SuiteRunReport:

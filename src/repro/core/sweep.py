@@ -13,7 +13,7 @@ simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.core.characterize import Characterization
 from repro.core.config import LAPTOP_SCALE, ScalePreset
@@ -24,7 +24,6 @@ from repro.workloads.registry import list_workloads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import ResultCache
-    from repro.testing.faults import FaultPlan
 
 
 @dataclass
@@ -109,7 +108,7 @@ def run_sweep(
     retry_policy: Optional[RetryPolicy] = None,
     keep_going: bool = False,
     journal_dir: Optional[str] = None,
-    fault_plan: Optional["FaultPlan"] = None,
+    fault_plan: Optional[Any] = None,
     trace_dir: Optional[str] = None,
 ) -> SweepRunReport:
     """Characterize the given suites across every device in *devices*.

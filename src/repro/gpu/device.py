@@ -101,10 +101,6 @@ class DeviceSpec:
     def max_threads_per_sm(self) -> int:
         return self.max_warps_per_sm * self.warp_size
 
-    @property
-    def total_l1_bytes(self) -> int:
-        return self.l1_bytes_per_sm * self.num_sms
-
     def with_overrides(self, **kwargs: object) -> "DeviceSpec":
         """Return a copy of this spec with selected fields replaced."""
         return replace(self, **kwargs)  # type: ignore[arg-type]

@@ -42,8 +42,8 @@ from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
 CACHE_SCHEMA_VERSION = 1
 
 #: ``repro/`` sources that cannot change a characterization: the front
-#: ends, observability and the fault-injection harness.
-_NOT_MODEL_SOURCE = ("cli.py", "__main__.py", "service/", "obs/", "testing/")
+#: ends and observability.
+_NOT_MODEL_SOURCE = ("cli.py", "__main__.py", "service/", "obs/")
 
 
 def canonicalize(obj: Any) -> Any:

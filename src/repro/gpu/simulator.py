@@ -113,7 +113,3 @@ class GPUSimulator:
         self.tracer.incr("sim.launches", float(len(results)))
         self.tracer.incr("sim.distinct_kernels", float(len(order)))
         return results
-
-    def run(self, launches: Iterable[KernelLaunch]) -> List[KernelMetrics]:
-        """Metrics for every launch in the stream, in order."""
-        return self.run_stream(launches)

@@ -257,18 +257,3 @@ class RunProfile:
             },
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RunProfile":
-        return cls(
-            counters={
-                k: float(v) for k, v in payload.get("counters", {}).items()
-            },
-            gauges={
-                k: float(v) for k, v in payload.get("gauges", {}).items()
-            },
-            histograms={
-                name: {k: float(v) for k, v in stat.items()}
-                for name, stat in payload.get("histograms", {}).items()
-            },
-        )
-

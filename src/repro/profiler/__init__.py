@@ -10,7 +10,7 @@ from repro.profiler.diffing import KernelDelta, ProfileDiff, diff_profiles
 from repro.profiler.profiler import Profiler
 from repro.profiler.records import ApplicationProfile, KernelProfile
 from repro.profiler.steady_state import select_steady_state
-from repro.profiler.trace_export import export_trace, load_trace
+from repro.profiler.trace_export import export_trace
 
 __all__ = [
     "KernelDelta",
@@ -21,5 +21,4 @@ __all__ = [
     "KernelProfile",
     "select_steady_state",
     "export_trace",
-    "load_trace",
 ]

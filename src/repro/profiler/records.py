@@ -38,10 +38,6 @@ class KernelProfile:
     def instruction_intensity(self) -> float:
         return self.total_warp_insts / max(1.0, self.total_dram_transactions)
 
-    @property
-    def avg_time_per_invocation_s(self) -> float:
-        return self.total_time_s / self.invocations
-
 
 #: Duration-weighted ratio metrics — exactly the Table IV columns.
 _RATIO_METRICS: Tuple[str, ...] = SECONDARY_METRICS

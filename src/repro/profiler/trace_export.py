@@ -13,14 +13,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, Union
 
-from repro.gpu.kernel import (
-    InstructionMix,
-    KernelCharacteristics,
-    KernelLaunch,
-    MemoryFootprint,
-)
+from repro.gpu.kernel import KernelLaunch
 
 TRACE_VERSION = 1
 
@@ -55,27 +50,6 @@ def _launch_to_record(launch: KernelLaunch) -> dict:
     }
 
 
-def _record_to_launch(record: dict) -> KernelLaunch:
-    mix = InstructionMix(**record["mix"])
-    memory = MemoryFootprint(**record["memory"])
-    kernel = KernelCharacteristics(
-        name=record["name"],
-        grid_blocks=record["grid_blocks"],
-        threads_per_block=record["threads_per_block"],
-        warp_insts=record["warp_insts"],
-        mix=mix,
-        memory=memory,
-        ilp=record["ilp"],
-        mlp=record.get("mlp", 4.0),
-        tags=tuple(record["tags"]),
-    )
-    return KernelLaunch(
-        kernel=kernel,
-        stream_id=record.get("stream_id", 0),
-        phase=record.get("phase", ""),
-    )
-
-
 def export_trace(
     launches: Iterable[KernelLaunch], path: Union[str, Path]
 ) -> int:
@@ -92,20 +66,3 @@ def export_trace(
             count += 1
     return count
 
-
-def load_trace(path: Union[str, Path]) -> List[KernelLaunch]:
-    """Load a JSONL trace written by :func:`export_trace`."""
-    path = Path(path)
-    launches: List[KernelLaunch] = []
-    with path.open("r", encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        version = header.get("trace_version")
-        if version != TRACE_VERSION:
-            raise ValueError(
-                f"unsupported trace version {version!r} in {path}"
-            )
-        for line in handle:
-            line = line.strip()
-            if line:
-                launches.append(_record_to_launch(json.loads(line)))
-    return launches

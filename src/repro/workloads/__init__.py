@@ -14,7 +14,6 @@ from repro.workloads.registry import (
     get_workload,
     list_suites,
     list_workloads,
-    prt_workloads,
     register_workload,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "get_workload",
     "list_suites",
     "list_workloads",
-    "prt_workloads",
     "register_workload",
 ]

@@ -136,22 +136,3 @@ class PageRankWorkload(Workload):
             if delta < self.tolerance:
                 break
         return stream
-
-    # ------------------------------------------------------------------
-    def reference_ranks(self) -> np.ndarray:
-        """The converged PageRank vector (for correctness tests)."""
-        graph = self._build_graph()
-        n = graph.num_vertices
-        degrees = np.maximum(1, graph.out_degrees()).astype(np.float64)
-        rank = np.full(n, 1.0 / n)
-        for _ in range(self.max_iterations):
-            contribution = rank / degrees
-            accumulated = np.zeros(n)
-            np.add.at(accumulated, graph.indices,
-                      np.repeat(contribution, np.diff(graph.indptr)))
-            updated = (1.0 - self.damping) / n + self.damping * accumulated
-            updated /= updated.sum()
-            if float(np.abs(updated - rank).sum()) < self.tolerance:
-                return updated
-            rank = updated
-        return rank

@@ -242,24 +242,6 @@ class GunrockBFS(Workload):
             frontier = next_frontier
         return stream
 
-    # -- reference for tests ----------------------------------------------
-    def reference_levels(self) -> np.ndarray:
-        """Plain BFS level per vertex (-1 if unreachable)."""
-        graph = self._build_graph()
-        n = graph.num_vertices
-        levels = np.full(n, -1, dtype=np.int64)
-        source = int(self.source) % n
-        levels[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            depth += 1
-            neighbors = np.unique(graph.expand(frontier))
-            fresh = neighbors[levels[neighbors] < 0]
-            levels[fresh] = depth
-            frontier = fresh
-        return levels
-
 
 class SocialBFS(GunrockBFS):
     """GST: BFS on the scale-free social graph."""

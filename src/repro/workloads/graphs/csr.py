@@ -420,13 +420,3 @@ class CSRGraph:
             window_lengths[-1] -= int(ends[last]) - hi
             positions = _slice_positions(window_starts, window_lengths)
             mask[self.indices[positions]] = True
-
-    def degree_histogram(self, bins: int = 32) -> Tuple[np.ndarray, np.ndarray]:
-        """Log-spaced degree histogram (for generator validation)."""
-        degrees = self.out_degrees()
-        max_degree = max(1, int(degrees.max()))
-        edges = np.unique(
-            np.round(np.logspace(0, np.log10(max_degree + 1), bins)).astype(int)
-        )
-        hist, _ = np.histogram(degrees, bins=edges)
-        return hist, edges

@@ -77,12 +77,3 @@ def cactus_workloads(scale: float = 1.0, seed: int = 0) -> List[Workload]:
     order = ["GMS", "LMR", "LMC", "GST", "GRU", "DCG", "NST", "RFL", "SPT", "LGT"]
     return [get_workload(abbr, scale=scale, seed=seed) for abbr in order]
 
-
-def prt_workloads(scale: float = 1.0, seed: int = 0) -> List[Workload]:
-    """All Parboil + Rodinia + Tango workloads (Table III)."""
-    _ensure_loaded()
-    result: List[Workload] = []
-    for suite in ("Parboil", "Rodinia", "Tango"):
-        for abbr in list_workloads(suite):
-            result.append(get_workload(abbr, scale=scale, seed=seed))
-    return result

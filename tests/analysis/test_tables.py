@@ -3,14 +3,7 @@
 import pytest
 
 from repro.analysis.distribution import Table1Row, table1_row
-from repro.analysis.tables import (
-    format_table,
-    render_dominance_histogram,
-    render_stacked_time,
-    render_table1,
-)
-from repro.core import characterize
-from repro.workloads import get_workload
+from repro.analysis.tables import format_table, render_table1
 
 
 class TestFormatTable:
@@ -47,19 +40,3 @@ class TestPaperRenderers:
         ]
         text = render_table1(rows)
         assert "GMS" in text and "3.060e+11" in text
-
-    def test_stacked_time_bar(self):
-        profile = characterize(get_workload("GMS", scale=0.05)).profile
-        art = render_stacked_time(profile)
-        assert art.startswith("[")
-        assert "nbnxn_kernel_ElecEw_VdwLJ_F" in art
-
-    def test_stacked_time_folds_tail(self):
-        profile = characterize(get_workload("DCG", scale=0.25)).profile
-        art = render_stacked_time(profile, top=5)
-        assert "other" in art
-
-    def test_dominance_histogram_prose(self):
-        text = render_dominance_histogram({1: 23, 2: 7, 3: 2}, total=32)
-        assert "23/32 workloads" in text
-        assert "1 kernel" in text and "2 kernels" in text

@@ -18,8 +18,6 @@ from repro.core import (
     CharacterizationEngine,
     ResultCache,
     characterize,
-    diff_characterizations,
-    diff_suite_results,
     run_suite,
 )
 from repro.core.serialize import (
@@ -28,6 +26,7 @@ from repro.core.serialize import (
 )
 from repro.gpu.digest import stable_digest
 from repro.workloads import get_workload
+from tests.oracles import diff_characterizations, diff_suite_results
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from repro.core import (
     run_sweep,
 )
 from repro.gpu import DEVICE_ZOO, RTX_3080, V100
-from repro.testing import CRASH_PERMANENT, FaultPlan
+from tests.faults import CRASH_PERMANENT, FaultPlan
 
 ZOO = list(DEVICE_ZOO.values())
 WLS = ["GMS", "GST", "DCG"]

@@ -33,6 +33,11 @@ plan from a seed via ``random.Random(seed)``, so randomized campaigns
 are replayable from the seed alone.  An empty plan is a strict no-op:
 a fault-free run under the harness is bit-for-bit identical to a run
 without it (proved by ``tests/robustness/test_fault_free.py``).
+
+The engine never imports this module: it calls a plan's ``before`` and
+``after`` hooks duck-typed.  A plan crosses the process pool by pickle,
+so this module must be importable in pool workers under every start
+method (``fork``, ``forkserver``, ``spawn``).
 """
 
 from __future__ import annotations
@@ -40,13 +45,8 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
-
-#: PID of the process that imported this module first (the test
-#: runner / engine parent under fork-based pools) — DIE faults only
-#: fire in *other* processes, i.e. pool workers.
-_MAIN_PID = os.getpid()
 
 CRASH = "crash"
 CRASH_PERMANENT = "crash-permanent"
@@ -95,9 +95,16 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """An immutable, picklable schedule of injected faults."""
+    """An immutable, picklable schedule of injected faults.
+
+    *pid* is the process that built the plan (the test runner, which
+    is the engine's parent).  It pickles with the plan, so a pool
+    worker sees its parent's pid under every start method; a DIE fault
+    fires only in a process whose pid differs, i.e. a pool worker.
+    """
 
     faults: Tuple[FaultSpec, ...] = ()
+    pid: int = field(default_factory=os.getpid, compare=False, repr=False)
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -151,7 +158,7 @@ class FaultPlan:
                 # worker — the parent observes a BrokenProcessPool.
                 # Only meaningful inside a pool worker; in-process it
                 # would kill the test runner, so refuse there.
-                if os.getpid() != _MAIN_PID:
+                if os.getpid() != self.pid:
                     os._exit(3)
                 raise InjectedTransientFault(
                     f"refusing to inject DIE in the main process for "

@@ -28,7 +28,7 @@ class TestSimulator:
         stream = LaunchStream()
         for name in ("a", "b", "a", "c"):
             stream.launch(make_kernel(name))
-        records = GPUSimulator().run(stream)
+        records = GPUSimulator().run_stream(stream)
         assert [r.name for r in records] == ["a", "b", "a", "c"]
 
     def test_memoizes_identical_kernels(self):
@@ -69,7 +69,7 @@ class TestSimulator:
         assert without.l2_hit_rate == 0.0
 
     def test_empty_stream_runs(self):
-        assert GPUSimulator().run(LaunchStream()) == []
+        assert GPUSimulator().run_stream(LaunchStream()) == []
 
 
 class TestSimulationOptionsDefaults:

@@ -5,8 +5,9 @@ import pytest
 from repro.analysis.famd import famd
 from repro.core import LAPTOP_SCALE, characterize, run_suite
 from repro.gpu import RTX_3080
-from repro.profiler import Profiler, export_trace, load_trace
+from repro.profiler import Profiler, export_trace
 from repro.workloads import cactus_workloads, get_workload
+from tests.oracles import load_trace
 
 
 class TestCactusEndToEnd:

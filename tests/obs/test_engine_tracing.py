@@ -20,10 +20,10 @@ import json
 import pytest
 
 from repro.core import LAPTOP_SCALE, RetryPolicy, run_suite
-from repro.core.compare import diff_suite_results
 from repro.obs import read_events
 from repro.obs.metrics import PHASE_ORDER
-from repro.testing.faults import FaultPlan
+from tests.faults import FaultPlan
+from tests.oracles import diff_suite_results
 
 WORKLOADS = ["GMS", "GST", "GRU"]
 FAST_RETRY = RetryPolicy(

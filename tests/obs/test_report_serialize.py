@@ -16,11 +16,11 @@ from repro.core import (
     LAPTOP_SCALE,
     RetryPolicy,
     run_suite,
-    suite_run_report_from_dict,
     suite_run_report_to_dict,
 )
 from repro.core.report import generate_report
-from repro.testing.faults import FaultPlan
+from tests.faults import FaultPlan
+from tests.oracles import suite_run_report_from_dict
 
 WORKLOADS = ["GMS", "GST", "GRU"]
 FAST_RETRY = RetryPolicy(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
 
 #: Child body: trace a three-workload serial run whose final workload
 #: (GRU, last in registration order) hangs forever, so SIGTERM always
@@ -28,7 +28,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 CHILD_SCRIPT = """
 import sys
 from repro.core import LAPTOP_SCALE, run_suite
-from repro.testing.faults import FaultPlan
+from tests.faults import FaultPlan
 
 run_suite(
     ["Cactus"],
@@ -64,7 +64,10 @@ def _wait_for_marker(path: Path, deadline: float) -> bool:
 def test_sigterm_leaves_parseable_event_log(tmp_path):
     trace_dir = tmp_path / "trace"
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    # src/ for repro, the repo root for the tests' fault harness.
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")]
+    )
     proc = subprocess.Popen(
         [sys.executable, "-c", CHILD_SCRIPT, str(trace_dir)],
         env=env,

@@ -153,7 +153,7 @@ class TestMetrics:
         registry.observe("workload.GMS.simulate_s", 0.5)
         profile = RunProfile.from_registry(registry)
         payload = json.loads(json.dumps(profile.as_dict()))
-        assert RunProfile.from_dict(payload) == profile
+        assert RunProfile(**payload) == profile
 
     def test_run_profile_derived_views(self):
         registry = MetricsRegistry()

@@ -132,14 +132,6 @@ def test_run_stream_reuses_metrics_for_identical_kernels():
     assert all(r is results[0] for r in results)
 
 
-def test_run_delegates_to_run_stream():
-    stream = LaunchStream()
-    stream.launch(_kernel("a"))
-    stream.launch(_kernel("b", insts=2e6))
-    sim = GPUSimulator()
-    assert sim.run(stream) == sim.run_stream(stream)
-
-
 def test_kernel_names_dedups_in_first_launch_order():
     stream = LaunchStream()
     for name in ["c", "a", "c", "b", "a", "c"]:

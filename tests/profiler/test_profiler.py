@@ -12,10 +12,10 @@ from repro.gpu import (
 from repro.profiler import (
     Profiler,
     export_trace,
-    load_trace,
     select_steady_state,
 )
 from repro.workloads.base import Workload, WorkloadInfo
+from tests.oracles import load_trace
 
 
 def make_kernel(name, insts=1e6):

@@ -14,8 +14,7 @@ from repro.core import LAPTOP_SCALE, ResultCache
 from repro.core.cache import characterization_key
 from repro.gpu import RTX_3080
 from repro.gpu.simulator import SimulationOptions
-from repro.testing import CORRUPT_CACHE, FaultPlan
-from repro.testing.faults import flip_cache_bytes
+from tests.faults import CORRUPT_CACHE, FaultPlan, flip_cache_bytes
 
 from .conftest import run_slice, run_sweep_slice
 

@@ -24,7 +24,7 @@ from repro.core.engine import CharacterizationEngine
 from repro.core.serialize import characterization_to_dict
 from repro.gpu import V100
 from repro.gpu.simulator import SimulationOptions
-from repro.testing import CRASH_PERMANENT, FaultPlan, FaultSpec
+from tests.faults import CRASH_PERMANENT, FaultPlan, FaultSpec
 
 from .conftest import WORKLOADS, run_slice, run_sweep_slice
 

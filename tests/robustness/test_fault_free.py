@@ -9,7 +9,7 @@ is bit-for-bit identical to the plain path.
 import pytest
 
 from repro.core import RetryPolicy
-from repro.testing import FaultPlan
+from tests.faults import FaultPlan
 
 from .conftest import WORKLOADS, run_slice
 

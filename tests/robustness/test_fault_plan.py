@@ -1,11 +1,12 @@
 """Unit tests for the deterministic fault-injection harness."""
 
+import os
 import pickle
 
 import pytest
 
-from repro.core import ResultCache, diff_characterizations
-from repro.testing import (
+from repro.core import ResultCache
+from tests.faults import (
     CORRUPT_RESULT,
     CRASH,
     CRASH_PERMANENT,
@@ -14,8 +15,10 @@ from repro.testing import (
     FaultSpec,
     InjectedPermanentFault,
     InjectedTransientFault,
+    corrupt_characterization,
+    flip_cache_bytes,
 )
-from repro.testing.faults import corrupt_characterization, flip_cache_bytes
+from tests.oracles import diff_characterizations
 
 
 class TestFaultSpec:
@@ -65,6 +68,9 @@ class TestFaultPlan:
         plan = FaultPlan.single("GMS", HANG, hang_s=12.0)
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
+        # The creating pid travels with the plan: a pool worker under
+        # any start method compares against its parent's pid.
+        assert clone.pid == plan.pid == os.getpid()
 
     def test_random_plan_replayable_from_seed(self):
         abbrs = ["GMS", "LMR", "LMC", "GST", "GRU", "DCG"]

@@ -9,8 +9,9 @@ with a full traceback.
 
 import pytest
 
-from repro.core import RetryPolicy, SuiteRunError, diff_characterizations
-from repro.testing import CRASH, CRASH_PERMANENT, FaultPlan
+from repro.core import SuiteRunError
+from tests.faults import CRASH, CRASH_PERMANENT, FaultPlan
+from tests.oracles import diff_characterizations
 
 from .conftest import FAST_RETRY, WORKLOADS, run_slice
 
@@ -97,7 +98,7 @@ class TestOrderingGuarantees:
         assert report.failed_workloads == [victim]
 
     def test_multiple_failures_listed_in_registration_order(self):
-        from repro.testing import FaultSpec
+        from tests.faults import FaultSpec
 
         plan = FaultPlan(
             faults=(

@@ -13,7 +13,7 @@ from repro.core.resilience import (
     WorkloadFailure,
     classify_exception,
 )
-from repro.testing import InjectedPermanentFault, InjectedTransientFault
+from tests.faults import InjectedPermanentFault, InjectedTransientFault
 
 
 class TestClassification:

@@ -1,14 +1,16 @@
 """Timeout-kill, broken-pool rebuild, and serial-degradation paths."""
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.core import RetryPolicy
+from repro.core import LAPTOP_SCALE, RetryPolicy, run_suite
 from repro.core.engine import CharacterizationEngine, _resolve_jobs
-from repro.testing import DIE, HANG, FaultPlan
+from tests.faults import CRASH, DIE, HANG, FaultPlan
 
-from .conftest import run_slice
+from .conftest import FAST_RETRY, run_slice
 
 
 class TestTimeoutKill:
@@ -54,6 +56,56 @@ class TestBrokenPool:
         # the serial path — where the injected DIE refuses to kill the
         # parent and surfaces as a transient error that the retry
         # budget absorbs.  Every workload still completes bit-for-bit.
+        plan = FaultPlan.single("GST", DIE, attempts=(1,))
+        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.001)
+        with pytest.warns(RuntimeWarning, match="serial"):
+            report = run_slice(
+                jobs=3, keep_going=True, retry_policy=policy, fault_plan=plan
+            )
+        assert report.fallback_reason is not None
+        assert "broke twice" in report.fallback_reason
+        assert report.ok
+        assert report.results == baseline.results
+
+
+@pytest.fixture
+def forkserver_pool(monkeypatch):
+    """Engine pools whose workers start from a forkserver.
+
+    Such a worker re-imports every module instead of inheriting the
+    parent's memory, so module state set at import time differs from
+    the parent's (under ``fork`` it does not).
+    """
+    context = multiprocessing.get_context("forkserver")
+
+    def new_pool(self, jobs, tasks):
+        return ProcessPoolExecutor(
+            max_workers=min(jobs, tasks), mp_context=context
+        )
+
+    monkeypatch.setattr(CharacterizationEngine, "_new_pool", new_pool)
+
+
+class TestForkserverPool:
+    def test_crash_retried_inside_worker(self, baseline, forkserver_pool):
+        plan = FaultPlan.single("GST", CRASH, attempts=(1,))
+        report = run_suite(
+            ["Cactus"],
+            preset=LAPTOP_SCALE,
+            workloads=["GMS", "GST"],
+            jobs=2,
+            retry_policy=FAST_RETRY,
+            fault_plan=plan,
+        )
+        assert report.attempts["GST"] == 2
+        assert report.fallback_reason is None
+        assert report.results == {
+            abbr: baseline[abbr] for abbr in ("GMS", "GST")
+        }
+
+    def test_hard_worker_death_breaks_pool(self, baseline, forkserver_pool):
+        # The plan carries its creator's pid, so DIE kills the
+        # forkserver-started worker exactly as it kills a forked one.
         plan = FaultPlan.single("GST", DIE, attempts=(1,))
         policy = RetryPolicy(max_attempts=2, backoff_base_s=0.001)
         with pytest.warns(RuntimeWarning, match="serial"):

@@ -11,6 +11,7 @@ from repro.workloads.graphs import (
     road_network,
     social_network,
 )
+from tests.oracles import reference_levels
 
 
 class TestCSRGraph:
@@ -93,25 +94,25 @@ class TestGenerators:
 class TestBFSCorrectness:
     def test_road_bfs_reaches_whole_graph(self):
         workload = RoadBFS(scale=0.0001, seed=2)
-        levels = workload.reference_levels()
+        levels = reference_levels(workload)
         assert np.all(levels >= 0)  # the backbone keeps it connected
 
     def test_social_bfs_levels_shallow(self):
         workload = SocialBFS(scale=0.001, seed=2)
-        levels = workload.reference_levels()
+        levels = reference_levels(workload)
         reached = levels[levels >= 0]
         assert reached.max() <= 12  # small-world diameter
 
     def test_road_bfs_levels_deep(self):
         workload = RoadBFS(scale=0.0001, seed=2)
-        levels = workload.reference_levels()
+        levels = reference_levels(workload)
         # Lattice diameter ~ 2*sqrt(n); far deeper than the social graph.
         assert levels.max() > 50
 
     def test_launch_stream_levels_match_reference(self):
         """The instrumented BFS and the plain reference agree."""
         workload = RoadBFS(scale=0.0001, seed=2)
-        levels = workload.reference_levels()
+        levels = reference_levels(workload)
         stream = workload.launch_stream()
         bfs_levels = {
             int(launch.phase[5:])

@@ -4,12 +4,7 @@ import pytest
 
 from repro.gpu import RTX_3080
 from repro.profiler import Profiler
-from repro.workloads import (
-    cactus_workloads,
-    get_workload,
-    list_workloads,
-    prt_workloads,
-)
+from repro.workloads import cactus_workloads, get_workload, list_workloads
 from repro.workloads.base import WorkloadInfo
 from repro.workloads.suites import BottomUpBenchmark, KernelSpec
 
@@ -67,7 +62,11 @@ class TestKernelSpecValidation:
 @pytest.fixture(scope="module")
 def prt_profiles():
     profiler = Profiler()
-    return {w.abbr: profiler.profile(w) for w in prt_workloads(scale=0.5)}
+    return {
+        abbr: profiler.profile(get_workload(abbr, scale=0.5))
+        for suite in ("Parboil", "Rodinia", "Tango")
+        for abbr in list_workloads(suite)
+    }
 
 
 class TestFig2TimeDistribution:
