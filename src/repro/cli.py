@@ -48,6 +48,7 @@ from repro.core import (
     run_suite,
     run_sweep,
 )
+from repro.core.engine import _resolve_jobs
 from repro.gpu.device import DEVICE_ZOO, device_by_name
 from repro.gpu.digest import source_fingerprint
 from repro.core.report import generate_report
@@ -803,7 +804,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if trace_dir is not None and os.path.exists(trace_dir) \
             and not os.path.isdir(trace_dir):
         parser.error(f"--trace-dir: not a directory: {trace_dir}")
-    if args.timeout is not None and (args.jobs is None or args.jobs in (0, 1)):
+    if args.timeout is not None and _resolve_jobs(args.jobs) == 1:
         print(
             "repro: warning: --timeout has no effect on the serial path "
             "(pass --jobs > 1)",

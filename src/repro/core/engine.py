@@ -5,13 +5,16 @@ paper's full top-down pipeline over whole suites, on one device or a
 list of them.  There is one execution path: a run characterizes each
 selected workload across a device list, and a suite run is the
 one-device case (:meth:`~CharacterizationEngine.run_suite` returns one
-device's slice of that run).  It layers three orthogonal capabilities
-over the naive serial loop:
+device's slice of that run).  Every attempt goes through one wave loop
+(:meth:`~CharacterizationEngine._execute`) that submits work to an
+executor and combines three orthogonal capabilities:
 
 * **Parallelism** — per-workload characterizations are independent, so
-  the engine fans them out across a ``concurrent.futures`` process
-  pool (``jobs`` workers).  Results are reassembled in registration
-  order, so a parallel run is indistinguishable from a serial one.
+  with ``jobs > 1`` the executor is a ``concurrent.futures`` process
+  pool.  With ``jobs == 1`` it is an in-process executor that runs each
+  attempt when the loop asks for its result, one workload after the
+  other.  Results are reassembled in registration order, so a
+  parallel run is indistinguishable from a serial one.
 * **Result reuse** — an optional :class:`~repro.core.cache.ResultCache`
   memoizes whole :class:`~repro.core.characterize.Characterization`
   objects, keyed on the recipe ``(DeviceSpec, SimulationOptions, abbr,
@@ -19,13 +22,14 @@ over the naive serial loop:
   replays the suite from disk without generating a single stream;
   within one workload the simulator's in-process memo reuses
   per-kernel metrics.
-* **Fault tolerance** — every worker exception is captured into a
+* **Fault tolerance** — every attempt's exception is captured into a
   structured :class:`~repro.core.resilience.WorkloadFailure` instead of
   aborting the run; a :class:`~repro.core.resilience.RetryPolicy`
   retries transient failures with deterministic backoff and enforces a
-  per-workload wall-clock timeout (a hung worker is killed and the pool
-  rebuilt); a broken pool rebuilds once and then degrades to the serial
-  path with a recorded ``fallback_reason``; and an optional
+  per-workload wall-clock timeout on pool workers (a hung worker is
+  killed and the pool rebuilt); a pool that is unavailable, cannot be
+  rebuilt or breaks twice is swapped for the in-process executor with
+  a recorded ``fallback_reason``; and an optional
   :class:`~repro.core.journal.RunJournal` marks each completed
   workload so an interrupted run resumes where it left off, reading the
   marked results back from the result cache — a private one under the
@@ -80,7 +84,7 @@ from repro.gpu.digest import (
     stable_digest,
 )
 from repro.gpu.simulator import SimulationOptions
-from repro.obs import NULL_TRACER, ObsSession, TraceHandoff, Tracer, worker_tracer
+from repro.obs import ObsSession, TraceHandoff, Tracer, worker_tracer
 from repro.workloads.registry import get_workload, list_workloads
 
 #: Environments where a process pool cannot even be created
@@ -253,20 +257,53 @@ def _sweep_one(
     return abbr, result, stats, snapshot
 
 
-@dataclass
-class _ExecutionOutcome:
-    """Mutable scratchpad for one execution strategy's results."""
+class _Deferred(Future):
+    """A future that runs its call in this process on first ``result()``."""
 
-    results: Dict[str, Dict[str, Characterization]] = field(
-        default_factory=dict
-    )
-    failures: List[WorkloadFailure] = field(default_factory=list)
-    attempts: Dict[str, int] = field(default_factory=dict)
-    fallback_reason: Optional[str] = None
+    def __init__(self, call) -> None:
+        super().__init__()
+        self._call = call
 
-    @property
-    def resolved(self) -> set:
-        return set(self.results) | {f.abbr for f in self.failures}
+    def result(self, timeout: Optional[float] = None):
+        if not self.done():
+            try:
+                self.set_result(self._call())
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result()
+
+
+class _InProcess:
+    """The serial executor, behind the pool's ``submit``/``shutdown``.
+
+    ``submit(_sweep_one, ...)`` returns a future that runs the same
+    attempt as :func:`_attempt` with the run's own cache and tracer (in
+    place of the worker's cache handle and trace handoff), and only
+    when its ``result()`` is first called: each workload completes, and
+    is journaled, before the next one starts.  The timeout is ignored
+    (a running characterization cannot be preempted in-process), and
+    this executor never breaks.
+    """
+
+    def __init__(self, cache: Optional[ResultCache], tracer: Tracer) -> None:
+        self.cache = cache
+        self.tracer = tracer
+
+    def submit(
+        self, fn, abbr, preset, devices, options, cache_dir, attempt,
+        fault_plan, handoff,
+    ) -> Future:
+        def call():
+            result = _attempt(
+                abbr, preset, devices, options, self.cache, self.tracer,
+                attempt, fault_plan, mode="serial",
+            )
+            return abbr, result, None, None
+
+        return _Deferred(call)
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
 @dataclass
@@ -457,7 +494,6 @@ class CharacterizationEngine:
         report = SweepRunReport(devices=devices, preset=preset)
 
         session = ObsSession(self.trace_dir)
-        self._session = session
         # In-process cache traffic counts toward this run's metrics;
         # the tracer is detached again before returning.
         if self.cache is not None and self.cache.tracer is None:
@@ -488,50 +524,35 @@ class CharacterizationEngine:
 
                 # A marked workload resumes only if every device's entry
                 # is still in the cache; otherwise it simply re-runs.
-                outcome = _ExecutionOutcome()
                 for abbr in (a for a in selected if a in marked):
                     _, hits = _lookup(
                         abbr, preset, devices, self.options, cache,
                         session.tracer,
                     )
                     if len(hits) == len(devices):
-                        outcome.results[abbr] = {
+                        report.results[abbr] = {
                             name: hit[0] for name, hit in hits.items()
                         }
-                report.resumed = list(outcome.results)
+                report.resumed = list(report.results)
                 session.tracer.incr(
                     "engine.workloads_resumed", float(len(report.resumed))
                 )
 
-                remaining = [a for a in selected if a not in outcome.results]
+                remaining = [a for a in selected if a not in report.results]
                 if remaining:
-                    if jobs > 1:
-                        self._run_parallel(
-                            remaining, preset, devices, jobs, cache,
-                            journal, outcome,
-                        )
-                        remaining = [
-                            a for a in remaining if a not in outcome.resolved
-                        ]
-                    if remaining:  # serial path, or parallel degraded
-                        self._run_serial(
-                            remaining, preset, devices, cache, journal,
-                            outcome,
-                        )
-
-                for abbr in selected:
-                    if abbr in outcome.results:
-                        report.results[abbr] = outcome.results[abbr]
-                order = {abbr: idx for idx, abbr in enumerate(selected)}
-                report.failures = sorted(
-                    outcome.failures,
-                    key=lambda f: order.get(f.abbr, len(order)),
-                )
-                report.attempts = dict(outcome.attempts)
-                report.fallback_reason = outcome.fallback_reason
+                    self._execute(
+                        remaining, preset, devices, jobs, cache, journal,
+                        report, session,
+                    )
+                report.results = {
+                    abbr: report.results[abbr]
+                    for abbr in selected
+                    if abbr in report.results
+                }
+                report.failures.sort(key=lambda f: selected.index(f.abbr))
                 session.tracer.incr(
                     "engine.workloads_completed",
-                    float(len(outcome.results) - len(report.resumed)),
+                    float(len(report.results) - len(report.resumed)),
                 )
                 session.tracer.incr(
                     "engine.workloads_failed", float(len(report.failures))
@@ -551,7 +572,6 @@ class CharacterizationEngine:
             session.finalize()
             if session.tracing and session.trace_dir is not None:
                 report.trace_dir = str(session.trace_dir)
-            self._session = None
         return report
 
     def _run_cache(
@@ -573,117 +593,7 @@ class CharacterizationEngine:
             tracer=tracer,
         )
 
-    # -- observability access ------------------------------------------
-    @property
-    def _obs(self) -> Optional[ObsSession]:
-        """The live run's observability session (None outside a run)."""
-        return getattr(self, "_session", None)
-
-    @property
-    def _tracer(self) -> Tracer:
-        session = self._obs
-        return session.tracer if session is not None else NULL_TRACER
-
-    # -- execution strategies ------------------------------------------
-    def _record_success(
-        self,
-        outcome: _ExecutionOutcome,
-        journal: Optional[RunJournal],
-        abbr: str,
-        result: Dict[str, Characterization],
-        stats: Optional[CacheStats],
-        attempts: int,
-        snapshot: Optional[dict] = None,
-    ) -> None:
-        outcome.results[abbr] = result
-        outcome.attempts[abbr] = attempts
-        if stats is not None and self.cache is not None:
-            self.cache.stats.merge(stats)
-        if snapshot is not None and self._obs is not None:
-            self._obs.absorb(snapshot)
-        if journal is not None:
-            # Written after the attempt's atomic entry writes, so every
-            # marked workload's entries exist.
-            journal.mark_done(abbr, attempts=attempts)
-
-    def _run_serial(
-        self,
-        selected: Sequence[str],
-        preset: ScalePreset,
-        devices: Sequence[DeviceSpec],
-        cache: Optional[ResultCache],
-        journal: Optional[RunJournal],
-        outcome: _ExecutionOutcome,
-    ) -> None:
-        """In-process loop with retry + failure isolation.
-
-        Per-workload timeouts cannot be enforced here — a running
-        characterization cannot be preempted in-process — so
-        ``retry_policy.timeout_s`` only applies on the pool path.
-        """
-        policy = self.retry_policy
-        tracer = self._tracer
-        for abbr in selected:
-            attempt = 0
-            started = time.monotonic()
-            while True:
-                attempt += 1
-                try:
-                    result = _attempt(
-                        abbr,
-                        preset,
-                        devices,
-                        self.options,
-                        cache,
-                        tracer,
-                        attempt,
-                        self.fault_plan,
-                        mode="serial",
-                    )
-                except Exception as exc:
-                    if policy.should_retry(exc, attempt):
-                        delay = policy.backoff_s(abbr, attempt)
-                        tracer.event(
-                            "retry",
-                            category="resilience",
-                            workload=abbr,
-                            attempt=attempt,
-                            sleep_s=delay,
-                            error=type(exc).__name__,
-                        )
-                        tracer.incr("engine.retries")
-                        time.sleep(delay)
-                        continue
-                    outcome.failures.append(
-                        WorkloadFailure.from_exception(
-                            abbr,
-                            exc,
-                            phase="characterize",
-                            attempts=attempt,
-                            elapsed_s=time.monotonic() - started,
-                        )
-                    )
-                    outcome.attempts[abbr] = attempt
-                    break
-                else:
-                    self._record_success(
-                        outcome, journal, abbr, result, None, attempt
-                    )
-                    break
-
-    def _fall_back(self, outcome: _ExecutionOutcome, reason: str) -> None:
-        """Record why the run degrades to the serial path, and warn."""
-        outcome.fallback_reason = reason
-        self._tracer.event(
-            "pool.fallback-serial", category="resilience", reason=reason
-        )
-        self._tracer.incr("engine.pool_fallbacks")
-        warnings.warn(
-            f"{reason}; degrading to serial execution",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
+    # -- the one attempt loop -----------------------------------------
     def _new_pool(self, jobs: int, tasks: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=min(jobs, tasks))
 
@@ -701,7 +611,7 @@ class CharacterizationEngine:
         except Exception:
             pass
 
-    def _run_parallel(
+    def _execute(
         self,
         selected: Sequence[str],
         preset: ScalePreset,
@@ -709,56 +619,62 @@ class CharacterizationEngine:
         jobs: int,
         cache: Optional[ResultCache],
         journal: Optional[RunJournal],
-        outcome: _ExecutionOutcome,
+        report: SweepRunReport,
+        session: ObsSession,
     ) -> None:
-        """Fan :func:`_sweep_one` out across a process pool.
+        """Run every attempt of *selected*, recording into *report*.
 
-        Work proceeds in waves: every unresolved workload is submitted,
+        Work proceeds in waves: every pending workload is submitted to
+        the executor — a process pool of *jobs* workers running
+        :func:`_sweep_one`, or :class:`_InProcess` when ``jobs == 1`` —
         then awaited in registration order under the per-workload
-        timeout.  A timed-out worker is killed (the pool is rebuilt —
-        a deliberate kill, not counted against the broken-pool budget);
-        a spontaneously broken pool rebuilds once and then the engine
-        degrades to the serial path for whatever is left, recording
-        ``fallback_reason``.  Attempt counts advance only for the
+        timeout.  A timed-out worker is killed and the pool rebuilt (a
+        deliberate kill, not counted against the broken-pool budget); a
+        spontaneously broken pool rebuilds once.  When the pool is
+        unavailable, cannot be rebuilt or breaks twice, the run
+        degrades: ``fallback_reason`` is recorded and the same loop
+        carries on in-process for whatever is pending.  Attempt numbers
+        carry on across the swap, so each workload has one
+        ``max_attempts`` budget per run, and advance only for the
         workload whose own outcome was observed — innocent bystanders
         of a pool kill are resubmitted under the same attempt number.
         """
         policy = self.retry_policy
-        tracer = self._tracer
-        session = self._obs
+        tracer = session.tracer
         cache_dir = cache.cache_dir if cache is not None else None
-
-        try:
-            pool = self._new_pool(jobs, len(selected))
-        except _POOL_UNAVAILABLE as exc:
-            self._fall_back(
-                outcome, f"process pool unavailable: {type(exc).__name__}: {exc}"
-            )
-            return
-
         attempts: Dict[str, int] = {abbr: 0 for abbr in selected}
         started: Dict[str, float] = {}
-        pending = [a for a in selected if a not in outcome.resolved]
+        pending = list(selected)
         rebuilds_left = 1
 
-        def elapsed(abbr: str) -> float:
-            return time.monotonic() - started.get(abbr, time.monotonic())
+        def fall_back(reason: str) -> None:
+            """Swap a failed pool for the in-process executor, and warn."""
+            nonlocal executor
+            report.fallback_reason = reason
+            tracer.event(
+                "pool.fallback-serial", category="resilience", reason=reason
+            )
+            tracer.incr("engine.pool_fallbacks")
+            warnings.warn(
+                f"{reason}; degrading to serial execution",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            self._kill_pool(executor)
+            executor = _InProcess(cache, tracer)
 
-        def submit(abbr: str):
-            if attempts[abbr] and policy.backoff_base_s:
-                delay = policy.backoff_s(abbr, attempts[abbr])
-                tracer.event(
-                    "retry",
-                    category="resilience",
-                    workload=abbr,
-                    attempt=attempts[abbr] + 1,
-                    sleep_s=delay,
-                    mode="pool",
+        executor: Any = _InProcess(cache, tracer)
+        if jobs > 1:
+            try:
+                executor = self._new_pool(jobs, len(selected))
+            except _POOL_UNAVAILABLE as exc:
+                fall_back(
+                    f"process pool unavailable: {type(exc).__name__}: {exc}"
                 )
-                tracer.incr("engine.retries")
-                time.sleep(delay)
+
+        def submit(abbr: str) -> Future:
             started.setdefault(abbr, time.monotonic())
-            return pool.submit(
+            return executor.submit(
                 _sweep_one,
                 abbr,
                 preset,
@@ -767,8 +683,23 @@ class CharacterizationEngine:
                 cache_dir,
                 attempts[abbr] + 1,
                 self.fault_plan,
-                session.handoff() if session is not None else None,
+                session.handoff(),
             )
+
+        def succeed(abbr: str, outcome: tuple) -> None:
+            """Bank *abbr*'s finished attempt and journal it."""
+            _, result, stats, snapshot = outcome
+            attempts[abbr] += 1
+            report.results[abbr] = result
+            report.attempts[abbr] = attempts[abbr]
+            if stats is not None and self.cache is not None:
+                self.cache.stats.merge(stats)
+            session.absorb(snapshot)
+            if journal is not None:
+                # Written after the attempt's atomic entry writes, so
+                # every marked workload's entries exist.
+                journal.mark_done(abbr, attempts=attempts[abbr])
+            pending.remove(abbr)
 
         def harvest(futures: Dict[str, Future], skip: str) -> None:
             """Bank finished bystander results after a pool disruption."""
@@ -776,55 +707,69 @@ class CharacterizationEngine:
                 if other == skip or other not in pending or not fut.done():
                     continue
                 try:
-                    _, result, stats, snapshot = fut.result(timeout=0)
+                    outcome = fut.result(timeout=0)
                 except Exception:
                     continue  # its failure will be re-observed on resubmit
-                self._record_success(
-                    outcome, journal, other, result, stats,
-                    attempts[other] + 1, snapshot,
-                )
-                pending.remove(other)
+                succeed(other, outcome)
 
-        def rebuild(reason: str) -> bool:
-            """Replace the pool; False → caller must degrade to serial."""
-            nonlocal pool
-            self._kill_pool(pool)
+        def rebuild(reason: str) -> None:
+            """Replace the pool, or fall back if that fails."""
+            nonlocal executor
+            self._kill_pool(executor)
             tracer.event(
                 "pool.rebuild", category="resilience", reason=reason
             )
             tracer.incr("engine.pool_rebuilds")
             try:
-                pool = self._new_pool(jobs, max(len(pending), 1))
+                executor = self._new_pool(jobs, max(len(pending), 1))
             except _POOL_UNAVAILABLE as exc:
-                self._fall_back(
-                    outcome,
+                fall_back(
                     f"pool rebuild failed after {reason}: "
-                    f"{type(exc).__name__}: {exc}",
+                    f"{type(exc).__name__}: {exc}"
                 )
-                return False
-            return True
+
+        def broken(exc: BaseException, reason: str) -> None:
+            """The pool broke: rebuild it once, then fall back."""
+            nonlocal rebuilds_left
+            if rebuilds_left > 0:
+                rebuilds_left -= 1
+                rebuild(reason)
+            else:
+                fall_back(
+                    f"process pool broke twice: {type(exc).__name__}: {exc}"
+                )
 
         def settle(abbr: str, exc: BaseException, phase: str) -> None:
             """A genuine attempt by *abbr* failed: retry or record."""
             attempts[abbr] += 1
             if policy.should_retry(exc, attempts[abbr]):
+                delay = policy.backoff_s(abbr, attempts[abbr])
+                tracer.event(
+                    "retry",
+                    category="resilience",
+                    workload=abbr,
+                    attempt=attempts[abbr],
+                    sleep_s=delay,
+                    error=type(exc).__name__,
+                )
+                tracer.incr("engine.retries")
+                time.sleep(delay)
                 return  # stays pending; resubmitted next wave
-            outcome.failures.append(
+            report.failures.append(
                 WorkloadFailure.from_exception(
                     abbr,
                     exc,
                     phase=phase,
                     attempts=attempts[abbr],
-                    elapsed_s=elapsed(abbr),
+                    elapsed_s=time.monotonic() - started[abbr],
                 )
             )
-            outcome.attempts[abbr] = attempts[abbr]
+            report.attempts[abbr] = attempts[abbr]
             pending.remove(abbr)
 
         try:
             while pending:
                 futures: Dict[str, Future] = {}
-                disrupted = False
                 try:
                     for abbr in pending:
                         futures[abbr] = submit(abbr)
@@ -832,33 +777,21 @@ class CharacterizationEngine:
                     # Covers BrokenExecutor and every _POOL_UNAVAILABLE
                     # member (both are RuntimeError/OSError subclasses).
                     # Pool died before the wave was even fully submitted.
-                    if rebuilds_left > 0:
-                        rebuilds_left -= 1
-                        if rebuild(f"submit-time {type(exc).__name__}"):
-                            continue
-                    else:
-                        self._fall_back(
-                            outcome,
-                            f"process pool broke twice: "
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                        self._kill_pool(pool)
-                    return
+                    broken(exc, f"submit-time {type(exc).__name__}")
+                    continue
                 for abbr in list(futures):
                     if abbr not in pending:
                         continue
                     fut = futures[abbr]
                     try:
-                        _, result, stats, snapshot = fut.result(
-                            timeout=policy.timeout_s
-                        )
-                    except FuturesTimeout:
+                        outcome = fut.result(timeout=policy.timeout_s)
+                    except FuturesTimeout as exc:
+                        if fut.done() and fut.exception() is exc:
+                            # The attempt itself raised TimeoutError.
+                            settle(abbr, exc, phase="characterize")
+                            continue
                         # Hung worker: kill the pool, bank bystanders,
                         # rebuild (deliberate — not budget-counted).
-                        timeout_exc = TimeoutError(
-                            f"workload {abbr} exceeded the per-workload "
-                            f"timeout of {policy.timeout_s}s"
-                        )
                         tracer.event(
                             "timeout.kill",
                             category="resilience",
@@ -868,10 +801,15 @@ class CharacterizationEngine:
                         )
                         tracer.incr("engine.timeouts")
                         harvest(futures, skip=abbr)
-                        settle(abbr, timeout_exc, phase="timeout")
-                        disrupted = True
-                        if not rebuild("timeout kill"):
-                            return
+                        settle(
+                            abbr,
+                            TimeoutError(
+                                f"workload {abbr} exceeded the per-workload "
+                                f"timeout of {policy.timeout_s}s"
+                            ),
+                            phase="timeout",
+                        )
+                        rebuild("timeout kill")
                         break
                     except BrokenExecutor as exc:
                         # A worker died hard.  Every outstanding future
@@ -879,37 +817,20 @@ class CharacterizationEngine:
                         # culprit cannot be attributed from here — no
                         # workload is charged an attempt.  Bank finished
                         # bystanders, then rebuild once; on a second
-                        # break, degrade to the serial path, which
-                        # isolates the real culprit exactly.
+                        # break, fall back in-process, which isolates
+                        # the real culprit exactly.
                         harvest(futures, skip="")
-                        disrupted = True
-                        if rebuilds_left > 0:
-                            rebuilds_left -= 1
-                            if rebuild(type(exc).__name__):
-                                break
-                        self._fall_back(
-                            outcome,
-                            f"process pool broke twice: "
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                        self._kill_pool(pool)
-                        return
+                        broken(exc, type(exc).__name__)
+                        break
                     except Exception as exc:
-                        # Raised inside the worker and pickled back:
-                        # the pool itself is healthy.
+                        # Raised by the attempt (in a worker, pickled
+                        # back): the executor itself is healthy.
                         settle(abbr, exc, phase="characterize")
                     else:
-                        attempts[abbr] += 1
-                        self._record_success(
-                            outcome, journal, abbr, result, stats,
-                            attempts[abbr], snapshot,
-                        )
-                        pending.remove(abbr)
-                if disrupted:
-                    continue
+                        succeed(abbr, outcome)
         finally:
             try:
-                pool.shutdown(wait=False, cancel_futures=True)
+                executor.shutdown(wait=False, cancel_futures=True)
             except Exception:
                 pass
 

@@ -153,6 +153,40 @@ class TestFaultedTracing:
         assert len(errored) == 1
         assert errored[0]["attrs"]["workload"] == "GST"
 
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "pool"])
+    def test_zero_backoff_retry_counted(self, tmp_path, baseline, jobs):
+        # One retry rule on both executors: a retry with no backoff
+        # sleep still emits its event and bumps the counter.
+        trace_dir = tmp_path / "trace"
+        report = run_suite(
+            ["Cactus"],
+            preset=LAPTOP_SCALE,
+            workloads=["GMS", "GST"],
+            jobs=jobs,
+            trace_dir=str(trace_dir),
+            fault_plan=FaultPlan.single("GST", "crash", attempts=(1,)),
+            retry_policy=RetryPolicy(backoff_base_s=0, backoff_max_s=0),
+        )
+        assert report.attempts["GST"] == 2
+        assert report.run_profile.retries == 1
+        assert report.results == {
+            abbr: baseline[abbr] for abbr in ("GMS", "GST")
+        }
+        events = read_events(trace_dir / "events.jsonl", strict=True)
+        retries = [
+            e["attrs"] for e in events
+            if e.get("type") == "event" and e["name"] == "retry"
+        ]
+        assert retries == [
+            {
+                "workload": "GST",
+                "attempt": 1,
+                "sleep_s": 0.0,
+                "error": "InjectedTransientFault",
+                "role": "main",
+            }
+        ]
+
     def test_terminal_failure_counted(self):
         plan = FaultPlan.single("GST", "crash-permanent")
         report = run_slice(

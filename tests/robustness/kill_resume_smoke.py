@@ -4,8 +4,10 @@
 Not a pytest module (the filename keeps it out of collection) — this is
 an end-to-end process-level check used by the CI ``robustness`` job.
 For each case — ``table1`` (a suite run), ``sweep`` (a two-device
-sweep; both share one journal format) and ``sweep-cached`` (the same
-sweep over a shared disk cache, the shape service jobs run in):
+sweep; both share one journal format), ``sweep-cached`` (the same
+sweep over a shared disk cache, the shape service jobs run in) and
+``table1-pool`` (the suite run on a two-worker process pool; serial
+and pooled runs share one attempt loop):
 
 1. launch ``python -m repro`` with a journal dir and no cache (or, for
    ``sweep-cached``, a fresh ``--cache-dir``),
@@ -16,8 +18,8 @@ sweep over a shared disk cache, the shape service jobs run in):
    results kept in the cache — the journal's private ``results/`` cache
    without a cache dir, the shared one with it — and not in the markers.
 
-Usage: ``kill_resume_smoke.py [table1] [sweep] [sweep-cached]``
-(default: all three).
+Usage: ``kill_resume_smoke.py [table1] [sweep] [sweep-cached]
+[table1-pool]`` (default: all four).
 Exit code 0 = smoke passed.
 """
 
@@ -41,8 +43,8 @@ DEADLINE_S = 300.0
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    # Pin the run shape: serial, journaled, no cache dir or retries from
-    # the environment (each case picks its own cache flag).
+    # Pin the run shape: journaled, no jobs, cache dir or retries from
+    # the environment (each case picks its own cache and jobs flags).
     for name in ("REPRO_JOBS", "REPRO_RETRIES", "REPRO_TIMEOUT",
                  "REPRO_CACHE_DIR", "REPRO_JOURNAL_DIR"):
         env.pop(name, None)
@@ -51,11 +53,13 @@ def _env():
 
 SWEEP = ["sweep", "--devices", "RTX 3080,V100"]
 
-#: Whether each case runs over a shared disk cache, and its subcommand.
+#: Whether each case runs over a shared disk cache, and its global
+#: flags plus subcommand.
 CASES = {
     "table1": (False, ["table1"]),
     "sweep": (False, SWEEP),
     "sweep-cached": (True, SWEEP),
+    "table1-pool": (False, ["--jobs", "2", "table1"]),
 }
 
 
@@ -108,6 +112,7 @@ def smoke(case, expected):
         proc = subprocess.Popen(
             _command(work_dir, case), env=_env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         deadline = time.monotonic() + DEADLINE_S
         killed_at = None
@@ -122,6 +127,12 @@ def smoke(case, expected):
                 break
             time.sleep(POLL_S)
         rc = proc.wait(timeout=60)
+        # SIGTERM ends the run at once, so pool workers outlive it:
+        # reap whatever is left of its process group.
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
         if killed_at is None:
             print(

@@ -59,6 +59,28 @@ class TestResume:
         # a fault-free run (lossless serialization).
         assert report.results == baseline.results
 
+    def test_serial_run_journals_each_workload_before_the_next(
+        self, tmp_path
+    ):
+        # The in-process executor runs an attempt only when the loop
+        # awaits it, so a kill mid-run loses at most the running one.
+        done = tmp_path / "done"
+        marked_at_start = {}
+
+        class MarkerProbe:
+            def before(self, abbr, attempt):
+                marked_at_start[abbr] = sorted(
+                    p.stem for p in done.glob("*.json")
+                )
+
+            def after(self, abbr, attempt, results, cache):
+                return results
+
+        run_slice(journal_dir=tmp_path, fault_plan=MarkerProbe())
+        assert marked_at_start == {
+            "GMS": [], "GST": ["GMS"], "GRU": ["GMS", "GST"],
+        }
+
     def test_completed_run_resumes_everything(self, baseline, tmp_path):
         first = run_slice(journal_dir=tmp_path)
         again = run_slice(journal_dir=tmp_path)

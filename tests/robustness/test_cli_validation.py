@@ -124,6 +124,17 @@ class TestMainWiring:
             capsys.readouterr().err
         )
 
+    def test_timeout_with_all_cpus_on_one_cpu_warns(
+        self, capsys, monkeypatch
+    ):
+        # --jobs -1 on a one-CPU host resolves to one worker: serial.
+        monkeypatch.setattr("repro.core.engine.os.cpu_count", lambda: 1)
+        rc = main(["--jobs", "-1", "--timeout", "30", "list"])
+        assert rc == 0
+        assert "--timeout has no effect on the serial path" in (
+            capsys.readouterr().err
+        )
+
     def test_timeout_with_jobs_does_not_warn(self, capsys):
         rc = main(["--jobs", "2", "--timeout", "30", "list"])
         assert rc == 0

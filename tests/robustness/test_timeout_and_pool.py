@@ -140,6 +140,32 @@ class TestSerialFallback:
         assert run_slice(jobs=2).fallback_reason is None
 
 
+class TestSerialTimeoutError:
+    def test_attempt_raising_timeout_error_is_an_ordinary_failure(
+        self, baseline, monkeypatch
+    ):
+        # A TimeoutError raised by the attempt itself is not a hung
+        # worker: the serial run retries it in-process and never
+        # builds a pool.
+        class TimeoutOnce:
+            def before(self, abbr, attempt):
+                if abbr == "GST" and attempt == 1:
+                    raise TimeoutError("attempt-level timeout")
+
+            def after(self, abbr, attempt, results, cache):
+                return results
+
+        def no_pool(self, jobs, tasks):
+            raise AssertionError("a serial run built a process pool")
+
+        monkeypatch.setattr(CharacterizationEngine, "_new_pool", no_pool)
+        report = run_slice(retry_policy=FAST_RETRY, fault_plan=TimeoutOnce())
+        assert report.attempts["GST"] == 2
+        assert report.fallback_reason is None
+        assert report.run_profile.counter("engine.timeouts") == 0
+        assert report.results == baseline.results
+
+
 class TestResolveJobs:
     # Satellite: edge-case coverage for the jobs normalization.
     def test_none_and_zero_mean_serial(self):
