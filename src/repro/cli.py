@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -788,6 +789,15 @@ def _cmd_trace(abbr: str, path: str, scale: float) -> int:
     return 0
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    """SIGTERM ends a suite command as ``sys.exit(143)`` would.
+
+    The exception unwinds through the engine, whose ``finally`` stops
+    its pool workers before the process exits.
+    """
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -835,6 +845,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_cache(args, cache)
     if args.command == "serve":
         return _cmd_serve(args)
+    previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         if args.command == "table1":
             return _cmd_table1(run_kwargs)
@@ -853,6 +864,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _print_failures(exc.report)
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
     if args.command == "trace":
         return _cmd_trace(args.abbr, args.path, args.scale)
     raise AssertionError(f"unhandled command {args.command!r}")

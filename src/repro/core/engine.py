@@ -51,6 +51,7 @@ deterministic fault plans.
 from __future__ import annotations
 
 import os
+import signal
 import time
 import warnings
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
@@ -255,6 +256,17 @@ def _sweep_one(
     snapshot = tracer.metrics.snapshot() if tracer.metrics else None
     stats = cache.stats if cache is not None else CacheStats()
     return abbr, result, stats, snapshot
+
+
+def _default_sigterm() -> None:
+    """Pool-worker initializer: SIGTERM kills the worker.
+
+    A forked worker inherits the parent's Python-level SIGTERM handler;
+    one that raises would be caught by the pool's task wrapper and
+    reported as the attempt's error, so :meth:`_kill_pool` could not
+    stop the worker.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 class _Deferred(Future):
@@ -595,7 +607,9 @@ class CharacterizationEngine:
 
     # -- the one attempt loop -----------------------------------------
     def _new_pool(self, jobs: int, tasks: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=min(jobs, tasks))
+        return ProcessPoolExecutor(
+            max_workers=min(jobs, tasks), initializer=_default_sigterm
+        )
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -828,6 +842,12 @@ class CharacterizationEngine:
                         settle(abbr, exc, phase="characterize")
                     else:
                         succeed(abbr, outcome)
+        except BaseException:
+            # Interrupted (a SIGTERM turned into SystemExit, Ctrl-C):
+            # shutdown() alone lets running workers finish their
+            # attempts, so terminate them; none may outlive the run.
+            self._kill_pool(executor)
+            raise
         finally:
             try:
                 executor.shutdown(wait=False, cancel_futures=True)

@@ -1,5 +1,7 @@
 """Tests for the CLI and the Markdown report generator."""
 
+import signal
+
 import pytest
 
 from repro.cli import main
@@ -38,9 +40,12 @@ class TestCLI:
             main(["frobnicate"])
 
     def test_sweep(self, capsys):
+        sigterm = signal.getsignal(signal.SIGTERM)
         assert main(["--preset", "laptop", "sweep",
                      "--devices", "V100,H100",
                      "--workloads", "GST,DCG"]) == 0
+        # A suite command's SIGTERM handler lasts only as long as it runs.
+        assert signal.getsignal(signal.SIGTERM) is sigterm
         out = capsys.readouterr().out
         assert "## Device sweep" in out
         assert "Roofline elbows" in out

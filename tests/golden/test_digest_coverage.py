@@ -6,12 +6,12 @@ Two guards around ``fixtures/stream_digests.json``:
   carry a pinned digest at every preset.  Without this, a newly added
   workload (or a newly added preset) ships unpinned and the
   digest-differential safety net silently never applies to it.
-* **MD digests** — the three molecular workloads are recomputed and
-  compared against the fixture at *all three* presets.  The MD stream
-  generator was vectorized end to end (compiled pair counting, cached
-  cell lists, hoisted kernel construction); post-vectorization the full
-  paper-scale streams are cheap enough to verify outright in the golden
-  job rather than only at the laptop preset.
+* **Stream digests** — every Cactus workload is recomputed and
+  compared against the fixture at the observation preset, and the three
+  molecular workloads at the paper preset too (their vectorized stream
+  generator makes the full paper-scale streams cheap enough to verify
+  outright).  The laptop preset is checked workload by workload in
+  ``tests/workloads/test_graph_hotpaths.py``.
 
 Run with ``pytest -m golden``.
 """
@@ -40,6 +40,12 @@ PRESETS = {
 }
 
 MD_WORKLOADS = ("GMS", "LMR", "LMC")
+
+#: The workloads whose streams are recomputed at each preset.
+DIGEST_CHECKS = {
+    "observation": tuple(list_workloads("Cactus")),
+    "paper": MD_WORKLOADS,
+}
 
 
 @pytest.fixture(scope="module")
@@ -78,12 +84,14 @@ def test_fixture_entries_are_well_formed(fixture):
             assert entry["launches"] > 0, (preset_name, abbr)
 
 
-@pytest.mark.parametrize("preset_name", sorted(PRESETS))
-def test_md_stream_digests_match_fixture(fixture, preset_name):
+@pytest.mark.parametrize(
+    "preset_name, workloads", DIGEST_CHECKS.items(), ids=list(DIGEST_CHECKS)
+)
+def test_md_stream_digests_match_fixture(fixture, preset_name, workloads):
     preset = PRESETS[preset_name]
     pinned = fixture["presets"][preset_name]
     profiler = Profiler()
-    for abbr in MD_WORKLOADS:
+    for abbr in workloads:
         reference = pinned[abbr]
         workload = get_workload(
             abbr, scale=preset.for_workload(abbr), seed=0

@@ -95,3 +95,25 @@ class TestNoPersistentTier:
 
         with pytest.raises(TypeError):
             GPUSimulator(cache=ResultCache(cache_dir=tmp_path))
+
+
+class TestKernelGrouping:
+    def test_gru_launches_share_kernel_characteristics(self):
+        # The simulator groups launches by KernelCharacteristics equality
+        # and evaluates each distinct value once.  GRU's 8 kernel names
+        # cover 1,679 distinct per-BFS-level values at the laptop preset
+        # (the stream is digest-pinned, so the counts are exact); a
+        # per-launch field leaking into KernelCharacteristics would
+        # inflate the distinct count toward the launch count.
+        from repro.core.config import LAPTOP_SCALE
+        from repro.profiler.profiler import Profiler
+        from repro.workloads.registry import get_workload
+
+        workload = get_workload(
+            "GRU", scale=LAPTOP_SCALE.for_workload("GRU"), seed=0
+        )
+        stream = Profiler().prepare_stream(workload)
+        distinct = {launch.kernel for launch in stream}
+        assert len({kernel.name for kernel in distinct}) == 8
+        assert len(distinct) == 1679
+        assert len(stream) / len(distinct) > 1.4

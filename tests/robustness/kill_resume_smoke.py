@@ -12,7 +12,9 @@ and pooled runs share one attempt loop):
 1. launch ``python -m repro`` with a journal dir and no cache (or, for
    ``sweep-cached``, a fresh ``--cache-dir``),
 2. poll the journal's ``done/`` markers and SIGTERM the process once at
-   least two workloads have been checkpointed,
+   least two workloads have been checkpointed, and require that no
+   process of its group (pool workers included) is alive 5 s after it
+   exits,
 3. rerun the identical command and assert it resumes (skipping every
    checkpointed workload) and completes with exit code 0, with the
    results kept in the cache — the journal's private ``results/`` cache
@@ -38,6 +40,8 @@ SRC = ROOT / "src"
 KILL_AFTER_MARKERS = 2
 POLL_S = 0.05
 DEADLINE_S = 300.0
+#: How long after a SIGTERM'd run exits its process group must be empty.
+OUTLIVE_S = 5.0
 
 
 def _env():
@@ -88,6 +92,29 @@ def _cache_problems(work_dir, case):
     return problems
 
 
+def _group_members(pgid):
+    """Live (non-zombie) PIDs in process group *pgid*, read from /proc."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
+def _outliving(pgid):
+    """Members of *pgid* still alive ``OUTLIVE_S`` after its leader exited."""
+    deadline = time.monotonic() + OUTLIVE_S
+    while True:
+        members = _group_members(pgid)
+        if not members or time.monotonic() >= deadline:
+            return members
+        time.sleep(POLL_S)
+
+
 def _markers(journal_dir):
     done = Path(journal_dir) / "done"
     if not done.is_dir():
@@ -127,12 +154,19 @@ def smoke(case, expected):
                 break
             time.sleep(POLL_S)
         rc = proc.wait(timeout=60)
-        # SIGTERM ends the run at once, so pool workers outlive it:
-        # reap whatever is left of its process group.
+        # SIGTERM unwinds the run, which terminates its pool workers:
+        # none may outlive it.  The group is reaped either way.
+        leftover = _outliving(proc.pid)
         try:
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+        if leftover:
+            print(
+                f"FAIL: process(es) {leftover} of the SIGTERM'd run still "
+                f"alive {OUTLIVE_S:.0f}s after it exited", file=sys.stderr,
+            )
+            return 1
 
         if killed_at is None:
             print(

@@ -1,6 +1,7 @@
 """Timeout-kill, broken-pool rebuild, and serial-degradation paths."""
 
 import multiprocessing
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -47,6 +48,27 @@ class TestTimeoutKill:
         assert report.ok
         assert report.attempts["GST"] == 2
         assert report.results == baseline.results
+
+
+    def test_pool_workers_die_on_sigterm(self):
+        # The CLI turns SIGTERM into SystemExit.  A forked worker must
+        # not inherit that handler: the pool's task wrapper would catch
+        # the SystemExit, and a kill could not stop the worker.
+        def exit_on_sigterm(signum, frame):
+            raise SystemExit(128 + signum)
+
+        previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
+        try:
+            pool = CharacterizationEngine()._new_pool(1, 1)
+            try:
+                handler = pool.submit(
+                    signal.getsignal, signal.SIGTERM
+                ).result(timeout=60)
+            finally:
+                pool.shutdown()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert handler == signal.SIG_DFL
 
 
 class TestBrokenPool:
