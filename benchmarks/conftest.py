@@ -23,12 +23,9 @@ def _engine_kwargs():
     ``REPRO_CACHE_DIR`` points the suite fixtures at a persistent result
     cache (the CI cache-warm smoke runs the Fig. 3 benchmark twice with
     it set and expects the second run to be served warm);
-    ``REPRO_JOBS`` fans the characterizations out over a process pool;
-    ``REPRO_RETRIES``/``REPRO_TIMEOUT`` configure the retry policy
+    ``REPRO_JOBS`` fans the characterizations out over a process pool
     (benchmark runs stay strict — a failed workload fails the fixture).
     """
-    from repro.core import RetryPolicy
-
     kwargs = {}
     cache_dir = os.environ.get("REPRO_CACHE_DIR")
     if cache_dir:
@@ -36,8 +33,6 @@ def _engine_kwargs():
     jobs = os.environ.get("REPRO_JOBS")
     if jobs:
         kwargs["jobs"] = int(jobs)
-    if os.environ.get("REPRO_RETRIES") or os.environ.get("REPRO_TIMEOUT"):
-        kwargs["retry_policy"] = RetryPolicy.from_env()
     return kwargs
 
 

@@ -164,16 +164,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir",
-        default=os.environ.get("REPRO_CACHE_DIR"),
+        default=os.environ.get("REPRO_CACHE_DIR") or None,
         metavar="PATH",
         help="persist characterization results under PATH and reuse "
-        "them across runs (default: $REPRO_CACHE_DIR, else "
-        "in-memory only)",
+        "them across runs (default: $REPRO_CACHE_DIR, else no cache)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the result cache entirely",
+        help="run uncached even when --cache-dir or $REPRO_CACHE_DIR "
+        "is set",
     )
     parser.add_argument(
         "--retries",
@@ -478,64 +478,50 @@ def _cmd_characterize(abbr: str, scale: float) -> int:
     return 0
 
 
-def _print_cache_stats(cache: Optional[ResultCache]) -> None:
-    """One-line cache summary on stderr (keeps exhibits clean)."""
+def _epilogue(reports, cache: Optional[ResultCache]) -> None:
+    """The stderr tail of every suite command (keeps exhibits clean).
+
+    Lists each run's degradation, journal resume and workload failures,
+    then the cache summary and the trace directory; prints nothing when
+    the command made no run.
+    """
+    if not reports:
+        return
+    for report in reports:
+        if report.fallback_reason:
+            print(
+                f"[engine] degraded to serial: {report.fallback_reason}",
+                file=sys.stderr,
+            )
+        if report.resumed:
+            print(
+                f"[journal] resumed, skipping {len(report.resumed)} "
+                f"completed workload(s): {', '.join(report.resumed)}",
+                file=sys.stderr,
+            )
+        for failure in report.failures:
+            print(f"[failed] {failure.render()}", file=sys.stderr)
     if cache is not None:
         print(f"[cache] {cache.stats.render()}", file=sys.stderr)
+    for trace_dir in dict.fromkeys(r.trace_dir for r in reports if r.trace_dir):
+        print(
+            f"[trace] events.jsonl and trace.json written under {trace_dir}",
+            file=sys.stderr,
+        )
 
 
-def _print_trace_dir(*reports) -> None:
-    """Point at the run's trace artifacts on stderr (once per dir)."""
-    seen = set()
-    for report in reports:
-        trace_dir = getattr(report, "trace_dir", None)
-        if trace_dir and trace_dir not in seen:
-            seen.add(trace_dir)
-            print(
-                f"[trace] events.jsonl and trace.json written under "
-                f"{trace_dir}",
-                file=sys.stderr,
-            )
-
-
-def _print_failures(*reports) -> int:
-    """List workload failures on stderr; return how many there were."""
-    count = 0
-    for report in reports:
-        if report is None:
-            continue
-        reason = getattr(report, "fallback_reason", None)
-        if reason:
-            print(f"[engine] degraded to serial: {reason}", file=sys.stderr)
-        resumed = getattr(report, "resumed", None)
-        if resumed:
-            print(
-                f"[journal] resumed, skipping {len(resumed)} completed "
-                f"workload(s): {', '.join(resumed)}",
-                file=sys.stderr,
-            )
-        for failure in getattr(report, "failures", []) or []:
-            print(f"[failed] {failure.render()}", file=sys.stderr)
-            count += 1
-    return count
-
-
-def _cmd_table1(run_kwargs) -> int:
+def _cmd_table1(run) -> int:
     from repro.analysis.tables import render_table1
 
-    result = run_suite(["Cactus"], **run_kwargs)
+    result = run(run_suite, ["Cactus"])
     rows = [c.table1 for c in result.suite("Cactus")]
     print(render_table1(rows))
-    _print_failures(result)
-    _print_cache_stats(run_kwargs["cache"])
-    _print_trace_dir(result)
     return 0
 
 
-def _cmd_observations(run_kwargs) -> int:
-    cactus = run_suite(["Cactus"], **run_kwargs)
-    prt = run_suite(["Parboil", "Rodinia", "Tango"], **run_kwargs)
-    failed = _print_failures(cactus, prt)
+def _cmd_observations(run) -> int:
+    cactus = run(run_suite, ["Cactus"])
+    prt = run(run_suite, ["Parboil", "Rodinia", "Tango"])
     try:
         report = check_observations(cactus, prt)
     except (KeyError, ValueError) as exc:
@@ -544,23 +530,14 @@ def _cmd_observations(run_kwargs) -> int:
             f"({type(exc).__name__}: {exc})",
             file=sys.stderr,
         )
-        _print_cache_stats(run_kwargs["cache"])
-        return 1 if failed else 0
+        return 1 if cactus.failures or prt.failures else 0
     print(report.render())
-    _print_cache_stats(run_kwargs["cache"])
-    _print_trace_dir(cactus, prt)
     return 0 if report.passed >= 11 else 1
 
 
-def _cmd_report(output: Optional[str], with_prt: bool, run_kwargs) -> int:
-    cactus = run_suite(["Cactus"], **run_kwargs)
-    prt = (
-        run_suite(["Parboil", "Rodinia", "Tango"], **run_kwargs)
-        if with_prt
-        else None
-    )
-    _print_failures(cactus, prt)
-    cache = run_kwargs["cache"]
+def _cmd_report(output: Optional[str], with_prt: bool, run, cache) -> int:
+    cactus = run(run_suite, ["Cactus"])
+    prt = run(run_suite, ["Parboil", "Rodinia", "Tango"]) if with_prt else None
     text = generate_report(
         cactus, prt, cache_stats=cache.stats if cache else None
     )
@@ -570,11 +547,10 @@ def _cmd_report(output: Optional[str], with_prt: bool, run_kwargs) -> int:
         print(f"wrote {output}")
     else:
         print(text)
-    _print_trace_dir(cactus, prt)
     return 0
 
 
-def _cmd_sweep(args, run_kwargs) -> int:
+def _cmd_sweep(args, run) -> int:
     from repro.analysis.sweep import analyze_sweep, render_sweep_markdown
 
     if args.all_devices:
@@ -597,10 +573,7 @@ def _cmd_sweep(args, run_kwargs) -> int:
         if args.workloads
         else None
     )
-    report = run_sweep(
-        devices, suites=[args.suite], workloads=workloads, **run_kwargs
-    )
-    _print_failures(report)
+    report = run(run_sweep, devices, suites=[args.suite], workloads=workloads)
     analysis = analyze_sweep(
         report.results, report.devices, baseline=args.baseline
     )
@@ -611,21 +584,17 @@ def _cmd_sweep(args, run_kwargs) -> int:
         print(f"wrote {args.output}")
     else:
         print(text)
-    _print_cache_stats(run_kwargs["cache"])
-    _print_trace_dir(report)
     return 0
 
 
 def _cmd_cache(args, cache: Optional[ResultCache]) -> int:
     if cache is None:
-        print("repro: error: cache disabled (--no-cache)", file=sys.stderr)
-        return 2
-    if cache.cache_dir is None:
         print(
-            "cache: in-memory only (set --cache-dir or $REPRO_CACHE_DIR "
-            "for a persistent tree)"
+            "repro: error: cache: no cache directory (pass --cache-dir or "
+            "set $REPRO_CACHE_DIR, without --no-cache)",
+            file=sys.stderr,
         )
-        return 0
+        return 2
     print(f"cache dir:    {cache.cache_dir}")
     print(f"version dir:  {cache.version_dir}")
     print(f"fingerprint:  {source_fingerprint()}")
@@ -637,7 +606,7 @@ def _cmd_cache(args, cache: Optional[ResultCache]) -> int:
     return 0
 
 
-def _cmd_similar(args, run_kwargs) -> int:
+def _cmd_similar(args, run) -> int:
     from repro.analysis.similarity import (
         METRIC_FEATURES,
         KernelIndex,
@@ -649,10 +618,7 @@ def _cmd_similar(args, run_kwargs) -> int:
         if args.workloads
         else None
     )
-    result = run_suite(
-        [args.suite], workloads=workloads, **run_kwargs
-    )
-    _print_failures(result)
+    result = run(run_suite, [args.suite], workloads=workloads)
 
     index = KernelIndex(feature_names=METRIC_FEATURES)
     profiles: dict = {}
@@ -718,7 +684,6 @@ def _cmd_similar(args, run_kwargs) -> int:
             f"  {label:<52} {kernel.total_time_s:10.3e} s "
             f"x{kernel.invocations}"
         )
-    _print_cache_stats(run_kwargs["cache"])
     return 0
 
 
@@ -821,9 +786,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
     cache = (
-        None
-        if args.no_cache
-        else ResultCache(cache_dir=args.cache_dir)
+        ResultCache(args.cache_dir)
+        if args.cache_dir and not args.no_cache
+        else None
     )
     retries = 2 if args.retries is None else args.retries
     run_kwargs = {
@@ -845,30 +810,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_cache(args, cache)
     if args.command == "serve":
         return _cmd_serve(args)
+    if args.command == "trace":
+        return _cmd_trace(args.abbr, args.path, args.scale)
+    reports: list = []
+
+    def run(runner, *positional, **kwargs):
+        """One suite run of this command, kept for the epilogue."""
+        report = runner(*positional, **kwargs, **run_kwargs)
+        reports.append(report)
+        return report
+
+    commands = {
+        "table1": lambda: _cmd_table1(run),
+        "observations": lambda: _cmd_observations(run),
+        "report": lambda: _cmd_report(args.output, args.with_prt, run, cache),
+        "sweep": lambda: _cmd_sweep(args, run),
+        "similar": lambda: _cmd_similar(args, run),
+    }
     previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
-        if args.command == "table1":
-            return _cmd_table1(run_kwargs)
-        if args.command == "observations":
-            return _cmd_observations(run_kwargs)
-        if args.command == "report":
-            return _cmd_report(args.output, args.with_prt, run_kwargs)
-        if args.command == "sweep":
-            return _cmd_sweep(args, run_kwargs)
-        if args.command == "similar":
-            return _cmd_similar(args, run_kwargs)
+        code = commands[args.command]()
     except SuiteRunError as exc:
         # --strict: a workload failed terminally.  The partial report
         # (with every completed characterization) rode along on the
         # exception; list the failures and exit non-zero.
-        _print_failures(exc.report)
+        _epilogue(reports + [exc.report], cache)
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
-    if args.command == "trace":
-        return _cmd_trace(args.abbr, args.path, args.scale)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    _epilogue(reports, cache)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

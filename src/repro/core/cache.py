@@ -3,14 +3,11 @@
 Layout
 ------
 
-A :class:`ResultCache` has two tiers:
-
-* an **in-memory LRU** (bounded ``OrderedDict``) that serves repeated
-  lookups within one process at dict speed, and
-* an optional **persistent tier**: one JSON file per entry under
-  ``<cache_dir>/<version>/<key[:2]>/<key>.json``, where ``<version>``
-  is ``v<CACHE_SCHEMA_VERSION>-<fingerprint[:16]>``
-  (:func:`~repro.gpu.digest.source_fingerprint`).
+A :class:`ResultCache` is a directory: one JSON file per entry under
+``<cache_dir>/<version>/<key[:2]>/<key>.json``, where ``<version>`` is
+``v<CACHE_SCHEMA_VERSION>-<fingerprint[:16]>``
+(:func:`~repro.gpu.digest.source_fingerprint`).  A run either has one
+or is uncached; every lookup reads the file.
 
 Keys are hex SHA-256 digests produced by :mod:`repro.gpu.digest`; the
 two-character fan-out directory keeps any single directory small even
@@ -40,7 +37,6 @@ import json
 import os
 import shutil
 import tempfile
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -77,7 +73,6 @@ def atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
 class CacheStats:
     """Hit/miss accounting for one cache (mergeable across workers)."""
 
-    memory_hits: int = 0
     disk_hits: int = 0
     misses: int = 0
     stores: int = 0
@@ -85,7 +80,7 @@ class CacheStats:
 
     @property
     def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
+        return self.disk_hits
 
     @property
     def lookups(self) -> int:
@@ -96,7 +91,6 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def merge(self, other: "CacheStats") -> None:
-        self.memory_hits += other.memory_hits
         self.disk_hits += other.disk_hits
         self.misses += other.misses
         self.stores += other.stores
@@ -104,7 +98,6 @@ class CacheStats:
 
     def as_dict(self) -> Dict[str, int]:
         return {
-            "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "stores": self.stores,
@@ -119,15 +112,14 @@ class CacheStats:
         accounting across restarts; tolerant of older payloads that
         predate a counter or carry a retired one.
         """
-        fields = ("memory_hits", "disk_hits", "misses", "stores", "corrupt")
+        fields = ("disk_hits", "misses", "stores", "corrupt")
         return cls(**{
             name: int(payload.get(name, 0)) for name in fields
         })
 
     def render(self) -> str:
         text = (
-            f"{self.hits}/{self.lookups} hits "
-            f"({self.memory_hits} memory, {self.disk_hits} disk), "
+            f"{self.hits}/{self.lookups} hits, "
             f"{self.stores} stores, hit rate {self.hit_rate:.0%}"
         )
         if self.corrupt:
@@ -137,10 +129,10 @@ class CacheStats:
 
 @dataclass
 class ResultCache:
-    """Two-tier (LRU memory + optional disk) keyed cache."""
+    """Keyed cache of JSON entries under one directory."""
 
-    cache_dir: Optional[Path] = None
-    max_memory_entries: int = 4096
+    #: The cache's root (a ``str`` is converted to a ``Path``).
+    cache_dir: Path
     stats: CacheStats = field(default_factory=CacheStats)
     #: Optional run-scoped tracer (see :mod:`repro.obs`): every get/put
     #: also bumps ``cache.*`` run metrics and, when an event log is
@@ -151,30 +143,20 @@ class ResultCache:
     )
 
     def __post_init__(self) -> None:
-        # An empty string (e.g. REPRO_CACHE_DIR="") means "no disk tier",
-        # not Path("") == the current directory.
-        if self.cache_dir is not None and str(self.cache_dir) != "":
-            self.cache_dir = Path(self.cache_dir)
-        else:
-            self.cache_dir = None
-        if self.max_memory_entries < 0:
-            raise ValueError("max_memory_entries must be non-negative")
-        self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        # Path("") would be the current directory, never what was meant.
+        if str(self.cache_dir) == "":
+            raise ValueError("ResultCache needs a cache directory")
+        self.cache_dir = Path(self.cache_dir)
 
     # -- paths ---------------------------------------------------------
     @property
-    def version_dir(self) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
+    def version_dir(self) -> Path:
         return self.cache_dir / (
             f"v{CACHE_SCHEMA_VERSION}-{source_fingerprint()[:16]}"
         )
 
-    def _path(self, key: str) -> Optional[Path]:
-        root = self.version_dir
-        if root is None:
-            return None
-        return root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> Path:
+        return self.version_dir / key[:2] / f"{key}.json"
 
     # -- observability -------------------------------------------------
     def _observe(self, op: str, key: str, outcome: str) -> None:
@@ -190,55 +172,43 @@ class ResultCache:
     # -- core API ------------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Payload stored under *key*, or ``None`` on a miss."""
-        payload = self._memory.get(key)
-        if payload is not None:
-            self._memory.move_to_end(key)
-            self.stats.memory_hits += 1
-            self._observe("get", key, "memory_hits")
-            return payload
         path = self._path(key)
-        if path is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except FileNotFoundError:
-                payload = None  # plain miss
-            except OSError:
-                payload = None  # unreadable (permissions, I/O) → miss
-            except ValueError:
-                # The file exists but does not parse (truncation, bit
-                # rot): quarantine it so the recompute can cleanly
-                # rewrite the entry.
-                self._quarantine(path)
-                payload = None
-            if payload is not None and not isinstance(payload, dict):
-                self._quarantine(path)  # parsed, but not an entry
-                payload = None
-            if payload is not None:
-                self.stats.disk_hits += 1
-                self._observe("get", key, "disk_hits")
-                self._remember(key, payload)
-                return payload
-        self.stats.misses += 1
-        self._observe("get", key, "misses")
-        return None
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except FileNotFoundError:
+            payload = None  # plain miss
+        except OSError:
+            payload = None  # unreadable (permissions, I/O) → miss
+        except ValueError:
+            # The file exists but does not parse (truncation, bit rot):
+            # quarantine it so the recompute can cleanly rewrite it.
+            self._quarantine(path)
+            payload = None
+        if payload is not None and not isinstance(payload, dict):
+            self._quarantine(path)  # parsed, but not an entry
+            payload = None
+        if payload is None:
+            self.stats.misses += 1
+            self._observe("get", key, "misses")
+            return None
+        self.stats.disk_hits += 1
+        self._observe("get", key, "disk_hits")
+        return payload
 
     def reject(self, key: str) -> None:
-        """Re-book the disk hit :meth:`get` just served for *key* as corrupt.
+        """Re-book the hit :meth:`get` just served for *key* as corrupt.
 
         For a caller whose schema check fails on a payload that parsed:
-        the lookup counts as a miss, and the entry leaves the memory
-        tier and is quarantined, exactly as if it had not parsed, so the
-        caller recomputes and rewrites it.  Only a disk hit can be
-        schema-corrupt: the memory tier holds what :meth:`put` stored
-        and what :meth:`get` read, and a rejected read is dropped here.
+        the lookup counts as a miss and the entry is quarantined,
+        exactly as if it had not parsed, so the caller recomputes and
+        rewrites it.
         """
         self.stats.disk_hits -= 1
         if self.tracer is not None:
             self.tracer.incr("cache.disk_hits", -1.0)
         self.stats.misses += 1
         self._observe("reject", key, "misses")
-        self._memory.pop(key, None)
         self._quarantine(self._path(key))
 
     def _quarantine(self, path: Path) -> None:
@@ -258,33 +228,18 @@ class ResultCache:
                 pass
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Store *payload* under *key* in both tiers."""
+        """Store *payload* under *key*."""
         self.stats.stores += 1
         self._observe("put", key, "stores")
-        self._remember(key, payload)
-        path = self._path(key)
-        if path is None:
-            return
         # Atomic publish: concurrent workers may race on the same key,
         # but both write identical content and os.replace is atomic.
-        atomic_write_json(path, payload)
-
-    def _remember(self, key: str, payload: Dict[str, Any]) -> None:
-        if self.max_memory_entries == 0:
-            return
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
+        atomic_write_json(self._path(key), payload)
 
     # -- maintenance ---------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._memory)
-
     def persistent_entries(self) -> int:
-        """Number of entries in the current persistent version tree."""
+        """Number of entries in the current version tree."""
         root = self.version_dir
-        if root is None or not root.is_dir():
+        if not root.is_dir():
             return 0
         return sum(1 for _ in root.glob("*/*.json"))
 
@@ -294,7 +249,7 @@ class ResultCache:
         Also drops the ``streams`` tree older versions kept beside the
         version trees.
         """
-        if self.cache_dir is None or not self.cache_dir.is_dir():
+        if not self.cache_dir.is_dir():
             return 0
         removed = 0
         keep = self.version_dir.name

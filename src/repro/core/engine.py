@@ -16,12 +16,12 @@ executor and combines three orthogonal capabilities:
   other.  Results are reassembled in registration order, so a
   parallel run is indistinguishable from a serial one.
 * **Result reuse** — an optional :class:`~repro.core.cache.ResultCache`
-  memoizes whole :class:`~repro.core.characterize.Characterization`
-  objects, keyed on the recipe ``(DeviceSpec, SimulationOptions, abbr,
-  scale, seed)`` the engine rebuilds each workload from.  A warm run
-  replays the suite from disk without generating a single stream;
-  within one workload the simulator's in-process memo reuses
-  per-kernel metrics.
+  (a directory) memoizes whole
+  :class:`~repro.core.characterize.Characterization` objects, keyed on
+  the recipe ``(DeviceSpec, SimulationOptions, abbr, scale, seed)`` the
+  engine rebuilds each workload from.  A warm run replays the suite
+  from disk without generating a single stream; an uncached run never
+  digests or serializes a result.
 * **Fault tolerance** — every attempt's exception is captured into a
   structured :class:`~repro.core.resilience.WorkloadFailure` instead of
   aborting the run; a :class:`~repro.core.resilience.RetryPolicy`
@@ -33,7 +33,7 @@ executor and combines three orthogonal capabilities:
   :class:`~repro.core.journal.RunJournal` marks each completed
   workload so an interrupted run resumes where it left off, reading the
   marked results back from the result cache — a private one under the
-  journal directory when the cache is disabled or memory-only.
+  journal directory when the run has no cache.
 
 Failure disposition is the caller's choice: with ``keep_going=True``
 the run returns a report carrying both survivors and failures;
@@ -57,6 +57,7 @@ import warnings
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats, ResultCache, characterization_key
@@ -224,7 +225,7 @@ def _sweep_one(
     preset: ScalePreset,
     devices: Sequence[DeviceSpec],
     options: SimulationOptions,
-    cache_dir: Optional["os.PathLike[str] | str"],
+    cache_dir: Optional[Path],
     attempt: int = 1,
     fault_plan: Optional[Any] = None,
     handoff: Optional[TraceHandoff] = None,
@@ -244,7 +245,7 @@ def _sweep_one(
     boundary.
     """
     tracer = worker_tracer(handoff)
-    cache = ResultCache(cache_dir=cache_dir, tracer=tracer) if cache_dir else None
+    cache = ResultCache(cache_dir, tracer=tracer) if cache_dir else None
     try:
         result = _attempt(
             abbr, preset, devices, options, cache, tracer, attempt,
@@ -332,8 +333,8 @@ class CharacterizationEngine:
         Worker processes.  ``None``/``0``/``1`` → serial; negative →
         one worker per CPU.
     cache:
-        Optional result cache.  Pass ``ResultCache()`` for an in-memory
-        LRU or ``ResultCache(cache_dir=...)`` for cross-run persistence.
+        Optional result cache, ``ResultCache(cache_dir=...)``; ``None``
+        runs uncached.
     retry_policy:
         Retry/timeout/backoff policy (see
         :class:`~repro.core.resilience.RetryPolicy`).
@@ -346,8 +347,8 @@ class CharacterizationEngine:
     journal_dir:
         Optional checkpoint directory; an interrupted run with the
         same identity resumes there and skips completed workloads.
-        Without a disk-backed *cache*, the run keeps its results in a
-        private cache under ``<journal_dir>/results``.
+        Without a *cache*, the run keeps its results in a private cache
+        under ``<journal_dir>/results``.
     fault_plan:
         Deterministic fault-injection plan (testing only): any picklable
         object with ``before(abbr, attempt)`` and ``after(abbr, attempt,
@@ -591,19 +592,13 @@ class CharacterizationEngine:
     ) -> Optional[ResultCache]:
         """The cache one run reads and writes.
 
-        A journaled run resumes from cached entries, so without a disk
-        tier in ``self.cache`` it uses a private cache under the journal
-        directory that counts into ``self.cache``'s stats.
+        A journaled run resumes from cached entries, so without
+        ``self.cache`` it uses a private cache under the journal
+        directory.
         """
-        if journal is None or (
-            self.cache is not None and self.cache.cache_dir is not None
-        ):
+        if self.cache is not None or journal is None:
             return self.cache
-        return ResultCache(
-            cache_dir=journal.results_dir,
-            stats=self.cache.stats if self.cache is not None else CacheStats(),
-            tracer=tracer,
-        )
+        return ResultCache(journal.results_dir, tracer=tracer)
 
     # -- the one attempt loop -----------------------------------------
     def _new_pool(self, jobs: int, tasks: int) -> ProcessPoolExecutor:
@@ -706,8 +701,8 @@ class CharacterizationEngine:
             attempts[abbr] += 1
             report.results[abbr] = result
             report.attempts[abbr] = attempts[abbr]
-            if stats is not None and self.cache is not None:
-                self.cache.stats.merge(stats)
+            if stats is not None and cache is not None:
+                cache.stats.merge(stats)
             session.absorb(snapshot)
             if journal is not None:
                 # Written after the attempt's atomic entry writes, so

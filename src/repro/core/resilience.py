@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import traceback as traceback_module
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -212,46 +211,6 @@ class RetryPolicy:
         unit = int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
         # Scale into [1 - jitter, 1 + jitter], clamped to the cap.
         return min(self.backoff_max_s, delay * (1.0 - self.jitter + 2.0 * self.jitter * unit))
-
-    # -- environment wiring ---------------------------------------------
-    @classmethod
-    def from_env(
-        cls, env: Optional[Dict[str, str]] = None, **overrides: Any
-    ) -> "RetryPolicy":
-        """Policy from ``REPRO_RETRIES`` / ``REPRO_TIMEOUT``.
-
-        ``REPRO_RETRIES=N`` means *N retries* (``max_attempts = N + 1``)
-        to match the CLI's ``--retries``; explicit *overrides* win over
-        the environment.
-        """
-        source = os.environ if env is None else env
-        kwargs: Dict[str, Any] = {}
-        retries = source.get("REPRO_RETRIES")
-        if retries not in (None, ""):
-            try:
-                parsed = int(retries)
-                if parsed < 0:
-                    raise ValueError(parsed)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_RETRIES must be a non-negative integer, got "
-                    f"{retries!r}"
-                ) from None
-            kwargs["max_attempts"] = parsed + 1
-        timeout = source.get("REPRO_TIMEOUT")
-        if timeout not in (None, ""):
-            try:
-                seconds = float(timeout)
-                if not math.isfinite(seconds) or seconds <= 0:
-                    raise ValueError(seconds)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_TIMEOUT must be a positive, finite number of "
-                    f"seconds, got {timeout!r}"
-                ) from None
-            kwargs["timeout_s"] = seconds
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
 
 class SuiteRunError(RuntimeError):

@@ -112,7 +112,6 @@ def run_suite(
     workloads: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
-    cache_dir: Optional[str] = None,
     retry_policy: Optional[RetryPolicy] = None,
     keep_going: bool = False,
     journal_dir: Optional[str] = None,
@@ -125,7 +124,7 @@ def run_suite(
     Pass ``workloads`` to restrict to specific abbreviations, *options*
     to change the simulator switches (e.g. an ablation), ``jobs``
     to fan out across a process pool (negative → one worker per CPU),
-    and ``cache``/``cache_dir`` to reuse results across calls and runs.
+    and ``cache=ResultCache(dir)`` to reuse results across runs.
     Failure semantics are governed by *retry_policy* (retries,
     per-workload timeout, backoff) and *keep_going*: when ``True`` the
     returned :class:`SuiteRunReport` carries survivors plus failures;
@@ -139,11 +138,8 @@ def run_suite(
     :meth:`~repro.core.engine.CharacterizationEngine.run_suite`, which
     runs a one-device sweep and returns its device slice.
     """
-    from repro.core.cache import ResultCache
     from repro.core.engine import CharacterizationEngine
 
-    if cache is None and cache_dir is not None:
-        cache = ResultCache(cache_dir=cache_dir)
     engine = CharacterizationEngine(
         device=device,
         options=options or SimulationOptions(),

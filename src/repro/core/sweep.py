@@ -104,7 +104,6 @@ def run_sweep(
     workloads: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
     cache: Optional["ResultCache"] = None,
-    cache_dir: Optional[str] = None,
     retry_policy: Optional[RetryPolicy] = None,
     keep_going: bool = False,
     journal_dir: Optional[str] = None,
@@ -122,11 +121,8 @@ def run_sweep(
     once.  This is a thin wrapper over
     :meth:`~repro.core.engine.CharacterizationEngine.run_sweep`.
     """
-    from repro.core.cache import ResultCache
     from repro.core.engine import CharacterizationEngine
 
-    if cache is None and cache_dir is not None:
-        cache = ResultCache(cache_dir=cache_dir)
     engine = CharacterizationEngine(
         jobs=jobs,
         cache=cache,

@@ -19,8 +19,8 @@ Naming conventions (what the run profile parses):
     ``simulate``, ``analyze``, ``cache-lookup``, ``cache-store``).
 ``cache.*``
     Counters mirroring :class:`~repro.core.cache.CacheStats`
-    (``memory_hits`` / ``disk_hits`` / ``misses`` / ``stores`` /
-    ``corrupt``), incremented by the instrumented cache itself.
+    (``disk_hits`` / ``misses`` / ``stores`` / ``corrupt``),
+    incremented by the instrumented cache itself.
 ``engine.*``
     Counters for resilience machinery: ``retries``, ``timeouts``,
     ``pool_rebuilds``, ``pool_fallbacks``, ``journal_checkpoints``,
@@ -190,21 +190,14 @@ class RunProfile:
 
     @property
     def cache_lookups(self) -> float:
-        return (
-            self.counter("cache.memory_hits")
-            + self.counter("cache.disk_hits")
-            + self.counter("cache.misses")
-        )
+        return self.counter("cache.disk_hits") + self.counter("cache.misses")
 
     @property
     def cache_hit_rate(self) -> float:
         lookups = self.cache_lookups
         if not lookups:
             return 0.0
-        hits = self.counter("cache.memory_hits") + self.counter(
-            "cache.disk_hits"
-        )
-        return hits / lookups
+        return self.counter("cache.disk_hits") / lookups
 
     @property
     def retries(self) -> int:

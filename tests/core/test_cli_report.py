@@ -74,6 +74,49 @@ class TestCLI:
         assert "Table I" in text
 
 
+class TestCLIEpilogue:
+    """Every suite command ends with one stderr epilogue, and a run
+    without a cache directory does no cache work."""
+
+    @pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
+    def test_no_cache_dir_means_no_cache_work(self, monkeypatch, capsys, env):
+        import repro.core.engine as engine
+
+        digests = []
+        digest = engine.launch_stream_digest
+        monkeypatch.setattr(
+            engine, "launch_stream_digest",
+            lambda stream: digests.append(1) or digest(stream),
+        )
+        if env is None:
+            monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CACHE_DIR", env)
+        assert main(["--preset", "laptop", "table1"]) == 0
+        assert digests == []
+        assert "[cache]" not in capsys.readouterr().err
+
+    def test_cache_command_needs_a_directory(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert main(["cache"]) == 2
+        assert "no cache directory" in capsys.readouterr().err
+
+    def test_similar_query_prints_cache_and_trace(self, tmp_path, capsys):
+        trace_dir = tmp_path / "trace"
+        assert main(["--preset", "laptop",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--trace-dir", str(trace_dir),
+                     "similar", "--workloads", "GMS",
+                     "--query", "GMS:pme_gather", "-k", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "nearest 2 to GMS:pme_gather" in captured.out
+        assert "[cache] 0/1 hits, 1 stores" in captured.err
+        assert (
+            f"[trace] events.jsonl and trace.json written under {trace_dir}"
+            in captured.err
+        )
+
+
 class TestReportGenerator:
     @pytest.fixture(scope="class")
     def runs(self):

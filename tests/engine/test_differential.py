@@ -147,8 +147,8 @@ class TestEngineBehaviour:
         assert first != second["GST"]
 
     def test_warm_run_generates_no_stream(self, tmp_path):
-        run_suite(workloads=["GST", "DCG"], cache_dir=str(tmp_path))
-        warm = run_suite(workloads=["GST", "DCG"], cache_dir=str(tmp_path))
+        run_suite(workloads=["GST", "DCG"], cache=ResultCache(tmp_path))
+        warm = run_suite(workloads=["GST", "DCG"], cache=ResultCache(tmp_path))
         histograms = warm.run_profile.histograms
         assert "span.stream-gen_s" not in histograms
         assert histograms["span.cache-lookup_s"]["count"] == 2
@@ -163,13 +163,13 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError):
             engine.select(["Cactus"], workloads=["NOPE"])
 
-    def test_memory_only_cache_serves_second_call(self):
-        engine = CharacterizationEngine(cache=ResultCache())
+    def test_disk_cache_serves_second_call(self, tmp_path):
+        engine = CharacterizationEngine(cache=ResultCache(cache_dir=tmp_path))
         a = engine.run_suite(["Cactus"], preset=LAPTOP_SCALE,
                              workloads=["GRU"])
         stores = engine.cache_stats.stores
         b = engine.run_suite(["Cactus"], preset=LAPTOP_SCALE,
                              workloads=["GRU"])
-        assert engine.cache_stats.memory_hits >= 1
+        assert engine.cache_stats.disk_hits >= 1
         assert engine.cache_stats.stores == stores
         assert a.results == b.results

@@ -1,4 +1,4 @@
-"""Unit tests for the two-tier result cache."""
+"""Unit tests for the result cache (one directory, one tier)."""
 
 import io
 import json
@@ -19,38 +19,22 @@ KEY_A = "aa" + "0" * 62
 KEY_B = "bb" + "0" * 62
 
 
-class TestMemoryTier:
-    def test_roundtrip(self):
-        cache = ResultCache()
+class TestPersistentTier:
+    def test_roundtrip(self, tmp_path):
+        cache = ResultCache(cache_dir=tmp_path)
         assert cache.get(KEY_A) is None
         cache.put(KEY_A, {"value": 1})
         assert cache.get(KEY_A) == {"value": 1}
-        assert cache.stats.memory_hits == 1
+        assert cache.stats.disk_hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
 
-    def test_lru_eviction_order(self):
-        cache = ResultCache(max_memory_entries=2)
-        cache.put("a" * 64, {"n": 1})
-        cache.put("b" * 64, {"n": 2})
-        assert cache.get("a" * 64) == {"n": 1}  # refresh "a"
-        cache.put("c" * 64, {"n": 3})  # evicts "b", the LRU entry
-        assert cache.get("b" * 64) is None
-        assert cache.get("a" * 64) == {"n": 1}
-        assert cache.get("c" * 64) == {"n": 3}
-
-    def test_zero_capacity_disables_memory_tier(self):
-        cache = ResultCache(max_memory_entries=0)
-        cache.put(KEY_A, {"v": 1})
-        assert len(cache) == 0
-        assert cache.get(KEY_A) is None
-
-    def test_negative_capacity_rejected(self):
+    def test_needs_a_directory(self):
+        with pytest.raises(TypeError):
+            ResultCache()
         with pytest.raises(ValueError):
-            ResultCache(max_memory_entries=-1)
+            ResultCache(cache_dir="")
 
-
-class TestPersistentTier:
     def test_survives_process_boundary_simulation(self, tmp_path):
         ResultCache(cache_dir=tmp_path).put(KEY_A, {"value": 42})
         fresh = ResultCache(cache_dir=tmp_path)
@@ -79,13 +63,13 @@ class TestPersistentTier:
         assert not path.exists()
         assert (tmp_path / "corrupt" / path.name).is_file()
 
-    def test_disk_hit_promotes_to_memory(self, tmp_path):
+    def test_every_hit_reads_the_file(self, tmp_path):
         ResultCache(cache_dir=tmp_path).put(KEY_A, {"v": 1})
         fresh = ResultCache(cache_dir=tmp_path)
-        fresh.get(KEY_A)
-        fresh.get(KEY_A)
-        assert fresh.stats.disk_hits == 1
-        assert fresh.stats.memory_hits == 1
+        assert fresh.get(KEY_A) == {"v": 1}
+        fresh._path(KEY_A).write_text('{"v": 2}', encoding="utf-8")
+        assert fresh.get(KEY_A) == {"v": 2}
+        assert fresh.stats.disk_hits == 2
 
     def test_persistent_entries_counts_current_version(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
@@ -143,14 +127,11 @@ class TestSourceFingerprint:
 
 class TestStats:
     def test_merge_and_render(self):
-        a = CacheStats(memory_hits=1, disk_hits=2, misses=3, stores=4)
-        b = CacheStats(
-            memory_hits=10, disk_hits=20, misses=30, stores=40, corrupt=2,
-        )
+        a = CacheStats(disk_hits=3, misses=3, stores=4)
+        b = CacheStats(disk_hits=30, misses=30, stores=40, corrupt=2)
         a.merge(b)
         assert a.as_dict() == {
-            "memory_hits": 11,
-            "disk_hits": 22,
+            "disk_hits": 33,
             "misses": 33,
             "stores": 44,
             "corrupt": 2,
@@ -161,21 +142,21 @@ class TestStats:
         assert "2 corrupt entries quarantined" in a.render()
 
     def test_proxy_tier_absent_from_render_when_zero(self):
-        stats = CacheStats(memory_hits=1, misses=1)
+        stats = CacheStats(disk_hits=1, misses=1)
         assert "proxy" not in stats.render()
 
     def test_from_dict_loads_legacy_proxy_hits_payload(self):
         # Persisted service job records written before the similarity
-        # proxy was removed still carry its counter.
+        # proxy and the in-memory tier were removed still carry their
+        # counters.
         legacy = {
             "memory_hits": 1, "disk_hits": 2, "misses": 3,
             "stores": 4, "corrupt": 0, "proxy_hits": 7,
         }
         stats = CacheStats.from_dict(legacy)
-        assert stats == CacheStats(
-            memory_hits=1, disk_hits=2, misses=3, stores=4
-        )
+        assert stats == CacheStats(disk_hits=2, misses=3, stores=4)
         assert "proxy_hits" not in stats.as_dict()
+        assert "memory_hits" not in stats.as_dict()
 
     def test_empty_stats(self):
         stats = CacheStats()

@@ -224,14 +224,13 @@ def flip_cache_bytes(cache: Optional[Any], max_files: int = 1) -> int:
 
     Deterministic: entries are taken in sorted path order and the
     middle byte of each file is XOR-flipped (which reliably breaks the
-    JSON).  Returns the number of files corrupted; a cache without a
-    persistent tier is a no-op.
+    JSON).  Returns the number of files corrupted; no cache, or one with
+    no version tree yet, is a no-op.
     """
-    root = getattr(cache, "version_dir", None)
-    if root is None or not root.is_dir():
+    if cache is None or not cache.version_dir.is_dir():
         return 0
     flipped = 0
-    for path in sorted(root.glob("*/*.json"))[:max_files]:
+    for path in sorted(cache.version_dir.glob("*/*.json"))[:max_files]:
         data = bytearray(path.read_bytes())
         if not data:
             continue

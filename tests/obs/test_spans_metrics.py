@@ -147,7 +147,7 @@ class TestMetrics:
     def test_run_profile_dict_roundtrip_equal(self):
         registry = MetricsRegistry()
         registry.incr("engine.retries", 2.0)
-        registry.incr("cache.memory_hits", 3.0)
+        registry.incr("cache.disk_hits", 3.0)
         registry.incr("cache.misses", 1.0)
         registry.observe("span.simulate_s", 0.5)
         registry.observe("workload.GMS.simulate_s", 0.5)
@@ -157,8 +157,7 @@ class TestMetrics:
 
     def test_run_profile_derived_views(self):
         registry = MetricsRegistry()
-        registry.incr("cache.memory_hits", 3.0)
-        registry.incr("cache.disk_hits", 1.0)
+        registry.incr("cache.disk_hits", 4.0)
         registry.incr("cache.misses", 4.0)
         registry.incr("engine.retries", 2.0)
         registry.observe("span.simulate_s", 0.5)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.core import LAPTOP_SCALE, ResultCache
+from repro.core import LAPTOP_SCALE, CacheStats, ResultCache
 from repro.core.cache import characterization_key
 from repro.gpu import RTX_3080
 from repro.gpu.simulator import SimulationOptions
@@ -86,13 +86,13 @@ class TestQuarantine:
         _entry_files(cache)[0].write_text("x", encoding="utf-8")
         fresh = ResultCache(cache_dir=tmp_path)
         fresh.get(KEY)
-        merged = ResultCache().stats
+        merged = CacheStats()
         merged.merge(fresh.stats)
         assert merged.corrupt == 1
         assert merged.as_dict()["corrupt"] == 1
         assert "1 corrupt entry quarantined" in merged.render()
         # Healthy caches never mention quarantine.
-        assert "corrupt" not in ResultCache().stats.render()
+        assert "corrupt" not in CacheStats().render()
 
 
 class TestEndToEnd:
@@ -103,7 +103,7 @@ class TestEndToEnd:
         # (kernel-level and characterization-level alike), then rerun:
         # each corrupt entry is a quarantined miss, everything is
         # recomputed, and the results stay bit-for-bit correct.
-        warm = run_slice(cache_dir=tmp_path)
+        warm = run_slice(cache=ResultCache(tmp_path))
         assert warm.results == baseline.results
         total = ResultCache(cache_dir=tmp_path).persistent_entries()
         assert flip_cache_bytes(
@@ -129,7 +129,7 @@ class TestEndToEnd:
     ):
         # Valid JSON, valid dict, but not a characterization: the engine
         # must count it corrupt and quarantine it, not report a hit.
-        run_slice(cache_dir=tmp_path)
+        run_slice(cache=ResultCache(tmp_path))
         key = characterization_key(
             RTX_3080, SimulationOptions(), "GMS",
             LAPTOP_SCALE.for_workload("GMS"), LAPTOP_SCALE.seed,
@@ -172,7 +172,7 @@ class TestEndToEnd:
             scanner.get(path.stem)
         assert scanner.stats.corrupt == 1
 
-        rerun = run_slice(cache_dir=tmp_path)
+        rerun = run_slice(cache=ResultCache(tmp_path))
         assert rerun.results == baseline.results
 
     def test_corrupt_cache_fault_reaches_sweeps(self, sweep_baseline, tmp_path):
@@ -180,7 +180,7 @@ class TestEndToEnd:
         # post-work hook fires there too — once per attempt, whatever
         # the device count: exactly one entry is left corrupted.
         plan = FaultPlan.single("GMS", CORRUPT_CACHE)
-        first = run_sweep_slice(cache_dir=str(tmp_path), fault_plan=plan)
+        first = run_sweep_slice(cache=ResultCache(tmp_path), fault_plan=plan)
         assert first.results == sweep_baseline.results
 
         scanner = ResultCache(cache_dir=tmp_path)
@@ -188,7 +188,7 @@ class TestEndToEnd:
             scanner.get(path.stem)
         assert scanner.stats.corrupt == 1
 
-        rerun = run_sweep_slice(cache_dir=str(tmp_path))
+        rerun = run_sweep_slice(cache=ResultCache(tmp_path))
         assert rerun.results == sweep_baseline.results
 
     def test_quarantined_files_do_not_count_as_entries(self, tmp_path):

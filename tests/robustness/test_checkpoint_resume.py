@@ -197,11 +197,10 @@ class TestStaleResume:
         entry = ResultCache(cache_dir=tmp_path / "results")._path(key)
         entry.write_text(garbage, encoding="utf-8")
 
-        cache = ResultCache()  # memory-only: the run's stats land here
-        report = run_sweep_slice(journal_dir=tmp_path, cache=cache)
+        report = run_sweep_slice(journal_dir=tmp_path)
         assert report.resumed == ["GMS", "GRU"]
         assert report.results == sweep_baseline.results
-        assert cache.stats.corrupt == 1
+        assert report.run_profile.counter("cache.corrupt") == 1
         assert (tmp_path / "results" / "corrupt" / entry.name).exists()
         rewritten = json.loads(entry.read_text(encoding="utf-8"))
         assert rewritten["abbr"] == "GST"

@@ -117,6 +117,7 @@ class TestCorruption:
         assert fresh.get("aa" + "0" * 62) is None  # corrupt → miss
         assert fresh.stats.corrupt == 1
 
-    def test_flip_cache_bytes_without_disk_tier_is_noop(self):
-        assert flip_cache_bytes(ResultCache()) == 0
+    def test_flip_cache_bytes_without_disk_tier_is_noop(self, tmp_path):
+        # No version tree written yet, or no cache at all.
+        assert flip_cache_bytes(ResultCache(cache_dir=tmp_path)) == 0
         assert flip_cache_bytes(None) == 0

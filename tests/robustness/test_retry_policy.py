@@ -125,37 +125,6 @@ class TestValidation:
             RetryPolicy(**kwargs)
 
 
-class TestFromEnv:
-    def test_reads_retries_and_timeout(self):
-        policy = RetryPolicy.from_env(
-            {"REPRO_RETRIES": "4", "REPRO_TIMEOUT": "12.5"}
-        )
-        assert policy.max_attempts == 5  # N retries = N+1 attempts
-        assert policy.timeout_s == 12.5
-
-    def test_empty_env_gives_defaults(self):
-        policy = RetryPolicy.from_env({})
-        assert policy == RetryPolicy()
-
-    def test_overrides_beat_env(self):
-        policy = RetryPolicy.from_env({"REPRO_RETRIES": "4"}, max_attempts=2)
-        assert policy.max_attempts == 2
-
-    @pytest.mark.parametrize(
-        "env",
-        [
-            {"REPRO_RETRIES": "many"},
-            {"REPRO_TIMEOUT": "soon"},
-            {"REPRO_RETRIES": "-3"},
-            {"REPRO_TIMEOUT": "nan"},
-        ],
-    )
-    def test_garbage_env_rejected_with_clear_error(self, env):
-        with pytest.raises(ValueError) as excinfo:
-            RetryPolicy.from_env(env)
-        assert "REPRO_" in str(excinfo.value)
-
-
 class TestWorkloadFailure:
     def test_from_exception_captures_traceback(self):
         try:
