@@ -52,7 +52,7 @@ from repro.core import (
 from repro.core.engine import _resolve_jobs
 from repro.gpu.device import DEVICE_ZOO, device_by_name
 from repro.gpu.digest import source_fingerprint
-from repro.core.report import generate_report
+from repro.core.report import generate_report, render_run_profile
 from repro.workloads import get_workload, list_workloads
 
 _PRESETS = {
@@ -478,12 +478,15 @@ def _cmd_characterize(abbr: str, scale: float) -> int:
     return 0
 
 
-def _epilogue(reports, cache: Optional[ResultCache]) -> None:
+def _epilogue(
+    reports, cache: Optional[ResultCache], profiles: Sequence[str] = ()
+) -> None:
     """The stderr tail of every suite command (keeps exhibits clean).
 
     Lists each run's degradation, journal resume and workload failures,
-    then the cache summary and the trace directory; prints nothing when
-    the command made no run.
+    then the run-profile tables titled by *profiles* (one title per
+    run, in run order), the cache summary and the trace directory;
+    prints nothing when the command made no run.
     """
     if not reports:
         return
@@ -501,6 +504,10 @@ def _epilogue(reports, cache: Optional[ResultCache]) -> None:
             )
         for failure in report.failures:
             print(f"[failed] {failure.render()}", file=sys.stderr)
+    for title, report in zip(profiles, reports):
+        body = render_run_profile(report)
+        if body is not None:
+            print(f"## {title}\n\n{body}\n", file=sys.stderr)
     if cache is not None:
         print(f"[cache] {cache.stats.render()}", file=sys.stderr)
     for trace_dir in dict.fromkeys(r.trace_dir for r in reports if r.trace_dir):
@@ -535,12 +542,12 @@ def _cmd_observations(run) -> int:
     return 0 if report.passed >= 11 else 1
 
 
-def _cmd_report(output: Optional[str], with_prt: bool, run, cache) -> int:
+def _cmd_report(output: Optional[str], with_prt: bool, run) -> int:
+    # No cache stats in the text: they differ between a cold and a warm
+    # run, and the epilogue's [cache] line already carries them.
     cactus = run(run_suite, ["Cactus"])
     prt = run(run_suite, ["Parboil", "Rodinia", "Tango"]) if with_prt else None
-    text = generate_report(
-        cactus, prt, cache_stats=cache.stats if cache else None
-    )
+    text = generate_report(cactus, prt)
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -602,7 +609,6 @@ def _cmd_cache(args, cache: Optional[ResultCache]) -> int:
     if args.prune:
         removed = cache.prune()
         print(f"pruned:       {removed} stale tree(s)")
-    print(f"stats:        {cache.stats.render()}")
     return 0
 
 
@@ -823,10 +829,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     commands = {
         "table1": lambda: _cmd_table1(run),
         "observations": lambda: _cmd_observations(run),
-        "report": lambda: _cmd_report(args.output, args.with_prt, run, cache),
+        "report": lambda: _cmd_report(args.output, args.with_prt, run),
         "sweep": lambda: _cmd_sweep(args, run),
         "similar": lambda: _cmd_similar(args, run),
     }
+    # The report's wall-clock tables go to stderr, so its stdout is a
+    # function of the recipe alone.
+    profiles = (
+        ("Run profile", "Run profile (PRT)") if args.command == "report" else ()
+    )
     previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         code = commands[args.command]()
@@ -834,12 +845,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # --strict: a workload failed terminally.  The partial report
         # (with every completed characterization) rode along on the
         # exception; list the failures and exit non-zero.
-        _epilogue(reports + [exc.report], cache)
+        _epilogue(reports + [exc.report], cache, profiles)
         print(f"repro: error: {exc}", file=sys.stderr)
         return 1
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
-    _epilogue(reports, cache)
+    _epilogue(reports, cache, profiles)
     return code
 
 

@@ -29,7 +29,7 @@ from repro.core.serialize import (
     suite_run_report_to_dict,
     sweep_run_report_to_dict,
 )
-from repro.core.suite import SuiteResult, SuiteRunReport, run_suite
+from repro.core.suite import SuiteRunReport, run_suite
 from repro.core.sweep import SweepRunReport, run_sweep
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "OBSERVATION_SCALE",
     "PAPER_SCALE",
     "ScalePreset",
-    "SuiteResult",
     "SuiteRunReport",
     "run_suite",
     "run_sweep",

@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 from repro.analysis.clustering import cut_tree, ward_clustering
 from repro.analysis.correlation import correlation_matrix
 from repro.analysis.famd import famd
-from repro.core.suite import SuiteResult
+from repro.core.suite import SuiteRunReport
 from repro.gpu.device import RTX_3080
 from repro.gpu.metrics import PRIMARY_METRICS, SECONDARY_METRICS
 
@@ -54,7 +54,7 @@ class ObservationReport:
 
 
 def _dominant_kernel_features(
-    result: SuiteResult, suites: List[str]
+    result: SuiteRunReport, suites: List[str]
 ) -> Tuple[Dict[str, List[float]], Dict[str, List[str]], List[str], List[str]]:
     """FAMD inputs over the dominant kernels of the given suites."""
     quantitative: Dict[str, List[float]] = {
@@ -88,7 +88,7 @@ def _dominant_kernel_features(
 
 
 def cluster_dominant_kernels(
-    cactus: SuiteResult, prt: SuiteResult, n_clusters: int = 6
+    cactus: SuiteRunReport, prt: SuiteRunReport, n_clusters: int = 6
 ):
     """FAMD + Ward over all dominant kernels; returns
     (labels, owners, assignment, suite-of-owner map)."""
@@ -113,7 +113,7 @@ def cluster_dominant_kernels(
 
 
 def check_observations(
-    cactus: SuiteResult, prt: SuiteResult
+    cactus: SuiteRunReport, prt: SuiteRunReport
 ) -> ObservationReport:
     """Evaluate Observations 1-12 on the two suite runs."""
     elbow = RTX_3080.roofline_elbow

@@ -2,10 +2,11 @@
 
 :class:`CharacterizationEngine` is the production path for running the
 paper's full top-down pipeline over whole suites, on one device or a
-list of them.  There is one execution path: a run characterizes each
+list of them.  There is one execution path and one run method,
+:meth:`~CharacterizationEngine.run_sweep`: a run characterizes each
 selected workload across a device list, and a suite run is the
-one-device case (:meth:`~CharacterizationEngine.run_suite` returns one
-device's slice of that run).  Every attempt goes through one wave loop
+one-device case (:func:`repro.core.run_suite` returns that device's
+view of the run).  Every attempt goes through one wave loop
 (:meth:`~CharacterizationEngine._execute`) that submits work to an
 executor and combines three orthogonal capabilities:
 
@@ -35,11 +36,11 @@ executor and combines three orthogonal capabilities:
   marked results back from the result cache — a private one under the
   journal directory when the run has no cache.
 
-Failure disposition is the caller's choice: with ``keep_going=True``
-the run returns a report carrying both survivors and failures;
-otherwise a terminal failure raises
-:class:`~repro.core.resilience.SuiteRunError` (which still carries the
-partial report — completed work is journaled, never discarded).
+The engine returns every run's report with both survivors and
+failures; strict mode is the caller's: :func:`repro.core.run_suite`
+and :func:`repro.core.run_sweep` settle it on the view they return,
+raising :class:`~repro.core.resilience.SuiteRunError` (which still
+carries that report — completed work is journaled, never discarded).
 
 Correctness of the whole stack is enforced by the differential harness
 (``tests/engine/test_differential.py``: serial == parallel == cold ==
@@ -58,7 +59,7 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats, ResultCache, characterization_key
 from repro.core.characterize import (
@@ -72,22 +73,13 @@ from repro.core.serialize import (
     characterization_from_dict,
     characterization_to_dict,
 )
-from repro.core.resilience import (
-    RetryPolicy,
-    SuiteRunError,
-    WorkloadFailure,
-)
-from repro.core.suite import SuiteRunReport
+from repro.core.resilience import RetryPolicy, WorkloadFailure
 from repro.core.sweep import SweepRunReport
-from repro.gpu.device import RTX_3080, DeviceSpec
-from repro.gpu.digest import (
-    CACHE_SCHEMA_VERSION,
-    launch_stream_digest,
-    stable_digest,
-)
+from repro.gpu.device import DeviceSpec
+from repro.gpu.digest import launch_stream_digest
 from repro.gpu.simulator import SimulationOptions
 from repro.obs import ObsSession, TraceHandoff, Tracer, worker_tracer
-from repro.workloads.registry import get_workload, list_workloads
+from repro.workloads.registry import get_workload, select_workloads
 
 #: Environments where a process pool cannot even be created
 #: (restricted sandboxes, missing ``os.fork`` / semaphores).
@@ -325,10 +317,9 @@ class CharacterizationEngine:
 
     Parameters
     ----------
-    device, options:
-        The simulated platform of :meth:`run_suite` and the simulator
-        switches shared by every workload of a run (both are part of
-        every cache key).
+    options:
+        The simulator switches shared by every workload of a run (part
+        of every cache key, with the device).
     jobs:
         Worker processes.  ``None``/``0``/``1`` → serial; negative →
         one worker per CPU.
@@ -338,17 +329,11 @@ class CharacterizationEngine:
     retry_policy:
         Retry/timeout/backoff policy (see
         :class:`~repro.core.resilience.RetryPolicy`).
-    keep_going:
-        ``True`` → failed workloads are collected into the run report
-        and the run completes over the survivors.  ``False`` (default)
-        → any terminal failure raises
-        :class:`~repro.core.resilience.SuiteRunError` carrying the
-        partial report.
     journal_dir:
-        Optional checkpoint directory; an interrupted run with the
-        same identity resumes there and skips completed workloads.
-        Without a *cache*, the run keeps its results in a private cache
-        under ``<journal_dir>/results``.
+        Optional checkpoint directory; a rerun skips every marked
+        workload whose entries the result cache still holds for each
+        device of the run.  Without a *cache*, the run keeps its
+        results in a private cache under ``<journal_dir>/results``.
     fault_plan:
         Deterministic fault-injection plan (testing only): any picklable
         object with ``before(abbr, attempt)`` and ``after(abbr, attempt,
@@ -362,86 +347,13 @@ class CharacterizationEngine:
         file is ever touched.
     """
 
-    device: DeviceSpec = RTX_3080
     options: SimulationOptions = field(default_factory=SimulationOptions)
     jobs: Optional[int] = None
     cache: Optional[ResultCache] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    keep_going: bool = False
     journal_dir: Optional[str] = None
     fault_plan: Optional[Any] = None
     trace_dir: Optional[str] = None
-
-    def select(
-        self,
-        suites: Sequence[str],
-        workloads: Optional[Sequence[str]] = None,
-    ) -> List[str]:
-        """Workload abbreviations of *suites*, in registration order."""
-        selected: List[str] = []
-        for suite in suites:
-            selected.extend(list_workloads(suite))
-        if workloads is not None:
-            wanted = {w.upper() for w in workloads}
-            selected = [abbr for abbr in selected if abbr in wanted]
-        if not selected:
-            raise ValueError(f"no workloads selected from suites {suites!r}")
-        return selected
-
-    def run_key(self, preset: ScalePreset, selected: Sequence[str]) -> str:
-        """Content digest identifying one suite run (journal identity)."""
-        return stable_digest(
-            [
-                "suite-run",
-                CACHE_SCHEMA_VERSION,
-                self.device,
-                self.options,
-                preset,
-                list(selected),
-            ]
-        )
-
-    def sweep_run_key(
-        self,
-        preset: ScalePreset,
-        selected: Sequence[str],
-        devices: Sequence[DeviceSpec],
-    ) -> str:
-        """Content digest identifying one sweep run (journal identity)."""
-        return stable_digest(
-            [
-                "sweep-run",
-                CACHE_SCHEMA_VERSION,
-                list(devices),
-                self.options,
-                preset,
-                list(selected),
-            ]
-        )
-
-    # -- the two views of one run --------------------------------------
-    def run_suite(
-        self,
-        suites: Sequence[str] = ("Cactus",),
-        preset: ScalePreset = LAPTOP_SCALE,
-        workloads: Optional[Sequence[str]] = None,
-    ) -> SuiteRunReport:
-        """Characterize every workload of *suites* on ``self.device``.
-
-        A one-device run viewed through
-        :meth:`~repro.core.sweep.SweepRunReport.for_device`, with its
-        own journal identity (:meth:`run_key`).
-        """
-        selected = self.select(suites, workloads)
-        report = self._run(
-            [self.device],
-            suites,
-            preset,
-            selected,
-            run_key=self.run_key(preset, selected),
-            span="suite-run",
-        )
-        return self._settle(report.for_device(self.device.name))
 
     def run_sweep(
         self,
@@ -450,53 +362,25 @@ class CharacterizationEngine:
         preset: ScalePreset = LAPTOP_SCALE,
         workloads: Optional[Sequence[str]] = None,
     ) -> SweepRunReport:
-        """Characterize every workload of *suites* across N devices.
+        """Characterize every workload of *suites* across *devices*.
 
-        Each stream is generated at most once per run, and only when
-        some device misses the result cache.  Result cache keys are the
-        ones :meth:`run_suite` uses, so a suite run on any zoo device
-        warm-starts the sweep and vice versa.
-        """
-        devices = list(devices)
-        selected = self.select(suites, workloads)
-        report = self._run(
-            devices,
-            suites,
-            preset,
-            selected,
-            run_key=self.sweep_run_key(preset, selected, devices),
-            span="sweep-run",
-        )
-        return self._settle(report)
-
-    def _settle(self, report):
-        """Strict mode: terminal failures raise with *report* attached."""
-        if report.failures and not self.keep_going:
-            raise SuiteRunError(report, report.failures)
-        return report
-
-    # -- the one execution path ----------------------------------------
-    def _run(
-        self,
-        devices: List[DeviceSpec],
-        suites: Sequence[str],
-        preset: ScalePreset,
-        selected: List[str],
-        run_key: str,
-        span: str,
-    ) -> SweepRunReport:
-        """Characterize *selected* across *devices*.
-
+        The one run method: a suite run is the ``[device]`` case, viewed
+        through :meth:`~repro.core.sweep.SweepRunReport.for_device`.
         The run fans out over **workloads** — one task per workload,
         each owning the full device axis — because stream generation is
-        the expensive, device-independent part: it happens once per
-        workload and the device axis is evaluated in one batched pass
+        the expensive, device-independent part: it happens at most once
+        per workload, only when some device misses the result cache,
+        and the device axis is evaluated in one batched pass
         (:func:`repro.gpu.batched.simulate_devices`).  Results are
         ordered by registration order regardless of worker completion
         order; failed workloads are absent from ``results`` and listed
-        (also in registration order) in ``failures``.  *run_key* is the
-        journal identity and *span* names the run's root span.
+        (also in registration order) in ``failures``, and nothing
+        raises for them here (strict mode is settled by the caller).
         """
+        devices = list(devices)
+        selected = select_workloads(suites, workloads)
+        if not selected:
+            raise ValueError(f"no workloads selected from suites {suites!r}")
         names = [d.name for d in devices]
         if not devices:
             raise ValueError("a run needs at least one device")
@@ -513,7 +397,7 @@ class CharacterizationEngine:
             self.cache.tracer = session.tracer
         try:
             with session.tracer.span(
-                span,
+                "run",
                 category="suite",
                 suites=list(suites),
                 preset=preset.name,
@@ -529,9 +413,7 @@ class CharacterizationEngine:
                 journal: Optional[RunJournal] = None
                 marked: Set[str] = set()
                 if self.journal_dir is not None:
-                    journal = RunJournal(
-                        self.journal_dir, run_key, tracer=session.tracer
-                    )
+                    journal = RunJournal(self.journal_dir, tracer=session.tracer)
                     marked = journal.begin(selected)
                 cache = self._run_cache(journal, session.tracer)
 

@@ -1,47 +1,45 @@
-"""Resumable run checkpoints: a per-run journal of completed workloads.
+"""Resumable run checkpoints: a journal of completed workloads.
 
 A run interrupted after N workloads (crash, SIGTERM, power loss)
 should restart and re-run only the remaining ones.  The journal records
 *which* workloads completed; the results themselves live in the run's
 :class:`~repro.core.cache.ResultCache`, the one store with one keying
-rule.  Suite runs and device sweeps share one format, because a suite
-run is a one-device sweep:
+rule.  The journal holds no run identity of its own: a marked workload
+resumes only if the result cache holds its entry for every device of
+the current run, and that recipe key already covers device, options,
+scale, seed and the source-fingerprinted version directory.  So runs
+with different parameters (or the two runs of one command, Cactus then
+PRT) can share a journal directory without ever replaying a wrong
+result.
 
 ``<journal_dir>/run.json``
-    Run metadata: journal schema version, the run key (a content
-    digest of the device(s) + simulation options + preset + workload
-    selection), and the selected workload list.  A journal whose run
-    key or schema does not match the current run is stale and is wiped
-    before the run starts — resuming is only ever offered for
-    *identical* runs.
+    Progress of the latest run: journal schema version, the selected
+    workload list and ``status`` (``running``/``complete``/``failed``),
+    read by the service's progress peek.
 ``<journal_dir>/done/<ABBR>.json``
     One completion marker per finished workload:
-    ``{"schema", "run_key", "abbr", "attempts"}`` and nothing else.  The
-    engine rebuilds each device's cache key from the run identity and
-    reads the characterizations back from the result cache; a marker
+    ``{"schema", "abbr", "attempts"}`` and nothing else.  A marker
     whose entries are missing or invalid counts as not done.
 ``<journal_dir>/results/``
     The private result cache (same layout, key and codec as any other)
-    the engine opens when the run's own cache has no disk tier; wiped
-    with the markers when the journal is stale.
+    the engine opens when the run has no cache of its own.
 
 All writes are atomic (temp file + ``os.replace``, through
 :func:`repro.core.cache.atomic_write_json`), so a marker is either
 complete or absent, and it is written only after its entries; a
-corrupt or foreign marker is treated as "not done" and the workload
-simply re-runs.
+corrupt marker, or one written under another schema, is treated as
+"not done" and the workload simply re-runs.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Set
 
 from repro.core.cache import atomic_write_json
 
-#: ``begin()`` wipes a journal written under any other schema.
+#: Markers written under any other schema count as "not done".
 JOURNAL_SCHEMA_VERSION = 2
 
 
@@ -56,7 +54,7 @@ def _read_json(path: Path) -> Optional[Dict[str, Any]]:
 
 
 class RunJournal:
-    """Checkpoint store for one run identity (suite run or sweep).
+    """Checkpoint store of one journal directory.
 
     The optional *tracer* (see :mod:`repro.obs`) emits a
     ``journal.checkpoint`` event per completion marker plus
@@ -64,9 +62,8 @@ class RunJournal:
     metrics — observation only, the on-disk format is untouched.
     """
 
-    def __init__(self, journal_dir, run_key: str, tracer=None) -> None:
+    def __init__(self, journal_dir, tracer=None) -> None:
         self.journal_dir = Path(journal_dir)
-        self.run_key = run_key
         if tracer is None:
             from repro.obs import NULL_TRACER
 
@@ -93,37 +90,19 @@ class RunJournal:
     def begin(self, selected: Iterable[str]) -> Set[str]:
         """Start (or resume) a run; return the workloads marked done.
 
-        If an existing journal matches this schema and run key, the
-        abbreviations whose marker names this run are returned so the
-        engine can try to resume them from the result cache.  Otherwise
-        the stale journal (markers and private results) is wiped and a
-        fresh ``run.json`` is written.
+        The engine tries to resume each returned abbreviation from the
+        result cache.  ``run.json`` is rewritten for this run.
         """
         selected = [abbr.upper() for abbr in selected]
-        meta = _read_json(self.run_path) or {}
-        if (
-            meta.get("schema") == JOURNAL_SCHEMA_VERSION
-            and meta.get("run_key") == self.run_key
-        ):
-            marked = {
-                abbr for abbr in selected
-                if (_read_json(self.marker_path(abbr)) or {}).get("run_key")
-                == self.run_key
-            }
-            self.tracer.event(
-                "journal.resume",
-                category="journal",
-                run_key=self.run_key[:16],
-                marked=len(marked),
-            )
-            return marked
-        for stale in (self.done_dir, self.results_dir):
-            shutil.rmtree(stale, ignore_errors=True)
+        marked = {
+            abbr for abbr in selected
+            if (_read_json(self.marker_path(abbr)) or {}).get("schema")
+            == JOURNAL_SCHEMA_VERSION
+        }
         atomic_write_json(
             self.run_path,
             {
                 "schema": JOURNAL_SCHEMA_VERSION,
-                "run_key": self.run_key,
                 "selected": selected,
                 "status": "running",
             },
@@ -131,10 +110,10 @@ class RunJournal:
         self.tracer.event(
             "journal.begin",
             category="journal",
-            run_key=self.run_key[:16],
             selected=len(selected),
+            marked=len(marked),
         )
-        return set()
+        return marked
 
     def mark_done(self, abbr: str, attempts: int = 1) -> None:
         """Atomically record *abbr* as complete (its entries are cached)."""
@@ -142,7 +121,6 @@ class RunJournal:
             self.marker_path(abbr),
             {
                 "schema": JOURNAL_SCHEMA_VERSION,
-                "run_key": self.run_key,
                 "abbr": abbr.upper(),
                 "attempts": attempts,
             },
@@ -159,17 +137,16 @@ class RunJournal:
     def peek(cls, journal_dir) -> Dict[str, Any]:
         """Read-only snapshot of a journal directory's progress.
 
-        Returns ``{"run_key", "status", "selected", "done"}`` without
-        constructing an engine or touching the result cache — the
-        service layer uses this to report a running job's checkpoint
-        progress cheaply.  An absent or unreadable journal yields an
-        empty snapshot (``run_key=None, done=[]``).
+        Returns ``{"status", "selected", "done"}`` without constructing
+        an engine or touching the result cache — the service layer uses
+        this to report a running job's checkpoint progress cheaply.  An
+        absent or unreadable journal yields an empty snapshot
+        (``status=None, done=[]``).
         """
         root = Path(journal_dir)
         meta = _read_json(root / "run.json") or {}
         done = sorted(p.stem for p in (root / "done").glob("*.json"))
         return {
-            "run_key": meta.get("run_key"),
             "status": meta.get("status"),
             "selected": list(meta.get("selected", [])),
             "done": done,
@@ -177,10 +154,7 @@ class RunJournal:
 
     def finish(self, ok: bool = True) -> None:
         """Mark the run's terminal status in ``run.json``."""
-        meta = _read_json(self.run_path) or {
-            "schema": JOURNAL_SCHEMA_VERSION,
-            "run_key": self.run_key,
-        }
+        meta = _read_json(self.run_path) or {"schema": JOURNAL_SCHEMA_VERSION}
         meta["status"] = "complete" if ok else "failed"
         atomic_write_json(self.run_path, meta)
         self.tracer.event(

@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.analysis.distribution import dominance_histogram
 from repro.analysis.roofline import render_roofline_ascii
 from repro.core.compare import check_observations, cluster_dominant_kernels
-from repro.core.suite import SuiteResult
+from repro.core.suite import SuiteRunReport
 from repro.gpu.device import RTX_3080
 
 
@@ -31,7 +31,7 @@ def _code(text: str) -> str:
     return f"```\n{text}\n```"
 
 
-def _table1(result: SuiteResult, suite: str) -> str:
+def _table1(result: SuiteRunReport, suite: str) -> str:
     lines = [
         "| workload | total warp insts | w-avg insts/kernel "
         "| kernels (100%) | kernels (70%) |",
@@ -47,7 +47,7 @@ def _table1(result: SuiteResult, suite: str) -> str:
     return "\n".join(lines)
 
 
-def _roofline_table(result: SuiteResult, suite: str) -> str:
+def _roofline_table(result: SuiteRunReport, suite: str) -> str:
     elbow = RTX_3080.roofline_elbow
     lines = [
         f"Roofline elbow: {elbow:.2f} warp insts / 32B transaction; "
@@ -65,15 +65,17 @@ def _roofline_table(result: SuiteResult, suite: str) -> str:
     return "\n".join(lines)
 
 
-def _run_profile_section(run) -> Optional[str]:
-    """Render one run's :class:`~repro.obs.metrics.RunProfile`.
+def render_run_profile(run: SuiteRunReport) -> Optional[str]:
+    """Render one run's :class:`~repro.obs.metrics.RunProfile` tables.
 
-    Returns ``None`` when the run carries no profile (plain
-    :class:`SuiteResult`, e.g. deserialized from an old report).
+    Wall-clock numbers differ between any two runs, so they are not part
+    of :func:`generate_report`; the CLI prints them on stderr.  Returns
+    ``None`` when the run carries no profile (e.g. a report deserialized
+    without one).
     """
     from repro.obs.metrics import PHASE_ORDER
 
-    profile = getattr(run, "run_profile", None)
+    profile = run.run_profile
     if profile is None:
         return None
 
@@ -127,26 +129,22 @@ def _run_profile_section(run) -> Optional[str]:
             f"max {queue['max'] * 1e3:.1f}ms over {int(queue['count'])} tasks"
         )
     lines += ["", "Engine counters: " + "; ".join(counters) + "."]
-
-    trace_dir = getattr(run, "trace_dir", None)
-    if trace_dir:
-        lines += [
-            "",
-            f"Trace artifacts (events.jsonl, trace.json): `{trace_dir}`.",
-        ]
     return "\n".join(lines)
 
 
 def generate_report(
-    cactus: SuiteResult,
-    prt: Optional[SuiteResult] = None,
+    cactus: SuiteRunReport,
+    prt: Optional[SuiteRunReport] = None,
     title: str = "Cactus characterization report",
     cache_stats: Optional["CacheStats"] = None,
 ) -> str:
     """Render a Markdown report for a Cactus run (and optional PRT run).
 
-    Pass the engine's ``cache_stats`` to append a result-cache summary
-    section (hit rates tell you whether the run was served warm).
+    The report depends on the characterizations alone, so two runs of
+    one recipe render the same bytes (the wall-clock tables are
+    :func:`render_run_profile`).  Pass the engine's ``cache_stats`` to
+    append a result-cache summary section (hit rates tell you whether
+    the run was served warm).
     """
     parts: List[str] = [f"# {title}\n"]
     parts.append(
@@ -154,9 +152,8 @@ def generate_report(
         f"{cactus.preset.name}.\n"
     )
 
-    failures = list(getattr(cactus, "failures", []) or [])
-    if prt is not None:
-        failures += list(getattr(prt, "failures", []) or [])
+    runs = [cactus] if prt is None else [cactus, prt]
+    failures = [failure for run in runs for failure in run.failures]
     if failures:
         lines = [
             "The following workloads failed and are excluded from every "
@@ -173,10 +170,13 @@ def generate_report(
                 f"| `{failure.error_type}: {message}` "
                 f"| {failure.attempts} | {failure.elapsed_s:.1f}s |"
             )
-        for run in (cactus, prt):
-            reason = getattr(run, "fallback_reason", None) if run else None
-            if reason:
-                lines += ["", f"Engine degraded to serial execution: {reason}"]
+        for run in runs:
+            if run.fallback_reason:
+                lines += [
+                    "",
+                    "Engine degraded to serial execution: "
+                    f"{run.fallback_reason}",
+                ]
                 break
         parts.append(_section("Failed workloads", "\n".join(lines)))
 
@@ -253,14 +253,6 @@ def generate_report(
                     f"({type(exc).__name__}: {exc}).",
                 )
             )
-
-    profile_section = _run_profile_section(cactus)
-    if profile_section is not None:
-        parts.append(_section("Run profile", profile_section))
-    if prt is not None:
-        prt_section = _run_profile_section(prt)
-        if prt_section is not None:
-            parts.append(_section("Run profile (PRT)", prt_section))
 
     if cache_stats is not None:
         parts.append(

@@ -216,7 +216,9 @@ class RetryPolicy:
 class SuiteRunError(RuntimeError):
     """Raised in strict mode when any workload fails terminally.
 
-    Carries the partial :class:`~repro.core.suite.SuiteRunReport` so
+    Carries the partial report (the caller's view: a
+    :class:`~repro.core.suite.SuiteRunReport` from ``run_suite``, a
+    :class:`~repro.core.sweep.SweepRunReport` from ``run_sweep``) so
     the completed characterizations (already journaled) are available
     to the caller even though the run as a whole failed.
     """
@@ -228,3 +230,10 @@ class SuiteRunError(RuntimeError):
         super().__init__(
             f"{len(failures)} workload(s) failed: {lines}"
         )
+
+
+def settle(report: Any, keep_going: bool) -> Any:
+    """Strict mode: terminal failures raise with *report* attached."""
+    if report.failures and not keep_going:
+        raise SuiteRunError(report, report.failures)
+    return report

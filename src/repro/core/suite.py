@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.core.characterize import Characterization
 from repro.core.config import LAPTOP_SCALE, ScalePreset
-from repro.core.resilience import RetryPolicy, WorkloadFailure
+from repro.core.resilience import RetryPolicy, WorkloadFailure, settle
 from repro.gpu.device import RTX_3080, DeviceSpec
 from repro.gpu.simulator import SimulationOptions
 from repro.workloads.registry import list_workloads
@@ -15,38 +15,6 @@ from repro.workloads.registry import list_workloads
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import ResultCache
     from repro.obs import RunProfile
-
-
-@dataclass
-class SuiteResult:
-    """Characterizations for one or more suites, keyed by abbreviation."""
-
-    device: DeviceSpec
-    preset: ScalePreset
-    results: Dict[str, Characterization] = field(default_factory=dict)
-
-    def __getitem__(self, abbr: str) -> Characterization:
-        return self.results[abbr.upper()]
-
-    def __contains__(self, abbr: str) -> bool:
-        return abbr.upper() in self.results
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def suite(self, name: str) -> List[Characterization]:
-        """Characterizations of one suite, in registration order."""
-        return [
-            self.results[abbr]
-            for abbr in list_workloads(name)
-            if abbr in self.results
-        ]
-
-    def profiles(self, name: Optional[str] = None):
-        items = (
-            self.suite(name) if name else list(self.results.values())
-        )
-        return [c.profile for c in items]
 
 
 @dataclass
@@ -94,15 +62,43 @@ class RunRecord:
 
 
 @dataclass
-class SuiteRunReport(RunRecord, SuiteResult):
-    """A :class:`SuiteResult` plus the run's :class:`RunRecord`.
+class SuiteRunReport(RunRecord):
+    """One device's characterizations, keyed by abbreviation, plus the
+    run's :class:`RunRecord`.
 
     ``results`` holds the *surviving* characterizations (registration
     order); every workload that failed terminally appears instead in
     ``failures``.  Downstream analyses degrade gracefully: suite
-    aggregates are computed over the survivors, and
-    :meth:`SuiteResult.suite` already skips absent workloads.
+    aggregates are computed over the survivors, and :meth:`suite`
+    skips absent workloads.
     """
+
+    device: DeviceSpec = RTX_3080
+    preset: ScalePreset = LAPTOP_SCALE
+    results: Dict[str, Characterization] = field(default_factory=dict)
+
+    def __getitem__(self, abbr: str) -> Characterization:
+        return self.results[abbr.upper()]
+
+    def __contains__(self, abbr: str) -> bool:
+        return abbr.upper() in self.results
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def suite(self, name: str) -> List[Characterization]:
+        """Characterizations of one suite, in registration order."""
+        return [
+            self.results[abbr]
+            for abbr in list_workloads(name)
+            if abbr in self.results
+        ]
+
+    def profiles(self, name: Optional[str] = None):
+        items = (
+            self.suite(name) if name else list(self.results.values())
+        )
+        return [c.profile for c in items]
 
 
 def run_suite(
@@ -134,21 +130,23 @@ def run_suite(
     there, even with the cache disabled.  *trace_dir* enables the
     :mod:`repro.obs` event log and Chrome-trace export for the run
     (run metrics on ``report.run_profile`` are collected regardless).
-    This is a thin wrapper over
-    :meth:`~repro.core.engine.CharacterizationEngine.run_suite`, which
-    runs a one-device sweep and returns its device slice.
+    A suite run is a one-device sweep: this runs
+    :meth:`~repro.core.engine.CharacterizationEngine.run_sweep` on
+    ``[device]`` and returns that device's view, strict mode settled on
+    the view (so ``SuiteRunError.report`` is a :class:`SuiteRunReport`).
     """
     from repro.core.engine import CharacterizationEngine
 
     engine = CharacterizationEngine(
-        device=device,
         options=options or SimulationOptions(),
         jobs=jobs,
         cache=cache,
         retry_policy=retry_policy or RetryPolicy(),
-        keep_going=keep_going,
         journal_dir=journal_dir,
         fault_plan=fault_plan,
         trace_dir=trace_dir,
     )
-    return engine.run_suite(suites, preset=preset, workloads=workloads)
+    run = engine.run_sweep(
+        [device], suites=suites, preset=preset, workloads=workloads
+    )
+    return settle(run.for_device(device.name), keep_going)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.core.characterize import Characterization
 from repro.core.config import LAPTOP_SCALE, ScalePreset
-from repro.core.resilience import RetryPolicy
+from repro.core.resilience import RetryPolicy, settle
 from repro.core.suite import RunRecord, SuiteRunReport
 from repro.gpu.device import DeviceSpec
 from repro.workloads.registry import list_workloads
@@ -67,8 +67,7 @@ class SweepRunReport(RunRecord):
     def for_device(self, name: str) -> SuiteRunReport:
         """One device's slice of the sweep, run record included.
 
-        The returned report is exactly what ``run_suite`` on that device
-        yields — ``run_suite`` *is* this view of a one-device sweep — so
+        ``run_suite`` returns exactly this view of a one-device sweep, so
         every single-device analysis (suite tables, roofline charts,
         report sections) applies unmodified to a sweep slice.
         """
@@ -119,7 +118,8 @@ def run_sweep(
     device misses the result cache; streams are never persisted, so
     adding a device to a swept cache directory regenerates each stream
     once.  This is a thin wrapper over
-    :meth:`~repro.core.engine.CharacterizationEngine.run_sweep`.
+    :meth:`~repro.core.engine.CharacterizationEngine.run_sweep` and
+    returns the run itself, strict mode settled on it.
     """
     from repro.core.engine import CharacterizationEngine
 
@@ -127,11 +127,11 @@ def run_sweep(
         jobs=jobs,
         cache=cache,
         retry_policy=retry_policy or RetryPolicy(),
-        keep_going=keep_going,
         journal_dir=journal_dir,
         fault_plan=fault_plan,
         trace_dir=trace_dir,
     )
-    return engine.run_sweep(
+    run = engine.run_sweep(
         devices, suites=suites, preset=preset, workloads=workloads
     )
+    return settle(run, keep_going)

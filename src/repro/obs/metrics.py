@@ -7,8 +7,9 @@ shipped back with the result tuple, and merged into the parent's
 registry.  The merged registry is then frozen into a
 :class:`RunProfile` — the machine-readable "where did the wall-clock
 go" record carried on
-:class:`~repro.core.suite.SuiteRunReport.run_profile` and rendered as
-the report's "Run profile" section.
+:class:`~repro.core.suite.SuiteRunReport.run_profile` and rendered by
+:func:`repro.core.report.render_run_profile` in the ``report``
+command's stderr epilogue.
 
 Naming conventions (what the run profile parses):
 

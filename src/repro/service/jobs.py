@@ -12,7 +12,8 @@ characterization report:
 * **scheduling** — a bounded pool of worker threads draining a
   :class:`~repro.service.quota.FairQueue` (round-robin across clients,
   FIFO per client);
-* **execution** — each job runs a fresh
+* **execution** — each job is one ``run_sweep`` call over its device
+  list (a suite job serializes the one device's view) on a fresh
   :class:`~repro.core.engine.CharacterizationEngine` against the
   manager's shared result-cache directory, with a per-job journal
   (``runs/<id>/journal``) and a per-job obs trace
@@ -432,12 +433,10 @@ class JobManager:
         run_dir = self.run_dir(job_id)
         jobs = self.engine_jobs if self.engine_jobs is not None else request.jobs
         return CharacterizationEngine(
-            device=request.device,
             options=request.options,
             jobs=jobs,
             cache=ResultCache(cache_dir=str(self.cache_dir)),
             retry_policy=self.retry_policy,
-            keep_going=True,
             journal_dir=str(run_dir / "journal"),
             trace_dir=str(run_dir / "trace"),
         )
@@ -453,23 +452,18 @@ class JobManager:
         outcome: Dict[str, Any] = {"state": JOB_FAILED}
         try:
             engine = self._engine_for(request, record.id)
-            suites = list(request.suites)
-            workloads = (
-                list(request.workloads) if request.workloads is not None else None
+            report = engine.run_sweep(
+                list(request.devices),
+                suites=request.suites,
+                preset=request.preset,
+                workloads=request.workloads,
             )
             if request.kind == "sweep":
-                report = engine.run_sweep(
-                    list(request.devices),
-                    suites=suites,
-                    preset=request.preset,
-                    workloads=workloads,
-                )
                 result = sweep_run_report_to_dict(report)
             else:
-                report = engine.run_suite(
-                    suites, preset=request.preset, workloads=workloads
+                result = suite_run_report_to_dict(
+                    report.for_device(request.device.name)
                 )
-                result = suite_run_report_to_dict(report)
             stats = engine.cache_stats
             outcome = {
                 "state": JOB_DONE,

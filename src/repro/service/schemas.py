@@ -13,14 +13,14 @@ round trip.
 Job identity — the coalescing contract
 --------------------------------------
 
-:meth:`JobRequest.job_key` is a content digest built from exactly the
-engine's run identity (:meth:`CharacterizationEngine.run_key` /
-``sweep_run_key``: device(s) + simulation options + preset + resolved
-workload selection + cache schema version).  Two requests share a key
-**iff** the engine would produce bit-identical results for them, so
-coalescing on the key can never serve a wrong answer.  Execution
-details that cannot change results (engine worker count) are
-deliberately excluded.
+:meth:`JobRequest.job_key` is a content digest of exactly what decides
+a job's results: kind, device(s), simulation options, preset, the
+workload selection resolved by
+:func:`~repro.workloads.registry.select_workloads` (the rule the engine
+runs) and the cache schema version.  Two requests share a key **iff**
+the engine would produce bit-identical results for them, so coalescing
+on the key can never serve a wrong answer.  Execution details that
+cannot change results (engine worker count) are deliberately excluded.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from repro.core.config import (
     ScalePreset,
 )
 from repro.gpu.device import DEVICE_ZOO, DeviceSpec, device_by_name
-from repro.gpu.digest import stable_digest
+from repro.gpu.digest import CACHE_SCHEMA_VERSION, stable_digest
 from repro.gpu.simulator import SimulationOptions, TimingOptions
-from repro.workloads.registry import list_workloads
+from repro.workloads.registry import select_workloads
 
 __all__ = [
     "JobRequest",
@@ -197,35 +197,18 @@ class JobRequest:
     def device(self) -> DeviceSpec:
         return self.devices[0]
 
-    def selected(self) -> List[str]:
-        """The resolved workload selection, in registration order."""
-        selected: List[str] = []
-        for suite in self.suites:
-            selected.extend(list_workloads(suite))
-        if self.workloads is not None:
-            wanted = {w.upper() for w in self.workloads}
-            selected = [abbr for abbr in selected if abbr in wanted]
-        return selected
-
     def job_key(self) -> str:
         """Content digest identifying this request's result.
 
-        Built on the engine's own run identity so service-level
-        coalescing and engine-level journal resumption agree about
-        what "the same run" means (see module docstring).
+        The layout, tags included, is pinned: persisted job records
+        coalesce on it, so it must not drift.
         """
-        from repro.core.engine import CharacterizationEngine
-
-        engine = CharacterizationEngine(
-            device=self.device, options=self.options
-        )
-        selected = self.selected()
+        selected = select_workloads(self.suites, self.workloads)
         if self.kind == "sweep":
-            base = engine.sweep_run_key(
-                self.preset, selected, list(self.devices)
-            )
+            run = ["sweep-run", CACHE_SCHEMA_VERSION, list(self.devices)]
         else:
-            base = engine.run_key(self.preset, selected)
+            run = ["suite-run", CACHE_SCHEMA_VERSION, self.device]
+        base = stable_digest(run + [self.options, self.preset, selected])
         return stable_digest(["service-job", base])
 
     def to_dict(self) -> Dict[str, Any]:
@@ -320,23 +303,18 @@ def parse_job_request(payload: Any) -> JobRequest:
         jobs = 1
 
     # -- selection (needs valid suites) --------------------------------
-    selected: List[str] = []
     if not errors:
         try:
-            for suite in suites:
-                selected.extend(list_workloads(suite))
+            known = set(select_workloads(suites))
         except KeyError as exc:
             errors.append(f"suites: {exc.args[0]}")
         if workloads is not None and not errors:
-            wanted = {w.upper() for w in workloads}
-            known = set(selected)
-            bad = sorted(w for w in wanted if w not in known)
+            bad = sorted({w.upper() for w in workloads} - known)
             if bad:
                 errors.append(
                     f"workloads: {bad} not in suites {list(suites)}"
                 )
-            selected = [abbr for abbr in selected if abbr in wanted]
-        if not errors and not selected:
+        if not errors and not select_workloads(suites, workloads):
             errors.append("workloads: selection is empty")
 
     if errors:

@@ -8,7 +8,7 @@ Factories are registered by the suite modules at import time.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.workloads.base import Workload
 
@@ -69,6 +69,22 @@ def list_workloads(suite: Optional[str] = None) -> List[str]:
         known = ", ".join(sorted(_SUITES))
         raise KeyError(f"unknown suite {suite!r}; known: {known}")
     return list(_SUITES[suite])
+
+
+def select_workloads(
+    suites: Sequence[str], workloads: Optional[Sequence[str]] = None
+) -> List[str]:
+    """Abbreviations of *suites* in registration order, restricted to
+    *workloads* (case-insensitive) when given.
+
+    The one selection rule: the engine runs exactly this list, and the
+    service keys a job on it.  Raises KeyError for an unknown suite.
+    """
+    selected = [abbr for suite in suites for abbr in list_workloads(suite)]
+    if workloads is not None:
+        wanted = {w.upper() for w in workloads}
+        selected = [abbr for abbr in selected if abbr in wanted]
+    return selected
 
 
 def cactus_workloads(scale: float = 1.0, seed: int = 0) -> List[Workload]:

@@ -5,7 +5,7 @@ import signal
 import pytest
 
 from repro.cli import main
-from repro.core import LAPTOP_SCALE, run_suite
+from repro.core import LAPTOP_SCALE, ResultCache, run_suite
 from repro.core.report import generate_report
 
 
@@ -96,10 +96,42 @@ class TestCLIEpilogue:
         assert digests == []
         assert "[cache]" not in capsys.readouterr().err
 
+    def test_report_stdout_is_byte_identical_across_runs(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """Wall-clock tables and cache counts go to the stderr epilogue,
+        so every run of one recipe prints the same report: two uncached
+        runs, then a cold and a warm run on one cache directory."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        cached = ["--cache-dir", str(tmp_path)]
+        outputs, errors = [], []
+        for flags in ([], [], cached, cached):
+            argv = ["--preset", "laptop", *flags, "report", "--with-prt"]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            outputs.append(captured.out)
+            errors.append(captured.err)
+            assert "Run profile" not in captured.out
+            assert "Engine cache" not in captured.out
+            assert "## Run profile\n" in captured.err
+            assert "## Run profile (PRT)\n" in captured.err
+        assert ", 0 stores" not in errors[2]
+        assert ", 0 stores" in errors[3]
+        assert outputs[1:] == outputs[:1] * 3
+
     def test_cache_command_needs_a_directory(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert main(["cache"]) == 2
         assert "no cache directory" in capsys.readouterr().err
+
+    def test_cache_command_prints_no_run_stats(self, tmp_path, capsys):
+        """``cache`` makes no run, so it has no hit/store counts to show."""
+        run_suite(["Cactus"], preset=LAPTOP_SCALE, workloads=["DCG"],
+                  cache=ResultCache(tmp_path))
+        assert main(["--cache-dir", str(tmp_path), "cache"]) == 0
+        out = capsys.readouterr().out
+        assert "entries:      1" in out
+        assert "stats:" not in out and "hits" not in out
 
     def test_similar_query_prints_cache_and_trace(self, tmp_path, capsys):
         trace_dir = tmp_path / "trace"

@@ -24,8 +24,10 @@ from repro.core.serialize import (
     characterization_from_dict,
     characterization_to_dict,
 )
+from repro.gpu.device import RTX_3080
 from repro.gpu.digest import stable_digest
 from repro.workloads import get_workload
+from repro.workloads.registry import select_workloads
 from tests.oracles import diff_characterizations, diff_suite_results
 
 
@@ -154,21 +156,20 @@ class TestEngineBehaviour:
         assert histograms["span.cache-lookup_s"]["count"] == 2
 
     def test_engine_selects_in_registration_order(self):
-        engine = CharacterizationEngine()
-        assert engine.select(["Cactus"])[:3] == ["GMS", "LMR", "LMC"]
-        assert engine.select(["Cactus"], workloads=["lgt", "GMS"]) == [
+        assert select_workloads(["Cactus"])[:3] == ["GMS", "LMR", "LMC"]
+        assert select_workloads(["Cactus"], workloads=["lgt", "GMS"]) == [
             "GMS",
             "LGT",
         ]
         with pytest.raises(ValueError):
-            engine.select(["Cactus"], workloads=["NOPE"])
+            CharacterizationEngine().run_sweep([RTX_3080], workloads=["NOPE"])
 
     def test_disk_cache_serves_second_call(self, tmp_path):
         engine = CharacterizationEngine(cache=ResultCache(cache_dir=tmp_path))
-        a = engine.run_suite(["Cactus"], preset=LAPTOP_SCALE,
+        a = engine.run_sweep([RTX_3080], ["Cactus"], preset=LAPTOP_SCALE,
                              workloads=["GRU"])
         stores = engine.cache_stats.stores
-        b = engine.run_suite(["Cactus"], preset=LAPTOP_SCALE,
+        b = engine.run_sweep([RTX_3080], ["Cactus"], preset=LAPTOP_SCALE,
                              workloads=["GRU"])
         assert engine.cache_stats.disk_hits >= 1
         assert engine.cache_stats.stores == stores

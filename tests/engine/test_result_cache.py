@@ -189,18 +189,16 @@ class TestJsonBytes:
         assert list(cache._path(KEY_A).parent.glob("*.tmp")) == []
 
     def test_journal_marker_matches_json_dump(self, tmp_path):
-        journal = RunJournal(tmp_path, run_key="k" * 64)
+        journal = RunJournal(tmp_path)
         assert journal.begin(["gms"]) == set()
         assert journal.run_path.read_bytes() == self.legacy_bytes({
             "schema": JOURNAL_SCHEMA_VERSION,
-            "run_key": "k" * 64,
             "selected": ["GMS"],
             "status": "running",
         })
         journal.mark_done("gms", attempts=2)
         expected = {
             "schema": JOURNAL_SCHEMA_VERSION,
-            "run_key": "k" * 64,
             "abbr": "GMS",
             "attempts": 2,
         }

@@ -4,7 +4,7 @@ Runs the standard three-workload slice (GMS, GST, GRU — cheapest at
 laptop scale) through the real engine, serial and pooled, with tracing
 on and off, and checks that
 
-* the emitted event log is a well-formed span *forest* (suite-run root,
+* the emitted event log is a well-formed span *forest* (``run`` root,
   attempt spans under it, phase spans under attempts — across process
   boundaries),
 * the run profile aggregates worker metrics correctly, and
@@ -52,7 +52,7 @@ def _span_index(events):
 def _assert_forest(events, expected_workloads):
     """The event log reassembles into the expected span hierarchy."""
     spans = _span_index(events)
-    roots = [s for s in spans.values() if s["name"] == "suite-run"]
+    roots = [s for s in spans.values() if s["name"] == "run"]
     assert len(roots) == 1
     root = roots[0]
     assert root["parent_id"] is None
@@ -217,4 +217,4 @@ class TestDifferential:
         events = payload["traceEvents"]
         assert {e["ph"] for e in events} <= {"X", "i", "M"}
         names = {e["name"] for e in events if e["ph"] == "X"}
-        assert "suite-run" in names and "attempt" in names
+        assert "run" in names and "attempt" in names

@@ -2,12 +2,14 @@
 
 Covers the round-trip contract — ``suite_run_report_from_dict(
 suite_run_report_to_dict(r)) == r`` through actual JSON, including the
-failure/resilience record — and the report section that renders the run
-profile for clean and fault-injected runs alike.
+failure/resilience record — and the run-profile tables (printed on the
+CLI's stderr, never in the report) for clean and fault-injected runs
+alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +20,7 @@ from repro.core import (
     run_suite,
     suite_run_report_to_dict,
 )
-from repro.core.report import generate_report
+from repro.core.report import generate_report, render_run_profile
 from tests.faults import FaultPlan
 from tests.oracles import suite_run_report_from_dict
 
@@ -96,19 +98,18 @@ class TestRoundTrip:
 
 class TestRunProfileSection:
     def test_clean_run_renders_profile(self, clean_report):
-        text = generate_report(clean_report)
-        assert "## Run profile" in text
-        section = text[text.index("## Run profile"):]
+        section = render_run_profile(clean_report)
         for phase in ("stream-gen", "simulate", "analyze"):
             assert f"| {phase} |" in section
         for abbr in WORKLOADS:
             assert f"| {abbr} |" in section
         assert "workloads completed: 3" in section
         assert "retries: 0" in section
+        # Wall clock differs between runs: the report itself omits it.
+        assert "Run profile" not in generate_report(clean_report)
 
     def test_faulted_run_renders_profile(self, faulted_report):
-        text = generate_report(faulted_report)
-        section = text[text.index("## Run profile"):]
+        section = render_run_profile(faulted_report)
         assert "workloads completed: 2" in section
         assert "failed: 1" in section
         assert "retries: 1" in section
@@ -116,11 +117,5 @@ class TestRunProfileSection:
         assert "| GST |" in section
 
     def test_plain_suite_result_omits_section(self, clean_report):
-        from repro.core.suite import SuiteResult
-
-        plain = SuiteResult(
-            device=clean_report.device,
-            preset=clean_report.preset,
-            results=dict(clean_report.results),
-        )
-        assert "## Run profile" not in generate_report(plain)
+        plain = dataclasses.replace(clean_report, run_profile=None)
+        assert render_run_profile(plain) is None

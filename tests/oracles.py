@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.config import ScalePreset
 from repro.core.resilience import WorkloadFailure
 from repro.core.serialize import characterization_from_dict
-from repro.core.suite import SuiteResult, SuiteRunReport
+from repro.core.suite import SuiteRunReport
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import (
     InstructionMix,
@@ -79,7 +79,7 @@ def diff_characterizations(a, b, label: str = "") -> List[str]:
     return out
 
 
-def diff_suite_results(a: SuiteResult, b: SuiteResult) -> List[str]:
+def diff_suite_results(a: SuiteRunReport, b: SuiteRunReport) -> List[str]:
     """Differences between two suite runs (keys and per-workload data)."""
     out: List[str] = []
     if list(a.results) != list(b.results):

@@ -5,23 +5,26 @@ Not a pytest module (the filename keeps it out of collection) — this is
 an end-to-end process-level check used by the CI ``robustness`` job.
 For each case — ``table1`` (a suite run), ``sweep`` (a two-device
 sweep; both share one journal format), ``sweep-cached`` (the same
-sweep over a shared disk cache, the shape service jobs run in) and
+sweep over a shared disk cache, the shape service jobs run in),
 ``table1-pool`` (the suite run on a two-worker process pool; serial
-and pooled runs share one attempt loop):
+and pooled runs share one attempt loop) and ``observations`` (two runs
+on one journal directory, Cactus then PRT):
 
 1. launch ``python -m repro`` with a journal dir and no cache (or, for
    ``sweep-cached``, a fresh ``--cache-dir``),
 2. poll the journal's ``done/`` markers and SIGTERM the process once at
-   least two workloads have been checkpointed, and require that no
-   process of its group (pool workers included) is alive 5 s after it
-   exits,
-3. rerun the identical command and assert it resumes (skipping every
-   checkpointed workload) and completes with exit code 0, with the
-   results kept in the cache — the journal's private ``results/`` cache
-   without a cache dir, the shared one with it — and not in the markers.
+   least two workloads of its last run have been checkpointed (for
+   ``observations``: once the Cactus run is complete and the PRT run is
+   under way), and require that no process of its group (pool workers
+   included) is alive 5 s after it exits,
+3. rerun the identical command and assert it resumes, skipping every
+   checkpointed workload (for ``observations``: every Cactus workload),
+   and completes with exit code 0, with the results kept in the cache —
+   the journal's private ``results/`` cache without a cache dir, the
+   shared one with it — and not in the markers.
 
 Usage: ``kill_resume_smoke.py [table1] [sweep] [sweep-cached]
-[table1-pool]`` (default: all four).
+[table1-pool] [observations]`` (default: all five).
 Exit code 0 = smoke passed.
 """
 
@@ -39,6 +42,9 @@ SRC = ROOT / "src"
 
 KILL_AFTER_MARKERS = 2
 POLL_S = 0.05
+#: PRT workloads take milliseconds each: watch the markers often enough
+#: to land the kill inside the PRT run.
+MARKER_POLL_S = 0.002
 DEADLINE_S = 300.0
 #: How long after a SIGTERM'd run exits its process group must be empty.
 OUTLIVE_S = 5.0
@@ -56,19 +62,25 @@ def _env():
 
 
 SWEEP = ["sweep", "--devices", "RTX 3080,V100"]
+CACTUS = ["Cactus"]
+PRT = ["Parboil", "Rodinia", "Tango"]
 
-#: Whether each case runs over a shared disk cache, and its global
-#: flags plus subcommand.
+#: Whether each case runs over a shared disk cache, its global flags
+#: plus subcommand, and the suites of each of its runs, in run order.
+#: The observation preset makes ``observations`` exit 0.
 CASES = {
-    "table1": (False, ["table1"]),
-    "sweep": (False, SWEEP),
-    "sweep-cached": (True, SWEEP),
-    "table1-pool": (False, ["--jobs", "2", "table1"]),
+    "table1": (False, ["table1"], [CACTUS]),
+    "sweep": (False, SWEEP, [CACTUS]),
+    "sweep-cached": (True, SWEEP, [CACTUS]),
+    "table1-pool": (False, ["--jobs", "2", "table1"], [CACTUS]),
+    "observations": (
+        False, ["--preset", "observation", "observations"], [CACTUS, PRT],
+    ),
 }
 
 
 def _command(work_dir, case):
-    cached, subcommand = CASES[case]
+    cached, subcommand, _ = CASES[case]
     cache = ["--cache-dir", str(work_dir / "cache")] if cached else ["--no-cache"]
     return [
         sys.executable, "-m", "repro",
@@ -122,16 +134,29 @@ def _markers(journal_dir):
     return {p.stem for p in done.glob("*.json")}
 
 
-def _cactus_workloads():
+def _workloads(suites):
     sys.path.insert(0, str(SRC))
     from repro.workloads import list_workloads
 
-    return set(list_workloads("Cactus"))
+    return {abbr for suite in suites for abbr in list_workloads(suite)}
 
 
-def smoke(case, expected):
+def _resumed(stderr):
+    """Workloads the ``[journal] resumed, skipping ...`` lines name."""
+    return {
+        abbr.strip()
+        for line in stderr.splitlines()
+        if line.startswith("[journal] resumed")
+        for abbr in line.split(": ", 1)[1].split(",")
+    }
+
+
+def smoke(case):
     """One SIGTERM-then-resume cycle for *case*; returns an exit code."""
     print(f"[{case}]")
+    runs = [_workloads(suites) for suites in CASES[case][2]]
+    earlier, last = set().union(*runs[:-1]), runs[-1]
+    expected = earlier | last
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as work:
         work_dir = Path(work)
         journal_dir = work_dir / "journal"
@@ -145,14 +170,14 @@ def smoke(case, expected):
         killed_at = None
         while proc.poll() is None and time.monotonic() < deadline:
             done = _markers(journal_dir)
-            if len(done) >= KILL_AFTER_MARKERS:
+            if len(done & last) >= KILL_AFTER_MARKERS:
                 killed_at = done
                 try:
                     proc.send_signal(signal.SIGTERM)
                 except ProcessLookupError:
                     pass
                 break
-            time.sleep(POLL_S)
+            time.sleep(MARKER_POLL_S)
         rc = proc.wait(timeout=60)
         # SIGTERM unwinds the run, which terminates its pool workers:
         # none may outlive it.  The group is reaped either way.
@@ -187,6 +212,11 @@ def smoke(case, expected):
             print("FAIL: every workload already checkpointed — the kill "
                   "landed too late to exercise resumption", file=sys.stderr)
             return 1
+        if not survivors >= earlier:
+            print("FAIL: the earlier runs' checkpoints are missing "
+                  f"(killed too early, or wiped): {sorted(earlier - survivors)}",
+                  file=sys.stderr)
+            return 1
 
         # -- phase 2: resume -------------------------------------------
         result = subprocess.run(
@@ -197,9 +227,9 @@ def smoke(case, expected):
             print(f"FAIL: resumed run exited {result.returncode}\n"
                   f"{result.stderr}", file=sys.stderr)
             return 1
-        if "[journal] resumed" not in result.stderr:
-            print("FAIL: resumed run did not report journal resumption\n"
-                  f"{result.stderr}", file=sys.stderr)
+        if not _resumed(result.stderr) >= survivors:
+            print("FAIL: resumed run did not skip every checkpointed "
+                  f"workload\n{result.stderr}", file=sys.stderr)
             return 1
         final = _markers(journal_dir)
         if final != expected:
@@ -224,9 +254,8 @@ def smoke(case, expected):
 
 
 def main(argv):
-    expected = _cactus_workloads()
     for case in argv or list(CASES):
-        rc = smoke(case, expected)
+        rc = smoke(case)
         if rc:
             return rc
     return 0

@@ -3,8 +3,9 @@
 A suite run interrupted after N workloads resumes and re-runs only the
 remaining ones, verified through the journal — with the result cache
 disabled.  Journal markers record completion only; resumed results are
-read back from the run's result cache, so a marker whose entries are
-gone, corrupt or from another model version re-runs its workload.
+read back from the run's result cache under the current run's recipe
+keys, so a marker whose entries are gone, corrupt, from another model
+version or from a run with other parameters re-runs its workload.
 """
 
 import json
@@ -17,10 +18,8 @@ from repro.core import (
     ResultCache,
     RunJournal,
     SuiteRunError,
-    run_suite,
 )
 from repro.core.cache import characterization_key
-from repro.core.engine import CharacterizationEngine
 from repro.core.serialize import characterization_to_dict
 from repro.gpu import V100
 from repro.gpu.simulator import SimulationOptions
@@ -91,16 +90,13 @@ class TestResume:
 
     def test_different_run_identity_does_not_resume(self, tmp_path):
         run_slice(journal_dir=tmp_path)
-        # A different workload selection is a different run key: the
-        # stale journal must be wiped, not resumed.
-        report = run_suite(
-            ["Cactus"],
-            preset=LAPTOP_SCALE,
-            workloads=["GMS", "GST"],
-            journal_dir=tmp_path,
-        )
+        # Every workload is marked done, but for another device: the
+        # markers must not replay RTX 3080 results as V100 ones.
+        report = run_slice(journal_dir=tmp_path, device=V100)
         assert report.resumed == []
-        assert sorted(report.results) == ["GMS", "GST"]
+        assert report.results == run_slice(device=V100).results
+        # Both runs' entries now sit side by side; each device resumes.
+        assert run_slice(journal_dir=tmp_path).resumed == WORKLOADS
 
     def test_corrupt_marker_just_reruns_the_workload(self, baseline, tmp_path):
         run_slice(journal_dir=tmp_path)
@@ -112,8 +108,9 @@ class TestResume:
         assert report.results == baseline.results
 
     def test_old_format_marker_reruns_the_workload(self, baseline, tmp_path):
-        """A schema-1 journal (markers embedding every characterization)
-        is wiped and re-runs everything once; the rewritten journal then
+        """Schema-1 markers (embedding every characterization) count as
+        not done: every workload runs again, through the result cache,
+        and is re-marked in the current format; the journal then
         resumes as usual."""
         run_slice(journal_dir=tmp_path)
         meta = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
@@ -132,19 +129,12 @@ class TestResume:
         assert report.resumed == []
         assert report.ok
         assert report.results == baseline.results
-        # The wipe took the private results too: every workload was
-        # recomputed and stored again.
-        assert report.run_profile.counter("cache.stores") == len(WORKLOADS)
+        assert report.attempts == {abbr: 1 for abbr in WORKLOADS}
         for abbr in WORKLOADS:
             rewritten = json.loads(
                 (tmp_path / "done" / f"{abbr}.json").read_text(encoding="utf-8")
             )
-            assert rewritten == {
-                "schema": 2,
-                "run_key": meta["run_key"],
-                "abbr": abbr,
-                "attempts": 1,
-            }
+            assert rewritten == {"schema": 2, "abbr": abbr, "attempts": 1}
         assert run_slice(journal_dir=tmp_path).resumed == WORKLOADS
 
     def test_failed_workloads_are_not_marked_done(self, tmp_path):
@@ -209,39 +199,56 @@ class TestStaleResume:
 
 class TestRunJournalUnit:
     def test_begin_is_idempotent_for_same_key(self, tmp_path):
-        journal = RunJournal(tmp_path, run_key="k1")
+        journal = RunJournal(tmp_path)
         assert journal.begin(["A", "B"]) == set()
         assert journal.begin(["A", "B"]) == set()
-        assert json.loads(journal.run_path.read_text())["run_key"] == "k1"
-
-    def test_foreign_marker_ignored(self, tmp_path):
-        ours = RunJournal(tmp_path, run_key="k1")
-        ours.begin(["GMS", "GST"])
-        ours.mark_done("GMS")
-        # A marker naming another run key inside our journal: not done.
-        RunJournal(tmp_path, run_key="k2").mark_done("GST")
-        assert RunJournal(tmp_path, run_key="k1").begin(["GMS", "GST"]) \
-            == {"GMS"}
-        # Same directory, different identity: no marker may leak.
-        theirs = RunJournal(tmp_path, run_key="k2")
-        assert theirs.begin(["GMS", "GST"]) == set()
+        assert json.loads(journal.run_path.read_text()) == {
+            "schema": 2, "selected": ["A", "B"], "status": "running",
+        }
 
     def test_mark_done_round_trips_losslessly(self, tmp_path):
-        journal = RunJournal(tmp_path, run_key="k1")
+        journal = RunJournal(tmp_path)
         journal.begin(WORKLOADS)
         journal.mark_done("gms", attempts=2)
         assert journal.begin(WORKLOADS) == {"GMS"}
         assert json.loads(journal.marker_path("GMS").read_text()) == {
             "schema": 2,
-            "run_key": "k1",
             "abbr": "GMS",
             "attempts": 2,
         }
         assert RunJournal.peek(tmp_path)["done"] == ["GMS"]
 
-    def test_run_key_depends_on_identity(self):
-        engine = CharacterizationEngine()
-        key_a = engine.run_key(LAPTOP_SCALE, ["GMS", "GST"])
-        key_b = engine.run_key(LAPTOP_SCALE, ["GMS", "GRU"])
-        assert key_a != key_b
-        assert key_a == engine.run_key(LAPTOP_SCALE, ["GMS", "GST"])
+
+class TestCommandResume:
+    def test_journaled_observations_resume_both_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``observations`` makes two runs (Cactus, then PRT) on one
+        journal directory; a rerun resumes both and builds no stream."""
+        import repro.core.engine as engine
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        argv = ["--preset", "laptop", "--jobs", "1",
+                "--journal-dir", str(tmp_path), "observations"]
+        first_code = main(argv)
+        first = capsys.readouterr()
+        assert "[journal]" not in first.err
+
+        streams = []
+        generate = engine.generate_stream
+        monkeypatch.setattr(
+            engine, "generate_stream",
+            lambda *args: streams.append(1) or generate(*args),
+        )
+        assert main(argv) == first_code
+        second = capsys.readouterr()
+        assert streams == []
+        assert second.out == first.out
+        resumed = [
+            line for line in second.err.splitlines()
+            if line.startswith("[journal] resumed")
+        ]
+        assert len(resumed) == 2
+        assert "GMS" in resumed[0] and "LGT" in resumed[0]
+        assert "BFS" in resumed[1]

@@ -37,8 +37,8 @@ import time
 REPO = pathlib.Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.core import run_suite  # noqa: E402
 from repro.core.config import LAPTOP_SCALE  # noqa: E402
-from repro.core.engine import CharacterizationEngine  # noqa: E402
 from repro.core.serialize import suite_run_report_to_dict  # noqa: E402
 from repro.gpu.device import device_by_name  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
@@ -180,9 +180,11 @@ def phase_events(
 
 def phase_differential(client: ServiceClient, job_id: str) -> None:
     service_result = client.job(job_id)["result"]
-    engine = CharacterizationEngine(device=device_by_name("RTX 3080"))
-    report = engine.run_suite(
-        ["Cactus"], preset=LAPTOP_SCALE, workloads=FAST_REQUEST["workloads"]
+    report = run_suite(
+        ["Cactus"],
+        preset=LAPTOP_SCALE,
+        device=device_by_name("RTX 3080"),
+        workloads=FAST_REQUEST["workloads"],
     )
     expected = suite_run_report_to_dict(report)
     if service_result["results"] != expected["results"]:

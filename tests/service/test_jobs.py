@@ -10,8 +10,8 @@ import threading
 
 import pytest
 
+from repro.core import run_suite
 from repro.core.config import LAPTOP_SCALE
-from repro.core.engine import CharacterizationEngine
 from repro.core.serialize import suite_run_report_to_dict
 from repro.gpu.device import device_by_name
 from repro.service.jobs import (
@@ -141,9 +141,11 @@ class TestDifferential:
         manager.wait(record.id, timeout=120)
         assert record.state == JOB_DONE
 
-        engine = CharacterizationEngine(device=device_by_name("RTX 3080"))
-        report = engine.run_suite(
-            ["Cactus"], preset=LAPTOP_SCALE, workloads=["DCG", "NST"]
+        report = run_suite(
+            ["Cactus"],
+            preset=LAPTOP_SCALE,
+            device=device_by_name("RTX 3080"),
+            workloads=["DCG", "NST"],
         )
         expected = suite_run_report_to_dict(report)
         # Characterizations must match bit-for-bit; run_profile carries
@@ -207,10 +209,10 @@ class TestFailureAndRecovery:
             def __getattr__(self, name):
                 return getattr(self.engine, name)
 
-            def run_suite(self, *args, **kwargs):
+            def run_sweep(self, *args, **kwargs):
                 started.set()
                 assert release.wait(timeout=30)
-                return self.engine.run_suite(*args, **kwargs)
+                return self.engine.run_sweep(*args, **kwargs)
 
         monkeypatch.setattr(
             manager,

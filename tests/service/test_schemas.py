@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.engine import CharacterizationEngine
 from repro.gpu.device import DEVICE_ZOO, RTX_3080, device_by_name
+from repro.gpu.digest import CACHE_SCHEMA_VERSION, stable_digest
 from repro.service.schemas import (
     MAX_ENGINE_JOBS,
     JobRequest,
@@ -11,6 +11,7 @@ from repro.service.schemas import (
     parse_job_request,
     zoo_payload,
 )
+from repro.workloads.registry import select_workloads
 
 
 def _parse(**overrides):
@@ -62,7 +63,9 @@ class TestParsing:
 
     def test_workload_selection_resolves_in_registration_order(self):
         request = _parse(workloads=["nst", "DCG"])  # case-insensitive
-        assert request.selected() == ["DCG", "NST"]
+        assert select_workloads(request.suites, request.workloads) == [
+            "DCG", "NST",
+        ]
 
 
 class TestValidationErrors:
@@ -122,17 +125,6 @@ class TestValidationErrors:
 class TestJobKey:
     """The coalescing contract: same key iff same engine results."""
 
-    def test_key_is_engine_run_key_based(self):
-        request = _parse()
-        engine = CharacterizationEngine(
-            device=request.device, options=request.options
-        )
-        base = engine.run_key(request.preset, request.selected())
-        # The service key is a digest *over* the engine key: any change
-        # to the engine's run identity changes the job key too.
-        assert request.job_key() != base
-        assert _parse().job_key() == request.job_key()
-
     def test_result_affecting_fields_change_the_key(self):
         base = _parse().job_key()
         assert _parse(workloads=["NST"]).job_key() != base
@@ -145,32 +137,48 @@ class TestJobKey:
             != base
         )
 
-    def test_engine_run_keys_are_pinned(self):
-        """Journals resume by engine run key; it must not drift.
+    def test_key_is_engine_run_key_based(self):
+        request = _parse()
+        base = stable_digest([
+            "suite-run", CACHE_SCHEMA_VERSION, request.device,
+            request.options, request.preset,
+            select_workloads(request.suites, request.workloads),
+        ])
+        # The service key is a digest *over* the run-identity digest:
+        # any change to the run's identity changes the job key too.
+        assert request.job_key() == stable_digest(["service-job", base])
+        assert request.job_key() != base
+        assert _parse().job_key() == request.job_key()
 
-        A changed digest here orphans every journal written by an
-        earlier version (a run would restart instead of resuming).
+    def test_engine_run_keys_are_pinned(self):
+        """Job keys must not drift: persisted job records coalesce on them.
+
+        Each key is a digest over the run-identity digest the engine
+        once used as its journal key; both inner values are pinned.
         """
-        request = parse_job_request(
+        suite = parse_job_request(
+            {"workloads": ["GST", "DCG"], "device": "RTX 3080"}
+        )
+        sweep = parse_job_request(
             {"kind": "sweep", "workloads": ["GST", "DCG"],
              "devices": ["RTX 3080", "V100"]}
         )
-        engine = CharacterizationEngine(
-            device=request.device, options=request.options
-        )
-        selected = request.selected()
-        assert selected == ["GST", "DCG"]
-        assert engine.run_key(request.preset, selected) == (
+        assert select_workloads(sweep.suites, sweep.workloads) == [
+            "GST", "DCG",
+        ]
+        assert suite.job_key() == stable_digest([
+            "service-job",
             "93ffd733d77b9861173978260731e428"
-            "38e0372cb174577ecaead87142e543e4"
-        )
-        assert engine.sweep_run_key(
-            request.preset, selected, list(request.devices)
-        ) == (
+            "38e0372cb174577ecaead87142e543e4",
+        ])
+        assert sweep.job_key() == stable_digest([
+            "service-job",
             "96ed81d183cb31222efbf2766bfe52b0"
-            "47265543cb51749a69c5ffd67a683caf"
-        )
-        assert request.devices[0] == RTX_3080
+            "47265543cb51749a69c5ffd67a683caf",
+        ])
+        assert sweep.devices[0] == RTX_3080 == suite.device
+        # Deterministic, and insensitive to selection spelling.
+        assert suite.job_key() == _parse(workloads=["dcg", "gst"]).job_key()
 
     def test_execution_details_do_not_change_the_key(self):
         assert _parse(jobs=1).job_key() == _parse(jobs=4).job_key()
