@@ -36,25 +36,39 @@ class CorrelationBand(Enum):
         return cls.NONE
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Pearson correlation coefficient of two equal-length samples."""
-    if len(xs) != len(ys):
-        raise ValueError("samples must have the same length")
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two samples")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
-    denominator = math.sqrt(var_x) * math.sqrt(var_y)
+def _centred(sample: Sequence[float]) -> Tuple[List[float], float]:
+    """A sample's deviations from its mean and their root sum of squares.
+
+    A constant sample (``max == min``) has root 0.0: its deviations are
+    rounding noise of the mean (``[1.9] * 3`` averages to
+    1.9000000000000001), not spread.
+    """
+    mean = sum(sample) / len(sample)
+    deviations = [x - mean for x in sample]
+    if max(sample) == min(sample):
+        return deviations, 0.0
+    return deviations, math.sqrt(sum(d ** 2 for d in deviations))
+
+
+def _pcc(x: Tuple[List[float], float], y: Tuple[List[float], float]) -> float:
+    """Pearson's coefficient of two :func:`_centred` samples."""
+    (dx, root_x), (dy, root_y) = x, y
+    denominator = root_x * root_y
     if denominator <= 0.0:
         # A constant sample has no linear relationship to measure
         # (this also guards the underflow of var_x * var_y for
         # subnormal variances).
         return 0.0
-    return max(-1.0, min(1.0, cov / denominator))
+    return max(-1.0, min(1.0, sum(map(operator.mul, dx, dy)) / denominator))
+
+
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson correlation coefficient of two equal-length samples."""
+    if len(xs) != len(ys):
+        raise ValueError("samples must have the same length")
+    if len(xs) < 2:
+        raise ValueError("need at least two samples")
+    return _pcc(_centred(xs), _centred(ys))
 
 
 def _kernel_metric(kernel: KernelProfile, metric: str) -> float:
@@ -125,28 +139,18 @@ def correlation_matrix(
         )
     if len(kernels) < 2:
         raise ValueError("need at least two kernels to correlate")
-    # Each metric's sample, its deviations from the mean and its root
-    # sum of squares, once per call: every cell then replays
-    # :func:`pearson`'s arithmetic in the same order, bit for bit.
+    # Each metric is centred once per call, not once per cell.
     centred: Dict[str, Tuple[List[float], float]] = {}
     for metric in (*rows, *columns):
         if metric not in centred:
-            sample = [_kernel_metric(k, metric) for k in kernels]
-            mean = sum(sample) / len(sample)
-            deviations = [x - mean for x in sample]
-            root = math.sqrt(sum(d ** 2 for d in deviations))
-            centred[metric] = (deviations, root)
-    values: Dict[Tuple[str, str], float] = {}
-    for row in rows:
-        dx, root_x = centred[row]
-        for column in columns:
-            dy, root_y = centred[column]
-            cov = sum(map(operator.mul, dx, dy))
-            denominator = root_x * root_y
-            values[(row, column)] = (
-                0.0 if denominator <= 0.0
-                else max(-1.0, min(1.0, cov / denominator))
+            centred[metric] = _centred(
+                [_kernel_metric(k, metric) for k in kernels]
             )
+    values = {
+        (row, column): _pcc(centred[row], centred[column])
+        for row in rows
+        for column in columns
+    }
     return CorrelationMatrix(
         rows=tuple(rows), columns=tuple(columns), values=values
     )

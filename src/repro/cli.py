@@ -49,6 +49,7 @@ from repro.core import (
     run_suite,
     run_sweep,
 )
+from repro.core import resilience
 from repro.core.engine import _resolve_jobs
 from repro.gpu.device import DEVICE_ZOO, device_by_name
 from repro.gpu.digest import source_fingerprint
@@ -764,8 +765,11 @@ def _exit_on_sigterm(signum, frame) -> None:
     """SIGTERM ends a suite command as ``sys.exit(143)`` would.
 
     The exception unwinds through the engine, whose ``finally`` stops
-    its pool workers before the process exits.
+    its pool workers before the process exits.  The flag set first
+    survives the exception being discarded (see
+    :data:`repro.core.resilience.terminated`).
     """
+    resilience.terminated = 128 + signum
     raise SystemExit(128 + signum)
 
 
@@ -847,11 +851,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # exception; list the failures and exit non-zero.
         _epilogue(reports + [exc.report], cache, profiles)
         print(f"repro: error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    except SystemExit:
+        if not resilience.terminated:
+            raise
+    else:
+        _epilogue(reports, cache, profiles)
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
-    _epilogue(reports, cache, profiles)
-    return code
+        terminated, resilience.terminated = resilience.terminated, 0
+    return terminated or code
 
 
 if __name__ == "__main__":  # pragma: no cover

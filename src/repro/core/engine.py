@@ -31,10 +31,11 @@ executor and combines three orthogonal capabilities:
   killed and the pool rebuilt); a pool that is unavailable, cannot be
   rebuilt or breaks twice is swapped for the in-process executor with
   a recorded ``fallback_reason``; and an optional
-  :class:`~repro.core.journal.RunJournal` marks each completed
-  workload so an interrupted run resumes where it left off, reading the
-  marked results back from the result cache — a private one under the
-  journal directory when the run has no cache.
+  :class:`~repro.core.journal.RunJournal` records the run's progress
+  so an interrupted run resumes where it left off: a rerun's cache
+  lookup hits every completed workload (in a private cache under the
+  journal directory when the run has no cache), which is then reported
+  as resumed instead of recomputed.
 
 The engine returns every run's report with both survivors and
 failures; strict mode is the caller's: :func:`repro.core.run_suite`
@@ -59,8 +60,9 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.core import resilience
 from repro.core.cache import CacheStats, ResultCache, characterization_key
 from repro.core.characterize import (
     Characterization,
@@ -109,8 +111,7 @@ def _lookup(
     devices that hit, the characterization with its ``stream_digest``.
     An entry that parses but is not a characterization is quarantined
     like an unparsable one (:meth:`~repro.core.cache.ResultCache.reject`)
-    and left out of *hits*.  Shared by :func:`_attempt` and journal
-    resume, so both read results through one key and one codec.
+    and left out of *hits*.
     """
     scale, seed = preset.for_workload(abbr), preset.seed
     keys: Dict[str, str] = {}
@@ -146,7 +147,7 @@ def _attempt(
     attempt: int,
     fault_plan: Optional[Any],
     mode: str,
-) -> Dict[str, Characterization]:
+) -> Tuple[Dict[str, Characterization], bool]:
     """One attempt at one workload across every device of the run.
 
     The only attempt body, shared by the serial loop (``mode="serial"``)
@@ -159,7 +160,8 @@ def _attempt(
     stored with that ``stream_digest``.  A hit whose ``stream_digest``
     differs from the stream in hand is stale: recomputed, overwritten
     and counted in ``cache.stale``.  The *fault_plan* hooks run once per
-    attempt and are strict no-ops when the plan is empty.
+    attempt and are strict no-ops when the plan is empty.  Returns the
+    results by device and whether every device hit (no stream built).
     """
     with tracer.span(
         "attempt",
@@ -177,7 +179,8 @@ def _attempt(
             else ({}, {})
         )
         result = {name: hit[0] for name, hit in hits.items()}
-        if len(hits) < len(devices):
+        cached = len(hits) == len(devices)
+        if not cached:
             scale, seed = preset.for_workload(abbr), preset.seed
             workload = get_workload(abbr, scale=scale, seed=seed)
             stream = generate_stream(workload, tracer)
@@ -209,7 +212,7 @@ def _attempt(
         result = {device.name: result[device.name] for device in devices}
         if fault_plan is not None:
             result = fault_plan.after(abbr, attempt, result, cache)
-    return result
+    return result, cached
 
 
 def _sweep_one(
@@ -221,7 +224,9 @@ def _sweep_one(
     attempt: int = 1,
     fault_plan: Optional[Any] = None,
     handoff: Optional[TraceHandoff] = None,
-) -> Tuple[str, Dict[str, Characterization], CacheStats, Optional[dict]]:
+) -> Tuple[
+    str, Dict[str, Characterization], bool, CacheStats, Optional[dict]
+]:
     """Pool worker: one workload, every device of the run.
 
     Module-level (picklable) so it can run inside a process pool.  Each
@@ -239,7 +244,7 @@ def _sweep_one(
     tracer = worker_tracer(handoff)
     cache = ResultCache(cache_dir, tracer=tracer) if cache_dir else None
     try:
-        result = _attempt(
+        result, cached = _attempt(
             abbr, preset, devices, options, cache, tracer, attempt,
             fault_plan, mode="pool",
         )
@@ -248,7 +253,7 @@ def _sweep_one(
             tracer.sink.close()
     snapshot = tracer.metrics.snapshot() if tracer.metrics else None
     stats = cache.stats if cache is not None else CacheStats()
-    return abbr, result, stats, snapshot
+    return abbr, result, cached, stats, snapshot
 
 
 def _default_sigterm() -> None:
@@ -299,11 +304,11 @@ class _InProcess:
         fault_plan, handoff,
     ) -> Future:
         def call():
-            result = _attempt(
+            result, cached = _attempt(
                 abbr, preset, devices, options, self.cache, self.tracer,
                 attempt, fault_plan, mode="serial",
             )
-            return abbr, result, None, None
+            return abbr, result, cached, None, None
 
         return _Deferred(call)
 
@@ -330,10 +335,11 @@ class CharacterizationEngine:
         Retry/timeout/backoff policy (see
         :class:`~repro.core.resilience.RetryPolicy`).
     journal_dir:
-        Optional checkpoint directory; a rerun skips every marked
-        workload whose entries the result cache still holds for each
-        device of the run.  Without a *cache*, the run keeps its
-        results in a private cache under ``<journal_dir>/results``.
+        Optional progress directory (``run.json``); a rerun reports
+        every workload whose first attempt hits the result cache on
+        each device of the run as resumed.  Without a *cache*, the run
+        keeps its results in a private cache under
+        ``<journal_dir>/results``.
     fault_plan:
         Deterministic fault-injection plan (testing only): any picklable
         object with ``before(abbr, attempt)`` and ``after(abbr, attempt,
@@ -411,40 +417,24 @@ class CharacterizationEngine:
                 # the job's run profile.
                 session.tracer.incr("engine.runs")
                 journal: Optional[RunJournal] = None
-                marked: Set[str] = set()
                 if self.journal_dir is not None:
                     journal = RunJournal(self.journal_dir, tracer=session.tracer)
-                    marked = journal.begin(selected)
+                    journal.begin(selected)
                 cache = self._run_cache(journal, session.tracer)
-
-                # A marked workload resumes only if every device's entry
-                # is still in the cache; otherwise it simply re-runs.
-                for abbr in (a for a in selected if a in marked):
-                    _, hits = _lookup(
-                        abbr, preset, devices, self.options, cache,
-                        session.tracer,
-                    )
-                    if len(hits) == len(devices):
-                        report.results[abbr] = {
-                            name: hit[0] for name, hit in hits.items()
-                        }
-                report.resumed = list(report.results)
-                session.tracer.incr(
-                    "engine.workloads_resumed", float(len(report.resumed))
+                self._execute(
+                    selected, preset, devices, jobs, cache, journal, report,
+                    session,
                 )
-
-                remaining = [a for a in selected if a not in report.results]
-                if remaining:
-                    self._execute(
-                        remaining, preset, devices, jobs, cache, journal,
-                        report, session,
-                    )
                 report.results = {
                     abbr: report.results[abbr]
                     for abbr in selected
                     if abbr in report.results
                 }
                 report.failures.sort(key=lambda f: selected.index(f.abbr))
+                report.resumed.sort(key=selected.index)
+                session.tracer.incr(
+                    "engine.workloads_resumed", float(len(report.resumed))
+                )
                 session.tracer.incr(
                     "engine.workloads_completed",
                     float(len(report.results) - len(report.resumed)),
@@ -529,6 +519,8 @@ class CharacterizationEngine:
         ``max_attempts`` budget per run, and advance only for the
         workload whose own outcome was observed — innocent bystanders
         of a pool kill are resubmitted under the same attempt number.
+        In a journaled run, a workload whose first attempt hit the cache
+        on every device is reported as resumed.
         """
         policy = self.retry_policy
         tracer = session.tracer
@@ -579,7 +571,7 @@ class CharacterizationEngine:
 
         def succeed(abbr: str, outcome: tuple) -> None:
             """Bank *abbr*'s finished attempt and journal it."""
-            _, result, stats, snapshot = outcome
+            _, result, cached, stats, snapshot = outcome
             attempts[abbr] += 1
             report.results[abbr] = result
             report.attempts[abbr] = attempts[abbr]
@@ -587,9 +579,11 @@ class CharacterizationEngine:
                 cache.stats.merge(stats)
             session.absorb(snapshot)
             if journal is not None:
+                if cached and attempts[abbr] == 1:
+                    report.resumed.append(abbr)
                 # Written after the attempt's atomic entry writes, so
-                # every marked workload's entries exist.
-                journal.mark_done(abbr, attempts=attempts[abbr])
+                # every workload listed done has its entries cached.
+                journal.mark_done(abbr)
             pending.remove(abbr)
 
         def harvest(futures: Dict[str, Future], skip: str) -> None:
@@ -673,6 +667,11 @@ class CharacterizationEngine:
                 for abbr in list(futures):
                     if abbr not in pending:
                         continue
+                    if resilience.terminated:
+                        # The CLI's SIGTERM handler ran where Python
+                        # discards its SystemExit (a __del__ or a GC
+                        # callback): stop at this attempt boundary.
+                        raise SystemExit(resilience.terminated)
                     fut = futures[abbr]
                     try:
                         outcome = fut.result(timeout=policy.timeout_s)

@@ -1,65 +1,60 @@
-"""Resumable run checkpoints: a journal of completed workloads.
+"""Resumable run checkpoints: a journal of a run's progress.
 
 A run interrupted after N workloads (crash, SIGTERM, power loss)
-should restart and re-run only the remaining ones.  The journal records
-*which* workloads completed; the results themselves live in the run's
-:class:`~repro.core.cache.ResultCache`, the one store with one keying
-rule.  The journal holds no run identity of its own: a marked workload
-resumes only if the result cache holds its entry for every device of
-the current run, and that recipe key already covers device, options,
-scale, seed and the source-fingerprinted version directory.  So runs
-with different parameters (or the two runs of one command, Cactus then
-PRT) can share a journal directory without ever replaying a wrong
-result.
+should restart and re-run only the remaining ones.  That needs no store
+of its own: every completed workload's results are in the run's
+:class:`~repro.core.cache.ResultCache`, under recipe keys that cover
+device, options, scale, seed and the source-fingerprinted version
+directory.  A rerun's one cache lookup per workload decides: a workload
+whose first attempt hits every device builds no stream and is reported
+as resumed.  So runs with different parameters (or the two runs of one
+command, Cactus then PRT) can share a journal directory without ever
+replaying a wrong result.
 
 ``<journal_dir>/run.json``
     Progress of the latest run: journal schema version, the selected
-    workload list and ``status`` (``running``/``complete``/``failed``),
-    read by the service's progress peek.
-``<journal_dir>/done/<ABBR>.json``
-    One completion marker per finished workload:
-    ``{"schema", "abbr", "attempts"}`` and nothing else.  A marker
-    whose entries are missing or invalid counts as not done.
+    workload list, ``status`` (``running``/``complete``/``failed``) and
+    the ``done`` workloads, rewritten after each completion's entry
+    writes; read by the service's progress peek.
 ``<journal_dir>/results/``
     The private result cache (same layout, key and codec as any other)
     the engine opens when the run has no cache of its own.
 
 All writes are atomic (temp file + ``os.replace``, through
-:func:`repro.core.cache.atomic_write_json`), so a marker is either
-complete or absent, and it is written only after its entries; a
-corrupt marker, or one written under another schema, is treated as
-"not done" and the workload simply re-runs.
+:func:`repro.core.cache.atomic_write_json`), so ``run.json`` is either
+the old or the new progress, never a torn one.  A ``done/`` directory
+left by an older version is ignored.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Set
+from typing import Any, Dict, Iterable
 
 from repro.core.cache import atomic_write_json
 
-#: Markers written under any other schema count as "not done".
-JOURNAL_SCHEMA_VERSION = 2
+#: Version of the ``run.json`` layout.
+JOURNAL_SCHEMA_VERSION = 3
 
 
-def _read_json(path: Path) -> Optional[Dict[str, Any]]:
-    """The JSON object at *path*, or None if absent, corrupt or not a dict."""
+def _read_json(path: Path) -> Dict[str, Any]:
+    """The JSON object at *path*, or ``{}`` if absent, corrupt or not a dict."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
+        return {}
+    return payload if isinstance(payload, dict) else {}
 
 
 class RunJournal:
-    """Checkpoint store of one journal directory.
+    """Progress file of one journal directory.
 
     The optional *tracer* (see :mod:`repro.obs`) emits a
-    ``journal.checkpoint`` event per completion marker plus
-    begin/finish lifecycle events, and counts checkpoints into the run
-    metrics — observation only, the on-disk format is untouched.
+    ``journal.checkpoint`` event per completion plus begin/finish
+    lifecycle events — observation only, the on-disk format is
+    untouched.
     """
 
     def __init__(self, journal_dir, tracer=None) -> None:
@@ -69,6 +64,7 @@ class RunJournal:
 
             tracer = NULL_TRACER
         self.tracer = tracer
+        self._meta: Dict[str, Any] = {}
 
     # -- paths ---------------------------------------------------------
     @property
@@ -76,62 +72,32 @@ class RunJournal:
         return self.journal_dir / "run.json"
 
     @property
-    def done_dir(self) -> Path:
-        return self.journal_dir / "done"
-
-    @property
     def results_dir(self) -> Path:
         return self.journal_dir / "results"
 
-    def marker_path(self, abbr: str) -> Path:
-        return self.done_dir / f"{abbr.upper()}.json"
-
     # -- lifecycle -----------------------------------------------------
-    def begin(self, selected: Iterable[str]) -> Set[str]:
-        """Start (or resume) a run; return the workloads marked done.
-
-        The engine tries to resume each returned abbreviation from the
-        result cache.  ``run.json`` is rewritten for this run.
-        """
-        selected = [abbr.upper() for abbr in selected]
-        marked = {
-            abbr for abbr in selected
-            if (_read_json(self.marker_path(abbr)) or {}).get("schema")
-            == JOURNAL_SCHEMA_VERSION
+    def begin(self, selected: Iterable[str]) -> None:
+        """Start (or resume) a run: rewrite ``run.json`` for it."""
+        self._meta = {
+            "schema": JOURNAL_SCHEMA_VERSION,
+            "selected": [abbr.upper() for abbr in selected],
+            "status": "running",
+            "done": [],
         }
-        atomic_write_json(
-            self.run_path,
-            {
-                "schema": JOURNAL_SCHEMA_VERSION,
-                "selected": selected,
-                "status": "running",
-            },
-        )
+        atomic_write_json(self.run_path, self._meta)
         self.tracer.event(
             "journal.begin",
             category="journal",
-            selected=len(selected),
-            marked=len(marked),
+            selected=len(self._meta["selected"]),
         )
-        return marked
 
-    def mark_done(self, abbr: str, attempts: int = 1) -> None:
+    def mark_done(self, abbr: str) -> None:
         """Atomically record *abbr* as complete (its entries are cached)."""
-        atomic_write_json(
-            self.marker_path(abbr),
-            {
-                "schema": JOURNAL_SCHEMA_VERSION,
-                "abbr": abbr.upper(),
-                "attempts": attempts,
-            },
-        )
+        self._meta["done"].append(abbr.upper())
+        atomic_write_json(self.run_path, self._meta)
         self.tracer.event(
-            "journal.checkpoint",
-            category="journal",
-            workload=abbr.upper(),
-            attempts=attempts,
+            "journal.checkpoint", category="journal", workload=abbr.upper()
         )
-        self.tracer.incr("engine.journal_checkpoints")
 
     @classmethod
     def peek(cls, journal_dir) -> Dict[str, Any]:
@@ -143,20 +109,17 @@ class RunJournal:
         absent or unreadable journal yields an empty snapshot
         (``status=None, done=[]``).
         """
-        root = Path(journal_dir)
-        meta = _read_json(root / "run.json") or {}
-        done = sorted(p.stem for p in (root / "done").glob("*.json"))
+        meta = _read_json(Path(journal_dir) / "run.json")
         return {
             "status": meta.get("status"),
             "selected": list(meta.get("selected", [])),
-            "done": done,
+            "done": list(meta.get("done", [])),
         }
 
     def finish(self, ok: bool = True) -> None:
         """Mark the run's terminal status in ``run.json``."""
-        meta = _read_json(self.run_path) or {"schema": JOURNAL_SCHEMA_VERSION}
-        meta["status"] = "complete" if ok else "failed"
-        atomic_write_json(self.run_path, meta)
+        self._meta["status"] = "complete" if ok else "failed"
+        atomic_write_json(self.run_path, self._meta)
         self.tracer.event(
-            "journal.finish", category="journal", status=meta["status"]
+            "journal.finish", category="journal", status=self._meta["status"]
         )

@@ -114,7 +114,6 @@ def render_run_profile(run: SuiteRunReport) -> Optional[str]:
         f"retries: {profile.retries}",
         f"timeouts: {profile.timeouts}",
         f"pool rebuilds: {profile.pool_rebuilds}",
-        f"journal checkpoints: {profile.journal_checkpoints}",
     ]
     if profile.cache_lookups:
         counters.append(

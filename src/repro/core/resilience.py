@@ -61,6 +61,13 @@ TRANSIENT_EXCEPTIONS: Tuple[type, ...] = (
 TRANSIENT = "transient"
 PERMANENT = "permanent"
 
+#: ``128 + signum`` once the CLI's SIGTERM handler has run, else 0.  The
+#: handler sets it before it raises ``SystemExit``, so a run still stops
+#: when Python discards that exception (a handler run inside a
+#: ``__del__`` or a GC callback): the engine checks it between attempts
+#: and :func:`repro.cli.main` returns it.
+terminated = 0
+
 
 def classify_exception(exc: BaseException) -> str:
     """``"transient"`` (worth retrying) or ``"permanent"`` (won't heal)."""

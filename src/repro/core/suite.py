@@ -28,11 +28,12 @@ class RunRecord:
     """
 
     failures: List[WorkloadFailure] = field(default_factory=list)
-    #: Attempt counts per executed workload (resumed ones are absent).
+    #: Attempt counts per workload, resumed ones included.
     attempts: Dict[str, int] = field(default_factory=dict)
     #: Why the engine degraded from the pool to the serial path, if it did.
     fallback_reason: Optional[str] = None
-    #: Workloads skipped because a journal marked them already complete.
+    #: Workloads of a journaled run whose first attempt hit the cache on
+    #: every device (completed by an earlier run; no stream was built).
     resumed: List[str] = field(default_factory=list)
     #: Aggregated run observability (repro.obs): per-phase wall clock,
     #: cache hit/miss counters, retries, queue waits — merged across

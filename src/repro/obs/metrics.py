@@ -24,7 +24,7 @@ Naming conventions (what the run profile parses):
     incremented by the instrumented cache itself.
 ``engine.*``
     Counters for resilience machinery: ``retries``, ``timeouts``,
-    ``pool_rebuilds``, ``pool_fallbacks``, ``journal_checkpoints``,
+    ``pool_rebuilds``, ``pool_fallbacks``,
     ``workloads_completed`` / ``_failed`` / ``_resumed``.
 ``queue.wait_s``
     Histogram of pool submit → worker pickup latency.
@@ -211,10 +211,6 @@ class RunProfile:
     @property
     def pool_rebuilds(self) -> int:
         return int(self.counter("engine.pool_rebuilds"))
-
-    @property
-    def journal_checkpoints(self) -> int:
-        return int(self.counter("engine.journal_checkpoints"))
 
     def phase_seconds(self, phase: str) -> float:
         """Total seconds spent in one phase span across the whole run."""

@@ -94,7 +94,7 @@ class JobRecord:
     #: Serialized run report (``suite_run_report_to_dict`` /
     #: ``sweep_run_report_to_dict``) once the job is done.
     result: Optional[Dict[str, Any]] = None
-    #: Workloads the engine skipped thanks to journal resumption.
+    #: Workloads an earlier run completed (first attempt a cache hit).
     resumed: List[str] = field(default_factory=list)
     cache_stats: Optional[Dict[str, int]] = None
     done_event: threading.Event = field(

@@ -91,6 +91,23 @@ class TestCorrelationMatrix:
         )
         assert "warp_occupancy" in matrix.correlated_columns("gips")
 
+    def test_constant_columns_do_not_correlate(self):
+        # 1.9 averages to 1.9000000000000001: the deviations of a
+        # constant column are rounding noise, identical in both columns.
+        profile = _profile(
+            [
+                {"warp_insts": 1e9, "warp_occupancy": 1.9, "sync_stall": 1.9},
+                {"warp_insts": 2e9, "warp_occupancy": 1.9, "sync_stall": 1.9},
+                {"warp_insts": 3e9, "warp_occupancy": 1.9, "sync_stall": 1.9},
+            ]
+        )
+        matrix = correlation_matrix(
+            [profile], rows=("gips", "warp_occupancy"),
+            columns=("warp_occupancy", "sync_stall"),
+        )
+        assert set(matrix.values.values()) == {0.0}
+        assert matrix.correlated_columns("warp_occupancy") == []
+
     def test_requires_two_kernels(self):
         with pytest.raises(ValueError, match="two kernels"):
             correlation_matrix([_profile([{}])])
@@ -101,7 +118,7 @@ class TestCorrelationMatrix:
         assert "strong" in art and "weak" in art
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -114,6 +131,7 @@ _values = st.floats(-1e6, 1e6, allow_nan=False).filter(
     st.lists(st.tuples(_values, _values), min_size=2, max_size=64)
 )
 @settings(max_examples=100, deadline=None)
+@example([(1.9, 1.9)] * 3)
 def test_pearson_properties(pairs):
     """|PCC| <= 1, symmetric, and invariant to affine rescaling."""
     xs = [p[0] for p in pairs]

@@ -166,8 +166,8 @@ class TestStats:
 
 class TestJsonBytes:
     """``atomic_write_json`` writes with ``json.dumps`` (the C encoder);
-    cache entries and journal markers must keep the exact bytes the
-    pure-Python ``json.dump`` encoder wrote before."""
+    cache entries and the journal's ``run.json`` must keep the exact
+    bytes the pure-Python ``json.dump`` encoder wrote before."""
 
     @pytest.fixture(scope="class")
     def characterization(self):
@@ -190,18 +190,15 @@ class TestJsonBytes:
 
     def test_journal_marker_matches_json_dump(self, tmp_path):
         journal = RunJournal(tmp_path)
-        assert journal.begin(["gms"]) == set()
-        assert journal.run_path.read_bytes() == self.legacy_bytes({
+        journal.begin(["gms"])
+        expected = {
             "schema": JOURNAL_SCHEMA_VERSION,
             "selected": ["GMS"],
             "status": "running",
-        })
-        journal.mark_done("gms", attempts=2)
-        expected = {
-            "schema": JOURNAL_SCHEMA_VERSION,
-            "abbr": "GMS",
-            "attempts": 2,
+            "done": [],
         }
-        written = journal.marker_path("GMS").read_bytes()
-        assert written == self.legacy_bytes(expected)
+        assert journal.run_path.read_bytes() == self.legacy_bytes(expected)
+        journal.mark_done("gms")
+        expected["done"] = ["GMS"]
+        assert journal.run_path.read_bytes() == self.legacy_bytes(expected)
         assert RunJournal.peek(tmp_path)["done"] == ["GMS"]

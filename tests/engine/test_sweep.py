@@ -16,6 +16,7 @@ import pytest
 from repro.core import (
     CharacterizationEngine,
     ResultCache,
+    RunJournal,
     run_suite,
     run_sweep,
 )
@@ -163,13 +164,15 @@ class TestParallelAndResume:
         assert second.resumed == WLS
         for abbr in WLS:
             assert second.results[abbr] == first.results[abbr]
-        # Markers record completion only: the characterizations live in
-        # the result cache, never a second time in the journal.
-        markers = sorted((tmp_path / "journal" / "done").glob("*.json"))
-        assert [m.stem for m in markers] == sorted(WLS)
-        for marker in markers:
-            payload = json.loads(marker.read_text(encoding="utf-8"))
-            assert "devices" not in payload and "profile" not in payload
+        # The journal records progress only: the characterizations live
+        # in the result cache, never a second time in the journal.
+        assert RunJournal.peek(journal_dir)["done"] == WLS
+        journal = tmp_path / "journal"
+        assert sorted(p.name for p in journal.iterdir()) == [
+            "results", "run.json",
+        ]
+        payload = json.loads((journal / "run.json").read_text("utf-8"))
+        assert "devices" not in payload and "profile" not in payload
 
     def test_journal_identity_includes_devices(self, tmp_path):
         """Adding a device must start fresh, not resume short markers."""

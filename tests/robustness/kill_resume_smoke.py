@@ -12,8 +12,9 @@ on one journal directory, Cactus then PRT):
 
 1. launch ``python -m repro`` with a journal dir and no cache (or, for
    ``sweep-cached``, a fresh ``--cache-dir``),
-2. poll the journal's ``done/`` markers and SIGTERM the process once at
-   least two workloads of its last run have been checkpointed (for
+2. poll the journal's progress (``RunJournal.peek``) and SIGTERM the
+   process once at least two workloads of its last run have been
+   checkpointed (for
    ``observations``: once the Cactus run is complete and the PRT run is
    under way), and require that no process of its group (pool workers
    included) is alive 5 s after it exits,
@@ -21,14 +22,13 @@ on one journal directory, Cactus then PRT):
    checkpointed workload (for ``observations``: every Cactus workload),
    and completes with exit code 0, with the results kept in the cache —
    the journal's private ``results/`` cache without a cache dir, the
-   shared one with it — and not in the markers.
+   shared one with it — and no ``done/`` markers written.
 
 Usage: ``kill_resume_smoke.py [table1] [sweep] [sweep-cached]
 [table1-pool] [observations]`` (default: all five).
 Exit code 0 = smoke passed.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -39,12 +39,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
 
-KILL_AFTER_MARKERS = 2
+from repro.core.journal import RunJournal  # noqa: E402
+from repro.workloads import list_workloads  # noqa: E402
+
+KILL_AFTER_CHECKPOINTS = 2
 POLL_S = 0.05
-#: PRT workloads take milliseconds each: watch the markers often enough
+#: PRT workloads take milliseconds each: watch the journal often enough
 #: to land the kill inside the PRT run.
-MARKER_POLL_S = 0.002
+JOURNAL_POLL_S = 0.002
 DEADLINE_S = 300.0
 #: How long after a SIGTERM'd run exits its process group must be empty.
 OUTLIVE_S = 5.0
@@ -90,7 +94,7 @@ def _command(work_dir, case):
 
 
 def _cache_problems(work_dir, case):
-    """Results must live in one cache, never in the journal markers."""
+    """Results must live in one cache, and the journal keeps no markers."""
     cached = CASES[case][0]
     results = work_dir / ("cache" if cached else "journal/results")
     problems = []
@@ -98,9 +102,8 @@ def _cache_problems(work_dir, case):
         problems.append(f"no cache entries under {results}")
     if cached and (work_dir / "journal" / "results").exists():
         problems.append("journal kept private results beside --cache-dir")
-    for marker in (work_dir / "journal" / "done").glob("*.json"):
-        if "devices" in json.loads(marker.read_text(encoding="utf-8")):
-            problems.append(f"marker {marker.name} embeds characterizations")
+    if (work_dir / "journal" / "done").exists():
+        problems.append("journal wrote a done/ marker directory")
     return problems
 
 
@@ -127,17 +130,21 @@ def _outliving(pgid):
         time.sleep(POLL_S)
 
 
-def _markers(journal_dir):
-    done = Path(journal_dir) / "done"
-    if not done.is_dir():
-        return set()
-    return {p.stem for p in done.glob("*.json")}
+def _checkpointed(journal_dir, runs):
+    """Workloads of *runs* (one set per run, in order) known complete.
+
+    ``run.json`` holds the progress of the latest run only; every run
+    before the one it names has completed.
+    """
+    progress = RunJournal.peek(journal_dir)
+    selected = set(progress["selected"])
+    for index, run in enumerate(runs):
+        if run == selected:
+            return set().union(*runs[:index], progress["done"])
+    return set()
 
 
 def _workloads(suites):
-    sys.path.insert(0, str(SRC))
-    from repro.workloads import list_workloads
-
     return {abbr for suite in suites for abbr in list_workloads(suite)}
 
 
@@ -169,15 +176,15 @@ def smoke(case):
         deadline = time.monotonic() + DEADLINE_S
         killed_at = None
         while proc.poll() is None and time.monotonic() < deadline:
-            done = _markers(journal_dir)
-            if len(done & last) >= KILL_AFTER_MARKERS:
+            done = _checkpointed(journal_dir, runs)
+            if len(done & last) >= KILL_AFTER_CHECKPOINTS:
                 killed_at = done
                 try:
                     proc.send_signal(signal.SIGTERM)
                 except ProcessLookupError:
                     pass
                 break
-            time.sleep(MARKER_POLL_S)
+            time.sleep(JOURNAL_POLL_S)
         rc = proc.wait(timeout=60)
         # SIGTERM unwinds the run, which terminates its pool workers:
         # none may outlive it.  The group is reaped either way.
@@ -196,14 +203,14 @@ def smoke(case):
         if killed_at is None:
             print(
                 f"FAIL: run finished (rc={rc}) before "
-                f"{KILL_AFTER_MARKERS} journal markers appeared — "
+                f"{KILL_AFTER_CHECKPOINTS} journal checkpoints appeared — "
                 f"nothing was interrupted", file=sys.stderr,
             )
             return 1
         if rc == 0:
             print("FAIL: SIGTERM'd run still exited 0", file=sys.stderr)
             return 1
-        survivors = _markers(journal_dir)
+        survivors = _checkpointed(journal_dir, runs)
         print(
             f"killed run (rc={rc}) with {len(survivors)} checkpointed "
             f"workload(s): {', '.join(sorted(survivors))}"
@@ -231,7 +238,7 @@ def smoke(case):
             print("FAIL: resumed run did not skip every checkpointed "
                   f"workload\n{result.stderr}", file=sys.stderr)
             return 1
-        final = _markers(journal_dir)
+        final = _checkpointed(journal_dir, runs)
         if final != expected:
             print(f"FAIL: final journal covers {sorted(final)}, "
                   f"expected {sorted(expected)}", file=sys.stderr)

@@ -39,6 +39,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.core import run_suite  # noqa: E402
 from repro.core.config import LAPTOP_SCALE  # noqa: E402
+from repro.core.journal import RunJournal  # noqa: E402
 from repro.core.serialize import suite_run_report_to_dict  # noqa: E402
 from repro.gpu.device import device_by_name  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
@@ -198,14 +199,13 @@ def phase_drain_and_resume(
     client = ServiceClient.from_state_dir(state_dir, client_id="smoke")
     accepted = client.submit(FULL_REQUEST)
     job_id = accepted["id"]
-    journal_done = state_dir / "runs" / job_id[:32] / "journal" / "done"
+    journal_dir = state_dir / "runs" / job_id[:32] / "journal"
 
     # Let the engine checkpoint some (not all) workloads, then SIGTERM.
     total = len(list_workloads("Cactus"))
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
-        done = len(list(journal_done.glob("*.json"))) if journal_done.exists() else 0
-        if done >= 2:
+        if len(RunJournal.peek(journal_dir)["done"]) >= 2:
             break
         time.sleep(0.02)
     else:
@@ -223,7 +223,7 @@ def phase_drain_and_resume(
         fail("run finished before SIGTERM; cannot exercise resume")
     if persisted["state"] != "interrupted":
         fail(f"persisted state {persisted['state']!r}, want 'interrupted'")
-    checkpointed = len(list(journal_done.glob("*.json")))
+    checkpointed = len(RunJournal.peek(journal_dir)["done"])
     log(
         f"drain OK: SIGTERM left job interrupted with "
         f"{checkpointed}/{total} workloads journaled"
