@@ -21,7 +21,6 @@ from repro.gpu import (
     SimulationOptions,
 )
 from repro.gpu.simulator import TimingOptions
-from repro.profiler import Profiler
 from repro.workloads import get_workload
 
 
@@ -46,9 +45,7 @@ def _pointer_chase_kernel() -> KernelCharacteristics:
 
 
 def _profile(abbr, scale, options=None):
-    simulator = GPUSimulator(options=options or SimulationOptions())
-    workload = get_workload(abbr, scale=scale)
-    return Profiler(simulator=simulator).profile(workload)
+    return characterize(get_workload(abbr, scale=scale), options=options).profile
 
 
 def _run_ablations():

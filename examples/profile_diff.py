@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Diff a workload's profile across two devices.
 
-Profiles GMS on the RTX 3080 and the A100 and prints the per-kernel
-speedup table: the compute-bound non-bonded kernel tracks the SM-count
+Characterizes GMS on the RTX 3080 and the A100 from one launch stream
+and prints the per-kernel speedup table: the compute-bound non-bonded kernel tracks the SM-count
 ratio while the memory-bound PME kernels track the bandwidth ratio —
 the per-kernel view behind the device-sweep ablation.
 
@@ -13,8 +13,9 @@ Usage::
 
 import sys
 
-from repro.gpu import A100, GPUSimulator, RTX_3080
-from repro.profiler import Profiler, diff_profiles
+from repro.core import characterize_devices
+from repro.gpu import A100, RTX_3080
+from repro.profiler import diff_profiles
 from repro.workloads import get_workload
 
 
@@ -22,14 +23,12 @@ def main() -> None:
     abbr = sys.argv[1] if len(sys.argv) > 1 else "GMS"
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.5
 
-    profiles = {}
-    for device in (RTX_3080, A100):
-        profiler = Profiler(simulator=GPUSimulator(device))
-        profiles[device.name] = profiler.profile(
-            get_workload(abbr, scale=scale)
-        )
-
-    diff = diff_profiles(profiles[RTX_3080.name], profiles[A100.name])
+    results = characterize_devices(
+        get_workload(abbr, scale=scale), [RTX_3080, A100]
+    )
+    diff = diff_profiles(
+        results[RTX_3080.name].profile, results[A100.name].profile
+    )
     print(f"{abbr} at scale {scale}: {RTX_3080.name} -> {A100.name}\n")
     print(diff.render(top=12))
     print(f"\nbandwidth ratio: "

@@ -71,14 +71,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return _pcc(_centred(xs), _centred(ys))
 
 
-def _kernel_metric(kernel: KernelProfile, metric: str) -> float:
-    if metric == "gips":
-        return kernel.gips
-    if metric == "instruction_intensity":
-        return kernel.instruction_intensity
-    return kernel.metrics.metric(metric)
-
-
 @dataclass
 class CorrelationMatrix:
     """|PCC| values and bands for primary x secondary metrics."""
@@ -144,7 +136,7 @@ def correlation_matrix(
     for metric in (*rows, *columns):
         if metric not in centred:
             centred[metric] = _centred(
-                [_kernel_metric(k, metric) for k in kernels]
+                [k.metric(metric) for k in kernels]
             )
     values = {
         (row, column): _pcc(centred[row], centred[column])

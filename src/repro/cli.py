@@ -55,6 +55,8 @@ from repro.gpu.device import DEVICE_ZOO, device_by_name
 from repro.gpu.digest import source_fingerprint
 from repro.core.report import generate_report, render_run_profile
 from repro.workloads import get_workload, list_workloads
+from repro.workloads.base import Workload
+from repro.workloads.registry import checked_selection
 
 _PRESETS = {
     "laptop": LAPTOP_SCALE,
@@ -114,6 +116,11 @@ def _timeout_arg(text: str) -> float:
             f"got {value}"
         )
     return value
+
+
+def _abbr_list(text: str) -> list[str]:
+    """``ABBR[,ABBR...]`` as a list of names (blank entries dropped)."""
+    return [name.strip() for name in text.split(",") if name.strip()]
 
 
 def _env_default(name: str, convert):
@@ -281,6 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workloads",
+        type=_abbr_list,
         metavar="ABBR[,ABBR...]",
         default=None,
         help="restrict to these workload abbreviations",
@@ -443,6 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     similar.add_argument(
         "--workloads",
+        type=_abbr_list,
         metavar="ABBR[,ABBR...]",
         default=None,
         help="restrict the corpus to these workload abbreviations",
@@ -461,11 +470,11 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_characterize(abbr: str, scale: float) -> int:
-    result = characterize(get_workload(abbr, scale=scale))
+def _cmd_characterize(workload: Workload) -> int:
+    result = characterize(workload)
     profile = result.profile
     point = result.aggregate_point
-    print(f"{result.abbr}: {profile.workload} at scale {scale}")
+    print(f"{result.abbr}: {profile.workload} at scale {workload.scale}")
     print(f"  kernels: {result.table1.kernels_100} "
           f"(70% of time in {result.table1.kernels_70})")
     print(f"  total warp insts: {result.table1.total_warp_insts:.3e}")
@@ -576,12 +585,9 @@ def _cmd_sweep(args, run) -> int:
         if not devices:
             print("repro: error: --devices: empty list", file=sys.stderr)
             return 2
-    workloads = (
-        [w for w in args.workloads.split(",") if w.strip()]
-        if args.workloads
-        else None
+    report = run(
+        run_sweep, devices, suites=[args.suite], workloads=args.workloads
     )
-    report = run(run_sweep, devices, suites=[args.suite], workloads=workloads)
     analysis = analyze_sweep(
         report.results, report.devices, baseline=args.baseline
     )
@@ -620,12 +626,7 @@ def _cmd_similar(args, run) -> int:
         metric_features,
     )
 
-    workloads = (
-        [w for w in args.workloads.split(",") if w.strip()]
-        if args.workloads
-        else None
-    )
-    result = run(run_suite, [args.suite], workloads=workloads)
+    result = run(run_suite, [args.suite], workloads=args.workloads)
 
     index = KernelIndex(feature_names=METRIC_FEATURES)
     profiles: dict = {}
@@ -752,12 +753,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return asyncio.run(_serve())
 
 
-def _cmd_trace(abbr: str, path: str, scale: float) -> int:
+def _cmd_trace(workload: Workload, path: str) -> int:
     from repro.profiler import export_trace
 
-    workload = get_workload(abbr, scale=scale)
     count = export_trace(workload.launch_stream(), path)
-    print(f"wrote {count} launches from {abbr} to {path}")
+    print(f"wrote {count} launches from {workload.abbr} to {path}")
     return 0
 
 
@@ -773,22 +773,37 @@ def _exit_on_sigterm(signum, frame) -> None:
     raise SystemExit(128 + signum)
 
 
+def _workload_arg(parser: argparse.ArgumentParser, args) -> Workload:
+    """The workload ``characterize``/``trace`` names, or a usage error
+    for an unknown abbreviation or an out-of-range ``--scale``."""
+    try:
+        return get_workload(args.abbr, scale=args.scale)
+    except (KeyError, ValueError) as exc:
+        parser.error(exc.args[0])
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     preset = _PRESETS[args.preset]
-    if args.cache_dir is not None and os.path.exists(args.cache_dir) \
-            and not os.path.isdir(args.cache_dir):
-        parser.error(f"--cache-dir: not a directory: {args.cache_dir}")
     # Flag > environment; --no-trace silences both (they are mutually
     # exclusive at the argparse level, so --no-trace always means the
     # environment default is being refused).
     trace_dir = args.trace_dir
     if trace_dir is None and not args.no_trace:
         trace_dir = os.environ.get("REPRO_TRACE_DIR") or None
-    if trace_dir is not None and os.path.exists(trace_dir) \
-            and not os.path.isdir(trace_dir):
-        parser.error(f"--trace-dir: not a directory: {trace_dir}")
+    for flag, path in (
+        ("--cache-dir", args.cache_dir),
+        ("--journal-dir", args.journal_dir),
+        ("--trace-dir", trace_dir),
+    ):
+        if path and os.path.exists(path) and not os.path.isdir(path):
+            parser.error(f"{flag}: not a directory: {path}")
+    if args.command in ("sweep", "similar"):
+        try:
+            checked_selection([args.suite], args.workloads)
+        except ValueError as exc:
+            parser.error(exc.args[0])
     if args.timeout is not None and _resolve_jobs(args.jobs) == 1:
         print(
             "repro: warning: --timeout has no effect on the serial path "
@@ -815,13 +830,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "characterize":
-        return _cmd_characterize(args.abbr, args.scale)
+        return _cmd_characterize(_workload_arg(parser, args))
     if args.command == "cache":
         return _cmd_cache(args, cache)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "trace":
-        return _cmd_trace(args.abbr, args.path, args.scale)
+        return _cmd_trace(_workload_arg(parser, args), args.path)
     reports: list = []
 
     def run(runner, *positional, **kwargs):

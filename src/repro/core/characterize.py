@@ -113,8 +113,8 @@ def characterize_devices(
 
     Returns ``{device.name: Characterization}`` in *devices* order.
     This is the only characterization path: :func:`characterize` is its
-    one-device view, and for one device the batched simulator *is* the
-    scalar ``GPUSimulator.run_stream``.
+    one-device view, and one device is the same batched pass with
+    ``D == 1``.
     """
     from repro.gpu.batched import simulate_devices
     from repro.gpu.simulator import SimulationOptions

@@ -71,17 +71,8 @@ def _dominant_kernel_features(
             ):
                 labels.append(f"{characterization.abbr}:{kernel.name}")
                 owners.append(characterization.abbr)
-                for metric in quantitative:
-                    if metric == "gips":
-                        quantitative[metric].append(kernel.gips)
-                    elif metric == "instruction_intensity":
-                        quantitative[metric].append(
-                            kernel.instruction_intensity
-                        )
-                    else:
-                        quantitative[metric].append(
-                            kernel.metrics.metric(metric)
-                        )
+                for metric, values in quantitative.items():
+                    values.append(kernel.metric(metric))
                 qualitative["intensity"].append(point.intensity_class)
                 qualitative["latency"].append(point.latency_class)
     return quantitative, qualitative, labels, owners

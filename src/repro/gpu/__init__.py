@@ -3,11 +3,11 @@
 This package models the measurement platform of the Cactus paper — an
 Nvidia RTX 3080 profiled with Nsight Compute — as an analytical
 instruction-roofline performance model.  Workloads submit streams of
-:class:`~repro.gpu.kernel.KernelLaunch` objects; the
-:class:`~repro.gpu.simulator.GPUSimulator` turns each launch into a
-:class:`~repro.gpu.metrics.KernelMetrics` record carrying the same metric
-vocabulary the paper collects (Table IV) plus the roofline quantities
-(GIPS and instruction intensity).
+:class:`~repro.gpu.kernel.KernelLaunch` objects;
+:func:`~repro.gpu.batched.simulate_devices` turns each launch into one
+:class:`~repro.gpu.metrics.KernelMetrics` record per device, carrying
+the same metric vocabulary the paper collects (Table IV) plus the
+roofline quantities (GIPS and instruction intensity).
 """
 
 from repro.gpu.batched import batch_kernel_metrics, simulate_devices

@@ -8,9 +8,10 @@ quantities become a ``(K,)`` row vector, device-side parameters a
 ``(D, 1)`` column vector, and every model expression is evaluated on
 the resulting ``(D, K)`` matrix.  :func:`simulate_devices` walks a
 launch stream **once** to collect its distinct kernels and runs that
-pass for N devices, so a device sweep does not pay the stream walk per
-device; :class:`~repro.gpu.simulator.GPUSimulator` is its one-device
-case.
+pass for all its devices, so a device sweep does not pay the stream
+walk per device.  It is the one driver of the model for any device
+count: a suite run is its one-device case, and
+:class:`~repro.gpu.simulator.GPUSimulator` is a one-device view of it.
 
 Every element must equal the per-kernel scalar form of the model, kept
 as a frozen oracle in ``tests/gpu/scalar_oracle/``, bit for bit.  That
@@ -45,7 +46,7 @@ import numpy as np
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
 from repro.gpu.metrics import KernelMetrics
-from repro.gpu.simulator import GPUSimulator, SimulationOptions, TimingOptions
+from repro.gpu.simulator import SimulationOptions, TimingOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Tracer
@@ -68,10 +69,9 @@ def _collect_distinct(
 ) -> Tuple[List[KernelCharacteristics], List[int]]:
     """One stream walk: distinct kernels (first-seen order) + indices.
 
-    Grouping is by kernel *equality*, exactly like
-    :class:`~repro.gpu.simulator.GPUSimulator`'s memo dict, so repeated launches of an equal kernel map
-    to one shared metrics record downstream (the aggregation layer
-    groups by object identity).
+    Grouping is by kernel *equality*, so repeated launches of an equal
+    kernel map to one shared metrics record downstream (the aggregation
+    layer groups by object identity).
     """
     index_of: Dict[KernelCharacteristics, int] = {}
     kernels: List[KernelCharacteristics] = []
@@ -388,14 +388,11 @@ def simulate_devices(
 
     Returns ``result[d]``: one :class:`KernelMetrics` per launch, in
     launch order, for ``devices[d]`` — with repeated launches of an
-    equal kernel sharing a single metrics object per device, exactly
-    like the single-device simulator's memo (the aggregation layer
-    relies on that identity structure).
-
-    For a single device this *is* the single-device path:
-    ``simulate_devices(s, [d])[0] == GPUSimulator(d).run_stream(s)``;
-    for N > 1 every device's records equal the scalar oracle's bit for
-    bit, as pinned by the differential tests.
+    equal kernel sharing a single metrics object per device (the
+    aggregation layer relies on that identity structure).  Every
+    device's records equal the scalar oracle's bit for bit, as pinned
+    by the differential tests; one stream walk and one
+    :func:`batch_kernel_metrics` pass serve any number of devices.
     """
     if not devices:
         raise ValueError("simulate_devices needs at least one device")
@@ -409,10 +406,6 @@ def simulate_devices(
 
         tracer = NULL_TRACER
 
-    if len(devices) == 1:
-        sim = GPUSimulator(devices[0], options=opts, tracer=tracer)
-        return [sim.run_stream(launches)]
-
     kernels, indices = _collect_distinct(launches)
     per_device = batch_kernel_metrics(
         kernels, devices, timing=opts.timing, model_caches=opts.model_caches
@@ -420,10 +413,8 @@ def simulate_devices(
     results = [
         [records[idx] for idx in indices] for records in per_device
     ]
-    # Mirror the single-device simulator's counters once per device so
-    # a sweep reads like N one-device runs in the run metrics, plus
-    # batching stats.
+    # Counted once per device, so a sweep reads like N one-device runs
+    # in the run metrics.
     tracer.incr("sim.launches", float(len(indices) * len(devices)))
     tracer.incr("sim.distinct_kernels", float(len(kernels) * len(devices)))
-    tracer.incr("sim.batched_device_passes", 1.0)
     return results

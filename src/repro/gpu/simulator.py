@@ -1,25 +1,21 @@
-"""Launch-stream simulator.
+"""Simulation options and the one-device view of the timing model.
 
-:class:`GPUSimulator` is the top of the GPU substrate: it takes a
-:class:`~repro.gpu.kernel.LaunchStream` (or any iterable of launches)
-and returns one :class:`~repro.gpu.metrics.KernelMetrics` record per
-launch, in order.  Identical kernels are memoized in-process, which
-keeps the simulation of workloads with millions of repeated launches
-cheap; nothing is persisted here (the result cache stores whole
-characterizations).
-
-This is the single-device path: the kernels the memo does not hold go
-through :func:`repro.gpu.batched.batch_kernel_metrics` for one device.
-Device sweeps go through :func:`repro.gpu.batched.simulate_devices`,
-which runs the same pass for N devices at once.  Both are pinned bit
-for bit against the frozen scalar form of the model kept with the
-tests (``tests/gpu/scalar_oracle/``).
+:class:`SimulationOptions` and :class:`TimingOptions` are the switches
+the ablation benchmarks flip.  :class:`GPUSimulator` is one device's
+view of :func:`repro.gpu.batched.simulate_devices`, the one driver of
+the model for any number of devices: it holds no cache, so every call
+walks its stream once and evaluates each distinct kernel once, and
+launches of an equal kernel share one
+:class:`~repro.gpu.metrics.KernelMetrics` record within that call.
+Nothing is persisted here (the result cache stores whole
+characterizations).  The model is pinned bit for bit against the frozen
+scalar form kept with the tests (``tests/gpu/scalar_oracle/``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.gpu.device import RTX_3080, DeviceSpec
 from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
@@ -57,59 +53,22 @@ class SimulationOptions:
 
 
 class GPUSimulator:
-    """Executes kernel launch streams on the analytical device model."""
+    """One device's view of :func:`repro.gpu.batched.simulate_devices`."""
 
     def __init__(
         self,
         device: DeviceSpec = RTX_3080,
         options: SimulationOptions | None = None,
-        tracer=None,
     ) -> None:
         self.device = device
         self.options = options or SimulationOptions()
-        # Run-scoped observability (repro.obs).  Counters only — the
-        # per-kernel hot loop stays branch-free; lazily defaulted to
-        # the no-op tracer so the gpu layer stays below repro.obs at
-        # import time only (no behavioral coupling).
-        if tracer is None:
-            from repro.obs import NULL_TRACER
-
-            tracer = NULL_TRACER
-        self.tracer = tracer
-        self._memo: Dict[KernelCharacteristics, KernelMetrics] = {}
 
     def run_kernel(self, kernel: KernelCharacteristics) -> KernelMetrics:
-        """Metrics for a single launch of *kernel* (memoized in-process)."""
+        """Metrics for a single launch of *kernel*."""
         return self.run_stream([KernelLaunch(kernel)])[0]
 
     def run_stream(self, launches: Iterable[KernelLaunch]) -> List[KernelMetrics]:
-        """Metrics for every launch in the stream, in order.
+        """Metrics for every launch in the stream, in order."""
+        from repro.gpu.batched import simulate_devices
 
-        Batched along two axes: identical kernels are grouped first, so
-        the memo lookup runs once per *distinct* kernel instead of once
-        per launch, and every distinct kernel the memo does not hold is
-        evaluated in **one** vectorized
-        :func:`repro.gpu.batched.batch_kernel_metrics` pass instead of
-        a Python-level model run per kernel.  Streams with thousands of
-        structurally distinct launches — GRU's per-level BFS frontiers —
-        pay one broadcast pass, not thousands of scalar ones.
-        """
-        from repro.gpu.batched import _collect_distinct, batch_kernel_metrics
-
-        order, indices = _collect_distinct(launches)
-        memo = self._memo
-        to_compute = [kernel for kernel in order if kernel not in memo]
-        if to_compute:
-            computed = batch_kernel_metrics(
-                to_compute,
-                [self.device],
-                timing=self.options.timing,
-                model_caches=self.options.model_caches,
-            )[0]
-            memo.update(zip(to_compute, computed))
-
-        resolved = [memo[kernel] for kernel in order]
-        results = [resolved[idx] for idx in indices]
-        self.tracer.incr("sim.launches", float(len(results)))
-        self.tracer.incr("sim.distinct_kernels", float(len(order)))
-        return results
+        return simulate_devices(launches, [self.device], self.options)[0]

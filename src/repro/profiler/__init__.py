@@ -1,9 +1,11 @@
 """Nsight-Compute-like profiling layer.
 
-Runs a workload's launch stream on the GPU simulator, aggregates the
-per-launch metrics into per-kernel profiles (``Ti = sum r_i * t_i``),
-and assembles an :class:`~repro.profiler.records.ApplicationProfile` —
-the object every analysis in the paper consumes.
+Prepares a workload's measured launch stream (steady-state cropped for
+repetitive workloads), aggregates the simulator's per-launch metrics
+into per-kernel profiles (``Ti = sum r_i * t_i``), and assembles an
+:class:`~repro.profiler.records.ApplicationProfile` — the object every
+analysis in the paper consumes.  The simulation in between is
+:func:`repro.core.characterize.characterize_devices`' one batched pass.
 """
 
 from repro.profiler.diffing import KernelDelta, ProfileDiff, diff_profiles

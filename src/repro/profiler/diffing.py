@@ -2,8 +2,11 @@
 
 The tool a performance engineer reaches for after any change — a new
 device, a model revision, a different input: which kernels appeared or
-disappeared, and how did the shared ones move?  Used by the device
-sweep and by regression tests between model versions.
+disappeared, and how did the shared ones move?  Nothing in the
+package calls it: ``examples/profile_diff.py`` diffs one workload's
+profiles on two devices with it (both from one
+``characterize_devices`` call), and ``tests/profiler/test_diffing.py``
+pins its arithmetic.
 """
 
 from __future__ import annotations

@@ -1,19 +1,22 @@
-"""The profiler: workload -> launch stream -> application profile.
+"""The profiler: the measured launch stream and its aggregation.
 
-Mirrors the paper's measurement flow: run the workload, optionally crop
-to a steady-state region (the paper profiles a steady-state window for
-the repetitive molecular and ML workloads and the full run for graph
-workloads), then aggregate per-launch metrics by kernel name.
+Mirrors the paper's measurement flow in two steps around the simulator:
+:meth:`Profiler.prepare_stream` runs the workload and crops repetitive
+ones to a steady-state region (the paper profiles a steady-state window
+for the molecular and ML workloads and the full run for graph
+workloads), and :meth:`Profiler.profile_metrics` aggregates per-launch
+metrics by kernel name.  The simulation between them is
+:func:`repro.core.characterize.characterize_devices`' job; a profile
+"by hand" is ``characterize(workload, device).profile``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.metrics import KernelMetrics
-from repro.gpu.simulator import GPUSimulator
 from repro.profiler.records import ApplicationProfile, aggregate_launches
 from repro.profiler.steady_state import select_steady_state
 
@@ -22,57 +25,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Profiler:
-    """Profiles workloads on a :class:`GPUSimulator`."""
-
-    def __init__(
-        self,
-        simulator: Optional[GPUSimulator] = None,
-        steady_state: bool = True,
-    ) -> None:
-        self.simulator = simulator or GPUSimulator()
-        self.steady_state = steady_state
+    """Prepares a workload's measured stream and aggregates its metrics."""
 
     # ------------------------------------------------------------------
     def prepare_stream(self, workload: "Workload") -> List[KernelLaunch]:
-        """*workload*'s launch stream after steady-state cropping.
+        """*workload*'s launch stream, cropped to its steady state iff
+        the workload is repetitive.
 
-        This is exactly the launch sequence :meth:`profile` aggregates;
-        the characterization engine simulates and digests it, so it
-        must stay the single source of truth for what gets measured.
+        This is exactly the launch sequence a characterization
+        simulates, digests and aggregates, so it must stay the single
+        source of truth for what gets measured.
         """
         stream = list(workload.launch_stream())
         if not stream:
             raise ValueError(
                 f"workload {workload.name!r} produced an empty launch stream"
             )
-        if self.steady_state and workload.repetitive:
+        if workload.repetitive:
             stream = select_steady_state(stream)
         return stream
-
-    # ------------------------------------------------------------------
-    def profile(self, workload: "Workload") -> ApplicationProfile:
-        """Run *workload* and return its aggregated profile."""
-        return self.profile_launches(
-            self.prepare_stream(workload),
-            workload=workload.name,
-            suite=workload.suite,
-            domain=workload.domain,
-        )
-
-    # ------------------------------------------------------------------
-    def profile_launches(
-        self,
-        launches: Iterable[KernelLaunch],
-        workload: str,
-        suite: str = "",
-        domain: str = "",
-    ) -> ApplicationProfile:
-        """Aggregate an explicit launch sequence into a profile."""
-        launch_list = list(launches)
-        metrics = self.simulator.run_stream(launch_list)
-        return self.profile_metrics(
-            launch_list, metrics, workload, suite=suite, domain=domain
-        )
 
     # ------------------------------------------------------------------
     def profile_metrics(
@@ -83,15 +54,12 @@ class Profiler:
         suite: str = "",
         domain: str = "",
     ) -> ApplicationProfile:
-        """Aggregate precomputed per-launch metrics into a profile.
+        """Aggregate per-launch metrics into a profile.
 
-        The device-sweep path simulates one stream across many devices
-        in a single batched pass (:func:`repro.gpu.batched.simulate_devices`)
-        and then aggregates each device's metric sequence here — the
-        exact aggregation :meth:`profile_launches` performs, so a
-        batched profile compares equal to a scalar one.  ``metrics``
-        must parallel ``launches`` (one record per launch, repeated
-        launches sharing one record, as both simulators guarantee).
+        ``metrics`` must parallel ``launches``: one record per launch,
+        repeated launches of an equal kernel sharing one record, as
+        :func:`repro.gpu.batched.simulate_devices` returns them for
+        each device.
         """
         by_name: Dict[str, List[KernelMetrics]] = defaultdict(list)
         for launch, record in zip(launches, metrics):

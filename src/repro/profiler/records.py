@@ -38,6 +38,15 @@ class KernelProfile:
     def instruction_intensity(self) -> float:
         return self.total_warp_insts / max(1.0, self.total_dram_transactions)
 
+    def metric(self, name: str) -> float:
+        """Fetch a metric by name: the roofline pair from the profile
+        totals, any Table IV field from the aggregated record."""
+        if name == "gips":
+            return self.gips
+        if name == "instruction_intensity":
+            return self.instruction_intensity
+        return self.metrics.metric(name)
+
 
 #: Duration-weighted ratio metrics — exactly the Table IV columns.
 _RATIO_METRICS: Tuple[str, ...] = SECONDARY_METRICS
@@ -51,9 +60,9 @@ def aggregate_launches(
     Counters add; ratio metrics are weighted by each launch's duration,
     which matches how a profiler averages per-invocation samples.
 
-    The fold is batched: the simulator memoizes metrics per distinct
-    kernel, so a stream's record sequence is mostly repeats of the same
-    objects.  Grouping by object identity first and weighting by
+    The fold is batched: the simulator shares one metrics record per
+    distinct kernel, so a stream's record sequence is mostly repeats of
+    the same objects.  Grouping by object identity first and weighting by
     multiplicity turns fourteen Python passes over every launch into
     one matrix reduction over the distinct records.
     """

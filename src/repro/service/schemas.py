@@ -38,7 +38,7 @@ from repro.core.config import (
 from repro.gpu.device import DEVICE_ZOO, DeviceSpec, device_by_name
 from repro.gpu.digest import CACHE_SCHEMA_VERSION, stable_digest
 from repro.gpu.simulator import SimulationOptions, TimingOptions
-from repro.workloads.registry import select_workloads
+from repro.workloads.registry import checked_selection, select_workloads
 
 __all__ = [
     "JobRequest",
@@ -305,17 +305,9 @@ def parse_job_request(payload: Any) -> JobRequest:
     # -- selection (needs valid suites) --------------------------------
     if not errors:
         try:
-            known = set(select_workloads(suites))
-        except KeyError as exc:
-            errors.append(f"suites: {exc.args[0]}")
-        if workloads is not None and not errors:
-            bad = sorted({w.upper() for w in workloads} - known)
-            if bad:
-                errors.append(
-                    f"workloads: {bad} not in suites {list(suites)}"
-                )
-        if not errors and not select_workloads(suites, workloads):
-            errors.append("workloads: selection is empty")
+            checked_selection(suites, workloads)
+        except ValueError as exc:
+            errors.append(exc.args[0])
 
     if errors:
         raise ValidationError(errors)

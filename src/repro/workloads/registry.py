@@ -87,6 +87,26 @@ def select_workloads(
     return selected
 
 
+def checked_selection(
+    suites: Sequence[str], workloads: Optional[Sequence[str]] = None
+) -> List[str]:
+    """:func:`select_workloads`, or a ValueError for a request it would
+    quietly shrink: an unknown suite, a workload in none of *suites*, or
+    an empty selection.  The CLI and the service validate with this."""
+    try:
+        known = select_workloads(suites)
+    except KeyError as exc:
+        raise ValueError(f"suites: {exc.args[0]}") from None
+    if workloads is not None:
+        bad = sorted({w.upper() for w in workloads} - set(known))
+        if bad:
+            raise ValueError(f"workloads: {bad} not in suites {list(suites)}")
+    selected = select_workloads(suites, workloads)
+    if not selected:
+        raise ValueError("workloads: selection is empty")
+    return selected
+
+
 def cactus_workloads(scale: float = 1.0, seed: int = 0) -> List[Workload]:
     """The ten Cactus workloads (Table I), in paper order."""
     _ensure_loaded()

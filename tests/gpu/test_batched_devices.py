@@ -151,8 +151,7 @@ class TestBatchedEqualsScalar:
                 )
 
     def test_single_device_reduces_to_scalar_path(self, cactus_streams):
-        """N=1 takes GPUSimulator's one-device path, which must match the
-        oracle too."""
+        """N=1 is the same batched pass, and must match the oracle too."""
         stream = cactus_streams["GRU"]
         for device in ZOO:
             (only,) = simulate_devices(stream, [device])

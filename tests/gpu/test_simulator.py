@@ -31,20 +31,6 @@ class TestSimulator:
         records = GPUSimulator().run_stream(stream)
         assert [r.name for r in records] == ["a", "b", "a", "c"]
 
-    def test_memoizes_identical_kernels(self):
-        simulator = GPUSimulator()
-        kernel = make_kernel()
-        first = simulator.run_kernel(kernel)
-        second = simulator.run_kernel(make_kernel())
-        assert first is second
-        assert len(simulator._memo) == 1
-
-    def test_different_kernels_not_shared(self):
-        simulator = GPUSimulator()
-        simulator.run_kernel(make_kernel("a"))
-        simulator.run_kernel(make_kernel("b"))
-        assert len(simulator._memo) == 2
-
     def test_device_matters(self):
         big = GPUSimulator(RTX_3080).run_kernel(make_kernel())
         small = GPUSimulator(EDGE_GPU).run_kernel(make_kernel())
@@ -89,7 +75,7 @@ class TestSimulationOptionsDefaults:
 
 class TestNoPersistentTier:
     def test_cache_argument_is_rejected(self, tmp_path):
-        # Per-kernel metrics are memoized in-process only; whole
+        # Per-kernel metrics are never persisted; whole
         # characterizations are what the result cache persists.
         from repro.core.cache import ResultCache
 

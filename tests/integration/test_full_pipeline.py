@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.famd import famd
 from repro.core import LAPTOP_SCALE, characterize, run_suite
-from repro.gpu import RTX_3080
+from repro.gpu import RTX_3080, simulate_devices
 from repro.profiler import Profiler, export_trace
 from repro.workloads import cactus_workloads, get_workload
 from tests.oracles import load_trace
@@ -71,9 +71,12 @@ class TestTraceRoundTripAcrossWorkloads:
         export_trace(stream, path)
         replayed = load_trace(path)
 
-        profiler = Profiler()
-        direct = profiler.profile_launches(stream, workload=abbr)
-        replay = profiler.profile_launches(replayed, workload=abbr)
+        def profile(launches):
+            metrics = simulate_devices(launches, [RTX_3080])[0]
+            return Profiler().profile_metrics(launches, metrics, workload=abbr)
+
+        direct = profile(stream)
+        replay = profile(replayed)
         assert direct.num_kernels == replay.num_kernels
         assert direct.total_time_s == pytest.approx(replay.total_time_s)
         assert direct.total_warp_insts == pytest.approx(

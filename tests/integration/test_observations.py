@@ -9,11 +9,7 @@ broadly than the 32 real binaries did.
 
 import pytest
 
-from repro.analysis.correlation import (
-    _kernel_metric,
-    correlation_matrix,
-    pearson,
-)
+from repro.analysis.correlation import correlation_matrix, pearson
 from repro.core import OBSERVATION_SCALE, check_observations, run_suite
 from repro.gpu.metrics import PRIMARY_METRICS, SECONDARY_METRICS
 
@@ -77,9 +73,9 @@ class TestCorrelationExactness:
             for k in (p.dominant_kernels if dominant_only else p.kernels)
         ]
         for row in PRIMARY_METRICS:
-            xs = [_kernel_metric(k, row) for k in kernels]
+            xs = [k.metric(row) for k in kernels]
             for column in SECONDARY_METRICS:
-                ys = [_kernel_metric(k, column) for k in kernels]
+                ys = [k.metric(column) for k in kernels]
                 expected = pearson(xs, ys)
                 actual = matrix.value(row, column)
                 assert actual.hex() == float(expected).hex(), (row, column)
@@ -92,7 +88,7 @@ class TestCorrelationExactness:
         matrix = correlation_matrix(profiles, rows=metrics, columns=metrics)
         kernels = [k for p in profiles for k in p.kernels]
         for row in metrics:
-            xs = [_kernel_metric(k, row) for k in kernels]
+            xs = [k.metric(row) for k in kernels]
             for column in metrics:
-                ys = [_kernel_metric(k, column) for k in kernels]
+                ys = [k.metric(column) for k in kernels]
                 assert matrix.value(row, column) == pearson(xs, ys)

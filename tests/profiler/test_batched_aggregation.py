@@ -1,6 +1,7 @@
 """Differential tests for the batched stream/profile aggregation.
 
-``GPUSimulator.run_stream``, the dict-ordered ``kernel_names``, the
+``simulate_devices`` (through its one-device view
+``GPUSimulator.run_stream``), the dict-ordered ``kernel_names``, the
 incremental ``total_warp_insts`` and the matrix-reduction
 ``aggregate_launches`` all replaced Python generator loops; each must
 agree with a faithful reimplementation of the original fold, and the
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpu.batched import simulate_devices
 from repro.gpu.device import RTX_3080
 from repro.gpu.kernel import KernelCharacteristics, LaunchStream
 from repro.gpu.metrics import SECONDARY_METRICS, KernelMetrics
@@ -159,7 +161,9 @@ def test_profile_launches_equals_seed_shape_on_real_workload():
     workload = get_workload("GST", scale=0.001, seed=0)
     profiler = Profiler()
     stream = profiler.prepare_stream(workload)
-    profile = profiler.profile_launches(stream, workload=workload.name)
+    profile = profiler.profile_metrics(
+        stream, simulate_devices(stream, [RTX_3080])[0], workload=workload.name
+    )
     assert profile.total_invocations == len(stream)
     sim = GPUSimulator()
     direct_time = sum(sim.run_kernel(l.kernel).duration_s for l in stream)

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.gpu import A100, GPUSimulator, RTX_3080
-from repro.profiler import Profiler
+from repro.core import characterize
+from repro.gpu import A100, RTX_3080
 from repro.profiler.diffing import diff_profiles
 from repro.workloads import get_workload
 
 
 def profile_on(device, abbr="GMS", scale=0.05):
-    profiler = Profiler(simulator=GPUSimulator(device))
-    return profiler.profile(get_workload(abbr, scale=scale))
+    return characterize(get_workload(abbr, scale=scale), device).profile
 
 
 class TestDiffProfiles:

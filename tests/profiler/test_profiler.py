@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.core import characterize
 from repro.gpu import (
-    GPUSimulator,
+    RTX_3080,
     KernelCharacteristics,
     KernelLaunch,
     LaunchStream,
     MemoryFootprint,
 )
+from repro.gpu.batched import simulate_devices
 from repro.profiler import (
     Profiler,
     export_trace,
@@ -51,19 +53,24 @@ class _FakeWorkload(Workload):
 
 class TestProfiler:
     def test_profile_aggregates_by_name(self):
-        profile = Profiler().profile(_FakeWorkload(cycles=8))
+        profile = characterize(_FakeWorkload(cycles=8)).profile
         names = {k.name for k in profile.kernels}
         assert names <= {"init", "force", "integrate"}
         force = next(k for k in profile.kernels if k.name == "force")
         assert force.invocations >= 2
 
     def test_steady_state_drops_warmup(self):
-        profile = Profiler(steady_state=True).profile(_FakeWorkload(cycles=20))
-        assert all(k.name != "init" for k in profile.kernels)
+        """prepare_stream crops a repetitive workload to its steady state."""
+        repetitive = _FakeWorkload(cycles=20)
+        cropped = Profiler().prepare_stream(repetitive)
+        assert cropped and all(l.name != "init" for l in cropped)
 
     def test_no_steady_state_keeps_warmup(self):
-        profile = Profiler(steady_state=False).profile(_FakeWorkload(cycles=20))
-        assert any(k.name == "init" for k in profile.kernels)
+        """prepare_stream keeps a non-repetitive workload whole."""
+        one_shot = _FakeWorkload(cycles=20)
+        one_shot.repetitive = False
+        whole = Profiler().prepare_stream(one_shot)
+        assert [l.name for l in whole] == ["init"] + ["force", "integrate"] * 20
 
     def test_empty_stream_rejected(self):
         class Empty(Workload):
@@ -76,19 +83,12 @@ class TestProfiler:
                 return LaunchStream()
 
         with pytest.raises(ValueError, match="empty launch stream"):
-            Profiler().profile(Empty())
+            characterize(Empty())
 
     def test_profile_metadata(self):
-        profile = Profiler().profile(_FakeWorkload())
+        profile = characterize(_FakeWorkload()).profile
         assert profile.workload == "fake"
         assert profile.suite == "test"
-
-    def test_shared_simulator_memoizes(self):
-        sim = GPUSimulator()
-        profiler = Profiler(simulator=sim, steady_state=False)
-        profiler.profile(_FakeWorkload(cycles=50))
-        # Only three distinct kernels were ever simulated.
-        assert len(sim._memo) == 3
 
 
 class TestSteadyStateSelection:
@@ -143,9 +143,12 @@ class TestTraceExport:
         stream = workload.launch_stream()
         path = tmp_path / "trace.jsonl"
         export_trace(stream, path)
-        profiler = Profiler()
-        direct = profiler.profile_launches(stream, workload="direct")
-        replayed = profiler.profile_launches(load_trace(path), workload="replay")
+        def profile(launches, name):
+            metrics = simulate_devices(launches, [RTX_3080])[0]
+            return Profiler().profile_metrics(launches, metrics, workload=name)
+
+        direct = profile(stream, "direct")
+        replayed = profile(load_trace(path), "replay")
         assert direct.total_time_s == pytest.approx(replayed.total_time_s)
         assert direct.num_kernels == replayed.num_kernels
 

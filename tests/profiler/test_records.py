@@ -60,6 +60,24 @@ class TestAggregateLaunches:
         )
         assert profile.gips == pytest.approx(2.0)
 
+    def test_metric_lookup(self):
+        """Roofline metrics come from the profile totals, Table IV
+        fields from the aggregated record."""
+        profile = aggregate_launches(
+            "k",
+            [
+                metrics(duration=1.0, insts=4e9, txn=1e6, l1_hit_rate=0.2),
+                metrics(duration=3.0, insts=2e9, txn=4e6, l1_hit_rate=0.6),
+            ],
+        )
+        assert profile.metric("gips") == profile.gips
+        assert profile.metric("instruction_intensity") == (
+            profile.instruction_intensity
+        )
+        assert profile.metric("l1_hit_rate") == profile.metrics.l1_hit_rate
+        with pytest.raises(KeyError):
+            profile.metric("name")
+
 
 class TestDominantKernels:
     def test_paper_example_dominance(self):

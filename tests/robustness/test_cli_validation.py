@@ -60,6 +60,44 @@ class TestFlagValidation:
         assert "not allowed with" in capsys.readouterr().err
 
 
+class TestBadInputIsAUsageError:
+    """Bad workload, scale, selection and directory input exits 2 with
+    one ``repro: error:`` line before any run starts, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characterize", "XYZ"],
+            ["trace", "XYZ", "{tmp}/trace.jsonl"],
+            ["characterize", "GMS", "--scale", "0"],
+            ["characterize", "GMS", "--scale", "-1"],
+            ["sweep", "--devices", "A100", "--workloads", "XYZ"],
+            ["sweep", "--devices", "A100", "--workloads", "GST,XYZ"],
+            ["similar", "--workloads", "XYZ", "--coverage", "0.5"],
+            ["sweep", "--devices", "A100", "--suite", "XYZ"],
+            ["--journal-dir", "{tmp}/file", "table1"],
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-cache", *argv])
+        assert excinfo.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("repro: error: ")
+        assert sum("error" in line for line in lines) == 1
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    def test_journal_dir_env_naming_a_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "file"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-cache", "table1"])
+        assert excinfo.value.code == 2
+        assert "--journal-dir: not a directory" in capsys.readouterr().err
+
+
 class TestEnvValidation:
     def test_env_provides_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")

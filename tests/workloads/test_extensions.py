@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import characterize
 from repro.gpu import RTX_3080
-from repro.profiler import Profiler
 from repro.workloads import get_workload, list_workloads
 from repro.workloads.extensions import (
     GCNTraining,
@@ -29,7 +29,7 @@ class TestRegistration:
 class TestTransformer:
     @pytest.fixture(scope="class")
     def profile(self):
-        return Profiler().profile(TransformerTraining(scale=1.0, iterations=4))
+        return characterize(TransformerTraining(scale=1.0, iterations=4)).profile
 
     def test_modern_ml_kernel_menu(self, profile):
         """Transformers launch a Cactus-ML-sized kernel menu."""
@@ -70,12 +70,12 @@ class TestPageRank:
         assert in_degree[top_rank] > 10 * in_degree.mean()
 
     def test_three_kernel_iteration_structure(self):
-        profile = Profiler().profile(PageRankWorkload(scale=0.001))
+        profile = characterize(PageRankWorkload(scale=0.001)).profile
         assert profile.num_kernels == 3
         assert profile.dominant_kernel.name == "pagerank_spmv_advance"
 
     def test_memory_intensive(self):
-        profile = Profiler().profile(PageRankWorkload(scale=0.001))
+        profile = characterize(PageRankWorkload(scale=0.001)).profile
         assert profile.instruction_intensity < ELBOW
 
     def test_converges_before_iteration_cap(self):
@@ -90,7 +90,7 @@ class TestPageRank:
 class TestGCN:
     @pytest.fixture(scope="class")
     def profile(self):
-        return Profiler().profile(GCNTraining(scale=0.002, epochs=4))
+        return characterize(GCNTraining(scale=0.002, epochs=4)).profile
 
     def test_mixes_graph_and_ml_kernels(self, profile):
         names = {k.name for k in profile.kernels}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.profiler import Profiler
+from repro.core import characterize
 from repro.workloads.graphs import (
     CSRGraph,
     RoadBFS,
@@ -126,10 +126,9 @@ class TestBFSCorrectness:
 
 @pytest.fixture(scope="module")
 def graph_profiles():
-    profiler = Profiler()
     return {
-        "GST": profiler.profile(SocialBFS(scale=0.002, seed=0)),
-        "GRU": profiler.profile(RoadBFS(scale=0.005, seed=0)),
+        "GST": characterize(SocialBFS(scale=0.002, seed=0)).profile,
+        "GRU": characterize(RoadBFS(scale=0.005, seed=0)).profile,
     }
 
 

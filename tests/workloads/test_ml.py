@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core import characterize
 from repro.gpu import RTX_3080
-from repro.profiler import Profiler
 from repro.workloads.ml import (
     DCGANTraining,
     LanguageTranslationTraining,
@@ -173,9 +173,8 @@ class TestOptimizers:
 
 @pytest.fixture(scope="module")
 def ml_profiles():
-    profiler = Profiler()
     return {
-        w.abbr: profiler.profile(w)
+        w.abbr: characterize(w).profile
         for w in (
             DCGANTraining(scale=1.0, iterations=6),
             NeuralStyleTraining(scale=1.0, iterations=6),

@@ -8,7 +8,7 @@ silently change what the models launch.
 
 import pytest
 
-from repro.profiler import Profiler
+from repro.core import characterize
 from repro.workloads.ml import (
     DCGANTraining,
     LanguageTranslationTraining,
@@ -20,7 +20,6 @@ from repro.workloads.ml import (
 
 @pytest.fixture(scope="module")
 def menus():
-    profiler = Profiler()
     workloads = {
         "DCG": DCGANTraining(scale=1.0, iterations=6),
         "NST": NeuralStyleTraining(scale=1.0, iterations=6),
@@ -29,7 +28,7 @@ def menus():
         "LGT": LanguageTranslationTraining(scale=1.0, iterations=4),
     }
     return {
-        abbr: {k.name for k in profiler.profile(w).kernels}
+        abbr: {k.name for k in characterize(w).profile.kernels}
         for abbr, w in workloads.items()
     }
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.profiler import Profiler
+from repro.core import characterize
 from repro.workloads.molecular import (
     CellList,
     GromacsNPT,
@@ -191,9 +191,8 @@ class TestImbalanceDegenerateCases:
 
 @pytest.fixture(scope="module")
 def profiles():
-    profiler = Profiler()
     return {
-        w.abbr: profiler.profile(w)
+        w.abbr: characterize(w).profile
         for w in (
             GromacsNPT(scale=SMALL, steps=12),
             LammpsRhodopsin(scale=SMALL, steps=12),
@@ -241,13 +240,13 @@ class TestKernelMenus:
 
 class TestScaleInvariance:
     def test_kernel_menu_stable_under_scale(self):
-        small = Profiler().profile(GromacsNPT(scale=0.03, steps=8))
-        larger = Profiler().profile(GromacsNPT(scale=0.08, steps=8))
+        small = characterize(GromacsNPT(scale=0.03, steps=8)).profile
+        larger = characterize(GromacsNPT(scale=0.08, steps=8)).profile
         assert {k.name for k in small.kernels} == {k.name for k in larger.kernels}
 
     def test_more_atoms_more_instructions(self):
-        small = Profiler().profile(LammpsColloid(scale=0.03, steps=8))
-        larger = Profiler().profile(LammpsColloid(scale=0.08, steps=8))
+        small = characterize(LammpsColloid(scale=0.03, steps=8)).profile
+        larger = characterize(LammpsColloid(scale=0.08, steps=8)).profile
         assert larger.total_warp_insts > small.total_warp_insts
 
     def test_steps_validation(self):

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core import characterize
 from repro.gpu import RTX_3080
-from repro.profiler import Profiler
 from repro.workloads import cactus_workloads, get_workload, list_workloads
 from repro.workloads.base import WorkloadInfo
 from repro.workloads.suites import BottomUpBenchmark, KernelSpec
@@ -61,9 +61,8 @@ class TestKernelSpecValidation:
 
 @pytest.fixture(scope="module")
 def prt_profiles():
-    profiler = Profiler()
     return {
-        abbr: profiler.profile(get_workload(abbr, scale=0.5))
+        abbr: characterize(get_workload(abbr, scale=0.5)).profile
         for suite in ("Parboil", "Rodinia", "Tango")
         for abbr in list_workloads(suite)
     }

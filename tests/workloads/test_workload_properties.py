@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.profiler import Profiler
+from repro.core import characterize
 from repro.workloads import get_workload, list_workloads
 
 #: One representative per workload family (keeps the property runs
@@ -45,7 +45,7 @@ def test_kernel_menu_seed_invariant(abbr):
 @given(st.sampled_from(FAMILY_REPS), st.integers(0, 50))
 @settings(max_examples=16, deadline=None)
 def test_profiles_are_internally_consistent(abbr, seed):
-    profile = Profiler().profile(get_workload(abbr, scale=0.01, seed=seed))
+    profile = characterize(get_workload(abbr, scale=0.01, seed=seed)).profile
     assert profile.total_time_s > 0
     assert profile.num_kernels >= 1
     shares = profile.time_shares()
@@ -64,11 +64,10 @@ def test_instruction_totals_grow_with_scale(abbr):
 
 def test_every_registered_workload_profiles_cleanly():
     """Smoke: all 45 registered workloads run end-to-end at tiny scale."""
-    profiler = Profiler()
     count = 0
     for suite in ("Cactus", "CactusExt", "Parboil", "Rodinia", "Tango"):
         for abbr in list_workloads(suite):
-            profile = profiler.profile(get_workload(abbr, scale=0.003))
+            profile = characterize(get_workload(abbr, scale=0.003)).profile
             assert profile.num_kernels >= 1, abbr
             count += 1
     assert count == 45
