@@ -651,9 +651,6 @@ def _cmd_similar(args, run) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.k < 1:
-            print("repro: error: -k must be >= 1", file=sys.stderr)
-            return 2
         vector = metric_features(profiles[args.query].metrics)
         neighbors = index.knn(vector, args.k, exclude=args.query)
         print(f"nearest {len(neighbors)} to {args.query}:")
@@ -666,7 +663,7 @@ def _cmd_similar(args, run) -> int:
         return 0
 
     if args.representatives is not None:
-        if not 1 <= args.representatives <= len(profiles):
+        if args.representatives > len(profiles):
             print(
                 f"repro: error: --representatives must be in "
                 f"[1, {len(profiles)}]",
@@ -675,12 +672,6 @@ def _cmd_similar(args, run) -> int:
             return 2
         subset = index.representative_subset(args.representatives)
     else:
-        if not 0 < args.coverage <= 1:
-            print(
-                "repro: error: --coverage must be in (0, 1]",
-                file=sys.stderr,
-            )
-            return 2
         subset = index.representatives_for_target(args.coverage)
     print(
         f"representatives ({len(subset.representative_labels)} kernels, "
@@ -804,6 +795,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             checked_selection([args.suite], args.workloads)
         except ValueError as exc:
             parser.error(exc.args[0])
+    if args.command == "similar":
+        if args.k < 1:
+            parser.error("-k must be >= 1")
+        if args.representatives is not None and args.representatives < 1:
+            parser.error("--representatives must be >= 1")
+        if args.coverage is not None and not 0 < args.coverage <= 1:
+            parser.error("--coverage must be in (0, 1]")
     if args.timeout is not None and _resolve_jobs(args.jobs) == 1:
         print(
             "repro: warning: --timeout has no effect on the serial path "

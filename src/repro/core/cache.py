@@ -47,6 +47,7 @@ from repro.gpu.digest import (
     source_fingerprint,
     stable_digest,
 )
+from repro.obs import CURRENT_TRACER
 
 
 def atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
@@ -129,18 +130,18 @@ class CacheStats:
 
 @dataclass
 class ResultCache:
-    """Keyed cache of JSON entries under one directory."""
+    """Keyed cache of JSON entries under one directory.
+
+    Every get, put, reject and quarantine is mirrored into the running
+    run's tracer (:data:`repro.obs.CURRENT_TRACER`; a no-op outside a
+    run) as a ``cache.*`` counter and ``cache.<op>`` event, so a cache
+    shared by two runs on two threads counts each run's traffic in that
+    run.  Pure observation: hit/miss behavior and payloads are untouched.
+    """
 
     #: The cache's root (a ``str`` is converted to a ``Path``).
     cache_dir: Path
     stats: CacheStats = field(default_factory=CacheStats)
-    #: Optional run-scoped tracer (see :mod:`repro.obs`): every get/put
-    #: also bumps ``cache.*`` run metrics and, when an event log is
-    #: attached, emits a ``cache.get``/``cache.put`` event.  Pure
-    #: observation — hit/miss behavior and payloads are untouched.
-    tracer: Optional[Any] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         # Path("") would be the current directory, never what was meant.
@@ -160,10 +161,8 @@ class ResultCache:
 
     # -- observability -------------------------------------------------
     def _observe(self, op: str, key: str, outcome: str) -> None:
-        """Mirror one cache operation into the run-scoped tracer."""
-        tracer = self.tracer
-        if tracer is None:
-            return
+        """Mirror one cache operation into the running run's tracer."""
+        tracer = CURRENT_TRACER.get()
         tracer.incr(f"cache.{outcome}")
         tracer.event(
             f"cache.{op}", category="cache", key=key[:16], outcome=outcome
@@ -205,8 +204,7 @@ class ResultCache:
         rewrites it.
         """
         self.stats.disk_hits -= 1
-        if self.tracer is not None:
-            self.tracer.incr("cache.disk_hits", -1.0)
+        CURRENT_TRACER.get().incr("cache.disk_hits", -1.0)
         self.stats.misses += 1
         self._observe("reject", key, "misses")
         self._quarantine(self._path(key))

@@ -22,6 +22,7 @@ from repro.analysis.roofline import (
     kernel_roofline,
 )
 from repro.gpu.device import RTX_3080, DeviceSpec
+from repro.obs import CURRENT_TRACER
 from repro.profiler.profiler import Profiler
 from repro.profiler.records import ApplicationProfile
 from repro.workloads.base import Workload
@@ -74,23 +75,21 @@ def characterize(
     workload: Workload,
     device: DeviceSpec = RTX_3080,
     options=None,
-    tracer=None,
 ) -> Characterization:
     """Run the full per-workload characterization pipeline on one device.
 
-    A one-device :func:`characterize_devices`.  *tracer* (see
-    :mod:`repro.obs`) wraps each phase — ``stream-gen``, ``simulate``,
-    ``analyze`` — in a span.  Pure observation: the stream and the
-    result are bit-for-bit identical with tracing on or off.
+    A one-device :func:`characterize_devices`.
     """
-    return characterize_devices(
-        workload, [device], options=options, tracer=tracer
-    )[device.name]
+    return characterize_devices(workload, [device], options=options)[
+        device.name
+    ]
 
 
-def generate_stream(workload: Workload, tracer):
+def generate_stream(workload: Workload):
     """The measured launch stream of *workload*, under a ``stream-gen`` span."""
-    with tracer.span("stream-gen", category="phase", workload=workload.abbr) as sp:
+    with CURRENT_TRACER.get().span(
+        "stream-gen", category="phase", workload=workload.abbr
+    ) as sp:
         stream = Profiler().prepare_stream(workload)
         sp.set_attr("launches", len(stream))
     return stream
@@ -100,7 +99,6 @@ def characterize_devices(
     workload: Workload,
     devices,
     options=None,
-    tracer=None,
     stream=None,
 ) -> "dict[str, Characterization]":
     """Characterize one workload across N devices from ONE stream.
@@ -115,15 +113,19 @@ def characterize_devices(
     This is the only characterization path: :func:`characterize` is its
     one-device view, and one device is the same batched pass with
     ``D == 1``.
+
+    The running run's tracer (:data:`repro.obs.CURRENT_TRACER`) wraps
+    each phase — ``stream-gen``, ``simulate``, ``analyze`` — in a span.
+    Pure observation: the stream and the result are bit-for-bit
+    identical with tracing on or off.
     """
     from repro.gpu.batched import simulate_devices
     from repro.gpu.simulator import SimulationOptions
-    from repro.obs import NULL_TRACER
 
-    tracer = tracer or NULL_TRACER
+    tracer = CURRENT_TRACER.get()
     abbr = workload.abbr
     if stream is None:
-        stream = generate_stream(workload, tracer)
+        stream = generate_stream(workload)
     with tracer.span(
         "simulate", category="phase", workload=abbr, devices=len(devices)
     ) as sp:
@@ -131,7 +133,6 @@ def characterize_devices(
             stream,
             devices,
             options=options or SimulationOptions(),
-            tracer=tracer,
         )
         sp.set_attr("launches", len(stream))
     aggregator = Profiler()

@@ -80,7 +80,7 @@ from repro.core.sweep import SweepRunReport
 from repro.gpu.device import DeviceSpec
 from repro.gpu.digest import launch_stream_digest
 from repro.gpu.simulator import SimulationOptions
-from repro.obs import ObsSession, TraceHandoff, Tracer, worker_tracer
+from repro.obs import CURRENT_TRACER, ObsSession, TraceHandoff, worker_tracer
 from repro.workloads.registry import get_workload, select_workloads
 
 #: Environments where a process pool cannot even be created
@@ -103,7 +103,6 @@ def _lookup(
     devices: Sequence[DeviceSpec],
     options: SimulationOptions,
     cache: ResultCache,
-    tracer: Tracer,
 ) -> Tuple[Dict[str, str], Dict[str, Tuple[Characterization, Optional[str]]]]:
     """Probe *cache* for one workload on every device of the run.
 
@@ -116,7 +115,7 @@ def _lookup(
     scale, seed = preset.for_workload(abbr), preset.seed
     keys: Dict[str, str] = {}
     hits: Dict[str, Tuple[Characterization, Optional[str]]] = {}
-    with tracer.span(
+    with CURRENT_TRACER.get().span(
         "cache-lookup", category="phase", workload=abbr, devices=len(devices)
     ) as sp:
         for device in devices:
@@ -143,7 +142,6 @@ def _attempt(
     devices: Sequence[DeviceSpec],
     options: SimulationOptions,
     cache: Optional[ResultCache],
-    tracer: Tracer,
     attempt: int,
     fault_plan: Optional[Any],
     mode: str,
@@ -163,6 +161,7 @@ def _attempt(
     attempt and are strict no-ops when the plan is empty.  Returns the
     results by device and whether every device hit (no stream built).
     """
+    tracer = CURRENT_TRACER.get()
     with tracer.span(
         "attempt",
         category="workload",
@@ -174,7 +173,7 @@ def _attempt(
         if fault_plan is not None:
             fault_plan.before(abbr, attempt)
         keys, hits = (
-            _lookup(abbr, preset, devices, options, cache, tracer)
+            _lookup(abbr, preset, devices, options, cache)
             if cache is not None
             else ({}, {})
         )
@@ -183,7 +182,7 @@ def _attempt(
         if not cached:
             scale, seed = preset.for_workload(abbr), preset.seed
             workload = get_workload(abbr, scale=scale, seed=seed)
-            stream = generate_stream(workload, tracer)
+            stream = generate_stream(workload)
             digest = (
                 launch_stream_digest(stream) if cache is not None else None
             )
@@ -194,7 +193,6 @@ def _attempt(
                 workload,
                 [d for d in devices if d.name not in hits or d.name in stale],
                 options=options,
-                tracer=tracer,
                 stream=stream,
             )
             if cache is not None:
@@ -221,9 +219,9 @@ def _sweep_one(
     devices: Sequence[DeviceSpec],
     options: SimulationOptions,
     cache_dir: Optional[Path],
-    attempt: int = 1,
-    fault_plan: Optional[Any] = None,
-    handoff: Optional[TraceHandoff] = None,
+    attempt: int,
+    fault_plan: Optional[Any],
+    handoff: TraceHandoff,
 ) -> Tuple[
     str, Dict[str, Characterization], bool, CacheStats, Optional[dict]
 ]:
@@ -234,26 +232,28 @@ def _sweep_one(
     once, and opens its own handle on the shared cache directory —
     entry writes are atomic, so concurrent workers can share it safely.
 
-    *handoff* (see :mod:`repro.obs`) roots this attempt's spans under
-    the parent's run span and — when tracing is enabled — appends them
-    to this worker's own ``events-<pid>.jsonl``.  The worker's metrics
-    snapshot rides back on the result tuple; a failed attempt still
-    flushes its error span before the exception crosses the pool
-    boundary.
+    *handoff* (see :mod:`repro.obs`) builds the worker's tracer, which
+    is the attempt's :data:`~repro.obs.CURRENT_TRACER`: it roots the
+    attempt's spans under the parent's run span and — when tracing is
+    enabled — appends them to this worker's own ``events-<pid>.jsonl``.
+    The worker's metrics snapshot rides back on the result tuple; a
+    failed attempt still flushes its error span before the exception
+    crosses the pool boundary.
     """
     tracer = worker_tracer(handoff)
-    cache = ResultCache(cache_dir, tracer=tracer) if cache_dir else None
+    cache = ResultCache(cache_dir) if cache_dir else None
+    token = CURRENT_TRACER.set(tracer)
     try:
         result, cached = _attempt(
-            abbr, preset, devices, options, cache, tracer, attempt,
-            fault_plan, mode="pool",
+            abbr, preset, devices, options, cache, attempt, fault_plan,
+            mode="pool",
         )
     finally:
+        CURRENT_TRACER.reset(token)
         if tracer.sink is not None:
             tracer.sink.close()
-    snapshot = tracer.metrics.snapshot() if tracer.metrics else None
     stats = cache.stats if cache is not None else CacheStats()
-    return abbr, result, cached, stats, snapshot
+    return abbr, result, cached, stats, tracer.metrics.snapshot()
 
 
 def _default_sigterm() -> None:
@@ -287,17 +287,17 @@ class _InProcess:
     """The serial executor, behind the pool's ``submit``/``shutdown``.
 
     ``submit(_sweep_one, ...)`` returns a future that runs the same
-    attempt as :func:`_attempt` with the run's own cache and tracer (in
-    place of the worker's cache handle and trace handoff), and only
-    when its ``result()`` is first called: each workload completes, and
-    is journaled, before the next one starts.  The timeout is ignored
-    (a running characterization cannot be preempted in-process), and
-    this executor never breaks.
+    attempt as :func:`_attempt` with the run's own cache (in place of
+    the worker's cache handle) and the run's tracer (the run thread's
+    :data:`~repro.obs.CURRENT_TRACER`, so the trace handoff is unused),
+    and only when its ``result()`` is first called: each workload
+    completes, and is journaled, before the next one starts.  The
+    timeout is ignored (a running characterization cannot be preempted
+    in-process), and this executor never breaks.
     """
 
-    def __init__(self, cache: Optional[ResultCache], tracer: Tracer) -> None:
+    def __init__(self, cache: Optional[ResultCache]) -> None:
         self.cache = cache
-        self.tracer = tracer
 
     def submit(
         self, fn, abbr, preset, devices, options, cache_dir, attempt,
@@ -305,8 +305,8 @@ class _InProcess:
     ) -> Future:
         def call():
             result, cached = _attempt(
-                abbr, preset, devices, options, self.cache, self.tracer,
-                attempt, fault_plan, mode="serial",
+                abbr, preset, devices, options, self.cache, attempt,
+                fault_plan, mode="serial",
             )
             return abbr, result, cached, None, None
 
@@ -397,10 +397,8 @@ class CharacterizationEngine:
         report = SweepRunReport(devices=devices, preset=preset)
 
         session = ObsSession(self.trace_dir)
-        # In-process cache traffic counts toward this run's metrics;
-        # the tracer is detached again before returning.
-        if self.cache is not None and self.cache.tracer is None:
-            self.cache.tracer = session.tracer
+        # Every layer this thread calls into records into this run.
+        token = CURRENT_TRACER.set(session.tracer)
         try:
             with session.tracer.span(
                 "run",
@@ -418,9 +416,9 @@ class CharacterizationEngine:
                 session.tracer.incr("engine.runs")
                 journal: Optional[RunJournal] = None
                 if self.journal_dir is not None:
-                    journal = RunJournal(self.journal_dir, tracer=session.tracer)
+                    journal = RunJournal(self.journal_dir)
                     journal.begin(selected)
-                cache = self._run_cache(journal, session.tracer)
+                cache = self._run_cache(journal)
                 self._execute(
                     selected, preset, devices, jobs, cache, journal, report,
                     session,
@@ -448,8 +446,7 @@ class CharacterizationEngine:
                 if journal is not None:
                     journal.finish(ok=not report.failures)
         finally:
-            if self.cache is not None and self.cache.tracer is session.tracer:
-                self.cache.tracer = None
+            CURRENT_TRACER.reset(token)
             # The profile and trace ride on the report even when the
             # run failed (strict mode raises with the report attached)
             # — a failed run is exactly when you want them.
@@ -459,9 +456,7 @@ class CharacterizationEngine:
                 report.trace_dir = str(session.trace_dir)
         return report
 
-    def _run_cache(
-        self, journal: Optional[RunJournal], tracer: Tracer
-    ) -> Optional[ResultCache]:
+    def _run_cache(self, journal: Optional[RunJournal]) -> Optional[ResultCache]:
         """The cache one run reads and writes.
 
         A journaled run resumes from cached entries, so without
@@ -470,7 +465,7 @@ class CharacterizationEngine:
         """
         if self.cache is not None or journal is None:
             return self.cache
-        return ResultCache(journal.results_dir, tracer=tracer)
+        return ResultCache(journal.results_dir)
 
     # -- the one attempt loop -----------------------------------------
     def _new_pool(self, jobs: int, tasks: int) -> ProcessPoolExecutor:
@@ -544,9 +539,9 @@ class CharacterizationEngine:
                 stacklevel=4,
             )
             self._kill_pool(executor)
-            executor = _InProcess(cache, tracer)
+            executor = _InProcess(cache)
 
-        executor: Any = _InProcess(cache, tracer)
+        executor: Any = _InProcess(cache)
         if jobs > 1:
             try:
                 executor = self._new_pool(jobs, len(selected))

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable
 
 from repro.core.cache import atomic_write_json
+from repro.obs import CURRENT_TRACER
 
 #: Version of the ``run.json`` layout.
 JOURNAL_SCHEMA_VERSION = 3
@@ -51,19 +52,14 @@ def _read_json(path: Path) -> Dict[str, Any]:
 class RunJournal:
     """Progress file of one journal directory.
 
-    The optional *tracer* (see :mod:`repro.obs`) emits a
-    ``journal.checkpoint`` event per completion plus begin/finish
-    lifecycle events — observation only, the on-disk format is
-    untouched.
+    Each begin, completion and finish also emits a ``journal.begin``,
+    ``journal.checkpoint`` or ``journal.finish`` event into the running
+    run's tracer (:data:`repro.obs.CURRENT_TRACER`) — observation only,
+    the on-disk format is untouched.
     """
 
-    def __init__(self, journal_dir, tracer=None) -> None:
+    def __init__(self, journal_dir) -> None:
         self.journal_dir = Path(journal_dir)
-        if tracer is None:
-            from repro.obs import NULL_TRACER
-
-            tracer = NULL_TRACER
-        self.tracer = tracer
         self._meta: Dict[str, Any] = {}
 
     # -- paths ---------------------------------------------------------
@@ -85,7 +81,7 @@ class RunJournal:
             "done": [],
         }
         atomic_write_json(self.run_path, self._meta)
-        self.tracer.event(
+        CURRENT_TRACER.get().event(
             "journal.begin",
             category="journal",
             selected=len(self._meta["selected"]),
@@ -95,7 +91,7 @@ class RunJournal:
         """Atomically record *abbr* as complete (its entries are cached)."""
         self._meta["done"].append(abbr.upper())
         atomic_write_json(self.run_path, self._meta)
-        self.tracer.event(
+        CURRENT_TRACER.get().event(
             "journal.checkpoint", category="journal", workload=abbr.upper()
         )
 
@@ -120,6 +116,6 @@ class RunJournal:
         """Mark the run's terminal status in ``run.json``."""
         self._meta["status"] = "complete" if ok else "failed"
         atomic_write_json(self.run_path, self._meta)
-        self.tracer.event(
+        CURRENT_TRACER.get().event(
             "journal.finish", category="journal", status=self._meta["status"]
         )

@@ -39,7 +39,7 @@ hypothesis-perturbed devices.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,9 +47,7 @@ from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
 from repro.gpu.metrics import KernelMetrics
 from repro.gpu.simulator import SimulationOptions, TimingOptions
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import Tracer
+from repro.obs import CURRENT_TRACER
 
 __all__ = ["simulate_devices", "batch_kernel_metrics"]
 
@@ -382,7 +380,6 @@ def simulate_devices(
     launches: Iterable[KernelLaunch],
     devices: Sequence[DeviceSpec],
     options: Optional[SimulationOptions] = None,
-    tracer: Optional["Tracer"] = None,
 ) -> List[List[KernelMetrics]]:
     """Simulate one launch stream on N devices in a single pass.
 
@@ -400,12 +397,6 @@ def simulate_devices(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate device names in sweep: {names}")
     opts = options or SimulationOptions()
-
-    if tracer is None:
-        from repro.obs import NULL_TRACER
-
-        tracer = NULL_TRACER
-
     kernels, indices = _collect_distinct(launches)
     per_device = batch_kernel_metrics(
         kernels, devices, timing=opts.timing, model_caches=opts.model_caches
@@ -415,6 +406,7 @@ def simulate_devices(
     ]
     # Counted once per device, so a sweep reads like N one-device runs
     # in the run metrics.
+    tracer = CURRENT_TRACER.get()
     tracer.incr("sim.launches", float(len(indices) * len(devices)))
     tracer.incr("sim.distinct_kernels", float(len(kernels) * len(devices)))
     return results

@@ -84,19 +84,14 @@ def kernel_digest(kernel: KernelCharacteristics) -> str:
     return stable_digest(["kernel", CACHE_SCHEMA_VERSION, kernel])
 
 
-def launch_stream_digest(
-    launches: Iterable[KernelLaunch],
-    _memo: Optional[Dict[KernelCharacteristics, str]] = None,
-) -> str:
+def launch_stream_digest(launches: Iterable[KernelLaunch]) -> str:
     """Content digest of an ordered launch stream.
 
     Streams routinely repeat a handful of kernels thousands of times, so
     per-kernel digests are memoized and the stream hash is folded
     incrementally instead of materializing one giant canonical form.
     """
-    memo: Dict[KernelCharacteristics, str] = (
-        _memo if _memo is not None else {}
-    )
+    memo: Dict[KernelCharacteristics, str] = {}
     hasher = hashlib.sha256(
         f"launch-stream:{CACHE_SCHEMA_VERSION}".encode("utf-8")
     )

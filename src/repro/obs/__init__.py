@@ -16,23 +16,33 @@ Design rules (see DESIGN.md §11):
   off;
 * stdlib-only, importable from anywhere in the tree without cycles;
 * disabled tracing is :data:`~repro.obs.spans.NULL_TRACER`, a strict
-  no-op.
+  no-op;
+* every layer reaches the run's tracer through one context variable,
+  :data:`~repro.obs.spans.CURRENT_TRACER`, which the engine sets for
+  the run and each pool worker for its attempt; outside a run it holds
+  ``NULL_TRACER``.
 """
 
 from repro.obs.metrics import HistogramStat, MetricsRegistry, RunProfile
 from repro.obs.session import ObsSession, TraceHandoff, worker_tracer
 from repro.obs.sinks import (
-    EventSink,
     JsonlSink,
     event_log_paths,
     read_events,
     tail_events,
     write_chrome_trace,
 )
-from repro.obs.spans import NULL_TRACER, NullTracer, Span, Tracer, new_id
+from repro.obs.spans import (
+    CURRENT_TRACER,
+    NULL_TRACER,
+    NullTracer,
+    Span,
+    Tracer,
+    new_id,
+)
 
 __all__ = [
-    "EventSink",
+    "CURRENT_TRACER",
     "HistogramStat",
     "JsonlSink",
     "MetricsRegistry",

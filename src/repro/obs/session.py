@@ -57,7 +57,7 @@ class TraceHandoff:
     submitted_unix: float
 
 
-def worker_tracer(handoff: Optional[TraceHandoff]) -> Tracer:
+def worker_tracer(handoff: TraceHandoff) -> Tracer:
     """Build the worker-side tracer for one characterization task.
 
     Observes the submit→start queue wait immediately, so every worker
@@ -66,8 +66,6 @@ def worker_tracer(handoff: Optional[TraceHandoff]) -> Tracer:
     own ``events-<pid>.jsonl`` (see :mod:`repro.obs.sinks` for why
     per-process files).
     """
-    if handoff is None:
-        return Tracer(metrics=MetricsRegistry(), role="worker")
     sink = (
         JsonlSink(worker_log_path(handoff.trace_dir, os.getpid()))
         if handoff.trace_dir

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
-    "EventSink",
     "JsonlSink",
     "event_log_paths",
     "read_events",
@@ -38,17 +37,7 @@ EVENT_LOG_NAME = "events.jsonl"
 CHROME_TRACE_NAME = "trace.json"
 
 
-class EventSink:
-    """Destination for observability records (duck-typed interface)."""
-
-    def emit(self, record: Dict[str, Any]) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover
-        pass
-
-
-class JsonlSink(EventSink):
+class JsonlSink:
     """Append-only, line-flushed JSONL writer.
 
     The file handle opens lazily on the first record (a tracer that

@@ -7,6 +7,13 @@ pipeline run.  Every record carries the run's ``trace_id``, its own
 ``span_id``, and its parent's id, so the forest can be reassembled from
 a flat event log regardless of which process or thread emitted it.
 
+Every layer reaches the run's tracer through one context variable,
+:data:`CURRENT_TRACER`: the engine sets it for the length of a run (and
+each pool worker for the length of its attempt), and instrumented code
+reads it with ``CURRENT_TRACER.get()``.  Outside a run it holds
+:data:`NULL_TRACER`.  Each thread has its own context, so two runs on
+two threads never record into each other's tracer.
+
 Two propagation mechanisms keep parentage correct:
 
 * **within a process** — a thread-local span stack: ``tracer.span(...)``
@@ -34,13 +41,15 @@ import os
 import threading
 import time
 import uuid
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import EventSink
+from repro.obs.sinks import JsonlSink
 
 __all__ = [
+    "CURRENT_TRACER",
     "NULL_TRACER",
     "NullTracer",
     "Span",
@@ -128,7 +137,7 @@ class Tracer:
         Identity of the run; generated when omitted.  Workers inherit
         the parent's trace id through the handoff.
     sink:
-        Optional :class:`~repro.obs.sinks.EventSink` receiving one
+        Optional :class:`~repro.obs.sinks.JsonlSink` receiving one
         record per finished span / instant event.  ``None`` disables
         the event log (metrics still accumulate).
     metrics:
@@ -147,7 +156,7 @@ class Tracer:
     def __init__(
         self,
         trace_id: Optional[str] = None,
-        sink: Optional[EventSink] = None,
+        sink: Optional[JsonlSink] = None,
         metrics: Optional[MetricsRegistry] = None,
         parent_id: Optional[str] = None,
         role: str = "main",
@@ -160,11 +169,6 @@ class Tracer:
         self._local = threading.local()
 
     # -- plumbing ------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """Whether this tracer records anything at all."""
-        return self.sink is not None or self.metrics is not None
-
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -282,10 +286,6 @@ class NullTracer(Tracer):
     def __init__(self) -> None:
         super().__init__(trace_id="null")
 
-    @property
-    def enabled(self) -> bool:
-        return False
-
     def span(self, name: str, category: str = "run", **attrs: Any) -> Any:
         return _NULL_SPAN
 
@@ -302,5 +302,10 @@ class NullTracer(Tracer):
         return None
 
 
-#: Shared no-op tracer: the default for every instrumented component.
+#: Shared no-op tracer: what :data:`CURRENT_TRACER` holds outside a run.
 NULL_TRACER = NullTracer()
+
+#: The running run's tracer, for every layer it calls into.
+CURRENT_TRACER: ContextVar[Tracer] = ContextVar(
+    "CURRENT_TRACER", default=NULL_TRACER
+)

@@ -16,10 +16,14 @@ on and off, and checks that
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
-from repro.core import LAPTOP_SCALE, RetryPolicy, run_suite
+from repro.core import LAPTOP_SCALE, ResultCache, RetryPolicy, run_suite
+from repro.core.cache import characterization_key
+from repro.gpu import RTX_3080, V100
+from repro.gpu.simulator import SimulationOptions
 from repro.obs import read_events
 from repro.obs.metrics import PHASE_ORDER
 from tests.faults import FaultPlan
@@ -122,6 +126,91 @@ class TestParallelTracing:
             if e.get("type") == "span" and e["name"] == "attempt"
         }
         assert modes == {"pool"}
+
+
+class TestWorkerMetrics:
+    @pytest.mark.parametrize("method", ["fork", "forkserver"])
+    def test_workers_record_into_the_run(
+        self, tmp_path, baseline, request, method
+    ):
+        # A forkserver worker inherits no context variable, a forked
+        # one inherits the parent's: either way the attempt records
+        # into the worker's own tracer, whose metrics reach the run.
+        request.getfixturevalue(f"{method}_pool")
+        trace_dir = tmp_path / "trace"
+        report = run_slice(
+            jobs=2,
+            cache=ResultCache(tmp_path / "cache"),
+            trace_dir=str(trace_dir),
+        )
+        assert diff_suite_results(baseline, report) == []
+        profile = report.run_profile
+        assert profile.counter("sim.launches") == (
+            baseline.run_profile.counter("sim.launches")
+        )
+        assert profile.counter("sim.launches") > 0
+        assert profile.counter("cache.misses") == len(WORKLOADS)
+        assert profile.counter("cache.stores") == len(WORKLOADS)
+        events = read_events(trace_dir / "events.jsonl", strict=True)
+        _assert_forest(events, set(WORKLOADS))
+        assert len({e["pid"] for e in events}) > 1
+
+
+class TestConcurrentRuns:
+    def test_each_run_keeps_its_own_counts(self, tmp_path):
+        # Two runs on two threads share one cache: each run's profile
+        # and event log hold its own cache traffic, and only that.
+        runs = {
+            "a": (RTX_3080, ["GMS", "LMR", "GST"]),
+            "b": (V100, ["DCG", "NST", "RFL"]),
+        }
+        cache = ResultCache(tmp_path / "cache")
+        barrier = threading.Barrier(len(runs))
+        reports, errors = {}, []
+
+        def run(label):
+            device, workloads = runs[label]
+            try:
+                barrier.wait(timeout=60)
+                reports[label] = run_suite(
+                    ["Cactus"],
+                    preset=LAPTOP_SCALE,
+                    device=device,
+                    workloads=workloads,
+                    cache=cache,
+                    trace_dir=str(tmp_path / label),
+                )
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(label,)) for label in runs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert errors == []
+        for label, (device, workloads) in runs.items():
+            profile = reports[label].run_profile
+            assert profile.counter("cache.misses") == len(workloads)
+            assert profile.counter("cache.stores") == len(workloads)
+            keys = {
+                characterization_key(
+                    device,
+                    SimulationOptions(),
+                    abbr,
+                    LAPTOP_SCALE.for_workload(abbr),
+                    LAPTOP_SCALE.seed,
+                )[:16]
+                for abbr in workloads
+            }
+            events = read_events(tmp_path / label / "events.jsonl", strict=True)
+            for op in ("cache.get", "cache.put"):
+                seen = [
+                    e["attrs"]["key"]
+                    for e in events
+                    if e.get("type") == "event" and e["name"] == op
+                ]
+                assert sorted(seen) == sorted(keys), (label, op)
 
 
 class TestFaultedTracing:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.obs import (
+    CURRENT_TRACER,
     NULL_TRACER,
     HistogramStat,
     JsonlSink,
@@ -94,7 +95,7 @@ class TestSpans:
 
     def test_null_tracer_is_inert(self):
         assert isinstance(NULL_TRACER, NullTracer)
-        assert not NULL_TRACER.enabled
+        assert CURRENT_TRACER.get() is NULL_TRACER  # outside a run
         with NULL_TRACER.span("anything", workload="GMS") as handle:
             handle.set_attr("k", "v")
         NULL_TRACER.event("x")

@@ -74,6 +74,9 @@ class TestBadInputIsAUsageError:
             ["sweep", "--devices", "A100", "--workloads", "XYZ"],
             ["sweep", "--devices", "A100", "--workloads", "GST,XYZ"],
             ["similar", "--workloads", "XYZ", "--coverage", "0.5"],
+            ["similar", "--query", "GMS:pme_gather", "-k", "0"],
+            ["similar", "--representatives", "0"],
+            ["similar", "--coverage", "0"],
             ["sweep", "--devices", "A100", "--suite", "XYZ"],
             ["--journal-dir", "{tmp}/file", "table1"],
         ],

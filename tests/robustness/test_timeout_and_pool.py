@@ -1,9 +1,7 @@
 """Timeout-kill, broken-pool rebuild, and serial-degradation paths."""
 
-import multiprocessing
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -88,24 +86,6 @@ class TestBrokenPool:
         assert "broke twice" in report.fallback_reason
         assert report.ok
         assert report.results == baseline.results
-
-
-@pytest.fixture
-def forkserver_pool(monkeypatch):
-    """Engine pools whose workers start from a forkserver.
-
-    Such a worker re-imports every module instead of inheriting the
-    parent's memory, so module state set at import time differs from
-    the parent's (under ``fork`` it does not).
-    """
-    context = multiprocessing.get_context("forkserver")
-
-    def new_pool(self, jobs, tasks):
-        return ProcessPoolExecutor(
-            max_workers=min(jobs, tasks), mp_context=context
-        )
-
-    monkeypatch.setattr(CharacterizationEngine, "_new_pool", new_pool)
 
 
 class TestForkserverPool:
