@@ -613,6 +613,7 @@ def _cmd_cache(args, cache: Optional[ResultCache]) -> int:
     print(f"version dir:  {cache.version_dir}")
     print(f"fingerprint:  {source_fingerprint()}")
     print(f"entries:      {cache.persistent_entries()}")
+    print(f"bytes:        {cache.persistent_bytes()}")
     if args.prune:
         removed = cache.prune()
         print(f"pruned:       {removed} stale tree(s)")

@@ -7,7 +7,9 @@ A :class:`ResultCache` is a directory: one JSON file per entry under
 ``<cache_dir>/<version>/<key[:2]>/<key>.json``, where ``<version>`` is
 ``v<CACHE_SCHEMA_VERSION>-<fingerprint[:16]>``
 (:func:`~repro.gpu.digest.source_fingerprint`).  A run either has one
-or is uncached; every lookup reads the file.
+or is uncached; every lookup reads the file.  The cache stores any
+JSON object; the engine's entries are one characterization's
+per-kernel profile (:func:`repro.core.serialize.cache_entry_to_dict`).
 
 Keys are hex SHA-256 digests produced by :mod:`repro.gpu.digest`; the
 two-character fan-out directory keeps any single directory small even
@@ -17,10 +19,11 @@ directory can never observe a torn entry; a corrupt or unreadable file
 is treated as a miss and rewritten.
 
 Invalidation is by directory, not deletion: the version directory is
-named after the schema version *and* the model source, so a payload
-schema bump or any edit to the model code orphans every stale entry at
-once (``prune`` removes orphaned trees).  Nothing has to be bumped by
-hand.
+named after the model source (which includes the entry codec in
+:mod:`repro.core.serialize`), so any edit to the model code or the
+entry layout orphans every stale entry at once (``prune`` removes
+orphaned trees).  Nothing has to be bumped by hand;
+``CACHE_SCHEMA_VERSION`` changes only with the key's canonical form.
 
 Corruption handling: an entry that exists but cannot be parsed
 (truncated write from a killed process, at-rest bit rot) is counted in
@@ -230,7 +233,7 @@ class ResultCache:
         self.stats.stores += 1
         self._observe("put", key, "stores")
         # Atomic publish: concurrent workers may race on the same key,
-        # but both write identical content and os.replace is atomic.
+        # but both write the same profile and os.replace is atomic.
         atomic_write_json(self._path(key), payload)
 
     # -- maintenance ---------------------------------------------------
@@ -240,6 +243,13 @@ class ResultCache:
         if not root.is_dir():
             return 0
         return sum(1 for _ in root.glob("*/*.json"))
+
+    def persistent_bytes(self) -> int:
+        """Total size in bytes of the files in the current version tree."""
+        root = self.version_dir
+        if not root.is_dir():
+            return 0
+        return sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
 
     def prune(self) -> int:
         """Drop trees of other versions and source fingerprints; count them.

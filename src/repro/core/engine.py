@@ -17,12 +17,13 @@ executor and combines three orthogonal capabilities:
   other.  Results are reassembled in registration order, so a
   parallel run is indistinguishable from a serial one.
 * **Result reuse** — an optional :class:`~repro.core.cache.ResultCache`
-  (a directory) memoizes whole
-  :class:`~repro.core.characterize.Characterization` objects, keyed on
-  the recipe ``(DeviceSpec, SimulationOptions, abbr, scale, seed)`` the
-  engine rebuilds each workload from.  A warm run replays the suite
-  from disk without generating a single stream; an uncached run never
-  digests or serializes a result.
+  (a directory) memoizes each characterization's per-kernel profile,
+  keyed on the recipe ``(DeviceSpec, SimulationOptions, abbr, scale,
+  seed)`` the engine rebuilds each workload from; a hit rederives the
+  Section-V analyses from it
+  (:func:`~repro.core.serialize.cache_entry_from_dict`).  A warm run
+  replays the suite from disk without generating a single stream; an
+  uncached run never digests or serializes a result.
 * **Fault tolerance** — every attempt's exception is captured into a
   structured :class:`~repro.core.resilience.WorkloadFailure` instead of
   aborting the run; a :class:`~repro.core.resilience.RetryPolicy`
@@ -71,10 +72,7 @@ from repro.core.characterize import (
 )
 from repro.core.config import LAPTOP_SCALE, ScalePreset
 from repro.core.journal import RunJournal
-from repro.core.serialize import (
-    characterization_from_dict,
-    characterization_to_dict,
-)
+from repro.core.serialize import cache_entry_from_dict, cache_entry_to_dict
 from repro.core.resilience import RetryPolicy, WorkloadFailure
 from repro.core.sweep import SweepRunReport
 from repro.gpu.device import DeviceSpec
@@ -97,24 +95,31 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+#: A cache hit: the rebuilt characterization, the entry's
+#: ``stream_digest`` and its ``compute_s``.
+_Hit = Tuple[Characterization, Optional[str], float]
+
+
 def _lookup(
     abbr: str,
     preset: ScalePreset,
     devices: Sequence[DeviceSpec],
     options: SimulationOptions,
     cache: ResultCache,
-) -> Tuple[Dict[str, str], Dict[str, Tuple[Characterization, Optional[str]]]]:
+) -> Tuple[Dict[str, str], Dict[str, _Hit]]:
     """Probe *cache* for one workload on every device of the run.
 
     Returns ``(keys, hits)``: each device's recipe key and, for the
-    devices that hit, the characterization with its ``stream_digest``.
-    An entry that parses but is not a characterization is quarantined
-    like an unparsable one (:meth:`~repro.core.cache.ResultCache.reject`)
-    and left out of *hits*.
+    devices that hit, the characterization (rebuilt from the entry's
+    profile for that device) with the entry's ``stream_digest`` and
+    ``compute_s``.  An entry that parses but is not a cache entry of
+    this layout is quarantined like an unparsable one
+    (:meth:`~repro.core.cache.ResultCache.reject`) and left out of
+    *hits*.
     """
     scale, seed = preset.for_workload(abbr), preset.seed
     keys: Dict[str, str] = {}
-    hits: Dict[str, Tuple[Characterization, Optional[str]]] = {}
+    hits: Dict[str, _Hit] = {}
     with CURRENT_TRACER.get().span(
         "cache-lookup", category="phase", workload=abbr, devices=len(devices)
     ) as sp:
@@ -127,8 +132,9 @@ def _lookup(
                 continue
             try:
                 hits[device.name] = (
-                    characterization_from_dict(payload),
+                    cache_entry_from_dict(payload, device),
                     payload.get("stream_digest"),
+                    float(payload["compute_s"]),
                 )
             except (KeyError, TypeError, ValueError):
                 cache.reject(key)  # schema-corrupt → recompute
@@ -155,11 +161,14 @@ def _attempt(
     every device hits, no workload or stream is built.  Otherwise the
     stream is generated and digested once, and the missed devices go
     through :func:`~repro.core.characterize.characterize_devices`,
-    stored with that ``stream_digest``.  A hit whose ``stream_digest``
-    differs from the stream in hand is stale: recomputed, overwritten
-    and counted in ``cache.stale``.  The *fault_plan* hooks run once per
-    attempt and are strict no-ops when the plan is empty.  Returns the
-    results by device and whether every device hit (no stream built).
+    stored with that ``stream_digest`` and an even share of the stream,
+    simulate and analyze seconds as ``compute_s``.  Every hit served
+    adds its entry's ``compute_s`` to the ``cache.saved_s`` counter.  A
+    hit whose ``stream_digest`` differs from the stream in hand is
+    stale: recomputed, overwritten and counted in ``cache.stale``.  The
+    *fault_plan* hooks run once per attempt and are strict no-ops when
+    the plan is empty.  Returns the results by device and whether every
+    device hit (no stream built).
     """
     tracer = CURRENT_TRACER.get()
     with tracer.span(
@@ -179,22 +188,27 @@ def _attempt(
         )
         result = {name: hit[0] for name, hit in hits.items()}
         cached = len(hits) == len(devices)
+        stale = []
         if not cached:
+            started = time.perf_counter()
             scale, seed = preset.for_workload(abbr), preset.seed
             workload = get_workload(abbr, scale=scale, seed=seed)
             stream = generate_stream(workload)
+            stream_s = time.perf_counter() - started
             digest = (
                 launch_stream_digest(stream) if cache is not None else None
             )
             stale = [n for n, hit in hits.items() if hit[1] != digest]
             if stale:
                 tracer.incr("cache.stale", float(len(stale)))
+            started = time.perf_counter()
             fresh = characterize_devices(
                 workload,
                 [d for d in devices if d.name not in hits or d.name in stale],
                 options=options,
                 stream=stream,
             )
+            compute_s = stream_s + time.perf_counter() - started
             if cache is not None:
                 with tracer.span(
                     "cache-store",
@@ -203,10 +217,17 @@ def _attempt(
                     devices=len(fresh),
                 ):
                     for name, characterization in fresh.items():
-                        payload = characterization_to_dict(characterization)
-                        payload["stream_digest"] = digest
-                        cache.put(keys[name], payload)
+                        cache.put(
+                            keys[name],
+                            cache_entry_to_dict(
+                                characterization, digest,
+                                compute_s / len(fresh),
+                            ),
+                        )
             result.update(fresh)
+        saved = [hit[2] for name, hit in hits.items() if name not in stale]
+        if saved:
+            tracer.incr("cache.saved_s", sum(saved))
         result = {device.name: result[device.name] for device in devices}
         if fault_plan is not None:
             result = fault_plan.after(abbr, attempt, result, cache)

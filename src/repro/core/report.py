@@ -120,6 +120,9 @@ def render_run_profile(run: SuiteRunReport) -> Optional[str]:
             f"cache hit rate: {profile.cache_hit_rate:.1%} over "
             f"{int(profile.cache_lookups)} lookups"
         )
+        counters.append(
+            f"cache saved: {profile.counter('cache.saved_s'):.3f}s of compute"
+        )
     queue = profile.histograms.get("queue.wait_s")
     if queue and queue.get("count"):
         mean = queue["total"] / queue["count"]

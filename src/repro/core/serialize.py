@@ -1,28 +1,32 @@
-"""Lossless JSON serialization of characterization results.
+"""JSON forms of characterization results and the result-cache entry.
 
-The result cache stores whole :class:`~repro.core.characterize.Characterization`
-objects on disk; the differential test harness requires that a cached
-result compares **equal** to a freshly computed one.  Python floats
-round-trip through JSON exactly (the encoder emits ``repr``-quality
-decimal forms), so the only care needed here is structural: tuples must
-come back as tuples and nested dataclasses must be rebuilt as the right
-types.
+Two formats live here:
 
-Every helper pair here is an exact inverse: ``X_from_dict(X_to_dict(x))
-== x`` bit-for-bit.  Device specs, presets and whole run reports are
-only ever written; the tests read run reports back with their own
-oracle.  The golden fixture generator reuses the same encoders so
-fixtures and cache payloads share one format.
+* **The cache entry** (:func:`cache_entry_to_dict` /
+  :func:`cache_entry_from_dict`) stores the one thing every Section-V
+  analysis is derived from: the per-kernel profile, as one row of
+  :class:`~repro.gpu.metrics.KernelMetrics` values per kernel under a
+  ``fields`` header.  Decoding rebuilds the profile and runs
+  :func:`~repro.core.characterize.build_characterization` on it, the
+  same function a cold run calls, so a hit equals a fresh result by
+  construction.  Python floats round-trip through JSON exactly (the
+  encoder emits ``repr``-quality decimal forms), so the rebuilt profile
+  is bit-for-bit the stored one.
+* **The result form** (:func:`characterization_to_dict` and the
+  run-report encoders) writes every derived result in full, for the
+  service payloads, the golden fixtures and the benchmark's result
+  fingerprints.  It is only ever written; the tests read run reports
+  back with their own oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict
 
 from repro.analysis.distribution import Table1Row
 from repro.analysis.roofline import RooflinePoint
-from repro.core.characterize import Characterization
+from repro.core.characterize import Characterization, build_characterization
 from repro.core.config import ScalePreset
 from repro.gpu.device import DeviceSpec
 from repro.gpu.metrics import KernelMetrics
@@ -31,6 +35,72 @@ from repro.profiler.records import ApplicationProfile, KernelProfile
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.suite import RunRecord, SuiteRunReport
     from repro.core.sweep import SweepRunReport
+
+
+#: The cache entry's row layout: every ``KernelMetrics`` field, in
+#: declaration order.
+METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(KernelMetrics))
+_TAGS = METRIC_FIELDS.index("tags")
+
+
+# -- cache entries -----------------------------------------------------
+def cache_entry_to_dict(
+    result: Characterization, stream_digest: str, compute_s: float
+) -> Dict[str, Any]:
+    """The result-cache entry of *result*: its profile as metric rows.
+
+    *stream_digest* is the digest of the launch stream the result was
+    computed from; *compute_s* is this entry's share of the seconds
+    that computing it took, which a hit saves.
+    """
+    profile = result.profile
+    rows = []
+    for kernel in profile.kernels:
+        row = [getattr(kernel.metrics, name) for name in METRIC_FIELDS]
+        row[_TAGS] = list(row[_TAGS])
+        rows.append(row)
+    return {
+        "abbr": result.abbr,
+        "workload": profile.workload,
+        "suite": profile.suite,
+        "domain": profile.domain,
+        "fields": list(METRIC_FIELDS),
+        "rows": rows,
+        "stream_digest": stream_digest,
+        "compute_s": compute_s,
+    }
+
+
+def cache_entry_from_dict(
+    payload: Dict[str, Any], device: DeviceSpec
+) -> Characterization:
+    """The characterization on *device* of an entry written by
+    :func:`cache_entry_to_dict`.
+
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` for a payload
+    that is not such an entry (another layout, a stale ``fields``
+    header, a row of the wrong width, no kernels).
+    """
+    if tuple(payload["fields"]) != METRIC_FIELDS:
+        raise ValueError(f"entry fields {payload['fields']!r} are stale")
+    kernels = []
+    for row in payload["rows"]:
+        if len(row) != len(METRIC_FIELDS):
+            raise ValueError(f"entry row has {len(row)} values")
+        values = list(row)
+        values[_TAGS] = tuple(values[_TAGS])
+        kernels.append(KernelProfile.from_metrics(KernelMetrics(*values)))
+    if not kernels:
+        raise ValueError("entry has no kernels")
+    # ApplicationProfile re-sorts by total time; the rows are already
+    # time-sorted and list.sort is stable, so kernel order survives.
+    profile = ApplicationProfile(
+        workload=payload["workload"],
+        suite=payload["suite"],
+        domain=payload["domain"],
+        kernels=kernels,
+    )
+    return build_characterization(payload["abbr"], profile, device)
 
 
 # -- roofline points ---------------------------------------------------
@@ -46,10 +116,6 @@ def roofline_point_to_dict(point: RooflinePoint) -> Dict[str, Any]:
     }
 
 
-def roofline_point_from_dict(payload: Dict[str, Any]) -> RooflinePoint:
-    return RooflinePoint(**payload)
-
-
 # -- Table I rows ------------------------------------------------------
 def table1_row_to_dict(row: Table1Row) -> Dict[str, Any]:
     return {
@@ -61,10 +127,6 @@ def table1_row_to_dict(row: Table1Row) -> Dict[str, Any]:
         "kernels_100": row.kernels_100,
         "kernels_70": row.kernels_70,
     }
-
-
-def table1_row_from_dict(payload: Dict[str, Any]) -> Table1Row:
-    return Table1Row(**payload)
 
 
 # -- profiles ----------------------------------------------------------
@@ -80,18 +142,6 @@ def kernel_profile_to_dict(profile: KernelProfile) -> Dict[str, Any]:
     }
 
 
-def kernel_profile_from_dict(payload: Dict[str, Any]) -> KernelProfile:
-    return KernelProfile(
-        name=payload["name"],
-        invocations=payload["invocations"],
-        total_time_s=payload["total_time_s"],
-        total_warp_insts=payload["total_warp_insts"],
-        total_dram_transactions=payload["total_dram_transactions"],
-        metrics=KernelMetrics.from_json_dict(payload["metrics"]),
-        tags=tuple(payload["tags"]),
-    )
-
-
 def application_profile_to_dict(profile: ApplicationProfile) -> Dict[str, Any]:
     return {
         "workload": profile.workload,
@@ -99,18 +149,6 @@ def application_profile_to_dict(profile: ApplicationProfile) -> Dict[str, Any]:
         "domain": profile.domain,
         "kernels": [kernel_profile_to_dict(k) for k in profile.kernels],
     }
-
-
-def application_profile_from_dict(payload: Dict[str, Any]) -> ApplicationProfile:
-    # ApplicationProfile re-sorts by total time on construction; the
-    # serialized order is already time-sorted and list.sort is stable,
-    # so the round trip preserves kernel order exactly.
-    return ApplicationProfile(
-        workload=payload["workload"],
-        suite=payload["suite"],
-        domain=payload["domain"],
-        kernels=[kernel_profile_from_dict(k) for k in payload["kernels"]],
-    )
 
 
 # -- full characterization --------------------------------------------
@@ -193,23 +231,3 @@ def sweep_run_report_to_dict(report: "SweepRunReport") -> Dict[str, Any]:
         },
         **_run_record_to_dict(report),
     }
-
-
-def characterization_from_dict(payload: Dict[str, Any]) -> Characterization:
-    curve: List = [
-        (int(count), float(fraction))
-        for count, fraction in payload["cumulative_curve"]
-    ]
-    return Characterization(
-        abbr=payload["abbr"],
-        profile=application_profile_from_dict(payload["profile"]),
-        table1=table1_row_from_dict(payload["table1"]),
-        cumulative_curve=curve,
-        aggregate_point=roofline_point_from_dict(payload["aggregate_point"]),
-        kernel_points=[
-            roofline_point_from_dict(p) for p in payload["kernel_points"]
-        ],
-        dominant_points=[
-            roofline_point_from_dict(p) for p in payload["dominant_points"]
-        ],
-    )

@@ -1,7 +1,8 @@
 """Stable content digests for the GPU-model value types.
 
-The result cache (:mod:`repro.core.cache`) keys a characterization on
-a SHA-256 digest of its recipe — the
+The result cache (:mod:`repro.core.cache`) keys a characterization's
+entry (the per-kernel profile it is derived from) on a SHA-256 digest
+of its recipe — the
 :class:`~repro.gpu.device.DeviceSpec`, the
 :class:`~repro.gpu.simulator.SimulationOptions` and the workload's
 abbr, scale and seed — and stores the launch stream's digest beside it.
@@ -19,10 +20,12 @@ Design rules that make the digests trustworthy cache keys:
   dataclass name and field names, so two different types (or the same
   type with permuted field values) cannot collide structurally.
 * **Versioned invalidation** — :data:`CACHE_SCHEMA_VERSION` is folded
-  into every key; bump it when the canonical form or the serialized
-  payloads change.  Model changes need no bump: the persistent cache
-  lives under a directory named after :func:`source_fingerprint`, so
-  editing the model source orphans every stale entry by itself.
+  into every key and digest; bump it only when the canonical form
+  itself changes.  Model and payload changes need no bump: the
+  persistent cache lives under a directory named after
+  :func:`source_fingerprint`, which covers the model source and the
+  entry codec (:mod:`repro.core.serialize`), so editing either
+  orphans every stale entry by itself.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from typing import Any, Dict, Iterable, Optional
 
 from repro.gpu.kernel import KernelCharacteristics, KernelLaunch
 
-#: Version folded into every cache key.  Bump on any change to the
-#: canonical form or the serialized payloads.
+#: Version folded into every cache key and digest.  Bump on a change to
+#: the canonical form only: payload changes move the source
+#: fingerprint, which names the cache's version directory.
 CACHE_SCHEMA_VERSION = 1
 
 #: ``repro/`` sources that cannot change a characterization: the front

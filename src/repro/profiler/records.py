@@ -30,6 +30,20 @@ class KernelProfile:
     metrics: KernelMetrics
     tags: Tuple[str, ...] = ()
 
+    @classmethod
+    def from_metrics(cls, metrics: KernelMetrics) -> "KernelProfile":
+        """The profile of one aggregated record: its totals *are* the
+        record's counters, so the two can never disagree."""
+        return cls(
+            name=metrics.name,
+            invocations=metrics.invocations,
+            total_time_s=metrics.duration_s,
+            total_warp_insts=metrics.warp_insts,
+            total_dram_transactions=metrics.dram_transactions,
+            metrics=metrics,
+            tags=metrics.tags,
+        )
+
     @property
     def gips(self) -> float:
         return self.total_warp_insts / self.total_time_s / 1e9
@@ -100,23 +114,16 @@ def aggregate_launches(
         averages = np.zeros(len(_RATIO_METRICS))
     ratio_values = dict(zip(_RATIO_METRICS, map(float, averages)))
 
-    merged = KernelMetrics(
-        name=name,
-        duration_s=total_time,
-        warp_insts=total_insts,
-        dram_transactions=total_txn,
-        invocations=len(records),
-        tags=records[0].tags,
-        **ratio_values,
-    )
-    return KernelProfile(
-        name=name,
-        invocations=len(records),
-        total_time_s=total_time,
-        total_warp_insts=total_insts,
-        total_dram_transactions=total_txn,
-        metrics=merged,
-        tags=records[0].tags,
+    return KernelProfile.from_metrics(
+        KernelMetrics(
+            name=name,
+            duration_s=total_time,
+            warp_insts=total_insts,
+            dram_transactions=total_txn,
+            invocations=len(records),
+            tags=records[0].tags,
+            **ratio_values,
+        )
     )
 
 

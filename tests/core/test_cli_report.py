@@ -1,5 +1,6 @@
 """Tests for the CLI and the Markdown report generator."""
 
+import re
 import signal
 
 import pytest
@@ -118,6 +119,10 @@ class TestCLIEpilogue:
         assert ", 0 stores" not in errors[2]
         assert ", 0 stores" in errors[3]
         assert outputs[1:] == outputs[:1] * 3
+        # Only hits save compute, and every warm lookup hits.
+        assert "cache saved: 0.000s of compute" in errors[2]
+        saved = re.findall(r"cache saved: ([0-9.]+)s of compute", errors[3])
+        assert len(saved) == 2 and all(float(s) > 0 for s in saved)
 
     def test_cache_command_needs_a_directory(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -131,6 +136,8 @@ class TestCLIEpilogue:
         assert main(["--cache-dir", str(tmp_path), "cache"]) == 0
         out = capsys.readouterr().out
         assert "entries:      1" in out
+        [entry] = ResultCache(tmp_path).version_dir.glob("*/*.json")
+        assert f"bytes:        {entry.stat().st_size}\n" in out
         assert "stats:" not in out and "hits" not in out
 
     def test_similar_query_prints_cache_and_trace(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ not in the model.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -19,12 +20,15 @@ from repro.core import (
     ResultCache,
     characterize,
     run_suite,
+    run_sweep,
 )
 from repro.core.serialize import (
-    characterization_from_dict,
+    METRIC_FIELDS,
+    cache_entry_from_dict,
+    cache_entry_to_dict,
     characterization_to_dict,
 )
-from repro.gpu.device import RTX_3080
+from repro.gpu.device import H100, RTX_3080, V100
 from repro.gpu.digest import stable_digest
 from repro.workloads import get_workload
 from repro.workloads.registry import select_workloads
@@ -64,6 +68,14 @@ class TestEngineVsPlainCharacterize:
         ) == stable_digest(characterization_to_dict(plain))
 
 
+def stored_compute_s(cache):
+    """The compute seconds every entry of *cache* recorded."""
+    return sum(
+        json.loads(path.read_text())["compute_s"]
+        for path in cache.version_dir.glob("*/*.json")
+    )
+
+
 class TestColdAndWarmCache:
     @pytest.fixture(scope="class")
     def cache_dir(self, tmp_path_factory):
@@ -78,6 +90,7 @@ class TestColdAndWarmCache:
         # persisted: one entry per workload, no per-kernel entries.
         assert cold_cache.stats.stores == len(cold) == 10
         assert cold_cache.persistent_entries() == len(cold)
+        assert cold.run_profile.counter("cache.saved_s") == 0.0
 
     def test_warm_cache_matches_serial(self, serial_run, cache_dir):
         # Depends on test_cold_cache_matches_serial having populated
@@ -88,6 +101,9 @@ class TestColdAndWarmCache:
         assert warm_cache.stats.stores == 0
         assert diff_suite_results(serial_run, warm) == []
         assert serial_run.results == warm.results
+        assert warm.run_profile.counter("cache.saved_s") == pytest.approx(
+            stored_compute_s(warm_cache)
+        )
 
     def test_warm_parallel_matches_serial(self, serial_run, cache_dir):
         warm_cache = ResultCache(cache_dir=cache_dir)
@@ -95,28 +111,36 @@ class TestColdAndWarmCache:
             ["Cactus"], preset=LAPTOP_SCALE, jobs=4, cache=warm_cache
         )
         assert diff_suite_results(serial_run, warm) == []
+        # Hits in pool workers count in the run that launched them.
+        assert warm.run_profile.counter("cache.saved_s") == pytest.approx(
+            stored_compute_s(warm_cache)
+        )
+
+
+def entry(result):
+    return cache_entry_to_dict(result, "ab" * 32, 0.5)
 
 
 class TestSerializationRoundTrip:
+    """A cache entry stores the profile; decoding rederives the rest."""
+
     def test_characterization_round_trips_exactly(self, serial_run):
         for abbr, result in serial_run.results.items():
-            clone = characterization_from_dict(
-                characterization_to_dict(result)
-            )
+            clone = cache_entry_from_dict(entry(result), RTX_3080)
             assert diff_characterizations(result, clone, abbr) == []
             assert clone == result
 
     def test_json_round_trip_through_text(self, serial_run):
-        import json
-
         result = serial_run["GMS"]
-        text = json.dumps(characterization_to_dict(result))
-        clone = characterization_from_dict(json.loads(text))
+        text = json.dumps(entry(result))
+        clone = cache_entry_from_dict(json.loads(text), RTX_3080)
         assert clone == result
 
     def test_curve_and_tags_are_tuples_after_round_trip(self, serial_run):
         result = serial_run["GMS"]
-        clone = characterization_from_dict(characterization_to_dict(result))
+        clone = cache_entry_from_dict(
+            json.loads(json.dumps(entry(result))), RTX_3080
+        )
         assert all(isinstance(pair, tuple) for pair in clone.cumulative_curve)
         assert all(
             isinstance(k.tags, tuple) for k in clone.profile.kernels
@@ -124,6 +148,49 @@ class TestSerializationRoundTrip:
         assert all(
             isinstance(k.metrics.tags, tuple) for k in clone.profile.kernels
         )
+
+    def test_every_sweep_result_round_trips(self):
+        """Every (workload, device) of a 3-device sweep decodes, on its
+        own device, to the result it was encoded from."""
+        devices = [RTX_3080, V100, H100]
+        sweep = run_sweep(devices, preset=LAPTOP_SCALE)
+        assert len(sweep.results) == 10
+        for abbr, per_device in sweep.results.items():
+            for device in devices:
+                result = per_device[device.name]
+                text = json.dumps(entry(result))
+                clone = cache_entry_from_dict(json.loads(text), device)
+                assert clone == result, f"{abbr}@{device.name}"
+                assert characterization_to_dict(
+                    clone
+                ) == characterization_to_dict(result)
+
+    def test_entry_holds_one_metric_row_per_kernel(self, serial_run):
+        result = serial_run["GMS"]
+        payload = entry(result)
+        assert sorted(payload) == [
+            "abbr", "compute_s", "domain", "fields", "rows",
+            "stream_digest", "suite", "workload",
+        ]
+        assert payload["fields"] == list(METRIC_FIELDS)
+        assert [row[0] for row in payload["rows"]] == [
+            k.name for k in result.profile.kernels
+        ]
+        assert all(len(row) == len(METRIC_FIELDS) for row in payload["rows"])
+
+    @pytest.mark.parametrize(
+        "damage", ["renamed-field", "short-row", "no-rows"]
+    )
+    def test_mismatched_layout_is_rejected(self, serial_run, damage):
+        payload = json.loads(json.dumps(entry(serial_run["GMS"])))
+        if damage == "renamed-field":
+            payload["fields"][1] = "time_s"
+        elif damage == "short-row":
+            payload["rows"][0].pop()
+        else:
+            payload["rows"] = []
+        with pytest.raises(ValueError):
+            cache_entry_from_dict(payload, RTX_3080)
 
 
 class TestEngineBehaviour:

@@ -11,7 +11,7 @@ import repro
 from repro.core.cache import CacheStats, ResultCache
 from repro.core.characterize import characterize
 from repro.core.journal import JOURNAL_SCHEMA_VERSION, RunJournal
-from repro.core.serialize import characterization_to_dict
+from repro.core.serialize import cache_entry_to_dict
 from repro.gpu.digest import CACHE_SCHEMA_VERSION, source_fingerprint
 from repro.workloads.registry import get_workload
 
@@ -180,8 +180,7 @@ class TestJsonBytes:
         return buffer.getvalue().encode("utf-8")
 
     def test_cache_entry_matches_json_dump(self, tmp_path, characterization):
-        payload = characterization_to_dict(characterization)
-        payload["stream_digest"] = "ab" * 32
+        payload = cache_entry_to_dict(characterization, "ab" * 32, 0.25)
         cache = ResultCache(cache_dir=tmp_path)
         cache.put(KEY_A, payload)
         written = cache._path(KEY_A).read_bytes()

@@ -45,7 +45,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 CRASH = "crash"
@@ -203,20 +203,15 @@ class FaultPlan:
 def corrupt_characterization(result: Any) -> Any:
     """A structurally valid but numerically wrong copy of *result*.
 
-    Round-trips through the lossless serializer and flips the sign of
-    the headline Table-I instruction count — the smallest corruption a
-    differential comparison is guaranteed to catch.
+    Flips the sign of the headline Table-I instruction count — the
+    smallest corruption a differential comparison is guaranteed to
+    catch.  *result* itself is left untouched.
     """
-    from repro.core.serialize import (
-        characterization_from_dict,
-        characterization_to_dict,
+    table1 = result.table1
+    return replace(
+        result,
+        table1=replace(table1, total_warp_insts=-table1.total_warp_insts),
     )
-
-    payload = characterization_to_dict(result)
-    payload["table1"]["total_warp_insts"] = -payload["table1"][
-        "total_warp_insts"
-    ]
-    return characterization_from_dict(payload)
 
 
 def flip_cache_bytes(cache: Optional[Any], max_files: int = 1) -> int:

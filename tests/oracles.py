@@ -6,8 +6,10 @@ two runs of the same pipeline (serial vs. parallel, cold vs. warm
 cache) that report *where* two results diverge instead of a bare
 boolean, so a failing differential test names the drifted quantity.
 
-``suite_run_report_from_dict`` and ``load_trace`` read back what
-:func:`repro.core.serialize.suite_run_report_to_dict` and
+``characterization_from_dict``, ``suite_run_report_from_dict`` and
+``load_trace`` read back what
+:func:`repro.core.serialize.characterization_to_dict`,
+:func:`~repro.core.serialize.suite_run_report_to_dict` and
 :func:`repro.profiler.trace_export.export_trace` write; the tests use
 them to prove those formats lossless.
 
@@ -25,9 +27,11 @@ from typing import Any, Dict, List, Union
 
 import numpy as np
 
+from repro.analysis.distribution import Table1Row
+from repro.analysis.roofline import RooflinePoint
+from repro.core.characterize import Characterization
 from repro.core.config import ScalePreset
 from repro.core.resilience import WorkloadFailure
-from repro.core.serialize import characterization_from_dict
 from repro.core.suite import SuiteRunReport
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import (
@@ -36,7 +40,9 @@ from repro.gpu.kernel import (
     KernelLaunch,
     MemoryFootprint,
 )
+from repro.gpu.metrics import KernelMetrics
 from repro.obs.metrics import RunProfile
+from repro.profiler.records import ApplicationProfile, KernelProfile
 from repro.profiler.trace_export import TRACE_VERSION
 from repro.workloads.extensions.pagerank import PageRankWorkload
 from repro.workloads.graphs.bfs import GunrockBFS
@@ -95,6 +101,39 @@ def diff_suite_results(a: SuiteRunReport, b: SuiteRunReport) -> List[str]:
 
 
 # -- run reports -------------------------------------------------------
+def _kernel_profile_from_dict(payload: Dict[str, Any]) -> KernelProfile:
+    return KernelProfile(**{
+        **payload,
+        "metrics": KernelMetrics.from_json_dict(payload["metrics"]),
+        "tags": tuple(payload["tags"]),
+    })
+
+
+def characterization_from_dict(payload: Dict[str, Any]) -> Characterization:
+    """The inverse of :func:`repro.core.serialize.characterization_to_dict`.
+
+    Reads every derived field as written (nothing is recomputed), so a
+    round trip proves the written form lossless.
+    """
+    profile = payload["profile"]
+    return Characterization(
+        abbr=payload["abbr"],
+        profile=ApplicationProfile(
+            workload=profile["workload"],
+            suite=profile["suite"],
+            domain=profile["domain"],
+            kernels=[_kernel_profile_from_dict(k) for k in profile["kernels"]],
+        ),
+        table1=Table1Row(**payload["table1"]),
+        cumulative_curve=[tuple(pair) for pair in payload["cumulative_curve"]],
+        aggregate_point=RooflinePoint(**payload["aggregate_point"]),
+        kernel_points=[RooflinePoint(**p) for p in payload["kernel_points"]],
+        dominant_points=[
+            RooflinePoint(**p) for p in payload["dominant_points"]
+        ],
+    )
+
+
 def _run_record_from_dict(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Constructor keyword arguments for the run record's fields."""
     profile = payload.get("run_profile")

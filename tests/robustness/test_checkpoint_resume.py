@@ -24,6 +24,7 @@ from repro.core import (
     run_suite,
 )
 from repro.core.cache import characterization_key
+from repro.core.serialize import METRIC_FIELDS, characterization_to_dict
 from repro.gpu import V100
 from repro.gpu.simulator import SimulationOptions
 from tests.faults import CRASH_PERMANENT, FaultPlan
@@ -160,20 +161,30 @@ class TestStaleResume:
         assert RunJournal.peek(tmp_path)["done"] == WORKLOADS
 
     @pytest.mark.parametrize(
-        "garbage", ["{ definitely not json", '{"abbr": "GST"}'],
-        ids=["unparsable", "schema-invalid"],
+        "garbage", ["{ definitely not json", '{"abbr": "GST"}', None],
+        ids=["unparsable", "schema-invalid", "old-layout"],
     )
     def test_corrupt_entry_is_quarantined_and_reruns(
         self, sweep_baseline, tmp_path, garbage
     ):
         """One device's entry of a completed workload is corrupt: the
-        workload re-runs and the entry is quarantined and counted."""
+        workload re-runs and the entry is quarantined and counted.
+        ``old-layout`` is the whole result form an entry used to hold."""
         run_sweep_slice(journal_dir=tmp_path)
         key = characterization_key(
             V100, SimulationOptions(), "GST",
             LAPTOP_SCALE.for_workload("GST"), LAPTOP_SCALE.seed,
         )
         entry = ResultCache(cache_dir=tmp_path / "results")._path(key)
+        if garbage is None:
+            garbage = json.dumps({
+                **characterization_to_dict(
+                    sweep_baseline.results["GST"]["V100"]
+                ),
+                "stream_digest": json.loads(entry.read_text())[
+                    "stream_digest"
+                ],
+            })
         entry.write_text(garbage, encoding="utf-8")
 
         report = run_sweep_slice(journal_dir=tmp_path)
@@ -183,7 +194,8 @@ class TestStaleResume:
         assert (tmp_path / "results" / "corrupt" / entry.name).exists()
         rewritten = json.loads(entry.read_text(encoding="utf-8"))
         assert rewritten["abbr"] == "GST"
-        assert "profile" in rewritten
+        assert rewritten["fields"] == list(METRIC_FIELDS)
+        assert "profile" not in rewritten and "table1" not in rewritten
 
 
 class TestRunJournalUnit:
