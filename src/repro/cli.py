@@ -35,7 +35,7 @@ import math
 import os
 import signal
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core import (
     LAPTOP_SCALE,
@@ -51,7 +51,7 @@ from repro.core import (
 )
 from repro.core import resilience
 from repro.core.engine import _resolve_jobs
-from repro.gpu.device import DEVICE_ZOO, device_by_name
+from repro.gpu.device import DEVICE_ZOO, DeviceSpec, device_by_name
 from repro.gpu.digest import source_fingerprint
 from repro.core.report import generate_report, render_run_profile
 from repro.workloads import get_workload, list_workloads
@@ -567,30 +567,42 @@ def _cmd_report(output: Optional[str], with_prt: bool, run) -> int:
     return 0
 
 
-def _cmd_sweep(args, run) -> int:
-    from repro.analysis.sweep import analyze_sweep, render_sweep_markdown
+def _sweep_devices(args) -> Tuple[List[DeviceSpec], Optional[str]]:
+    """The devices ``sweep`` runs and the zoo name of its ``--baseline``.
 
+    Raises ``KeyError``/``ValueError`` (the usage-error message) for an
+    unknown or repeated device, an empty list, or a baseline that is
+    not swept, so bad input fails before any run starts.
+    """
     if args.all_devices:
         devices = list(DEVICE_ZOO.values())
     else:
-        try:
-            devices = [
-                device_by_name(name)
-                for name in args.devices.split(",")
-                if name.strip()
-            ]
-        except KeyError as exc:
-            print(f"repro: error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        devices = [
+            device_by_name(name)
+            for name in args.devices.split(",")
+            if name.strip()
+        ]
         if not devices:
-            print("repro: error: --devices: empty list", file=sys.stderr)
-            return 2
+            raise ValueError("--devices: empty list")
+    names = [device.name for device in devices]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"--devices: {', '.join(repeated)} named twice")
+    if args.baseline is None:
+        return devices, None
+    baseline = device_by_name(args.baseline).name
+    if baseline not in names:
+        raise ValueError(f"--baseline: {baseline!r} is not a swept device")
+    return devices, baseline
+
+
+def _cmd_sweep(args, devices, baseline, run) -> int:
+    from repro.analysis.sweep import analyze_sweep, render_sweep_markdown
+
     report = run(
         run_sweep, devices, suites=[args.suite], workloads=args.workloads
     )
-    analysis = analyze_sweep(
-        report.results, report.devices, baseline=args.baseline
-    )
+    analysis = analyze_sweep(report.results, report.devices, baseline=baseline)
     text = render_sweep_markdown(analysis)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -796,6 +808,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             checked_selection([args.suite], args.workloads)
         except ValueError as exc:
             parser.error(exc.args[0])
+    if args.command == "sweep":
+        try:
+            sweep_devices, baseline = _sweep_devices(args)
+        except (KeyError, ValueError) as exc:
+            parser.error(exc.args[0])
     if args.command == "similar":
         if args.k < 1:
             parser.error("-k must be >= 1")
@@ -848,7 +865,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "table1": lambda: _cmd_table1(run),
         "observations": lambda: _cmd_observations(run),
         "report": lambda: _cmd_report(args.output, args.with_prt, run),
-        "sweep": lambda: _cmd_sweep(args, run),
+        "sweep": lambda: _cmd_sweep(args, sweep_devices, baseline, run),
         "similar": lambda: _cmd_similar(args, run),
     }
     # The report's wall-clock tables go to stderr, so its stdout is a

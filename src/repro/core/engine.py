@@ -78,7 +78,13 @@ from repro.core.sweep import SweepRunReport
 from repro.gpu.device import DeviceSpec
 from repro.gpu.digest import launch_stream_digest
 from repro.gpu.simulator import SimulationOptions
-from repro.obs import CURRENT_TRACER, ObsSession, TraceHandoff, worker_tracer
+from repro.obs import (
+    CURRENT_TRACER,
+    ObsSession,
+    RunProfile,
+    TraceHandoff,
+    worker_tracer,
+)
 from repro.workloads.registry import get_workload, select_workloads
 
 #: Environments where a process pool cannot even be created
@@ -244,7 +250,7 @@ def _sweep_one(
     fault_plan: Optional[Any],
     handoff: TraceHandoff,
 ) -> Tuple[
-    str, Dict[str, Characterization], bool, CacheStats, Optional[dict]
+    str, Dict[str, Characterization], bool, CacheStats, RunProfile
 ]:
     """Pool worker: one workload, every device of the run.
 
@@ -257,7 +263,7 @@ def _sweep_one(
     is the attempt's :data:`~repro.obs.CURRENT_TRACER`: it roots the
     attempt's spans under the parent's run span and — when tracing is
     enabled — appends them to this worker's own ``events-<pid>.jsonl``.
-    The worker's metrics snapshot rides back on the result tuple; a
+    The worker's run profile rides back on the result tuple; a
     failed attempt still flushes its error span before the exception
     crosses the pool boundary.
     """
@@ -274,7 +280,7 @@ def _sweep_one(
         if tracer.sink is not None:
             tracer.sink.close()
     stats = cache.stats if cache is not None else CacheStats()
-    return abbr, result, cached, stats, tracer.metrics.snapshot()
+    return abbr, result, cached, stats, tracer.metrics
 
 
 def _default_sigterm() -> None:
@@ -471,7 +477,7 @@ class CharacterizationEngine:
             # The profile and trace ride on the report even when the
             # run failed (strict mode raises with the report attached)
             # — a failed run is exactly when you want them.
-            report.run_profile = session.run_profile()
+            report.run_profile = session.tracer.metrics
             session.finalize()
             if session.tracing and session.trace_dir is not None:
                 report.trace_dir = str(session.trace_dir)
@@ -587,13 +593,13 @@ class CharacterizationEngine:
 
         def succeed(abbr: str, outcome: tuple) -> None:
             """Bank *abbr*'s finished attempt and journal it."""
-            _, result, cached, stats, snapshot = outcome
+            _, result, cached, stats, profile = outcome
             attempts[abbr] += 1
             report.results[abbr] = result
             report.attempts[abbr] = attempts[abbr]
             if stats is not None and cache is not None:
                 cache.stats.merge(stats)
-            session.absorb(snapshot)
+            session.absorb(profile)
             if journal is not None:
                 if cached and attempts[abbr] == 1:
                     report.resumed.append(abbr)
@@ -644,7 +650,7 @@ class CharacterizationEngine:
             """A genuine attempt by *abbr* failed: retry or record."""
             attempts[abbr] += 1
             if policy.should_retry(exc, attempts[abbr]):
-                delay = policy.backoff_s(abbr, attempts[abbr])
+                delay = policy.backoff_s(attempts[abbr])
                 tracer.event(
                     "retry",
                     category="resilience",

@@ -10,8 +10,7 @@ inspectable input:
   attempt count, elapsed wall-clock), safe to carry across process
   boundaries and into reports.
 * :class:`RetryPolicy` — max attempts, per-workload wall-clock timeout,
-  and exponential backoff with *deterministic seeded jitter* (two runs
-  with the same seed sleep the same schedule), plus the
+  and capped exponential backoff (a deterministic schedule), plus the
   transient-vs-permanent error classification that decides what is
   worth retrying at all.
 * :class:`SuiteRunError` — raised in strict mode when any workload
@@ -38,7 +37,6 @@ anything else               permanent    deterministic model errors
 
 from __future__ import annotations
 
-import hashlib
 import math
 import traceback as traceback_module
 from concurrent.futures import BrokenExecutor
@@ -152,13 +150,9 @@ class RetryPolicy:
         only apply when ``jobs > 1``.
     backoff_base_s / backoff_factor / backoff_max_s:
         Exponential backoff: retry *n* sleeps
-        ``min(max, base * factor**(n-1))`` scaled by jitter.
-    jitter:
-        Fractional jitter width in ``[0, 1]``.  The jitter is
-        *deterministic*: derived from ``sha256(seed, key, attempt)``,
-        so identically-seeded runs sleep identical schedules.
-    seed:
-        Jitter seed.
+        ``min(max, base * factor**(n-1))``.  The engine sleeps on the
+        run thread before resubmitting a wave of retries, so there are
+        no concurrent sleepers for jitter to spread out.
     """
 
     max_attempts: int = 3
@@ -166,8 +160,6 @@ class RetryPolicy:
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     backoff_max_s: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
@@ -185,10 +177,10 @@ class RetryPolicy:
             raise ValueError("backoff_base_s must be non-negative and finite")
         if not math.isfinite(self.backoff_factor) or self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
-        if self.backoff_max_s < self.backoff_base_s:
+        if math.isnan(self.backoff_max_s) or (
+            self.backoff_max_s < self.backoff_base_s
+        ):
             raise ValueError("backoff_max_s must be >= backoff_base_s")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
 
     def should_retry(self, exc: BaseException, attempt: int) -> bool:
         """Retry after failed attempt number *attempt* (1-based)?"""
@@ -198,26 +190,14 @@ class RetryPolicy:
         )
 
     # -- backoff --------------------------------------------------------
-    def backoff_s(self, key: str, attempt: int) -> float:
-        """Sleep before re-running *key* after failed attempt *attempt*.
-
-        Deterministic: the jitter multiplier is derived from
-        ``sha256(seed, key, attempt)``, never from global RNG state.
-        """
+    def backoff_s(self, attempt: int) -> float:
+        """Sleep before retrying after failed attempt *attempt*."""
         if attempt < 1:
             return 0.0
-        delay = min(
+        return min(
             self.backoff_max_s,
             self.backoff_base_s * self.backoff_factor ** (attempt - 1),
         )
-        if self.jitter == 0.0 or delay == 0.0:
-            return delay
-        digest = hashlib.sha256(
-            f"backoff:{self.seed}:{key}:{attempt}".encode("utf-8")
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
-        # Scale into [1 - jitter, 1 + jitter], clamped to the cap.
-        return min(self.backoff_max_s, delay * (1.0 - self.jitter + 2.0 * self.jitter * unit))
 
 
 class SuiteRunError(RuntimeError):

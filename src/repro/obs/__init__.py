@@ -3,10 +3,10 @@
 ``repro.obs`` gives suite runs a first-class, machine-readable view of
 themselves: hierarchical **spans** (suite → workload attempt →
 stream-gen / simulate / analyze, plus cache, retry, journal and pool
-events), a **metrics registry** (counters / gauges / histograms,
-aggregated across pool workers into the
-:class:`~repro.obs.metrics.RunProfile` carried on every
-``SuiteRunReport``), and two **sinks** — an append-only JSONL event
+events), one **run profile** per run (the counters and histograms of
+a :class:`~repro.obs.metrics.RunProfile`, each pool worker's merged
+into the run's and carried on every ``SuiteRunReport``), and two
+**sinks** — an append-only JSONL event
 log and a Chrome-trace (``chrome://tracing`` / Perfetto) export.
 
 Design rules (see DESIGN.md §11):
@@ -23,7 +23,7 @@ Design rules (see DESIGN.md §11):
   ``NULL_TRACER``.
 """
 
-from repro.obs.metrics import HistogramStat, MetricsRegistry, RunProfile
+from repro.obs.metrics import RunProfile
 from repro.obs.session import ObsSession, TraceHandoff, worker_tracer
 from repro.obs.sinks import (
     JsonlSink,
@@ -43,9 +43,7 @@ from repro.obs.spans import (
 
 __all__ = [
     "CURRENT_TRACER",
-    "HistogramStat",
     "JsonlSink",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "ObsSession",

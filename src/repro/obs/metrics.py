@@ -1,12 +1,10 @@
-"""Metrics: counters, gauges, histograms, and the aggregated run profile.
+"""Metrics: the run profile, one counters-and-histograms record per run.
 
-A :class:`MetricsRegistry` is a cheap in-process accumulator (plain
-dict updates — no locks, no I/O) that each process of a suite run owns
-privately; worker registries are snapshotted into JSON-able dicts,
-shipped back with the result tuple, and merged into the parent's
-registry.  The merged registry is then frozen into a
-:class:`RunProfile` — the machine-readable "where did the wall-clock
-go" record carried on
+A :class:`RunProfile` is a cheap in-process accumulator (plain dict
+updates — no locks, no I/O).  Every tracer owns one, so each process of
+a suite run records into its own; a pool worker's profile rides back on
+the result tuple and is merged into the run tracer's profile, which is
+the record carried on
 :class:`~repro.core.suite.SuiteRunReport.run_profile` and rendered by
 :func:`repro.core.report.render_run_profile` in the ``report``
 command's stderr epilogue.
@@ -32,15 +30,10 @@ Naming conventions (what the run profile parses):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict
 
-__all__ = [
-    "HistogramStat",
-    "MetricsRegistry",
-    "RunProfile",
-]
+__all__ = ["RunProfile"]
 
 #: Phase-span names rendered (in this order) in the run-profile table.
 PHASE_ORDER = (
@@ -53,137 +46,45 @@ PHASE_ORDER = (
 
 
 @dataclass
-class HistogramStat:
-    """Streaming summary of one histogram: count / total / min / max."""
+class RunProfile:
+    """The metrics record of one run: counters and histograms.
 
-    count: int = 0
-    total: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
+    Every :class:`~repro.obs.spans.Tracer` owns one and records into it
+    (dict updates only: no locks, no I/O).  A histogram is the plain
+    dict ``{"count", "total", "min", "max"}``, so the profile pickles
+    across the pool boundary, serializes losslessly to JSON and
+    compares by value (the suite-report round-trip test relies on
+    that).
+    """
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "HistogramStat") -> None:
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def as_dict(self) -> Dict[str, float]:
-        if self.count == 0:
-            return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0}
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "HistogramStat":
-        count = int(payload.get("count", 0))
-        if count == 0:
-            return cls()
-        return cls(
-            count=count,
-            total=float(payload.get("total", 0.0)),
-            min=float(payload.get("min", 0.0)),
-            max=float(payload.get("max", 0.0)),
-        )
-
-
-class MetricsRegistry:
-    """Process-local counters/gauges/histograms, mergeable across workers."""
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, HistogramStat] = {}
+    counters: Dict[str, float] = field(default_factory=dict)
+    histograms: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     # -- recording -----------------------------------------------------
     def incr(self, name: str, value: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + value
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
     def observe(self, name: str, value: float) -> None:
-        stat = self.histograms.get(name)
-        if stat is None:
-            stat = HistogramStat()
-            self.histograms[name] = stat
-        stat.observe(value)
+        self._fold(
+            name, {"count": 1, "total": value, "min": value, "max": value}
+        )
 
-    # -- aggregation ---------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
+    def merge(self, other: "RunProfile") -> None:
+        """Fold another process's profile into this one."""
         for name, value in other.counters.items():
             self.incr(name, value)
-        for name, value in other.gauges.items():
-            self.gauges[name] = value  # last writer wins
         for name, stat in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = HistogramStat()
-                self.histograms[name] = mine
-            mine.merge(stat)
+            self._fold(name, stat)
 
-    def merge_dict(self, snapshot: Mapping[str, Any]) -> None:
-        """Merge a :meth:`snapshot` produced in another process."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.incr(name, float(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauges[name] = float(value)
-        for name, payload in snapshot.get("histograms", {}).items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = HistogramStat()
-                self.histograms[name] = mine
-            mine.merge(HistogramStat.from_dict(payload))
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-able copy safe to pickle across the pool boundary."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: stat.as_dict() for name, stat in self.histograms.items()
-            },
-        }
-
-
-@dataclass
-class RunProfile:
-    """Aggregated observability record of one suite run (JSON-stable).
-
-    A frozen view over the merged :class:`MetricsRegistry` — plain
-    dicts of floats, so it serializes losslessly and compares by value
-    (the suite-report round-trip test relies on that).
-    """
-
-    counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    @classmethod
-    def from_registry(cls, registry: MetricsRegistry) -> "RunProfile":
-        snapshot = registry.snapshot()
-        return cls(
-            counters=snapshot["counters"],
-            gauges=snapshot["gauges"],
-            histograms=snapshot["histograms"],
-        )
+    def _fold(self, name: str, theirs: Dict[str, float]) -> None:
+        stat = self.histograms.get(name)
+        if stat is None:
+            self.histograms[name] = dict(theirs)
+            return
+        stat["count"] += theirs["count"]
+        stat["total"] += theirs["total"]
+        stat["min"] = min(stat["min"], theirs["min"])
+        stat["max"] = max(stat["max"], theirs["max"])
 
     # -- derived views -------------------------------------------------
     def counter(self, name: str) -> float:
@@ -241,7 +142,6 @@ class RunProfile:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "histograms": {
                 name: dict(stat) for name, stat in self.histograms.items()
             },

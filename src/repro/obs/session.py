@@ -1,17 +1,20 @@
 """Run-scoped observability session: wiring tracer, metrics and sinks.
 
 An :class:`ObsSession` is what the characterization engine actually
-holds: one :class:`~repro.obs.spans.Tracer` (metrics always on — dict
-updates are effectively free; the JSONL sink only when a trace
-directory was requested) plus the machinery to
+holds: one :class:`~repro.obs.spans.Tracer` (its
+:class:`~repro.obs.metrics.RunProfile` always records — dict updates
+are effectively free; the JSONL sink only when a trace directory was
+requested) plus the machinery to
 
 * hand span context to pool workers (:class:`TraceHandoff`, a small
   picklable value rooting worker spans under the parent's suite span),
 * build worker-side tracers (:func:`worker_tracer`) that write to
   per-pid event logs, and
 * finalize the run: merge worker logs into the canonical
-  ``events.jsonl``, export the Chrome trace, and freeze the merged
-  metrics into a :class:`~repro.obs.metrics.RunProfile`.
+  ``events.jsonl`` and export the Chrome trace.
+
+The run's profile is ``session.tracer.metrics``; each worker's profile
+is merged into it by :meth:`ObsSession.absorb`.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Optional
 
-from repro.obs.metrics import MetricsRegistry, RunProfile
+from repro.obs.metrics import RunProfile
 from repro.obs.sinks import (
     CHROME_TRACE_NAME,
     EVENT_LOG_NAME,
@@ -74,7 +77,6 @@ def worker_tracer(handoff: TraceHandoff) -> Tracer:
     tracer = Tracer(
         trace_id=handoff.trace_id,
         sink=sink,
-        metrics=MetricsRegistry(),
         parent_id=handoff.parent_span_id,
         role="worker",
     )
@@ -89,13 +91,12 @@ class ObsSession:
         self.trace_dir: Optional[Path] = (
             Path(trace_dir) if trace_dir else None
         )
-        self.metrics = MetricsRegistry()
         sink = (
             JsonlSink(self.trace_dir / EVENT_LOG_NAME)
             if self.trace_dir is not None
             else None
         )
-        self.tracer = Tracer(sink=sink, metrics=self.metrics, role="main")
+        self.tracer = Tracer(sink=sink, role="main")
 
     @property
     def tracing(self) -> bool:
@@ -112,16 +113,13 @@ class ObsSession:
             submitted_unix=time.time(),
         )
 
-    def absorb(self, snapshot: Optional[Dict[str, Any]]) -> None:
-        """Merge a worker's metrics snapshot into the run registry."""
-        if snapshot:
-            self.metrics.merge_dict(snapshot)
+    def absorb(self, profile: Optional[RunProfile]) -> None:
+        """Merge a worker's profile into the run's (``None``: an
+        in-process attempt, which recorded into the run's own)."""
+        if profile is not None:
+            self.tracer.metrics.merge(profile)
 
     # -- finalization --------------------------------------------------
-    def run_profile(self) -> RunProfile:
-        """Freeze the merged metrics into the report-facing profile."""
-        return RunProfile.from_registry(self.metrics)
-
     def finalize(self) -> Optional[Path]:
         """Close sinks, fold worker logs in, export the Chrome trace.
 

@@ -28,11 +28,11 @@ counts, and never feeds anything back into the pipeline — launch
 streams, digests, and characterization results are bit-for-bit
 identical with tracing on or off.
 
-Cost model: a tracer with neither a sink nor a metrics registry, and
-the shared :data:`NULL_TRACER` singleton, are no-ops (no clock reads,
-no allocation beyond the context-manager call).  A tracer with only a
-metrics registry pays two ``perf_counter`` calls and one histogram
-update per span.  Sinks add one buffered+flushed JSON line per record.
+Cost model: the shared :data:`NULL_TRACER` singleton is a no-op (no
+clock reads, no allocation beyond the context-manager call).  A tracer
+without a sink pays two ``perf_counter`` calls and one histogram update
+on its :class:`~repro.obs.metrics.RunProfile` per span.  Sinks add one
+buffered+flushed JSON line per record.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import RunProfile
 from repro.obs.sinks import JsonlSink
 
 __all__ = [
@@ -87,10 +87,11 @@ class Span:
     def set_attr(self, key: str, value: Any) -> None:
         self.attrs[key] = value
 
-    def as_event(self) -> Dict[str, Any]:
-        """The JSONL event-log record for this (finished) span."""
+    def as_event(self, kind: str = "span") -> Dict[str, Any]:
+        """The JSONL event-log record for this (finished) span, or for
+        an instant event when *kind* is ``"event"``."""
         return {
-            "type": "span",
+            "type": kind,
             "name": self.name,
             "cat": self.category,
             "trace_id": self.trace_id,
@@ -129,7 +130,7 @@ class _SpanContext:
 
 
 class Tracer:
-    """Records spans and events for one run into a sink and a registry.
+    """Records spans and events for one run into a sink and a profile.
 
     Parameters
     ----------
@@ -140,30 +141,29 @@ class Tracer:
         Optional :class:`~repro.obs.sinks.JsonlSink` receiving one
         record per finished span / instant event.  ``None`` disables
         the event log (metrics still accumulate).
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`.  Every
-        finished span is observed into the ``span.<name>_s`` histogram
-        and — when the span has a ``workload`` attribute — into
-        ``workload.<abbr>.<name>_s``, which is what the per-workload
-        phase breakdown in the run profile is built from.
     parent_id:
         Span id (from another process) to root top-level spans under.
     role:
         Free-form process label (``"main"``, ``"worker"``) stamped on
         every record; the Chrome exporter uses it to name process rows.
+
+    The tracer's :class:`~repro.obs.metrics.RunProfile` is
+    ``tracer.metrics``.  Every finished span is observed into its
+    ``span.<name>_s`` histogram and — when the span has a ``workload``
+    attribute — into ``workload.<abbr>.<name>_s``, which is what the
+    per-workload phase breakdown in the run profile is built from.
     """
 
     def __init__(
         self,
         trace_id: Optional[str] = None,
         sink: Optional[JsonlSink] = None,
-        metrics: Optional[MetricsRegistry] = None,
         parent_id: Optional[str] = None,
         role: str = "main",
     ) -> None:
         self.trace_id = trace_id or new_id()
         self.sink = sink
-        self.metrics = metrics
+        self.metrics = RunProfile()
         self.role = role
         self._root_parent = parent_id
         self._local = threading.local()
@@ -191,15 +191,30 @@ class Tracer:
         elif span in stack:  # defensive: out-of-order exit
             stack.remove(span)
         span.duration_s = time.perf_counter() - span.start_perf
-        if self.metrics is not None:
-            self.metrics.observe(f"span.{span.name}_s", span.duration_s)
-            workload = span.attrs.get("workload")
-            if workload:
-                self.metrics.observe(
-                    f"workload.{workload}.{span.name}_s", span.duration_s
-                )
+        self.metrics.observe(f"span.{span.name}_s", span.duration_s)
+        workload = span.attrs.get("workload")
+        if workload:
+            self.metrics.observe(
+                f"workload.{workload}.{span.name}_s", span.duration_s
+            )
         if self.sink is not None:
             self.sink.emit(span.as_event())
+
+    def _start(self, name: str, category: str, attrs: Dict[str, Any]) -> Span:
+        """A span starting now under the current one, owning *attrs*."""
+        attrs.setdefault("role", self.role)
+        return Span(
+            name=name,
+            category=category,
+            trace_id=self.trace_id,
+            span_id=new_id(),
+            parent_id=self.current_span_id(),
+            start_unix=time.time(),
+            start_perf=time.perf_counter(),
+            attrs=attrs,
+            pid=os.getpid(),
+            tid=threading.get_ident(),
+        )
 
     # -- public API ----------------------------------------------------
     def span(self, name: str, category: str = "run", **attrs: Any) -> _SpanContext:
@@ -208,52 +223,20 @@ class Tracer:
         The span closes (and is recorded) when the ``with`` block
         exits; an exception marks it ``status="error"`` and re-raises.
         """
-        record = Span(
-            name=name,
-            category=category,
-            trace_id=self.trace_id,
-            span_id=new_id(),
-            parent_id=self.current_span_id(),
-            start_unix=time.time(),
-            start_perf=time.perf_counter(),
-            attrs=dict(attrs),
-            pid=os.getpid(),
-            tid=threading.get_ident(),
-        )
-        record.attrs.setdefault("role", self.role)
-        return _SpanContext(self, record)
+        return _SpanContext(self, self._start(name, category, attrs))
 
     def event(self, name: str, category: str = "event", **attrs: Any) -> None:
         """Record an instant (zero-duration) event at the current spot."""
-        if self.sink is None:
-            return
-        attrs.setdefault("role", self.role)
-        self.sink.emit(
-            {
-                "type": "event",
-                "name": name,
-                "cat": category,
-                "trace_id": self.trace_id,
-                "span_id": new_id(),
-                "parent_id": self.current_span_id(),
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-                "ts_unix": time.time(),
-                "dur_s": 0.0,
-                "status": "ok",
-                "attrs": attrs,
-            }
-        )
+        if self.sink is not None:
+            self.sink.emit(self._start(name, category, attrs).as_event("event"))
 
     def incr(self, name: str, value: float = 1.0) -> None:
-        """Convenience: bump a counter on the attached registry."""
-        if self.metrics is not None:
-            self.metrics.incr(name, value)
+        """Convenience: bump a counter on this tracer's profile."""
+        self.metrics.incr(name, value)
 
     def observe(self, name: str, value: float) -> None:
-        """Convenience: observe into a histogram on the registry."""
-        if self.metrics is not None:
-            self.metrics.observe(name, value)
+        """Convenience: observe into a histogram on this tracer's profile."""
+        self.metrics.observe(name, value)
 
 
 class _NullSpanContext:

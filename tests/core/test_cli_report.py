@@ -62,8 +62,9 @@ class TestCLI:
             assert name in text
 
     def test_sweep_rejects_unknown_device(self, capsys):
-        assert main(["sweep", "--devices", "TPUv4",
-                     "--workloads", "GST"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--devices", "TPUv4", "--workloads", "GST"])
+        assert excinfo.value.code == 2
         assert "unknown device" in capsys.readouterr().err.lower()
 
     def test_report_to_file(self, tmp_path, capsys):

@@ -9,9 +9,7 @@ import pytest
 from repro.obs import (
     CURRENT_TRACER,
     NULL_TRACER,
-    HistogramStat,
     JsonlSink,
-    MetricsRegistry,
     NullTracer,
     RunProfile,
     Tracer,
@@ -82,16 +80,16 @@ class TestSpans:
         assert tracer.current_span_id() is None  # stack unwound
 
     def test_span_durations_feed_metrics(self):
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics=metrics)
+        tracer = Tracer()
         with tracer.span("simulate", workload="GMS"):
             pass
-        assert metrics.histograms["span.simulate_s"].count == 1
-        assert metrics.histograms["workload.GMS.simulate_s"].count == 1
+        assert tracer.metrics.histograms["span.simulate_s"]["count"] == 1
+        assert tracer.metrics.histograms["workload.GMS.simulate_s"]["count"] == 1
 
     def test_event_without_sink_is_noop(self):
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         tracer.event("retry", workload="GMS")  # must not raise
+        assert tracer.metrics == RunProfile()
 
     def test_null_tracer_is_inert(self):
         assert isinstance(NULL_TRACER, NullTracer)
@@ -102,6 +100,7 @@ class TestSpans:
         NULL_TRACER.incr("c")
         NULL_TRACER.observe("h", 1.0)
         assert NULL_TRACER.current_span_id() is None
+        assert NULL_TRACER.metrics == RunProfile()
 
     def test_null_tracer_span_is_shared_singleton(self):
         a = NULL_TRACER.span("a")
@@ -112,59 +111,66 @@ class TestSpans:
 # -- metrics -----------------------------------------------------------
 class TestMetrics:
     def test_histogram_observe_and_merge(self):
-        a = HistogramStat()
+        a = RunProfile()
         for value in (1.0, 3.0):
-            a.observe(value)
-        b = HistogramStat()
-        b.observe(2.0)
+            a.observe("span.simulate_s", value)
+        b = RunProfile()
+        b.observe("span.simulate_s", 2.0)
+        b.observe("span.simulate_s", 0.5)
+        b.observe("queue.wait_s", 0.25)
         a.merge(b)
-        assert a.count == 3
-        assert a.total == 6.0
-        assert a.min == 1.0
-        assert a.max == 3.0
-        assert a.mean == 2.0
-
-    def test_empty_histogram_merge_and_dict(self):
-        stat = HistogramStat()
-        stat.merge(HistogramStat())
-        assert stat.count == 0
-        assert stat.as_dict() == {
-            "count": 0, "total": 0.0, "min": 0.0, "max": 0.0,
+        assert a.histograms["span.simulate_s"] == {
+            "count": 4, "total": 6.5, "min": 0.5, "max": 3.0,
         }
-        assert HistogramStat.from_dict(stat.as_dict()).count == 0
+        assert a.histograms["queue.wait_s"] == {
+            "count": 1, "total": 0.25, "min": 0.25, "max": 0.25,
+        }
+        # The merge copied b's histograms: a's later updates stay in a.
+        a.observe("queue.wait_s", 1.0)
+        assert b.histograms["queue.wait_s"]["count"] == 1
 
-    def test_registry_merge_dict_roundtrip(self):
-        worker = MetricsRegistry()
+    def test_empty_profile_merge_and_dict(self):
+        profile = RunProfile()
+        profile.merge(RunProfile())
+        assert profile.as_dict() == {"counters": {}, "histograms": {}}
+        profile.incr("engine.runs")
+        profile.observe("span.run_s", 0.5)
+        before = profile.as_dict()
+        profile.merge(RunProfile())
+        assert profile.as_dict() == before
+
+    def test_counter_merge_json_roundtrip(self):
+        worker = RunProfile()
         worker.incr("cache.misses", 4.0)
-        worker.set_gauge("g", 7.0)
+        worker.incr("sim.launches", 7.0)
         worker.observe("queue.wait_s", 0.25)
-        parent = MetricsRegistry()
+        parent = RunProfile()
         parent.incr("cache.misses", 1.0)
-        parent.merge_dict(worker.snapshot())
-        assert parent.counters["cache.misses"] == 5.0
-        assert parent.gauges["g"] == 7.0
-        assert parent.histograms["queue.wait_s"].count == 1
+        parent.merge(worker)
+        assert parent.counters == {"cache.misses": 5.0, "sim.launches": 7.0}
+        assert worker.counters["cache.misses"] == 4.0  # source untouched
+        payload = json.loads(json.dumps(parent.as_dict()))
+        assert set(payload) == {"counters", "histograms"}
+        assert RunProfile(**payload) == parent
 
     def test_run_profile_dict_roundtrip_equal(self):
-        registry = MetricsRegistry()
-        registry.incr("engine.retries", 2.0)
-        registry.incr("cache.disk_hits", 3.0)
-        registry.incr("cache.misses", 1.0)
-        registry.observe("span.simulate_s", 0.5)
-        registry.observe("workload.GMS.simulate_s", 0.5)
-        profile = RunProfile.from_registry(registry)
+        profile = RunProfile()
+        profile.incr("engine.retries", 2.0)
+        profile.incr("cache.disk_hits", 3.0)
+        profile.incr("cache.misses", 1.0)
+        profile.observe("span.simulate_s", 0.5)
+        profile.observe("workload.GMS.simulate_s", 0.5)
         payload = json.loads(json.dumps(profile.as_dict()))
         assert RunProfile(**payload) == profile
 
     def test_run_profile_derived_views(self):
-        registry = MetricsRegistry()
-        registry.incr("cache.disk_hits", 4.0)
-        registry.incr("cache.misses", 4.0)
-        registry.incr("engine.retries", 2.0)
-        registry.observe("span.simulate_s", 0.5)
-        registry.observe("span.simulate_s", 1.5)
-        registry.observe("workload.GMS.stream-gen_s", 0.25)
-        profile = RunProfile.from_registry(registry)
+        profile = RunProfile()
+        profile.incr("cache.disk_hits", 4.0)
+        profile.incr("cache.misses", 4.0)
+        profile.incr("engine.retries", 2.0)
+        profile.observe("span.simulate_s", 0.5)
+        profile.observe("span.simulate_s", 1.5)
+        profile.observe("workload.GMS.stream-gen_s", 0.25)
         assert profile.cache_lookups == 8.0
         assert profile.cache_hit_rate == pytest.approx(0.5)
         assert profile.retries == 2
@@ -197,7 +203,7 @@ class TestSinks:
 
     def test_chrome_trace_is_valid_and_complete(self, tmp_path):
         sink = _ListSink()
-        tracer = Tracer(sink=sink, metrics=MetricsRegistry())
+        tracer = Tracer(sink=sink)
         with tracer.span("suite-run", category="suite"):
             with tracer.span("simulate", category="phase", workload="GMS"):
                 pass

@@ -61,7 +61,7 @@ class TestFlagValidation:
 
 
 class TestBadInputIsAUsageError:
-    """Bad workload, scale, selection and directory input exits 2 with
+    """Bad workload, scale, selection, device and directory input exits 2 with
     one ``repro: error:`` line before any run starts, not a traceback."""
 
     @pytest.mark.parametrize(
@@ -79,6 +79,9 @@ class TestBadInputIsAUsageError:
             ["similar", "--coverage", "0"],
             ["sweep", "--devices", "A100", "--suite", "XYZ"],
             ["--journal-dir", "{tmp}/file", "table1"],
+            ["sweep", "--devices", "A100,A100", "--workloads", "GMS"],
+            ["sweep", "--devices", "A100", "--workloads", "GMS",
+             "--baseline", "H100"],
         ],
     )
     def test_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
@@ -91,6 +94,12 @@ class TestBadInputIsAUsageError:
         assert lines[-1].startswith("repro: error: ")
         assert sum("error" in line for line in lines) == 1
         assert not (tmp_path / "trace.jsonl").exists()
+
+    def test_baseline_resolves_like_devices(self, capsys):
+        assert main(["--no-cache", "--preset", "laptop", "sweep",
+                     "--devices", "RTX3080,A100", "--baseline", "rtx3080",
+                     "--workloads", "GST"]) == 0
+        assert "Dominant-kernel shifts vs RTX 3080" in capsys.readouterr().out
 
     def test_journal_dir_env_naming_a_file(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").write_text("")

@@ -32,7 +32,7 @@ def test_none_fault_plan_matches_empty_plan(baseline):
 
 @pytest.mark.parametrize("jobs", [None, 3], ids=["serial", "parallel"])
 def test_retry_and_timeout_config_do_not_perturb_results(baseline, jobs):
-    policy = RetryPolicy(max_attempts=5, timeout_s=120.0, seed=99)
+    policy = RetryPolicy(max_attempts=5, timeout_s=120.0)
     report = run_slice(jobs=jobs, retry_policy=policy, keep_going=True)
     assert report.ok
     assert report.results == baseline.results
